@@ -6,7 +6,7 @@ operational: for a fixed (instance, workers, order, seed, algorithm,
 strategy, coordinator) every backend must produce a dataclass-equal
 ``DistributedResult`` and a byte-identical merged trace JSONL.  This
 script checks exactly that on a small planted instance at W=4 across
-all registered backends and both ingest modes, then pins the process
+all registered backends, then pins the process
 backend's two *shipping* modes — shared-memory spans and classic
 pickled edges (``REPRO_SHM=0``) — to the same reference, asserting the
 shared-memory dispatch really shipped O(descriptor) task pickles.
@@ -25,7 +25,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.distributed import (  # noqa: E402
-    INGEST_MODES,
     registered_backends,
     run_distributed,
     shared_memory_available,
@@ -37,7 +36,7 @@ WORKERS = 4
 SEED = 20260807
 
 
-def run_cell(instance, backend: str, ingest: str, max_workers: int):
+def run_cell(instance, backend: str, max_workers: int):
     collector = TraceCollector()
     result = run_distributed(
         instance,
@@ -46,9 +45,6 @@ def run_cell(instance, backend: str, ingest: str, max_workers: int):
         seed=SEED,
         max_workers=max_workers,
         backend=backend,
-        ingest=ingest,
-        chunk_size=64,
-        queue_depth=2,
         collector=collector,
     )
     result.verify(instance)
@@ -60,26 +56,25 @@ def main() -> int:
         n=400, m=80, opt_size=12, seed=SEED
     ).instance
     reference_result, reference_trace = run_cell(
-        instance, "serial", "materialize", max_workers=1
+        instance, "serial", max_workers=1
     )
     print(
-        f"reference: serial/materialize cover={reference_result.cover_size} "
+        f"reference: serial cover={reference_result.cover_size} "
         f"trace={len(reference_trace)} bytes"
     )
     failures = 0
     for backend in registered_backends():
-        for ingest in sorted(INGEST_MODES):
-            for max_workers in (1, WORKERS):
-                result, trace = run_cell(instance, backend, ingest, max_workers)
-                cell = f"{backend}/{ingest}/max_workers={max_workers}"
-                if result != reference_result:
-                    print(f"FAIL {cell}: DistributedResult diverged")
-                    failures += 1
-                elif trace != reference_trace:
-                    print(f"FAIL {cell}: merged trace JSONL not byte-identical")
-                    failures += 1
-                else:
-                    print(f"ok   {cell}")
+        for max_workers in (1, WORKERS):
+            result, trace = run_cell(instance, backend, max_workers)
+            cell = f"{backend}/max_workers={max_workers}"
+            if result != reference_result:
+                print(f"FAIL {cell}: DistributedResult diverged")
+                failures += 1
+            elif trace != reference_trace:
+                print(f"FAIL {cell}: merged trace JSONL not byte-identical")
+                failures += 1
+            else:
+                print(f"ok   {cell}")
 
     # Shipping modes: how the process backend moves shard edges must be
     # operational too.  Shared-memory spans and pickled edges get the
@@ -88,9 +83,7 @@ def main() -> int:
     for label, flag in (("shared-memory", "1"), ("pickle", "0")):
         os.environ["REPRO_SHM"] = flag
         try:
-            result, trace = run_cell(
-                instance, "process", "materialize", max_workers=WORKERS
-            )
+            result, trace = run_cell(instance, "process", max_workers=WORKERS)
         finally:
             del os.environ["REPRO_SHM"]
         cell = f"process/shipping={label}/max_workers={WORKERS}"

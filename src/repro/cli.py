@@ -26,7 +26,6 @@ from repro.algorithms import make_algorithm, registered_algorithms
 from repro.analysis.tables import render_kv
 from repro.distributed.backends import registered_backends
 from repro.distributed.coordinator import registered_coordinators
-from repro.distributed.executor import INGEST_MODES
 from repro.distributed.router import STRATEGIES
 from repro.distributed.transport import registered_transports
 from repro.errors import ReproError
@@ -184,19 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wire transport for merge messages (operational; every "
         "transport prints identical cover/comm rows, only the measured "
         "wire bytes differ)",
-    )
-    distribute_parser.add_argument(
-        "--ingest", choices=sorted(INGEST_MODES), default="materialize",
-        help="materialize shards up front, or stream them through "
-        "bounded per-shard queues (operational)",
-    )
-    distribute_parser.add_argument(
-        "--chunk-size", type=int, default=4096,
-        help="edges per routed chunk under --ingest stream",
-    )
-    distribute_parser.add_argument(
-        "--queue-depth", type=int, default=8,
-        help="max in-flight chunks per shard under --ingest stream",
     )
     distribute_parser.add_argument(
         "--comm-budget", type=int, default=None,
@@ -474,7 +460,6 @@ def _cmd_distribute(args: argparse.Namespace) -> int:
     from repro.distributed import run_distributed
     from repro.distributed.asyncsim import run_distributed_async
     from repro.distributed.comm import make_comm_budget
-    from repro.errors import InvalidParameterError
     from repro.faults.shards import ShardFaultPlan
 
     instance = load_instance(args.instance)
@@ -516,12 +501,6 @@ def _cmd_distribute(args: argparse.Namespace) -> int:
         adaptive_threshold=args.adaptive_threshold,
     )
     if args.async_sim:
-        if args.ingest != "materialize":
-            raise InvalidParameterError(
-                "ingest",
-                args.ingest,
-                "the async simulator always materializes shards",
-            )
         result = run_distributed_async(
             instance,
             schedule_seed=args.schedule_seed,
@@ -532,9 +511,6 @@ def _cmd_distribute(args: argparse.Namespace) -> int:
     else:
         result = run_distributed(
             instance,
-            ingest=args.ingest,
-            chunk_size=args.chunk_size,
-            queue_depth=args.queue_depth,
             **common,
             **resilience,
         )

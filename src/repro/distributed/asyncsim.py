@@ -15,61 +15,47 @@ tasks and the *same* coordinators through an adversarial transport —
   :class:`FixedDelivery` pins an explicit priority order, letting tests
   enumerate *every* delivery permutation of a small run.
 * :func:`run_distributed_async` — the asynchronous twin of
-  :func:`~repro.distributed.executor.run_distributed`.  It builds its
-  shard tasks through the same
-  :func:`~repro.distributed.executor.build_shard_plan_and_tasks` helper
-  (identical routing and seed discipline), executes them under the same
-  retry/deadline recovery layer, then ships the surviving outputs
-  through the scheduler: star coordinators (``union``/``greedy``)
-  consume their merge inputs from the coordinator's **inbox** —
-  deduplicated by shard index, sorted, so duplicate and reordered
-  deliveries cannot change the merge — while the ``chain`` coordinator's
+  :func:`~repro.distributed.executor.run_distributed`, running the same
+  executor body (identical routing, seed discipline, retry/deadline
+  recovery and merge).  After the merge it replays the merge's
+  messages through the scheduler: star coordinators
+  (``union``/``greedy``) receive every surviving shard's upload in
+  their **inbox** — deduplicated by shard index, the drained inbox is
+  exactly the survivors the merge consumed, so duplicate and reordered
+  deliveries cannot change it — while the ``chain`` coordinator's
   hand-offs are relayed sequentially (hand-off ``i+1`` is posted only
   after hand-off ``i`` lands), which is what makes its completion time
   grow linearly in ``W`` where the star topologies stay flat.
 
-Parity is structural, not coincidental: the merge runs over the same
-outputs, sorted the same way, charging the same
-:class:`~repro.distributed.comm.CommMeter` as the synchronous path, so
-for any fault-free delivery schedule the cover, certificate, and comm
-report are byte-identical to :func:`run_distributed`'s.  The schedule
-only shows up in the *diagnostics* — ``logical_steps``,
-``delivered_messages``, ``idle_ticks``, ``duplicates_dropped`` — and in
-the trace's ``async`` cell.
+Parity is structural, not coincidental: the merge is the synchronous
+path's own merge call, over the same outputs charging the same
+:class:`~repro.distributed.comm.CommMeter`, so for any fault-free
+delivery schedule the cover, certificate, and comm report are
+byte-identical to :func:`run_distributed`'s.  The schedule only shows
+up in the *diagnostics* — ``logical_steps``, ``delivered_messages``,
+``idle_ticks``, ``duplicates_dropped`` — and in the trace's ``async``
+cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.distributed.backends import (
-    make_backend,
-    run_tasks_with_recovery,
-)
+from repro.distributed.backends import ShardOutcome
+from repro.distributed.chain import tournament_rounds
 from repro.distributed.comm import (
     CommBudget,
     CommMeter,
     link_label,
     words_for_cover_message,
 )
-from repro.distributed.chain import tournament_rounds
-from repro.distributed.coordinator import (
-    CoordinatorOptions,
-    make_coordinator,
-)
-from repro.distributed.executor import (
-    DistributedResult,
-    build_shard_plan_and_tasks,
-    resolve_transport,
-    validate_transport,
-)
+from repro.distributed.executor import DistributedResult, _run_sharded
 from repro.distributed.worker import ShardOutput
 from repro.errors import InvalidParameterError, ProtocolError
 from repro.faults.injectors import FaultSpec
-from repro.faults.resilient import DegradationRecord
 from repro.faults.shards import ShardFaultPlan
-from repro.obs.events import DEGRADATION, MESSAGE_DELIVERED, SPAN_ASYNC, SPAN_MERGE
+from repro.obs.events import MESSAGE_DELIVERED, SPAN_ASYNC
 from repro.obs.tracer import NULL_TRACER, TraceCollector
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.orders import ArrivalOrder
@@ -351,6 +337,195 @@ class AsyncScheduler:
             out.append(message)
 
 
+class _ScheduleReplay:
+    """The asynchronous half of a run: the merge's messages on a schedule.
+
+    The shared executor body calls this once, after the merge, with the
+    surviving shard outputs keyed by shard index, every shard's
+    recovery outcome (its completion step is when the shard's first
+    message may leave), and the merge's comm meter (whose per-link
+    words size the replayed hand-offs).  Recovery events land on
+    :attr:`tracer` too, so the ``async`` cell reads as one timeline.
+    """
+
+    def __init__(
+        self,
+        scheduler: AsyncScheduler,
+        coordinator: str,
+        workers: int,
+        shard_faults: Optional[ShardFaultPlan],
+        schedule_seed: SeedLike,
+    ) -> None:
+        self.scheduler = scheduler
+        self.tracer = scheduler.tracer
+        self.coordinator = coordinator
+        self.workers = workers
+        self.shard_faults = (
+            shard_faults if shard_faults is not None else ShardFaultPlan()
+        )
+        self.schedule_seed = schedule_seed
+
+    def __call__(
+        self,
+        outputs: Dict[int, ShardOutput],
+        outcomes: Sequence[ShardOutcome],
+        comm: CommMeter,
+    ) -> Dict[str, float]:
+        completion = {o.index: o.completion_step for o in outcomes}
+        survivors = sorted(outputs)
+        scheduler = self.scheduler
+        with self.tracer.span(
+            SPAN_ASYNC,
+            coordinator=self.coordinator,
+            policy=scheduler.policy.name,
+            workers=self.workers,
+        ):
+            if self.coordinator == "chain":
+                dropped = self._chain(survivors, completion, comm)
+            elif self.coordinator == "tree":
+                dropped = self._tree(survivors, completion, comm)
+            else:
+                dropped = self._star(outputs, survivors, completion)
+        return {
+            "logical_steps": float(scheduler.clock),
+            "delivered_messages": float(scheduler.delivered),
+            "idle_ticks": float(scheduler.idle_ticks),
+            "duplicates_dropped": float(dropped),
+            "schedule_seed": float(int(self.schedule_seed)),
+        }
+
+    def _copies(self, index: int) -> int:
+        return 2 if self.shard_faults.spec_for(index).duplicate else 1
+
+    def _chain(
+        self,
+        survivors: List[int],
+        completion: Dict[int, int],
+        comm: CommMeter,
+    ) -> int:
+        # The chain is inherently sequential: hand-off i+1 can only be
+        # posted once hand-off i has landed, and a hand-off leaves shard
+        # a no earlier than the shard finished — the clock measures the
+        # protocol's O(W) critical path.
+        scheduler = self.scheduler
+        hand_words = dict(comm.report().per_link_words)
+        seen_hops = set()
+        dropped = 0
+        for a, b in zip(survivors, survivors[1:]):
+            src, dst = f"shard[{a}]", f"shard[{b}]"
+            ready = max(
+                scheduler.clock + scheduler.link_delay(src, dst),
+                completion.get(a, 0),
+            )
+            for _ in range(self._copies(a)):
+                scheduler.post(
+                    src,
+                    dst,
+                    kind="handoff",
+                    words=hand_words.get(link_label(src, dst), 0),
+                    payload=a,
+                    available_step=ready,
+                )
+            for message in scheduler.drain():
+                hop = (message.src, message.dst)
+                if hop in seen_hops:
+                    dropped += 1
+                seen_hops.add(hop)
+        return dropped
+
+    def _tree(
+        self,
+        survivors: List[int],
+        completion: Dict[int, int],
+        comm: CommMeter,
+    ) -> int:
+        # Tournament topology: hand-offs within a round are independent,
+        # so each round is posted as a batch and delivered with
+        # :meth:`AsyncScheduler.deliver_available` — the whole round
+        # lands on one logical tick (plus its idle-to-availability),
+        # which is exactly the Θ(log W) critical path the tree buys over
+        # the chain's Θ(W).  The tree's edges replay from the metered
+        # per-link words — unambiguous because each (src, dst) tree
+        # edge is used exactly once.
+        scheduler = self.scheduler
+        hand_words = dict(comm.report().per_link_words)
+        ready: Dict[int, int] = {i: completion.get(i, 0) for i in survivors}
+        seen_edges = set()
+        dropped = 0
+        for round_pairs in tournament_rounds(range(len(survivors))):
+            expected = 0
+            for src_pos, dst_pos in round_pairs:
+                a = survivors[src_pos]
+                b = survivors[dst_pos]
+                src, dst = f"shard[{a}]", f"shard[{b}]"
+                # A hand-off leaves its src no earlier than both
+                # endpoints finished their previous round (the dst must
+                # have its own state ready to merge into).
+                avail = max(
+                    scheduler.clock + scheduler.link_delay(src, dst),
+                    ready[a],
+                    ready[b],
+                )
+                copies = self._copies(a)
+                expected += copies
+                for _ in range(copies):
+                    scheduler.post(
+                        src,
+                        dst,
+                        kind="tree-handoff",
+                        words=hand_words.get(link_label(src, dst), 0),
+                        payload=a,
+                        available_step=avail,
+                    )
+            delivered_round = 0
+            while delivered_round < expected:
+                batch = scheduler.deliver_available()
+                delivered_round += len(batch)
+                for message in batch:
+                    edge = (message.src, message.dst)
+                    if edge in seen_edges:
+                        dropped += 1
+                    seen_edges.add(edge)
+            for src_pos, dst_pos in round_pairs:
+                ready.pop(survivors[src_pos], None)
+                ready[survivors[dst_pos]] = scheduler.clock
+        return dropped
+
+    def _star(
+        self,
+        outputs: Dict[int, ShardOutput],
+        survivors: List[int],
+        completion: Dict[int, int],
+    ) -> int:
+        # Star topology: every surviving shard posts its envelope
+        # upload, available once the shard finished plus the link
+        # delay.  Deduplicated by shard index, the fully drained inbox
+        # is exactly the sorted survivors the merge consumed, so
+        # duplicate and reordered deliveries cannot change it.
+        scheduler = self.scheduler
+        for i in survivors:
+            out = outputs[i]
+            src = f"shard[{i}]"
+            words = words_for_cover_message(
+                len(out.cover), len(out.certificate)
+            )
+            ready = completion.get(i, 0) + scheduler.link_delay(
+                src, "coordinator"
+            )
+            for _ in range(self._copies(i)):
+                scheduler.post(
+                    src,
+                    "coordinator",
+                    kind="envelope",
+                    words=words,
+                    payload=i,
+                    available_step=ready,
+                )
+        scheduler.drain()
+        received = [m.payload for m in scheduler.inbox("coordinator")]
+        return len(received) - len(set(received))
+
+
 def run_distributed_async(
     instance: SetCoverInstance,
     workers: int,
@@ -381,13 +556,13 @@ def run_distributed_async(
 ) -> DistributedResult:
     """Asynchronous twin of :func:`~repro.distributed.executor.run_distributed`.
 
-    Same semantic parameters, same result type, plus the delivery
-    schedule: ``delivery`` (default :class:`RandomDelivery` seeded with
-    ``schedule_seed``), ``link_delays`` / ``default_delay`` in logical
-    steps, and the shard resilience knobs shared with the synchronous
-    path.  ``transport`` selects the wire transport for merge messages
-    exactly as in :func:`~repro.distributed.executor.run_distributed`.  The returned result's cover, certificate, and comm report
-    are byte-identical to the synchronous materializing path for *any*
+    Same semantic parameters, same result type, same executor body,
+    plus the delivery schedule: ``delivery`` (default
+    :class:`RandomDelivery` seeded with ``schedule_seed``),
+    ``link_delays`` / ``default_delay`` in logical steps.  Shards always
+    run under the retry/deadline recovery layer.  The returned result's
+    cover, certificate, and comm report are byte-identical to
+    :func:`~repro.distributed.executor.run_distributed`'s for *any*
     fault-free schedule; the schedule surfaces in ``diagnostics``
     (``logical_steps``, ``delivered_messages``, ``idle_ticks``,
     ``duplicates_dropped``, ``schedule_seed``) and the ``async`` trace
@@ -397,327 +572,43 @@ def run_distributed_async(
     (Θ(log W) steps), and the star coordinators post everything at
     once.
     """
-    if max_workers < 1:
-        raise InvalidParameterError(
-            "max_workers", max_workers, "need at least 1 executor worker"
-        )
-    if min_shards is not None and not 1 <= min_shards <= workers:
-        raise InvalidParameterError(
-            "min_shards",
-            min_shards,
-            f"must be between 1 and workers={workers}",
-        )
-    backend_impl = make_backend(backend if backend is not None else "thread")
-    # Fail fast on an unknown coordinator or transport name — before any
-    # shard work runs (the transport itself is built at merge time).
-    merger = make_coordinator(
-        coordinator,
-        CoordinatorOptions(
-            threshold=threshold, adaptive_threshold=adaptive_threshold
-        ),
-    )
-    validate_transport(transport)
     policy = (
         delivery if delivery is not None else RandomDelivery(schedule_seed)
     )
-    plan_faults = shard_faults if shard_faults is not None else ShardFaultPlan()
-
-    traced = collector is not None
-    plan, tasks = build_shard_plan_and_tasks(
-        instance,
-        workers,
-        algorithm=algorithm,
-        strategy=strategy,
-        order=order,
-        seed=seed,
-        alpha=alpha,
-        faults=faults,
-        traced=traced,
-    )
-    async_tracer = (
-        collector.tracer_for("async") if collector is not None else NULL_TRACER
-    )
-    merge_tracer = (
-        collector.tracer_for("merge") if collector is not None else NULL_TRACER
-    )
-
-    envelopes, outcomes = run_tasks_with_recovery(
-        backend_impl,
-        tasks,
-        max_workers,
-        shard_faults=plan_faults,
-        max_attempts=max_attempts,
-        backoff_steps=backoff_steps,
-        deadline_steps=deadline_steps,
-        tracer=async_tracer,
-    )
-    outputs_by_index: Dict[int, ShardOutput] = {}
-    for envelope in envelopes:
-        if envelope is None:
-            continue
-        outputs_by_index[envelope.index] = envelope.output
-        if collector is not None and envelope.trace_jsonl is not None:
-            collector.adopt_jsonl(
-                f"shard[{envelope.index:03d}]", envelope.trace_jsonl
-            )
-    completion = {o.index: o.completion_step for o in outcomes}
-
-    lost = [o for o in outcomes if o.abandoned]
-    if lost:
-        survivors = workers - len(lost)
-        required = min_shards if min_shards is not None else workers
-        if survivors < required:
-            raise lost[0].to_error(
-                deadline_steps=deadline_steps,
-                context=(
-                    f"quorum not met: {survivors}/{workers} shard(s) "
-                    f"survived, need {required}"
-                ),
-            )
-    allow_partial = bool(lost)
-
     scheduler = AsyncScheduler(
         policy=policy,
         link_delays=link_delays,
         default_delay=default_delay,
-        tracer=async_tracer,
+        tracer=(
+            collector.tracer_for("async")
+            if collector is not None
+            else NULL_TRACER
+        ),
     )
-    duplicates_dropped = 0
-    comm = CommMeter(budget=comm_budget, log_messages=comm_log)
-    transport_impl = resolve_transport(transport)
-
-    def do_merge(merge_inputs: List[ShardOutput]):
-        try:
-            with merge_tracer.span(
-                SPAN_MERGE,
-                coordinator=coordinator,
-                strategy=strategy,
-                workers=workers,
-            ):
-                return merger.merge(
-                    instance,
-                    plan,
-                    merge_inputs,
-                    comm,
-                    tracer=merge_tracer,
-                    allow_partial=allow_partial,
-                    transport=transport_impl,
-                )
-        except BaseException:
-            # A failed merge must not leak the transport's socket/threads.
-            transport_impl.close()
-            raise
-
-    with async_tracer.span(
-        SPAN_ASYNC,
-        coordinator=coordinator,
-        policy=policy.name,
-        workers=workers,
-    ):
-        if coordinator == "chain":
-            # The chain is inherently sequential: hand-off i+1 can only
-            # be posted once hand-off i has landed, and a hand-off
-            # leaves shard a no earlier than the shard finished.  The
-            # merge itself runs first (it is what computes the state
-            # sizes); the scheduler then relays the hand-offs, so the
-            # clock measures the protocol's O(W) critical path.
-            survivors_sorted = sorted(outputs_by_index)
-            merge_inputs = [outputs_by_index[i] for i in survivors_sorted]
-            outcome = do_merge(merge_inputs)
-            hops = list(zip(survivors_sorted, survivors_sorted[1:]))
-            hand_words: Dict[str, int] = dict(
-                comm.report().per_link_words
-            )
-            seen_hops = set()
-            for a, b in hops:
-                src, dst = f"shard[{a}]", f"shard[{b}]"
-                ready = max(
-                    scheduler.clock + scheduler.link_delay(src, dst),
-                    completion.get(a, 0),
-                )
-                copies = 2 if plan_faults.spec_for(a).duplicate else 1
-                for _ in range(copies):
-                    scheduler.post(
-                        src,
-                        dst,
-                        kind="handoff",
-                        words=hand_words.get(link_label(src, dst), 0),
-                        payload=a,
-                        available_step=ready,
-                    )
-                for message in scheduler.drain():
-                    hop = (message.src, message.dst)
-                    if hop in seen_hops:
-                        duplicates_dropped += 1
-                    seen_hops.add(hop)
-        elif coordinator == "tree":
-            # Tournament topology: hand-offs within a round are
-            # independent, so each round is posted as a batch and
-            # delivered with :meth:`AsyncScheduler.deliver_available`
-            # — the whole round lands on one logical tick (plus its
-            # idle-to-availability), which is exactly the Θ(log W)
-            # critical path the tree buys over the chain's Θ(W).  The
-            # merge runs first (it computes the state sizes); the
-            # scheduler replays the tree's edges from the metered
-            # per-link words — unambiguous because each (src, dst)
-            # tree edge is used exactly once.
-            survivors_sorted = sorted(outputs_by_index)
-            merge_inputs = [outputs_by_index[i] for i in survivors_sorted]
-            outcome = do_merge(merge_inputs)
-            hand_words = dict(comm.report().per_link_words)
-            ready: Dict[int, int] = {
-                i: completion.get(i, 0) for i in survivors_sorted
-            }
-            seen_edges = set()
-            for round_pairs in tournament_rounds(
-                range(len(survivors_sorted))
-            ):
-                expected = 0
-                for src_pos, dst_pos in round_pairs:
-                    a = survivors_sorted[src_pos]
-                    b = survivors_sorted[dst_pos]
-                    src, dst = f"shard[{a}]", f"shard[{b}]"
-                    # A hand-off leaves its src no earlier than both
-                    # endpoints finished their previous round (the dst
-                    # must have its own state ready to merge into).
-                    avail = max(
-                        scheduler.clock + scheduler.link_delay(src, dst),
-                        ready[a],
-                        ready[b],
-                    )
-                    copies = 2 if plan_faults.spec_for(a).duplicate else 1
-                    expected += copies
-                    for _ in range(copies):
-                        scheduler.post(
-                            src,
-                            dst,
-                            kind="tree-handoff",
-                            words=hand_words.get(link_label(src, dst), 0),
-                            payload=a,
-                            available_step=avail,
-                        )
-                delivered_round = 0
-                while delivered_round < expected:
-                    batch = scheduler.deliver_available()
-                    delivered_round += len(batch)
-                    for message in batch:
-                        edge = (message.src, message.dst)
-                        if edge in seen_edges:
-                            duplicates_dropped += 1
-                        seen_edges.add(edge)
-                for src_pos, dst_pos in round_pairs:
-                    ready.pop(survivors_sorted[src_pos], None)
-                    ready[survivors_sorted[dst_pos]] = scheduler.clock
-        else:
-            # Star topology: every surviving shard posts its envelope
-            # upload, available once the shard finished plus the link
-            # delay; the coordinator consumes its inbox — deduplicated
-            # by shard index and sorted — as the merge inputs.
-            for i in sorted(outputs_by_index):
-                out = outputs_by_index[i]
-                src = f"shard[{i}]"
-                words = words_for_cover_message(
-                    len(out.cover), len(out.certificate)
-                )
-                ready = completion.get(i, 0) + scheduler.link_delay(
-                    src, "coordinator"
-                )
-                copies = 2 if plan_faults.spec_for(i).duplicate else 1
-                for _ in range(copies):
-                    scheduler.post(
-                        src,
-                        "coordinator",
-                        kind="envelope",
-                        words=words,
-                        payload=i,
-                        available_step=ready,
-                    )
-            scheduler.drain()
-            received: List[int] = []
-            seen = set()
-            for message in scheduler.inbox("coordinator"):
-                index = message.payload
-                if index in seen:
-                    duplicates_dropped += 1
-                    continue
-                seen.add(index)
-                received.append(index)
-            merge_inputs = [outputs_by_index[i] for i in sorted(received)]
-            outcome = do_merge(merge_inputs)
-
-    comm_report = comm.report()
-    transport_report = transport_impl.report(
-        metered_words=comm_report.total_words
-    )
-    transport_impl.close()
-
-    degradations: Tuple[DegradationRecord, ...] = ()
-    if lost:
-        n = instance.n
-        fraction = (n - len(outcome.uncovered)) / n if n else 1.0
-        records = []
-        for o in lost:
-            records.append(
-                DegradationRecord(
-                    policy="quorum-degraded",
-                    relaxed_invariant="complete-cover",
-                    coverage_fraction=fraction,
-                    uncovered_count=len(outcome.uncovered),
-                    error_type=o.error_type,
-                    error_message=o.error_message,
-                    details={
-                        "shard": float(o.index),
-                        "attempts": float(o.attempts),
-                        "completion_step": float(o.completion_step),
-                        "survivors": float(workers - len(lost)),
-                        "workers": float(workers),
-                    },
-                )
-            )
-            if merge_tracer.enabled:
-                merge_tracer.event(
-                    DEGRADATION,
-                    policy="quorum-degraded",
-                    shard=o.index,
-                    error_type=o.error_type,
-                    uncovered_count=len(outcome.uncovered),
-                )
-        degradations = tuple(records)
-
-    shard_outputs = [outputs_by_index[i] for i in sorted(outputs_by_index)]
-    diagnostics: Dict[str, float] = dict(outcome.diagnostics)
-    diagnostics["total_edges_routed"] = float(plan.total_edges)
-    diagnostics["dropped_invalid_edges"] = float(
-        sum(out.report.dropped_invalid for out in shard_outputs)
-    )
-    diagnostics["peak_shard_space_words"] = float(
-        max((out.report.space.peak_words for out in shard_outputs), default=0)
-    )
-    diagnostics["shards_lost"] = float(len(lost))
-    diagnostics["shard_retries"] = float(
-        sum(max(0, o.attempts - 1) for o in outcomes)
-    )
-    diagnostics["logical_steps"] = float(scheduler.clock)
-    diagnostics["delivered_messages"] = float(scheduler.delivered)
-    diagnostics["idle_ticks"] = float(scheduler.idle_ticks)
-    diagnostics["duplicates_dropped"] = float(duplicates_dropped)
-    diagnostics["schedule_seed"] = float(int(schedule_seed))
-
-    arrival_name = plan.order_name
-    return DistributedResult(
-        cover=frozenset(outcome.cover),
-        certificate=dict(outcome.certificate),
-        comm=comm_report,
-        shards=[out.report for out in shard_outputs],
+    return _run_sharded(
+        instance,
+        workers,
         algorithm=algorithm,
         strategy=strategy,
         coordinator=coordinator,
-        workers=workers,
-        seed=int(seed if seed is not None else 0),
-        order_name=arrival_name,
-        diagnostics=diagnostics,
-        outcomes=tuple(outcomes),
-        degradations=degradations,
-        uncovered=tuple(outcome.uncovered),
-        transport=transport_report,
+        order=order,
+        seed=seed,
+        alpha=alpha,
+        max_workers=max_workers,
+        comm_budget=comm_budget,
+        faults=faults,
+        collector=collector,
+        threshold=threshold,
+        adaptive_threshold=adaptive_threshold,
+        comm_log=comm_log,
+        backend=backend,
+        transport=transport,
+        shard_faults=shard_faults,
+        min_shards=min_shards,
+        deadline_steps=deadline_steps,
+        max_attempts=max_attempts,
+        backoff_steps=backoff_steps,
+        replay=_ScheduleReplay(
+            scheduler, coordinator, workers, shard_faults, schedule_seed
+        ),
     )

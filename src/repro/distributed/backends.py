@@ -178,58 +178,13 @@ def execute_shard_task(task: ShardTask) -> ShardEnvelope:
     )
 
 
-def execute_accumulated(
-    accumulator: ShardAccumulator, task: ShardTask
-) -> ShardEnvelope:
-    """Run the algorithm pass over a shard ingested by streaming.
-
-    The in-process twin of :func:`execute_shard_task`: the shard's
-    edges were already fed (validated, membership built) into
-    ``accumulator`` while routing was still in flight, so only the
-    algorithm pass remains.  ``task`` carries the shard's static
-    configuration; its ``edges`` are empty by construction.
-    """
-    tracer = RecordingTracer() if task.traced else NULL_TRACER
-    worker = Worker(
-        index=task.index,
-        algorithm=task.algorithm,
-        seed=task.seed,
-        alpha=task.alpha,
-        tracer=tracer,
-    )
-    output = worker.run_accumulated(accumulator, instance_name=task.shape.name)
-    trace_jsonl = tracer.to_jsonl() if task.traced else None
-    return ShardEnvelope(
-        index=task.index, output=output, trace_jsonl=trace_jsonl
-    )
-
-
-AccumulatedJob = Tuple[ShardAccumulator, ShardTask]
-
-
 class Backend:
-    """Interface: execute shard tasks, slotting results by shard index.
-
-    ``supports_streaming_accumulators`` says whether the backend can
-    execute a shard straight from an in-memory
-    :class:`~repro.distributed.worker.ShardAccumulator` (in-process
-    backends can; the process backend needs a pickled task instead).
-    ``wants_threaded_ingest`` says whether streaming ingest should
-    drain shard queues on dedicated threads so routing and shard ingest
-    genuinely overlap.
-    """
+    """Interface: execute shard tasks, slotting results by shard index."""
 
     name = "abstract"
-    supports_streaming_accumulators = True
-    wants_threaded_ingest = False
 
     def run_tasks(
         self, tasks: Sequence[ShardTask], max_workers: int
-    ) -> List[ShardEnvelope]:
-        raise NotImplementedError
-
-    def run_accumulated(
-        self, jobs: Sequence[AccumulatedJob], max_workers: int
     ) -> List[ShardEnvelope]:
         raise NotImplementedError
 
@@ -251,11 +206,6 @@ class SerialBackend(Backend):
     ) -> List[ShardEnvelope]:
         return _run_serially(tasks)
 
-    def run_accumulated(
-        self, jobs: Sequence[AccumulatedJob], max_workers: int
-    ) -> List[ShardEnvelope]:
-        return [execute_accumulated(acc, task) for acc, task in jobs]
-
 
 class ThreadBackend(Backend):
     """Shards run on a thread pool (the pre-backend-layer behaviour).
@@ -265,7 +215,6 @@ class ThreadBackend(Backend):
     """
 
     name = "thread"
-    wants_threaded_ingest = True
 
     def run_tasks(
         self, tasks: Sequence[ShardTask], max_workers: int
@@ -274,18 +223,6 @@ class ThreadBackend(Backend):
             return _run_serially(tasks)
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             futures = [pool.submit(execute_shard_task, t) for t in tasks]
-            return [future.result() for future in futures]
-
-    def run_accumulated(
-        self, jobs: Sequence[AccumulatedJob], max_workers: int
-    ) -> List[ShardEnvelope]:
-        if max_workers == 1 or len(jobs) <= 1:
-            return [execute_accumulated(acc, task) for acc, task in jobs]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(execute_accumulated, acc, task)
-                for acc, task in jobs
-            ]
             return [future.result() for future in futures]
 
 
@@ -310,7 +247,6 @@ class ProcessBackend(Backend):
     """
 
     name = "process"
-    supports_streaming_accumulators = False
 
     def __init__(self, use_shared_memory: Optional[bool] = None) -> None:
         if use_shared_memory is None:
@@ -352,16 +288,6 @@ class ProcessBackend(Backend):
         return (
             f"{type(self).__name__}"
             f"(use_shared_memory={self.use_shared_memory})"
-        )
-
-    def run_accumulated(
-        self, jobs: Sequence[AccumulatedJob], max_workers: int
-    ) -> List[ShardEnvelope]:
-        raise InvalidParameterError(
-            "backend",
-            self.name,
-            "cannot execute in-memory accumulators across a process "
-            "boundary; stream ingest builds pickled tasks for this backend",
         )
 
 

@@ -5,17 +5,16 @@ instance's ordered edge stream across ``W`` simulated workers, runs each
 worker on a pluggable execution backend (``serial``, ``thread``, or
 ``process`` — see :mod:`repro.distributed.backends`), and merges the
 outputs through a registered coordinator with full communication
-accounting.  Routing itself is pluggable too: the default path
-materializes every shard before execution, while ``ingest="stream"``
-feeds shards through bounded per-shard queues so routing and shard
-ingest overlap (:mod:`repro.distributed.ingest`).
+accounting.  Its body, :func:`_run_sharded`, is shared with the
+asynchronous simulator (:func:`~repro.distributed.asyncsim.run_distributed_async`),
+which adds only a delivery-schedule replay after the merge.
 
 Determinism contract (tested by ``tests/test_distributed_determinism.py``
 and ``tests/test_distributed_backends.py``): the
 :class:`DistributedResult` is a pure function of
 ``(instance, order, seed, workers, algorithm, strategy, coordinator,
-faults)`` and is bit-identical for every ``max_workers`` setting, every
-backend, and both ingest modes.  The machinery is the
+faults)`` and is bit-identical for every ``max_workers`` setting and
+every backend.  The machinery is the
 :class:`~repro.analysis.runner.ExperimentRunner` pattern: all per-shard
 seeds are pre-drawn serially from one root RNG before any worker
 starts, shard work travels as self-contained pickle-clean
@@ -29,11 +28,17 @@ parent adopts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.distributed.backends import (
-    Backend,
-    ShardEnvelope,
     ShardOutcome,
     ShardTask,
     make_backend,
@@ -44,7 +49,6 @@ from repro.distributed.coordinator import (
     CoordinatorOptions,
     make_coordinator,
 )
-from repro.distributed.ingest import IngestReport, stream_ingest
 from repro.distributed.router import ShardPlan, ShardRouter
 from repro.distributed.shmem import ShippingReport
 from repro.distributed.transport import (
@@ -54,7 +58,6 @@ from repro.distributed.transport import (
 )
 from repro.distributed.worker import (
     InstanceShape,
-    ShardAccumulator,
     ShardOutput,
     ShardReport,
 )
@@ -72,10 +75,10 @@ from repro.streaming.instance import SetCoverInstance
 from repro.streaming.orders import ArrivalOrder, CanonicalOrder
 from repro.types import ElementId, SeedLike, SetId, make_rng
 
-_SEED_SPACE = 2**63
+if TYPE_CHECKING:
+    from repro.distributed.asyncsim import _ScheduleReplay
 
-#: How shard edges reach their workers.
-INGEST_MODES: Tuple[str, ...] = ("materialize", "stream")
+_SEED_SPACE = 2**63
 
 
 def validate_transport(transport: Optional[object]) -> None:
@@ -141,12 +144,9 @@ class DistributedResult:
     degradations: Tuple[DegradationRecord, ...] = ()
     #: Elements the (possibly degraded) merge left uncovered, ascending.
     uncovered: Tuple[ElementId, ...] = ()
-    # Operational metadata: which backend/ingest produced this result and
-    # what the streaming queues did.  Excluded from equality because the
-    # contract is exactly that these must NOT change the result.
-    ingest: Optional[IngestReport] = field(
-        default=None, compare=False, repr=False
-    )
+    # Operational metadata: how shard work shipped and what the wire
+    # carried.  Excluded from equality because the contract is exactly
+    # that these must NOT change the result.
     shipping: Optional[ShippingReport] = field(
         default=None, compare=False, repr=False
     )
@@ -259,11 +259,12 @@ def build_shard_plan_and_tasks(
 ) -> Tuple[ShardPlan, List[ShardTask]]:
     """Route ``instance`` and return the plan plus W self-contained tasks.
 
-    Exactly the routing and seed discipline of :func:`run_distributed`'s
-    materializing path — the single source of truth the synchronous
-    executor, :func:`build_shard_tasks`, and the asynchronous simulator
-    (:mod:`repro.distributed.asyncsim`) all share, which is what makes
-    the async/sync parity guarantee structural rather than coincidental.
+    The single source of routing and seed discipline: the shared
+    executor body behind :func:`run_distributed` and the asynchronous
+    simulator (:mod:`repro.distributed.asyncsim`), and
+    :func:`build_shard_tasks`, all build their tasks here, which is what
+    makes the async/sync parity guarantee structural rather than
+    coincidental.
     """
     if workers < 1:
         raise ConfigurationError(f"need at least 1 worker, got {workers}")
@@ -305,8 +306,8 @@ def build_shard_tasks(
 ) -> List[ShardTask]:
     """Route ``instance`` and return the W self-contained shard tasks.
 
-    Exactly the tasks :func:`run_distributed` would execute under the
-    materializing ingest path — exposed so tests (and remote transports,
+    Exactly the tasks :func:`run_distributed` would execute — exposed
+    so tests (and remote transports,
     eventually) can pickle, ship, and replay shard work without the
     executor.
     """
@@ -342,9 +343,6 @@ def run_distributed(
     comm_log: bool = False,
     backend: Optional[str] = None,
     transport: Optional[object] = None,
-    ingest: str = "materialize",
-    chunk_size: int = 4096,
-    queue_depth: int = 8,
     shard_faults: Optional[ShardFaultPlan] = None,
     min_shards: Optional[int] = None,
     deadline_steps: Optional[int] = None,
@@ -396,23 +394,12 @@ def run_distributed(
         identical cover/certificate/comm report; only the
         :attr:`DistributedResult.transport` byte accounting differs.
         The transport is closed before returning.
-    ingest:
-        ``"materialize"`` routes every shard fully before execution;
-        ``"stream"`` feeds shards through bounded per-shard chunk
-        queues so routing overlaps shard ingest.  Operational.
-    chunk_size:
-        Edges per routed chunk under streaming ingest.
-    queue_depth:
-        Maximum chunks a shard's hand-off queue may hold under
-        streaming ingest; a full queue blocks the router
-        (backpressure), bounding the in-flight buffer.
     shard_faults:
         Machine-level fault plan (:class:`~repro.faults.shards.ShardFaultPlan`):
         crashes and stragglers afflicting specific shards.  Setting any
         resilience knob routes execution through
         :func:`~repro.distributed.backends.run_tasks_with_recovery`
-        (retry-with-backoff on a logical clock) and requires the
-        materializing ingest path.
+        (retry-with-backoff on a logical clock).
     min_shards:
         Quorum policy: the merge proceeds — degraded, with explicit
         :class:`~repro.faults.resilient.DegradationRecord`s — as long
@@ -429,24 +416,73 @@ def run_distributed(
     backoff_steps:
         Logical steps between a failed attempt and the next.
     """
+    return _run_sharded(
+        instance,
+        workers,
+        algorithm=algorithm,
+        strategy=strategy,
+        coordinator=coordinator,
+        order=order,
+        seed=seed,
+        alpha=alpha,
+        max_workers=max_workers,
+        comm_budget=comm_budget,
+        faults=faults,
+        collector=collector,
+        threshold=threshold,
+        adaptive_threshold=adaptive_threshold,
+        comm_log=comm_log,
+        backend=backend,
+        transport=transport,
+        shard_faults=shard_faults,
+        min_shards=min_shards,
+        deadline_steps=deadline_steps,
+        max_attempts=max_attempts,
+        backoff_steps=backoff_steps,
+    )
+
+
+def _run_sharded(
+    instance: SetCoverInstance,
+    workers: int,
+    *,
+    algorithm: str,
+    strategy: str,
+    coordinator: str,
+    order: Optional[ArrivalOrder],
+    seed: SeedLike,
+    alpha: Optional[float],
+    max_workers: int,
+    comm_budget: Optional[CommBudget],
+    faults: Optional[Sequence[FaultSpec]],
+    collector: Optional[TraceCollector],
+    threshold: Optional[float],
+    adaptive_threshold: bool,
+    comm_log: bool,
+    backend: Optional[str],
+    transport: Optional[object],
+    shard_faults: Optional[ShardFaultPlan],
+    min_shards: Optional[int],
+    deadline_steps: Optional[int],
+    max_attempts: int,
+    backoff_steps: int,
+    replay: Optional["_ScheduleReplay"] = None,
+) -> DistributedResult:
+    """The one executor body: validate, run shards, merge, assemble.
+
+    :func:`run_distributed` calls it as is.  The asynchronous simulator
+    passes a ``replay``: execution then always goes through the
+    recovery layer with its events on ``replay.tracer``, and after the
+    merge ``replay(outputs, outcomes, comm)`` plays the merge's messages
+    through a delivery schedule and returns the schedule diagnostics
+    appended to the result.  The merge runs exactly once either way, on
+    the surviving outputs in shard-index order.
+    """
     if workers < 1:
         raise ConfigurationError(f"need at least 1 worker, got {workers}")
     if max_workers < 1:
         raise InvalidParameterError(
             "max_workers", max_workers, "need at least 1 executor worker"
-        )
-    if ingest not in INGEST_MODES:
-        known = ", ".join(INGEST_MODES)
-        raise InvalidParameterError(
-            "ingest", ingest, f"known ingest modes: {known}"
-        )
-    if chunk_size < 1:
-        raise InvalidParameterError(
-            "chunk_size", chunk_size, "need at least 1 edge per chunk"
-        )
-    if queue_depth < 1:
-        raise InvalidParameterError(
-            "queue_depth", queue_depth, "need at least 1 chunk of queue depth"
         )
     backend_impl = make_backend(backend if backend is not None else "thread")
     # Construct the merger before any shard work: an unknown coordinator
@@ -460,92 +496,49 @@ def run_distributed(
         ),
     )
     validate_transport(transport)
-
-    resilient = (
-        shard_faults is not None
-        or min_shards is not None
-        or deadline_steps is not None
-    )
-    if resilient and ingest == "stream":
-        raise InvalidParameterError(
-            "ingest",
-            ingest,
-            "shard fault tolerance (shard_faults/min_shards/deadline_steps) "
-            "requires the materializing ingest path",
-        )
     if min_shards is not None and not 1 <= min_shards <= workers:
         raise InvalidParameterError(
             "min_shards",
             min_shards,
             f"must be between 1 and workers={workers}",
         )
+    resilient = replay is not None or (
+        shard_faults is not None
+        or min_shards is not None
+        or deadline_steps is not None
+    )
 
-    arrival = order if order is not None else CanonicalOrder()
-    root_seed = seed if seed is not None else 0
-    edges = arrival.apply(list(instance.edges()))
-    router = ShardRouter(strategy=strategy, workers=workers, seed=root_seed)
-    shard_seeds, fault_seeds = _draw_shard_seeds(root_seed, workers)
-    shape = InstanceShape.of(instance)
-    traced = collector is not None
-
-    def make_task(
-        index: int, task_edges: Sequence, set_order: Sequence[SetId]
-    ) -> ShardTask:
-        return ShardTask(
-            index=index,
-            algorithm=algorithm,
-            seed=shard_seeds[index],
-            shape=shape,
-            edges=tuple(task_edges),
-            set_order=tuple(set_order),
-            alpha=alpha,
-            fault_specs=_reseeded_faults(faults, fault_seeds[index]),
-            order_name=arrival.name,
-            traced=traced,
-        )
-
+    plan, tasks = build_shard_plan_and_tasks(
+        instance,
+        workers,
+        algorithm=algorithm,
+        strategy=strategy,
+        order=order,
+        seed=seed,
+        alpha=alpha,
+        faults=faults,
+        traced=collector is not None,
+    )
     merge_tracer = (
         collector.tracer_for("merge") if collector is not None else NULL_TRACER
     )
     outcomes: List[ShardOutcome] = []
-    ingest_report: Optional[IngestReport] = None
-    if ingest == "stream":
-        envelopes, plan, ingest_report = _run_streaming(
-            instance=instance,
-            router=router,
-            edges=edges,
-            order_name=arrival.name,
-            make_task=make_task,
-            backend_impl=backend_impl,
-            max_workers=max_workers,
-            chunk_size=chunk_size,
-            queue_depth=queue_depth,
-            buffering=bool(faults),
+    if resilient:
+        maybe_envelopes, outcomes = run_tasks_with_recovery(
+            backend_impl,
+            tasks,
+            max_workers,
+            shard_faults=shard_faults,
+            max_attempts=max_attempts,
+            backoff_steps=backoff_steps,
+            deadline_steps=deadline_steps,
+            tracer=replay.tracer if replay is not None else merge_tracer,
         )
-        total_edges_routed = ingest_report.edges_routed
+        envelopes = [env for env in maybe_envelopes if env is not None]
     else:
-        plan = router.route_edges(instance, edges, order_name=arrival.name)
-        tasks = [
-            make_task(i, plan.shard_edges[i], plan.set_order[i])
-            for i in range(workers)
-        ]
-        if resilient:
-            maybe_envelopes, outcomes = run_tasks_with_recovery(
-                backend_impl,
-                tasks,
-                max_workers,
-                shard_faults=shard_faults,
-                max_attempts=max_attempts,
-                backoff_steps=backoff_steps,
-                deadline_steps=deadline_steps,
-                tracer=merge_tracer,
-            )
-            envelopes = [env for env in maybe_envelopes if env is not None]
-        else:
-            envelopes = backend_impl.run_tasks(tasks, max_workers)
-        total_edges_routed = plan.total_edges
+        envelopes = backend_impl.run_tasks(tasks, max_workers)
 
-    outputs: List[Optional[ShardOutput]] = [None] * workers
+    outputs: Dict[int, ShardOutput] = {}
     for envelope in envelopes:
         # Slot results by shard index, never by completion order.
         outputs[envelope.index] = envelope.output
@@ -553,9 +546,8 @@ def run_distributed(
             collector.adopt_jsonl(
                 f"shard[{envelope.index:03d}]", envelope.trace_jsonl
             )
-    shard_outputs: List[ShardOutput] = [out for out in outputs if out is not None]
+    shard_outputs = [outputs[i] for i in sorted(outputs)]
     lost = [o for o in outcomes if o.abandoned]
-    assert len(shard_outputs) == workers - len(lost)
     if lost:
         survivors = workers - len(lost)
         required = min_shards if min_shards is not None else workers
@@ -567,7 +559,6 @@ def run_distributed(
                     f"survived, need {required}"
                 ),
             )
-    allow_partial = bool(lost)
 
     comm = CommMeter(budget=comm_budget, log_messages=comm_log)
     transport_impl = resolve_transport(transport)
@@ -584,9 +575,10 @@ def run_distributed(
                 shard_outputs,
                 comm,
                 tracer=merge_tracer,
-                allow_partial=allow_partial,
+                allow_partial=bool(lost),
                 transport=transport_impl,
             )
+        schedule = replay(outputs, outcomes, comm) if replay is not None else {}
         comm_report = comm.report()
         transport_report = transport_impl.report(
             metered_words=comm_report.total_words
@@ -628,7 +620,7 @@ def run_distributed(
         degradations = tuple(records)
 
     diagnostics: Dict[str, float] = dict(outcome.diagnostics)
-    diagnostics["total_edges_routed"] = float(total_edges_routed)
+    diagnostics["total_edges_routed"] = float(plan.total_edges)
     diagnostics["dropped_invalid_edges"] = float(
         sum(out.report.dropped_invalid for out in shard_outputs)
     )
@@ -640,9 +632,11 @@ def run_distributed(
         diagnostics["shard_retries"] = float(
             sum(max(0, o.attempts - 1) for o in outcomes)
         )
+    if replay is None and resilient:
         diagnostics["logical_completion_step"] = float(
             max((o.completion_step for o in outcomes), default=0)
         )
+    diagnostics.update(schedule)
     return DistributedResult(
         cover=frozenset(outcome.cover),
         certificate=dict(outcome.certificate),
@@ -652,112 +646,15 @@ def run_distributed(
         strategy=strategy,
         coordinator=coordinator,
         workers=workers,
-        seed=int(root_seed),
-        order_name=arrival.name,
+        seed=int(seed if seed is not None else 0),
+        order_name=plan.order_name,
         diagnostics=diagnostics,
         outcomes=tuple(outcomes),
         degradations=degradations,
         uncovered=tuple(outcome.uncovered),
-        ingest=ingest_report,
         shipping=getattr(backend_impl, "last_shipping", None),
         transport=transport_report,
     )
-
-
-def _run_streaming(
-    instance: SetCoverInstance,
-    router: ShardRouter,
-    edges: Sequence,
-    order_name: str,
-    make_task,
-    backend_impl: Backend,
-    max_workers: int,
-    chunk_size: int,
-    queue_depth: int,
-    buffering: bool,
-) -> Tuple[List[ShardEnvelope], ShardPlan, IngestReport]:
-    """The streaming ingest path: route chunks into shards as they run.
-
-    Per-shard :class:`ShardAccumulator` consumers sit behind bounded
-    chunk queues; the router streams chunked column batches into them,
-    so shard ingest (validation, membership build, local id discovery)
-    overlaps routing.  After the feed closes, each shard's algorithm
-    pass executes on the chosen backend.
-
-    Two finalization regimes:
-
-    * in-process backends without faults execute the accumulated shard
-      state directly (no second pass over the edges);
-    * a fault plan needs the shard's *complete* raw sequence, and the
-      process backend needs a pickled task — both make the accumulators
-      buffer raw edges, which then travel as ordinary
-      :class:`ShardTask` records.
-    """
-    workers = router.workers
-    assigner = router.chunk_assigner(instance)
-    base_orders = assigner.base_set_orders
-    buffer_raw = buffering or not backend_impl.supports_streaming_accumulators
-    accumulators = [
-        ShardAccumulator(
-            index,
-            instance.n,
-            instance.m,
-            base_set_order=(base_orders[index] if base_orders else ()),
-            buffer_raw=buffer_raw,
-        )
-        for index in range(workers)
-    ]
-    if buffer_raw:
-        # Fault plans and pickled tasks need raw edge sequences.
-        routed_chunks = assigner.iter_chunks(edges, chunk_size)
-        consumers = [accumulator.feed for accumulator in accumulators]
-    else:
-        # Accumulator-executing backends ingest straight from column
-        # slices — no per-edge tuple is built anywhere on this path.
-        routed_chunks = assigner.iter_column_chunks(edges, chunk_size)
-        consumers = [
-            (
-                lambda chunk, acc=accumulator: acc.feed_columns(
-                    chunk.set_ids, chunk.elements
-                )
-            )
-            for accumulator in accumulators
-        ]
-    report = stream_ingest(
-        routed_chunks,
-        consumers,
-        chunk_size=chunk_size,
-        queue_depth=queue_depth,
-        threaded=(
-            backend_impl.wants_threaded_ingest
-            and max_workers > 1
-            and workers > 1
-        ),
-    )
-    set_orders = tuple(acc.set_order() for acc in accumulators)
-    if buffer_raw:
-        tasks = [
-            make_task(i, accumulators[i].raw, set_orders[i])
-            for i in range(workers)
-        ]
-        envelopes = backend_impl.run_tasks(tasks, max_workers)
-    else:
-        jobs = [
-            (accumulators[i], make_task(i, (), set_orders[i]))
-            for i in range(workers)
-        ]
-        envelopes = backend_impl.run_accumulated(jobs, max_workers)
-    # A shape-only plan for the merge: coordinators read shard outputs,
-    # not routed edges, so the per-shard sequences are not retained.
-    plan = ShardPlan(
-        strategy=router.strategy,
-        workers=workers,
-        seed=router.seed,
-        shard_edges=tuple(() for _ in range(workers)),
-        set_order=set_orders,
-        order_name=order_name,
-    )
-    return envelopes, plan, report
 
 
 def shard_space_reports(result: DistributedResult) -> Tuple[int, ...]:

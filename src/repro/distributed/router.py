@@ -28,13 +28,11 @@ determinism contract starts here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.streaming.instance import SetCoverInstance
-from repro.streaming.stream import EdgeStream, FrozenEdges
+from repro.streaming.stream import EdgeStream
 from repro.types import Edge, SeedLike, make_rng
 
 #: Every routing strategy :class:`ShardRouter` understands.
@@ -58,38 +56,6 @@ def edge_hash_worker(set_id: int, element: int, workers: int, seed: int) -> int:
     the partition is reproducible across runs and machines.
     """
     return _splitmix64(_splitmix64(seed ^ (set_id << 1)) ^ element) % workers
-
-
-def _splitmix64_columns(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_splitmix64` over a ``uint64`` column.
-
-    Bit-for-bit identical to the scalar mix (``uint64`` arithmetic wraps
-    modulo 2**64 exactly like the scalar's explicit masking), so the
-    chunked streaming router and the materializing router agree on
-    every edge's worker.
-    """
-    values = values + np.uint64(0x9E3779B97F4A7C15)
-    values = (values ^ (values >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    values = (values ^ (values >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return values ^ (values >> np.uint64(31))
-
-
-def edge_hash_workers_columns(
-    set_ids: np.ndarray, elements: np.ndarray, workers: int, seed: int
-) -> np.ndarray:
-    """Vectorized :func:`edge_hash_worker` over edge columns.
-
-    Takes the ``int64`` column pair of a
-    :class:`~repro.streaming.stream.FrozenEdges` buffer and returns an
-    ``int64`` worker index per edge, identical to calling the scalar
-    function edge by edge (property-tested).
-    """
-    seed_word = np.uint64(seed & _MASK64)
-    inner = _splitmix64_columns(
-        seed_word ^ (set_ids.astype(np.uint64) << np.uint64(1))
-    )
-    outer = _splitmix64_columns(inner ^ elements.astype(np.uint64))
-    return (outer % np.uint64(workers)).astype(np.int64)
 
 
 def deal_round_robin(
@@ -225,143 +191,11 @@ class ShardRouter:
             stream.instance, edges, order_name=stream.order_name
         )
 
-    def chunk_assigner(self, instance: SetCoverInstance) -> "ChunkAssigner":
-        """A vectorized edge→worker mapper for the streaming ingest path.
-
-        Precomputes the strategy's assignment lookup once (the deal
-        tables for ``by-set``/``by-element``; nothing for ``hash``,
-        which is stateless) so every chunk routes with a handful of
-        numpy operations instead of a Python loop per edge.
-        """
-        return ChunkAssigner(self, instance)
-
     def __repr__(self) -> str:
         return (
             f"ShardRouter(strategy={self.strategy!r}, workers={self.workers}, "
             f"seed={self.seed})"
         )
-
-
-class ChunkAssigner:
-    """Routes chunked column batches of an edge ordering to shards.
-
-    The streaming counterpart of :meth:`ShardRouter.route_edges`: the
-    same pure function of ``(edges, strategy, workers, seed)``, applied
-    one chunk at a time over the shared
-    :class:`~repro.streaming.stream.FrozenEdges` columns so the ingest
-    layer never materializes per-shard edge lists up front.
-
-    ``base_set_orders`` is the part of the shard plan that exists
-    *before* any edge arrives: the deal order under ``by-set`` routing
-    (including dealt sets that never see an edge).  For the
-    first-appearance strategies it is ``None`` — the per-shard
-    accumulators discover their set order as chunks arrive, which
-    reproduces :func:`_first_appearance_sets` exactly.
-    """
-
-    def __init__(self, router: ShardRouter, instance: SetCoverInstance) -> None:
-        self.strategy = router.strategy
-        self.workers = router.workers
-        self.seed = router.seed
-        self.base_set_orders: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._table: Optional[np.ndarray] = None
-        if self.strategy == "by-set":
-            assignment, per_worker = deal_round_robin(
-                instance.m, self.workers, seed=self.seed
-            )
-            self._table = np.asarray(assignment, dtype=np.int64)
-            self.base_set_orders = tuple(tuple(items) for items in per_worker)
-        elif self.strategy == "by-element":
-            assignment, _ = deal_round_robin(
-                instance.n, self.workers, seed=self.seed
-            )
-            self._table = np.asarray(assignment, dtype=np.int64)
-
-    def assign(
-        self, set_ids: np.ndarray, elements: np.ndarray
-    ) -> np.ndarray:
-        """Worker index per edge for one column chunk."""
-        if self.strategy == "by-set":
-            return self._table[set_ids]
-        if self.strategy == "by-element":
-            return self._table[elements]
-        return edge_hash_workers_columns(
-            set_ids, elements, self.workers, self.seed
-        )
-
-    def iter_chunks(
-        self, edges: Sequence[Edge], chunk_size: int
-    ) -> Iterator[List[Tuple[Edge, ...]]]:
-        """Yield, per global chunk, one (possibly empty) sub-chunk per shard.
-
-        Sub-chunks preserve global arrival order within each shard, so
-        concatenating a shard's sub-chunks reproduces the shard's
-        sequence from :meth:`ShardRouter.route_edges` exactly.
-        """
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        frozen = edges if isinstance(edges, FrozenEdges) else FrozenEdges(edges)
-        set_col, elem_col = frozen.columns()
-        edge_tuple = frozen.edges
-        total = len(frozen)
-        workers = self.workers
-        for start in range(0, total, chunk_size):
-            stop = min(start + chunk_size, total)
-            assigned = self.assign(set_col[start:stop], elem_col[start:stop])
-            per_shard: List[Tuple[Edge, ...]] = []
-            for worker in range(workers):
-                positions = np.nonzero(assigned == worker)[0]
-                if positions.size:
-                    per_shard.append(
-                        tuple(edge_tuple[start + int(p)] for p in positions)
-                    )
-                else:
-                    per_shard.append(())
-            yield per_shard
-
-    def iter_column_chunks(
-        self, edges: Sequence[Edge], chunk_size: int
-    ) -> Iterator[List["ColumnChunk"]]:
-        """Column twin of :meth:`iter_chunks`: per-shard column batches.
-
-        Yields the same per-shard partition in the same order, but each
-        sub-chunk is a :class:`~repro.distributed.ingest.ColumnChunk`
-        sliced out of the shared columns with one fancy-index per shard
-        — no per-edge tuple is ever built on the routing side.  Feeding
-        these through
-        :meth:`~repro.distributed.worker.ShardAccumulator.feed_columns`
-        accumulates state identical to the tuple path (tested).
-        """
-        from repro.distributed.ingest import ColumnChunk
-
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        frozen = edges if isinstance(edges, FrozenEdges) else FrozenEdges(edges)
-        set_col, elem_col = frozen.columns()
-        total = len(frozen)
-        workers = self.workers
-        empty = np.empty(0, dtype=np.int64)
-        for start in range(0, total, chunk_size):
-            stop = min(start + chunk_size, total)
-            set_chunk = set_col[start:stop]
-            elem_chunk = elem_col[start:stop]
-            assigned = self.assign(set_chunk, elem_chunk)
-            per_shard: List[ColumnChunk] = []
-            for worker in range(workers):
-                positions = np.nonzero(assigned == worker)[0]
-                if positions.size:
-                    per_shard.append(
-                        ColumnChunk(
-                            set_chunk[positions], elem_chunk[positions]
-                        )
-                    )
-                else:
-                    per_shard.append(ColumnChunk(empty, empty))
-            yield per_shard
 
 
 def _first_appearance_sets(

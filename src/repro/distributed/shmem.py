@@ -88,10 +88,9 @@ class ShardSpan:
 class ShippingReport:
     """What one process-backend dispatch physically shipped.
 
-    Operational metadata (like
-    :class:`~repro.distributed.ingest.IngestReport`): recorded on the
-    result for perfbench and tests, excluded from result equality —
-    the shipping mode must not change what is computed.
+    Operational metadata: recorded on the result for perfbench and
+    tests, excluded from result equality — the shipping mode must not
+    change what is computed.
     """
 
     mode: str  #: ``"shared-memory"`` or ``"pickle"``

@@ -57,7 +57,7 @@ coordinators consume the **delivered** payload, so the parity gate
 and comm reports byte-identical across all three transports, while the
 :class:`TransportReport` (attached to
 :attr:`~repro.distributed.executor.DistributedResult.transport`,
-excluded from equality like ``shipping``/``ingest``) records what the
+excluded from equality like ``shipping``) records what the
 wire actually carried: per-link bytes, frames, and retransmits.
 """
 

@@ -105,19 +105,13 @@ _EMPTY_SPACE = SpaceReport(peak_words=0, final_words=0)
 class ShardAccumulator:
     """Incremental shard ingest: the first half of a worker's pass.
 
-    Accumulates a shard's edge stream chunk by chunk — validation
-    against the global shape, local set/element id discovery, membership
-    build — so routing and shard ingest can overlap (the streaming
-    ingest path feeds one accumulator per shard through a bounded
-    queue).  Feeding every edge in one chunk reproduces the historical
-    materialize-then-run behaviour exactly; :meth:`Worker.run` does
-    precisely that, so both paths share this single implementation.
-
-    With ``buffer_raw=True`` the accumulator only buffers the raw edges
-    (plus the set first-appearance order): required when a fault plan
-    must see the shard's complete sequence, or when the accumulated
-    shard must travel to another process as a pickled
-    :class:`~repro.distributed.backends.ShardTask`.
+    Accumulates a shard's edge stream — validation against the global
+    shape, local set/element id discovery, membership build — through
+    :meth:`feed` (edge tuples, :meth:`Worker.run`) or
+    :meth:`feed_columns` (edge columns, the shared-memory span path of
+    :func:`~repro.distributed.backends.execute_shard_task`).  Both entry
+    points accumulate identical state for identical shard streams, and
+    :meth:`Worker.run_accumulated` runs the algorithm pass over it.
     """
 
     def __init__(
@@ -126,13 +120,10 @@ class ShardAccumulator:
         n: int,
         m: int,
         base_set_order: Sequence[SetId] = (),
-        buffer_raw: bool = False,
     ) -> None:
         self.index = index
         self.n = n
         self.m = m
-        self.buffer_raw = buffer_raw
-        self.raw: List[Edge] = []
         self.clean: List[Edge] = []
         self.dropped = 0
         self.set_ids: List[SetId] = list(base_set_order)
@@ -144,14 +135,6 @@ class ShardAccumulator:
     def feed(self, edges: Sequence[Edge]) -> None:
         """Ingest one chunk of the shard's stream, in arrival order."""
         self.edges_fed += len(edges)
-        if self.buffer_raw:
-            self.raw.extend(edges)
-            for edge in edges:
-                s = edge[0]
-                if 0 <= s < self.m and s not in self._listed:
-                    self._listed.add(s)
-                    self.set_ids.append(s)
-            return
         n, m = self.n, self.m
         for edge in edges:
             s, u = edge[0], edge[1]
@@ -169,8 +152,8 @@ class ShardAccumulator:
     def feed_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> None:
         """Ingest one chunk given as ``int64`` edge columns, in order.
 
-        The column twin of :meth:`feed`, used by the shared-memory and
-        column-chunk ingest paths: bounds validation and the dropped
+        The column twin of :meth:`feed`, used by the shared-memory
+        path: bounds validation and the dropped
         count are computed vectorized, then the surviving edges update
         the same per-edge structures :meth:`feed` maintains, in the
         same order — so both entry points accumulate identical state
@@ -180,15 +163,6 @@ class ShardAccumulator:
         k = len(set_ids)
         self.edges_fed += k
         if not k:
-            return
-        if self.buffer_raw:
-            pairs = zip(set_ids.tolist(), elements.tolist())
-            self.raw.extend(Edge(s, u) for s, u in pairs)
-            m = self.m
-            for s in set_ids.tolist():
-                if 0 <= s < m and s not in self._listed:
-                    self._listed.add(s)
-                    self.set_ids.append(s)
             return
         valid = (
             (set_ids >= 0)
@@ -279,16 +253,10 @@ class Worker:
     ) -> ShardOutput:
         """Execute the algorithm pass over an already-ingested shard.
 
-        The streaming ingest path feeds the accumulator chunk by chunk
-        while routing is still in flight, then calls this; the
-        materialized path (:meth:`run`) feeds everything at once.  Both
-        produce identical output for identical shard streams.
+        :meth:`run` feeds edge tuples and calls this; the shared-memory
+        path feeds edge columns and calls it directly.  Both produce
+        identical output for identical shard streams.
         """
-        if accumulator.buffer_raw:
-            raise ValueError(
-                "cannot execute a buffer_raw accumulator directly; replay "
-                "its raw edges through Worker.run (the fault/pickle path)"
-            )
         clean = accumulator.clean
         dropped = accumulator.dropped
         set_ids = accumulator.set_ids

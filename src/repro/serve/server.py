@@ -134,6 +134,7 @@ class SetCoverServer:
         self._codec: Codec = make_codec(self.config.codec)
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[asyncio.StreamWriter] = set()
+        self._handlers: Set[asyncio.Task] = set()
         self._draining = False
         self._stopped = False
         self._inflight = 0
@@ -177,9 +178,10 @@ class SetCoverServer:
             return
         self._stopped = True
         self._draining = True
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.drain_timeout
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # Queued admissions first: they must observe a typed rejection,
         # and their handlers then count down the in-flight drain below.
         await self.pool.shutdown()
@@ -192,6 +194,22 @@ class SetCoverServer:
                 pass  # force-close below; slow requests lose their reply
         for writer in list(self._connections):
             writer.close()
+        # A closed connection ends its handler's pending read with EOF.
+        # Await the handlers: left to the loop's teardown they would be
+        # cancelled, which asyncio reports as a traceback.  One still
+        # inside a request when the drain budget runs out is cancelled.
+        handlers = [t for t in self._handlers if t is not asyncio.current_task()]
+        if handlers:
+            _, stuck = await asyncio.wait(
+                handlers, timeout=max(deadline - loop.time(), 0.0)
+            )
+            for task in stuck:
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
+        if self._server is not None:
+            # From Python 3.12 on this also waits for every connection
+            # to close, so it must follow the closes above.
+            await self._server.wait_closed()
         self.request_shutdown()
 
     # -- connection handling ---------------------------------------------
@@ -200,6 +218,8 @@ class SetCoverServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._connections.add(writer)
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
             while True:
                 try:
@@ -214,6 +234,7 @@ class SetCoverServer:
                 except (ConnectionError, OSError):
                     break
         finally:
+            self._handlers.discard(task)
             self._connections.discard(writer)
             writer.close()
 

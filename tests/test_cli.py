@@ -74,23 +74,13 @@ class TestParser:
                 "x.txt",
                 "--backend",
                 "process",
-                "--ingest",
-                "stream",
-                "--chunk-size",
-                "128",
-                "--queue-depth",
-                "3",
             ]
         )
         assert args.backend == "process"
-        assert args.ingest == "stream"
-        assert args.chunk_size == 128
-        assert args.queue_depth == 3
 
     def test_distribute_backend_defaults(self):
         args = build_parser().parse_args(["distribute", "x.txt"])
         assert args.backend == "thread"
-        assert args.ingest == "materialize"
 
     def test_distribute_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
@@ -251,20 +241,6 @@ class TestDistribute:
         assert reports["serial"] == reports["thread"]
         assert reports["serial"] == reports["process"]
         assert "cover:" in reports["serial"]
-
-    def test_streaming_ingest_output_identical(self, capsys, instance_file):
-        base = ["distribute", instance_file, "--workers", "3", "--seed", "4"]
-        assert main(base + ["--ingest", "materialize"]) == 0
-        materialized = capsys.readouterr().out
-        assert (
-            main(
-                base
-                + ["--ingest", "stream", "--chunk-size", "8", "--queue-depth", "2"]
-            )
-            == 0
-        )
-        streamed = capsys.readouterr().out
-        assert materialized == streamed
 
     def test_comm_budget_violation_exits_nonzero(self, capsys, instance_file):
         code = main(
@@ -442,19 +418,6 @@ class TestDistributeResilience:
         assert code == 0
         assert "degraded: shard[" in out
         assert "partial" in out
-
-    def test_async_stream_ingest_rejected(self, capsys, instance_file):
-        code = main(
-            [
-                "distribute",
-                instance_file,
-                "--async-sim",
-                "--ingest",
-                "stream",
-            ]
-        )
-        assert code == 1
-        assert "ingest" in capsys.readouterr().err
 
     def test_chaos_shards_flag(self, capsys):
         assert main(["chaos", "--shards", "--quick", "--seed", "2"]) == 0

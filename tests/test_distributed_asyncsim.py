@@ -33,6 +33,7 @@ from repro.distributed.asyncsim import (
     RandomDelivery,
     run_distributed_async,
 )
+from repro.distributed.transport import InprocTransport
 from repro.errors import (
     InvalidParameterError,
     ProtocolError,
@@ -369,3 +370,49 @@ class TestAsyncParameterValidation:
             run_distributed_async(
                 instance, workers=4, coordinator="bogus", backend="serial"
             )
+
+
+class _ClosingRecorder(InprocTransport):
+    """An inproc transport that counts its ``close()`` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.closes = 0
+
+    def close(self) -> None:
+        self.closes += 1
+        super().close()
+
+
+class TestAsyncTransportLifecycle:
+    @pytest.mark.parametrize("coordinator", COORDINATORS)
+    def test_replay_failure_still_closes_transport(self, instance, coordinator):
+        class Broken(DeliveryPolicy):
+            name = "broken"
+
+            def choose(self, deliverable):
+                return len(deliverable)
+
+        transport = _ClosingRecorder()
+        with pytest.raises(ProtocolError, match="broken"):
+            run_distributed_async(
+                instance,
+                workers=4,
+                coordinator=coordinator,
+                backend="serial",
+                delivery=Broken(),
+                transport=transport,
+            )
+        assert transport.closes == 1
+
+    @pytest.mark.parametrize("coordinator", COORDINATORS)
+    def test_clean_run_closes_transport_once(self, instance, coordinator):
+        transport = _ClosingRecorder()
+        run_distributed_async(
+            instance,
+            workers=4,
+            coordinator=coordinator,
+            backend="serial",
+            transport=transport,
+        )
+        assert transport.closes == 1

@@ -74,18 +74,6 @@ class TestMaxWorkersValidation:
         with pytest.raises(ConfigurationError):
             run_distributed(instance, workers=2, max_workers=0)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"ingest": "teleport"},
-            {"ingest": "stream", "chunk_size": 0},
-            {"ingest": "stream", "queue_depth": 0},
-        ],
-    )
-    def test_streaming_parameters_validated(self, instance, kwargs):
-        with pytest.raises(InvalidParameterError):
-            run_distributed(instance, workers=2, **kwargs)
-
 
 class TestBackendParity:
     """Acceptance criterion: process == serial for every max_workers."""

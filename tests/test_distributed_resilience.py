@@ -256,16 +256,6 @@ class TestQuorumPolicy:
                 instance, workers=4, min_shards=0, backend="serial"
             )
 
-    def test_resilience_requires_materialized_ingest(self, instance):
-        with pytest.raises(InvalidParameterError, match="ingest"):
-            run_distributed(
-                instance,
-                workers=4,
-                backend="serial",
-                ingest="stream",
-                min_shards=2,
-            )
-
     def test_unknown_coordinator_fails_before_shard_work(self, instance):
         with pytest.raises(InvalidParameterError) as excinfo:
             run_distributed(instance, workers=4, coordinator="nope")

@@ -273,20 +273,19 @@ EDGES = st.lists(
 
 class TestFeedColumnsEquivalence:
     @settings(max_examples=150, deadline=None)
-    @given(pairs=EDGES, buffer_raw=st.booleans())
-    def test_matches_scalar_feed(self, pairs, buffer_raw):
+    @given(pairs=EDGES)
+    def test_matches_scalar_feed(self, pairs):
         edges = [Edge(s, u) for s, u in pairs]
         set_ids = np.array([s for s, _ in pairs], dtype=np.int64)
         elements = np.array([u for _, u in pairs], dtype=np.int64)
-        scalar = ShardAccumulator(0, n=16, m=13, buffer_raw=buffer_raw)
-        vector = ShardAccumulator(0, n=16, m=13, buffer_raw=buffer_raw)
+        scalar = ShardAccumulator(0, n=16, m=13)
+        vector = ShardAccumulator(0, n=16, m=13)
         scalar.feed(edges)
         # Feed in two chunks to exercise cross-chunk first-appearance.
         half = len(pairs) // 2
         vector.feed_columns(set_ids[:half], elements[:half])
         vector.feed_columns(set_ids[half:], elements[half:])
         assert vector.edges_fed == scalar.edges_fed
-        assert vector.raw == scalar.raw
         assert vector.clean == scalar.clean
         assert vector.dropped == scalar.dropped
         assert vector.set_ids == scalar.set_ids

@@ -13,14 +13,23 @@ server (skipped where the sandbox forbids binding).
 
 from __future__ import annotations
 
+import os
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.distributed.comm import CommBudget, make_comm_budget
 from repro.errors import InvalidParameterError, TransportError
 from repro.generators.planted import planted_partition_instance
 from repro.serve import (
     InstanceRegistry,
+    ServeClient,
     ServeConfig,
     start_server_thread,
 )
@@ -231,3 +240,50 @@ class TestClientCLI:
         captured = capsys.readouterr()
         assert code == 1
         assert "cannot connect" in captured.err
+
+
+class TestServeProcessShutdown:
+    """``repro.cli serve`` exits cleanly with client connections open."""
+
+    def test_idle_connection_leaves_no_traceback(self, tmp_path):
+        try:
+            probe = socket.socket()
+            probe.bind(("127.0.0.1", 0))
+            probe.close()
+        except OSError as exc:
+            pytest.skip(f"sandbox forbids binding localhost TCP: {exc}")
+        port_file = tmp_path / "port"
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--port", "0", "--port-file", str(port_file),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not port_file.exists() or not port_file.read_text().strip():
+                assert proc.poll() is None, proc.communicate()[1]
+                assert time.monotonic() < deadline, "server never started"
+                time.sleep(0.05)
+            port = int(port_file.read_text())
+            with socket.create_connection(("127.0.0.1", port)):
+                client = ServeClient("127.0.0.1", port)
+                client.ping()
+                client.shutdown()
+                _, stderr = proc.communicate(timeout=30)
+            client.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "Traceback" not in stderr, stderr
