@@ -17,6 +17,14 @@ with every seed fixed.  Each cell pins:
 The literals were recorded from the code before the two executors
 were folded onto one body; any refactor of the executor must keep
 every cell byte-identical.
+
+A second grid pins :func:`run_distributed` on the data-path variants
+the first one leaves out: the ``by-element`` and ``hash`` routing
+strategies, a ``SetGroupedOrder`` and a canonical arrival order, and
+stream faults (``corrupt`` plus ``duplicate`` :class:`FaultSpec`s,
+applied per shard), each under every coordinator.  Its literals were
+recorded from the code before routing, ingest and localization moved
+onto edge columns.
 """
 
 from __future__ import annotations
@@ -29,10 +37,11 @@ import pytest
 
 from repro.distributed import run_distributed
 from repro.distributed.asyncsim import run_distributed_async
+from repro.faults.injectors import FaultSpec
 from repro.faults.shards import PERMANENT, ShardFaultPlan, ShardFaultSpec
 from repro.generators.planted import planted_partition_instance
 from repro.obs.tracer import TraceCollector
-from repro.streaming.orders import RandomOrder
+from repro.streaming.orders import CanonicalOrder, RandomOrder, SetGroupedOrder
 
 COORDINATORS = ("union", "greedy", "chain", "tree")
 
@@ -316,3 +325,156 @@ def test_sync_and_async_merge_agree(instance, coordinator, case):
     assert sync.certificate == async_.certificate
     assert sync.comm == async_.comm
     assert sync.degradations == async_.degradations
+
+
+#: Stream faults for the data-path grid: some edges point at unknown ids
+#: (dropped and counted by the worker), some arrive twice.
+STREAM_FAULTS = (
+    FaultSpec(kind="corrupt", rate=0.1, seed=1),
+    FaultSpec(kind="duplicate", rate=0.15, seed=2),
+)
+
+#: Data-path variant -> (strategy, order factory, stream faults).
+DATA_PATHS = {
+    "by-element": ("by-element", lambda: RandomOrder(seed=7), None),
+    "hash": ("hash", lambda: RandomOrder(seed=7), None),
+    "set-grouped": ("by-set", lambda: SetGroupedOrder(seed=7), None),
+    "canonical-hash": ("hash", CanonicalOrder, None),
+    "stream-faults": ("by-set", lambda: RandomOrder(seed=7), STREAM_FAULTS),
+    "hash-stream-faults": ("hash", lambda: RandomOrder(seed=7), STREAM_FAULTS),
+}
+
+
+def run_data_path_cell(instance, coordinator: str, path: str):
+    """Run one data-path cell; returns ``(result, trace_jsonl)``."""
+    strategy, make_order, faults = DATA_PATHS[path]
+    collector = TraceCollector()
+    result = run_distributed(
+        instance,
+        workers=4,
+        algorithm="kk",
+        strategy=strategy,
+        coordinator=coordinator,
+        order=make_order(),
+        seed=5,
+        backend="serial",
+        comm_log=True,
+        collector=collector,
+        faults=faults,
+    )
+    return result, collector.to_jsonl()
+
+
+#: (coordinator, data path) -> (result digest, trace digest).
+EXPECTED_DATA_PATH_DIGESTS = {
+    ("union", "by-element"): (
+        "b70012be4c677be1",
+        "46dd6e4cf81695dc",
+    ),
+    ("union", "canonical-hash"): (
+        "966f0182fcc3aab6",
+        "a2f2f9158325b0d5",
+    ),
+    ("union", "hash"): (
+        "ed71dd824a99e41c",
+        "146d666a12ab35f5",
+    ),
+    ("union", "hash-stream-faults"): (
+        "d9fb6d33904c16bd",
+        "ca97e69895a6fb6f",
+    ),
+    ("union", "set-grouped"): (
+        "39090079bbf658ec",
+        "b71aa6c013f6c709",
+    ),
+    ("union", "stream-faults"): (
+        "20b898fcd315c70d",
+        "13aa725984c87a99",
+    ),
+    ("greedy", "by-element"): (
+        "1287ca97bb1b56a7",
+        "250644da67327d07",
+    ),
+    ("greedy", "canonical-hash"): (
+        "71a33ee77da49b05",
+        "f3871b66523174e6",
+    ),
+    ("greedy", "hash"): (
+        "9b01d76e32ccd1ee",
+        "3da843e2ae3d9f02",
+    ),
+    ("greedy", "hash-stream-faults"): (
+        "7c34d392953fc397",
+        "cb3fcb3c70819207",
+    ),
+    ("greedy", "set-grouped"): (
+        "0ed63db2df927142",
+        "0ea699159d643978",
+    ),
+    ("greedy", "stream-faults"): (
+        "15580a66c8d79fd0",
+        "2970d5bc56ade269",
+    ),
+    ("chain", "by-element"): (
+        "54a723b9e8a1bb58",
+        "6ccd9819468ec162",
+    ),
+    ("chain", "canonical-hash"): (
+        "1622cfc91032e9ae",
+        "fe2b2d0d7c3e6110",
+    ),
+    ("chain", "hash"): (
+        "309a7b41738ef810",
+        "1deac23634aab7e3",
+    ),
+    ("chain", "hash-stream-faults"): (
+        "741c776e22d3c13f",
+        "ea989cea94387b70",
+    ),
+    ("chain", "set-grouped"): (
+        "a76131592cf1a695",
+        "9f828d56dcad8a62",
+    ),
+    ("chain", "stream-faults"): (
+        "2580ae92add4fc7d",
+        "066714e447e1d678",
+    ),
+    ("tree", "by-element"): (
+        "095e99dce3dd2049",
+        "18d56a2fe398f703",
+    ),
+    ("tree", "canonical-hash"): (
+        "eaf765a63fc89d37",
+        "4b552239b86eb765",
+    ),
+    ("tree", "hash"): (
+        "c0d821f1ef84a6b4",
+        "9d876b968e40f69a",
+    ),
+    ("tree", "hash-stream-faults"): (
+        "7c485420840ea12c",
+        "844d677c4c0d3a8d",
+    ),
+    ("tree", "set-grouped"): (
+        "9a5d775ca2974881",
+        "e2f34bd9a1594cdc",
+    ),
+    ("tree", "stream-faults"): (
+        "10afa95e05016286",
+        "6545590a9c8b4276",
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(DATA_PATHS))
+@pytest.mark.parametrize("coordinator", COORDINATORS)
+def test_data_path_pinned(instance, coordinator, path):
+    result, trace = run_data_path_cell(instance, coordinator, path)
+    if DATA_PATHS[path][2] is None:
+        result.verify(instance)
+        assert result.diagnostics["dropped_invalid_edges"] == 0
+    else:
+        assert result.diagnostics["dropped_invalid_edges"] > 0
+    assert (result_digest(result), _digest(trace)) == (
+        EXPECTED_DATA_PATH_DIGESTS[(coordinator, path)]
+    )
