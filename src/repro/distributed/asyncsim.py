@@ -50,7 +50,7 @@ from repro.distributed.comm import (
     link_label,
     words_for_cover_message,
 )
-from repro.distributed.executor import DistributedResult, _run_sharded
+from repro.distributed.executor import DistributedResult, _run_sharded, check_seed
 from repro.distributed.worker import ShardOutput
 from repro.errors import InvalidParameterError, ProtocolError
 from repro.faults.injectors import FaultSpec
@@ -354,7 +354,7 @@ class _ScheduleReplay:
         coordinator: str,
         workers: int,
         shard_faults: Optional[ShardFaultPlan],
-        schedule_seed: SeedLike,
+        schedule_seed: int,
     ) -> None:
         self.scheduler = scheduler
         self.tracer = scheduler.tracer
@@ -391,7 +391,7 @@ class _ScheduleReplay:
             "delivered_messages": float(scheduler.delivered),
             "idle_ticks": float(scheduler.idle_ticks),
             "duplicates_dropped": float(dropped),
-            "schedule_seed": float(int(self.schedule_seed)),
+            "schedule_seed": float(self.schedule_seed),
         }
 
     def _copies(self, index: int) -> int:
@@ -533,7 +533,7 @@ def run_distributed_async(
     strategy: str = "by-set",
     coordinator: str = "chain",
     order: Optional[ArrivalOrder] = None,
-    seed: SeedLike = 0,
+    seed: Optional[int] = 0,
     alpha: Optional[float] = None,
     max_workers: int = 1,
     comm_budget: Optional[CommBudget] = None,
@@ -549,7 +549,7 @@ def run_distributed_async(
     deadline_steps: Optional[int] = None,
     max_attempts: int = 3,
     backoff_steps: int = 1,
-    schedule_seed: SeedLike = 0,
+    schedule_seed: Optional[int] = 0,
     delivery: Optional[DeliveryPolicy] = None,
     link_delays: Optional[Mapping[str, int]] = None,
     default_delay: int = 1,
@@ -570,8 +570,11 @@ def run_distributed_async(
     sequentially (Θ(W) logical steps), the ``tree`` coordinator's
     same-round hand-offs are delivered as one batch per round
     (Θ(log W) steps), and the star coordinators post everything at
-    once.
+    once.  ``seed`` and ``schedule_seed`` must be ints (``None`` means
+    0); anything else raises :class:`~repro.errors.InvalidParameterError`
+    before any shard runs.
     """
+    schedule_seed = check_seed("schedule_seed", schedule_seed)
     policy = (
         delivery if delivery is not None else RandomDelivery(schedule_seed)
     )

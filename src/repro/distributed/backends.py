@@ -42,6 +42,7 @@ from repro.faults.injectors import FaultSpec, apply_faults
 from repro.faults.shards import ShardFaultPlan
 from repro.obs.events import SHARD_ABANDONED, SHARD_RETRY
 from repro.obs.tracer import NULL_TRACER, RecordingTracer
+from repro.streaming.stream import EdgesLike, FrozenEdges
 from repro.types import Edge, SetId
 
 from repro.distributed.shmem import (
@@ -66,7 +67,9 @@ class ShardTask:
 
     Everything a child process needs travels in the task: the instance
     *shape* (not the instance — workers only validate against ``(n, m)``
-    and label their local instance), the shard's ordered edge share, the
+    and label their local instance), the shard's ordered edge share (a
+    column-backed :class:`~repro.streaming.stream.FrozenEdges` span of
+    the routing plan, which pickles as its two columns), the
     router's set enumeration, the pre-drawn algorithm seed, the
     per-shard reseeded fault plan, and the algorithm *name*, resolved
     against the registry on the executing side.  ``traced`` asks the
@@ -83,7 +86,7 @@ class ShardTask:
     algorithm: str
     seed: int
     shape: InstanceShape
-    edges: Tuple[Edge, ...]
+    edges: EdgesLike
     set_order: Tuple[SetId, ...]
     alpha: Optional[float] = None
     fault_specs: Tuple[FaultSpec, ...] = ()
@@ -117,19 +120,19 @@ def execute_shard_task(task: ShardTask) -> ShardEnvelope:
     """Run one shard task to completion; the unit every backend executes.
 
     Module-level (not a method) so :class:`ProcessBackend` can ship it
-    to child processes.  Applies the shard's fault plan to its edge
-    share, runs the named registry algorithm over the shard, and — when
-    tracing — serializes the finished span cell for the parent to
-    adopt.
+    to child processes.  Feeds the shard's edge columns — from the
+    task, or from the shared segment its
+    :class:`~repro.distributed.shmem.ShardSpan` points at — into one
+    :class:`~repro.distributed.worker.ShardAccumulator`, runs the named
+    registry algorithm over the shard, and — when tracing — serializes
+    the finished span cell for the parent to adopt.
 
-    A task carrying a :class:`~repro.distributed.shmem.ShardSpan`
-    resolves its edges from the shared segment first.  The fault-free
-    span path feeds the columns straight into a
-    :class:`~repro.distributed.worker.ShardAccumulator` (no per-edge
-    tuple materialization); a fault plan needs an edge *sequence* to
-    perturb, so that path rebuilds :class:`~repro.types.Edge` records
-    from the columns before injecting.  Either way the view is closed
-    before returning — a child never holds a mapping past its task.
+    A fault plan needs an edge *sequence* to perturb, so a faulted
+    shard's columns become :class:`~repro.types.Edge` records for
+    :func:`~repro.faults.injectors.apply_faults` and the perturbed
+    sequence is fed back through the same accumulator.  A span view is
+    closed before returning — a child never holds a mapping past its
+    task.
     """
     tracer = RecordingTracer() if task.traced else NULL_TRACER
     worker = Worker(
@@ -139,39 +142,33 @@ def execute_shard_task(task: ShardTask) -> ShardEnvelope:
         alpha=task.alpha,
         tracer=tracer,
     )
+    shape = task.shape
+    accumulator = ShardAccumulator(
+        task.index, shape.n, shape.m, base_set_order=task.set_order
+    )
+    injection = None
     view = SpanView(task.span) if task.span is not None else None
     try:
-        if view is not None and not task.fault_specs:
-            accumulator = ShardAccumulator(
-                task.index,
-                task.shape.n,
-                task.shape.m,
-                base_set_order=task.set_order,
-            )
-            accumulator.feed_columns(view.set_ids, view.elements)
-            output = worker.run_accumulated(
-                accumulator, instance_name=task.shape.name
-            )
+        if view is not None:
+            set_ids, elements = view.set_ids, view.elements
         else:
-            edges: Sequence[Edge] = task.edges
-            if view is not None:
-                edges = [
-                    Edge(s, u)
-                    for s, u in zip(
-                        view.set_ids.tolist(), view.elements.tolist()
-                    )
-                ]
-            injection = None
-            if task.fault_specs:
-                edges, _, injection = apply_faults(
-                    edges, task.shape.n, task.shape.m, task.fault_specs
-                )
-            output = worker.run(
-                task.shape, edges, task.set_order, injection=injection
+            set_ids, elements = FrozenEdges(task.edges).columns()
+        if task.fault_specs:
+            edges = list(map(Edge, set_ids.tolist(), elements.tolist()))
+            perturbed, _, injection = apply_faults(
+                edges, shape.n, shape.m, task.fault_specs
             )
+            accumulator.feed(perturbed)
+        else:
+            accumulator.feed_columns(set_ids, elements)
+        # A mapping cannot close while views of it are still referenced.
+        del set_ids, elements
     finally:
         if view is not None:
             view.close()
+    output = worker.run_accumulated(
+        accumulator, instance_name=shape.name, injection=injection
+    )
     trace_jsonl = tracer.to_jsonl() if task.traced else None
     return ShardEnvelope(
         index=task.index, output=output, trace_jsonl=trace_jsonl

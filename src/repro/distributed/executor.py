@@ -27,6 +27,7 @@ parent adopts.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -73,12 +74,29 @@ from repro.obs.events import DEGRADATION, SPAN_MERGE
 from repro.obs.tracer import NULL_TRACER, TraceCollector
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.orders import ArrivalOrder, CanonicalOrder
-from repro.types import ElementId, SeedLike, SetId, make_rng
+from repro.streaming.stream import FrozenEdges
+from repro.types import ElementId, SetId, make_rng
 
 if TYPE_CHECKING:
     from repro.distributed.asyncsim import _ScheduleReplay
 
 _SEED_SPACE = 2**63
+
+
+def check_seed(parameter: str, seed: Optional[int]) -> int:
+    """The integer value of a run seed; ``None`` means 0.
+
+    Executor seeds are recorded on the result and mixed into routing
+    and per-shard seeds as integers, so an RNG object (or a bool, or a
+    float) is rejected with a typed error before any shard work runs.
+    """
+    if seed is None:
+        return 0
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise InvalidParameterError(
+            parameter, seed, "expected an int seed (or None for 0)"
+        )
+    return int(seed)
 
 
 def validate_transport(transport: Optional[object]) -> None:
@@ -252,7 +270,7 @@ def build_shard_plan_and_tasks(
     algorithm: str = "kk",
     strategy: str = "by-set",
     order: Optional[ArrivalOrder] = None,
-    seed: SeedLike = 0,
+    seed: Optional[int] = 0,
     alpha: Optional[float] = None,
     faults: Optional[Sequence[FaultSpec]] = None,
     traced: bool = False,
@@ -264,13 +282,16 @@ def build_shard_plan_and_tasks(
     simulator (:mod:`repro.distributed.asyncsim`), and
     :func:`build_shard_tasks`, all build their tasks here, which is what
     makes the async/sync parity guarantee structural rather than
-    coincidental.
+    coincidental.  The edge stream stays in ``int64`` columns from the
+    instance through the order and the router into the tasks.
     """
     if workers < 1:
         raise ConfigurationError(f"need at least 1 worker, got {workers}")
     arrival = order if order is not None else CanonicalOrder()
-    root_seed = seed if seed is not None else 0
-    edges = arrival.apply(list(instance.edges()))
+    root_seed = check_seed("seed", seed)
+    edges = FrozenEdges.from_columns(
+        *arrival.apply_columns(*instance.edge_columns())
+    )
     router = ShardRouter(strategy=strategy, workers=workers, seed=root_seed)
     plan = router.route_edges(instance, edges, order_name=arrival.name)
     shard_seeds, fault_seeds = _draw_shard_seeds(root_seed, workers)
@@ -299,7 +320,7 @@ def build_shard_tasks(
     algorithm: str = "kk",
     strategy: str = "by-set",
     order: Optional[ArrivalOrder] = None,
-    seed: SeedLike = 0,
+    seed: Optional[int] = 0,
     alpha: Optional[float] = None,
     faults: Optional[Sequence[FaultSpec]] = None,
     traced: bool = False,
@@ -332,7 +353,7 @@ def run_distributed(
     strategy: str = "by-set",
     coordinator: str = "chain",
     order: Optional[ArrivalOrder] = None,
-    seed: SeedLike = 0,
+    seed: Optional[int] = 0,
     alpha: Optional[float] = None,
     max_workers: int = 1,
     comm_budget: Optional[CommBudget] = None,
@@ -450,7 +471,7 @@ def _run_sharded(
     strategy: str,
     coordinator: str,
     order: Optional[ArrivalOrder],
-    seed: SeedLike,
+    seed: Optional[int],
     alpha: Optional[float],
     max_workers: int,
     comm_budget: Optional[CommBudget],
@@ -480,6 +501,7 @@ def _run_sharded(
     """
     if workers < 1:
         raise ConfigurationError(f"need at least 1 worker, got {workers}")
+    seed = check_seed("seed", seed)
     if max_workers < 1:
         raise InvalidParameterError(
             "max_workers", max_workers, "need at least 1 executor worker"
@@ -646,7 +668,7 @@ def _run_sharded(
         strategy=strategy,
         coordinator=coordinator,
         workers=workers,
-        seed=int(seed if seed is not None else 0),
+        seed=seed,
         order_name=plan.order_name,
         diagnostics=diagnostics,
         outcomes=tuple(outcomes),

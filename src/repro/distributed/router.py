@@ -23,17 +23,25 @@ every shard.  Three strategies:
 Routing is a pure function of ``(edges, strategy, workers, seed)``:
 no global RNG, no dependence on thread counts, so the distributed
 determinism contract starts here.
+
+Routing runs on the ``int64`` edge columns of a
+:class:`~repro.streaming.stream.FrozenEdges` buffer: every strategy
+computes one worker index per edge (a lookup into the deal's assignment
+array, or the vectorized hash), and one stable argsort by worker lays
+the shards out as contiguous spans that keep the arrival order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.streaming.instance import SetCoverInstance
-from repro.streaming.stream import EdgeStream
-from repro.types import Edge, SeedLike, make_rng
+from repro.streaming.stream import EdgesLike, EdgeStream, FrozenEdges
+from repro.types import SeedLike, make_rng
 
 #: Every routing strategy :class:`ShardRouter` understands.
 STRATEGIES: Tuple[str, ...] = ("by-set", "by-element", "hash")
@@ -56,6 +64,34 @@ def edge_hash_worker(set_id: int, element: int, workers: int, seed: int) -> int:
     the partition is reproducible across runs and machines.
     """
     return _splitmix64(_splitmix64(seed ^ (set_id << 1)) ^ element) % workers
+
+
+def _splitmix64_columns(values: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`_splitmix64` over a ``uint64`` column.
+
+    Bit-for-bit identical to the scalar mix: ``uint64`` arithmetic wraps
+    modulo 2**64 exactly like the scalar's explicit masking.
+    """
+    values = values + np.uint64(0x9E3779B97F4A7C15)
+    values = (values ^ (values >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    values = (values ^ (values >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return values ^ (values >> np.uint64(31))
+
+
+def edge_hash_workers_columns(
+    set_ids: np.ndarray, elements: np.ndarray, workers: int, seed: int
+) -> np.ndarray:
+    """Vectorized :func:`edge_hash_worker` over ``int64`` edge columns.
+
+    Returns an ``int64`` worker index per edge, identical to calling the
+    scalar function edge by edge (property-tested).
+    """
+    seed_word = np.uint64(seed & _MASK64)
+    inner = _splitmix64_columns(
+        seed_word ^ (set_ids.astype(np.uint64) << np.uint64(1))
+    )
+    outer = _splitmix64_columns(inner ^ elements.astype(np.uint64))
+    return (outer % np.uint64(workers)).astype(np.int64)
 
 
 def deal_round_robin(
@@ -96,8 +132,9 @@ class ShardPlan:
         The routing configuration that produced the plan.
     shard_edges:
         ``shard_edges[w]`` is worker ``w``'s edge sequence, preserving
-        global arrival order.  The shards are a disjoint, exhaustive
-        partition of the routed edges.
+        global arrival order, as a column-backed
+        :class:`~repro.streaming.stream.FrozenEdges` span.  The shards
+        are a disjoint, exhaustive partition of the routed edges.
     set_order:
         ``set_order[w]`` lists the set ids worker ``w`` is responsible
         for, in the order the chain merge enumerates them: the deal
@@ -110,7 +147,7 @@ class ShardPlan:
     strategy: str
     workers: int
     seed: int
-    shard_edges: Tuple[Tuple[Edge, ...], ...]
+    shard_edges: Tuple[FrozenEdges, ...]
     set_order: Tuple[Tuple[int, ...], ...]
     order_name: str = "canonical"
 
@@ -144,36 +181,47 @@ class ShardRouter:
     def route_edges(
         self,
         instance: SetCoverInstance,
-        edges: Sequence[Edge],
+        edges: EdgesLike,
         order_name: str = "canonical",
     ) -> ShardPlan:
         """Partition ``edges`` (an ordering of ``instance``) into shards."""
+        set_ids, elements = FrozenEdges(edges).columns()
         workers = self.workers
-        buckets: List[List[Edge]] = [[] for _ in range(workers)]
         if self.strategy == "by-set":
             assignment, per_worker = deal_round_robin(
                 instance.m, workers, seed=self.seed
             )
-            for edge in edges:
-                buckets[assignment[edge[0]]].append(edge)
             set_order = tuple(tuple(items) for items in per_worker)
+            shard_of = np.asarray(assignment, dtype=np.int64)[set_ids]
         elif self.strategy == "by-element":
             assignment, _ = deal_round_robin(instance.n, workers, seed=self.seed)
-            for edge in edges:
-                buckets[assignment[edge[1]]].append(edge)
-            set_order = _first_appearance_sets(buckets)
+            shard_of = np.asarray(assignment, dtype=np.int64)[elements]
         else:  # hash
-            seed = self.seed
-            for edge in edges:
-                buckets[edge_hash_worker(edge[0], edge[1], workers, seed)].append(
-                    edge
-                )
-            set_order = _first_appearance_sets(buckets)
+            shard_of = edge_hash_workers_columns(
+                set_ids, elements, workers, self.seed
+            )
+        if workers > 1:
+            # A stable sort by worker keeps arrival order inside each span;
+            # on the narrowest unsigned type it is a radix sort.
+            narrow = shard_of.astype(np.min_scalar_type(workers - 1))
+            by_shard = np.argsort(narrow, kind="stable")
+            set_ids = set_ids[by_shard]
+            elements = elements[by_shard]
+        bounds = np.zeros(workers + 1, dtype=np.int64)
+        np.cumsum(np.bincount(shard_of, minlength=workers), out=bounds[1:])
+        spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        if self.strategy != "by-set":
+            set_order = tuple(
+                _first_appearance_sets(set_ids[a:b]) for a, b in spans
+            )
         return ShardPlan(
             strategy=self.strategy,
             workers=workers,
             seed=self.seed,
-            shard_edges=tuple(tuple(bucket) for bucket in buckets),
+            shard_edges=tuple(
+                FrozenEdges.from_columns(set_ids[a:b], elements[a:b])
+                for a, b in spans
+            ),
             set_order=set_order,
             order_name=order_name,
         )
@@ -198,15 +246,7 @@ class ShardRouter:
         )
 
 
-def _first_appearance_sets(
-    buckets: Sequence[Sequence[Edge]],
-) -> Tuple[Tuple[int, ...], ...]:
-    """Per-shard set ids in order of first appearance in the shard stream."""
-    orders: List[Tuple[int, ...]] = []
-    for bucket in buckets:
-        seen = {}
-        for edge in bucket:
-            if edge[0] not in seen:
-                seen[edge[0]] = None  # dict preserves insertion order
-        orders.append(tuple(seen))
-    return tuple(orders)
+def _first_appearance_sets(set_ids: np.ndarray) -> Tuple[int, ...]:
+    """The distinct set ids of one shard span, by first appearance."""
+    distinct, first = np.unique(set_ids, return_index=True)
+    return tuple(distinct[np.argsort(first)].tolist())

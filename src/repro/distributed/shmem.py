@@ -55,6 +55,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.streaming.stream import FrozenEdges
+
 try:  # pragma: no cover - import guard exercised only on exotic builds
     from multiprocessing import resource_tracker as _resource_tracker
     from multiprocessing import shared_memory as _shared_memory
@@ -308,25 +310,14 @@ class SpanView:
 def ship_tasks(tasks: Sequence) -> Tuple[List, Optional[EdgeSegment]]:
     """Convert tasks' edge payloads into spans over one fresh segment.
 
-    Returns ``(shipped_tasks, segment)``.  Shipped tasks carry empty
-    ``edges`` and a :class:`ShardSpan`; the caller owns the returned
-    segment and must :meth:`EdgeSegment.cleanup` it once the pool is
-    done.  On any shared-memory failure the original tasks come back
+    Each task's edge columns are copied straight into the segment (no
+    per-edge records).  Returns ``(shipped_tasks, segment)``.  Shipped
+    tasks carry empty ``edges`` and a :class:`ShardSpan`; the caller
+    owns the returned segment and must :meth:`EdgeSegment.cleanup` it
+    once the pool is done.  On any shared-memory failure the original tasks come back
     with ``segment=None`` — the pickled-edges fallback.
     """
-    columns: List[Tuple[np.ndarray, np.ndarray]] = []
-    for task in tasks:
-        k = len(task.edges)
-        if k:
-            pairs = np.asarray(task.edges, dtype=np.int64).reshape(k, 2)
-            columns.append(
-                (
-                    np.ascontiguousarray(pairs[:, 0]),
-                    np.ascontiguousarray(pairs[:, 1]),
-                )
-            )
-        else:
-            columns.append((_EMPTY_COLUMN, _EMPTY_COLUMN))
+    columns = [FrozenEdges(task.edges).columns() for task in tasks]
     try:
         segment = EdgeSegment.create(columns)
     except OSError:

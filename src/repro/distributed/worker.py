@@ -1,10 +1,11 @@
 """A simulated shard worker: one registry algorithm over one shard.
 
 A :class:`Worker` receives the shard of edges the router assigned to it,
-rebuilds a *local* set-cover instance from what it actually saw (dense
-local ids, so any registry algorithm runs unmodified), executes the
-algorithm one-pass with its own :class:`~repro.streaming.space.SpaceMeter`
-inside a ``shard`` tracer span, and maps the local cover back to global
+relabels what it actually saw to dense *local* ids — over an
+:class:`InstanceShape` of the local ``(n, m)``, so any registry
+algorithm runs unmodified — executes the algorithm one-pass with its
+own :class:`~repro.streaming.space.SpaceMeter` inside a ``shard``
+tracer span, and maps the local cover back to global
 ids.  The :class:`ShardOutput` it returns is everything a coordinator
 may legitimately use: the global cover and certificate, the membership
 view the shard observed, and a :class:`ShardReport` of shard-local
@@ -29,8 +30,8 @@ from repro.obs.events import SPAN_SHARD
 from repro.obs.tracer import NULL_TRACER
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.space import SpaceReport
-from repro.streaming.stream import EdgeStream
-from repro.types import Edge, ElementId, SeedLike, SetId
+from repro.streaming.stream import EdgesLike, EdgeStream, FrozenEdges
+from repro.types import ElementId, SeedLike, SetId
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,8 @@ class InstanceShape:
     Shipping this three-field shape instead of the full
     :class:`SetCoverInstance` keeps a pickled
     :class:`~repro.distributed.backends.ShardTask` small and
-    self-contained.
+    self-contained.  The shard's *local* instance is an
+    ``InstanceShape`` too: the algorithms read only ``n`` and ``m``.
     """
 
     n: int
@@ -100,18 +102,37 @@ class ShardOutput:
 
 
 _EMPTY_SPACE = SpaceReport(peak_words=0, final_words=0)
+_EMPTY_COLUMN = np.empty(0, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class LocalShard:
+    """A shard's clean stream in dense local ids, plus the id maps.
+
+    ``set_ids[i]`` is the global id of local set ``i`` (the party
+    order: the base order, then first-appearance stragglers) and
+    ``elements[j]`` the global id of local element ``j`` (ascending).
+    ``local_sets`` / ``local_elements`` are the clean edges in arrival
+    order, relabelled; ``members_by_set`` maps every global set id in
+    party order to the global elements the shard saw for it.
+    """
+
+    set_ids: np.ndarray
+    elements: np.ndarray
+    local_sets: np.ndarray
+    local_elements: np.ndarray
+    members_by_set: Dict[SetId, FrozenSet[ElementId]]
 
 
 class ShardAccumulator:
-    """Incremental shard ingest: the first half of a worker's pass.
+    """Shard ingest: the first half of a worker's pass.
 
-    Accumulates a shard's edge stream — validation against the global
-    shape, local set/element id discovery, membership build — through
-    :meth:`feed` (edge tuples, :meth:`Worker.run`) or
-    :meth:`feed_columns` (edge columns, the shared-memory span path of
-    :func:`~repro.distributed.backends.execute_shard_task`).  Both entry
-    points accumulate identical state for identical shard streams, and
-    :meth:`Worker.run_accumulated` runs the algorithm pass over it.
+    :meth:`feed_columns` takes the shard's stream as ``int64`` edge
+    columns, in arrival order and in any number of chunks; it validates
+    them against the global shape, counts and drops out-of-range edges
+    (corrupt-fault debris) and keeps the rest.  :meth:`feed` is the
+    adapter for edge sequences.  :meth:`localize` relabels the clean
+    stream to dense local ids for :meth:`Worker.run_accumulated`.
     """
 
     def __init__(
@@ -124,41 +145,21 @@ class ShardAccumulator:
         self.index = index
         self.n = n
         self.m = m
-        self.clean: List[Edge] = []
+        self.base_set_order = tuple(base_set_order)
         self.dropped = 0
-        self.set_ids: List[SetId] = list(base_set_order)
-        self._listed = set(self.set_ids)
-        self.members_by_set: Dict[SetId, set] = {s: set() for s in self.set_ids}
-        self._elements: set = set()
         self.edges_fed = 0
+        self._chunks: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._local: Optional[LocalShard] = None
 
-    def feed(self, edges: Sequence[Edge]) -> None:
-        """Ingest one chunk of the shard's stream, in arrival order."""
-        self.edges_fed += len(edges)
-        n, m = self.n, self.m
-        for edge in edges:
-            s, u = edge[0], edge[1]
-            if 0 <= s < m and 0 <= u < n:
-                self.clean.append(edge)
-                if s not in self._listed:
-                    self._listed.add(s)
-                    self.set_ids.append(s)
-                    self.members_by_set[s] = set()
-                self.members_by_set[s].add(u)
-                self._elements.add(u)
-            else:
-                self.dropped += 1
+    def feed(self, edges: EdgesLike) -> None:
+        """Ingest a chunk of edge tuples: an adapter onto :meth:`feed_columns`."""
+        self.feed_columns(*FrozenEdges(edges).columns())
 
     def feed_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> None:
         """Ingest one chunk given as ``int64`` edge columns, in order.
 
-        The column twin of :meth:`feed`, used by the shared-memory
-        path: bounds validation and the dropped
-        count are computed vectorized, then the surviving edges update
-        the same per-edge structures :meth:`feed` maintains, in the
-        same order — so both entry points accumulate identical state
-        for identical shard streams (asserted by
-        ``tests/test_distributed_shmem.py``).
+        The accumulator keeps its own copy of the clean edges, so the
+        caller may release the columns (a shared-memory view) at once.
         """
         k = len(set_ids)
         self.edges_fed += k
@@ -175,28 +176,114 @@ class ShardAccumulator:
         if not kept:
             return
         if kept != k:
-            set_ids = set_ids[valid]
-            elements = elements[valid]
-        clean = self.clean
-        listed = self._listed
-        members_by_set = self.members_by_set
-        observed = self._elements
-        for s, u in zip(set_ids.tolist(), elements.tolist()):
-            clean.append(Edge(s, u))
-            if s not in listed:
-                listed.add(s)
-                self.set_ids.append(s)
-                members_by_set[s] = set()
-            members_by_set[s].add(u)
-            observed.add(u)
+            set_ids, elements = set_ids[valid], elements[valid]
+        self._chunks.append(
+            (np.array(set_ids, dtype=np.int64), np.array(elements, dtype=np.int64))
+        )
+        self._local = None
 
-    def elements_sorted(self) -> List[ElementId]:
-        """The shard's observed global element ids, ascending."""
-        return sorted(self._elements)
+    def _clean_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The kept edges as ``int64`` columns, in arrival order."""
+        chunks = self._chunks
+        if not chunks:
+            return _EMPTY_COLUMN, _EMPTY_COLUMN
+        if len(chunks) > 1:
+            chunks[:] = [
+                (
+                    np.concatenate([c[0] for c in chunks]),
+                    np.concatenate([c[1] for c in chunks]),
+                )
+            ]
+        return chunks[0]
 
-    def set_order(self) -> Tuple[SetId, ...]:
-        """Base order plus first-appearance stragglers — the party order."""
-        return tuple(self.set_ids)
+    @property
+    def clean(self) -> FrozenEdges:
+        """The kept edges in arrival order."""
+        return FrozenEdges.from_columns(*self._clean_columns())
+
+    def localize(self) -> LocalShard:
+        """Relabel the clean stream to dense local ids (computed once)."""
+        if self._local is None:
+            self._local = _localize(
+                *self._clean_columns(), self.base_set_order, self.n, self.m
+            )
+        return self._local
+
+    @property
+    def set_ids(self) -> List[SetId]:
+        """Global set ids in party order (local set ``i`` is ``set_ids[i]``)."""
+        return self.localize().set_ids.tolist()
+
+    @property
+    def members_by_set(self) -> Dict[SetId, FrozenSet[ElementId]]:
+        """The observed membership of every set, in party order."""
+        return self.localize().members_by_set
+
+
+def _localize(
+    set_col: np.ndarray,
+    elem_col: np.ndarray,
+    base_set_order: Tuple[SetId, ...],
+    n: int,
+    m: int,
+) -> LocalShard:
+    """Dense local ids for a clean shard stream, from lookup arrays.
+
+    Every id is in range (the accumulator validated it), so global ids
+    index ``m``- and ``n``-sized lookup arrays directly.  Local elements
+    are the ranks of the observed global elements.  Local sets follow
+    the party order: a set listed in ``base_set_order`` keeps its
+    position there (the last one, if listed twice), and an unlisted set
+    is appended in order of first appearance.
+    """
+    base = np.array(base_set_order, dtype=np.int64)
+    k = len(set_col)
+    if not k:
+        return LocalShard(
+            set_ids=base,
+            elements=_EMPTY_COLUMN,
+            local_sets=_EMPTY_COLUMN,
+            local_elements=_EMPTY_COLUMN,
+            members_by_set={s: frozenset() for s in base_set_order},
+        )
+    local_of = np.full(m, -1, dtype=np.int64)
+    in_range = (base >= 0) & (base < m)
+    np.maximum.at(local_of, base[in_range], np.flatnonzero(in_range))
+    local_sets = local_of[set_col]
+    set_ids = base
+    unlisted = np.flatnonzero(local_sets < 0)
+    if len(unlisted):
+        first = np.full(m, k, dtype=np.int64)
+        np.minimum.at(first, set_col[unlisted], unlisted)
+        stragglers = np.flatnonzero(first < k)
+        stragglers = stragglers[np.argsort(first[stragglers])]
+        local_of[stragglers] = len(base) + np.arange(len(stragglers))
+        local_sets = local_of[set_col]
+        set_ids = np.concatenate([base, stragglers])
+
+    observed = np.zeros(n, dtype=bool)
+    observed[elem_col] = True
+    elements = np.flatnonzero(observed)
+    local_elements = (np.cumsum(observed) - 1)[elem_col]
+
+    # Membership: the clean edges grouped by local set with one argsort;
+    # building each set drops repeated edges.  Through a set, too, because
+    # a frozenset built from a list keeps the table its incremental growth
+    # left (about twice the size), one copied from a set is sized to fit.
+    members = elem_col[np.argsort(local_sets)].tolist()
+    bounds = np.zeros(len(set_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(local_sets, minlength=len(set_ids)), out=bounds[1:])
+    bounds = bounds.tolist()
+    members_by_set: Dict[SetId, FrozenSet[ElementId]] = {}
+    for i, s in enumerate(set_ids.tolist()):
+        members_by_set[s] = frozenset(set(members[bounds[i] : bounds[i + 1]]))
+    return LocalShard(
+        set_ids=set_ids,
+        elements=elements,
+        local_sets=local_sets,
+        local_elements=local_elements,
+        members_by_set=members_by_set,
+    )
 
 
 class Worker:
@@ -219,7 +306,7 @@ class Worker:
     def run(
         self,
         instance: SetCoverInstance,
-        edges: Sequence[Edge],
+        edges: EdgesLike,
         set_order: Sequence[SetId],
         injection: Optional[InjectionReport] = None,
     ) -> ShardOutput:
@@ -253,31 +340,25 @@ class Worker:
     ) -> ShardOutput:
         """Execute the algorithm pass over an already-ingested shard.
 
-        :meth:`run` feeds edge tuples and calls this; the shared-memory
-        path feeds edge columns and calls it directly.  Both produce
-        identical output for identical shard streams.
+        The algorithm sees the shard's clean stream in dense local ids,
+        over an :class:`InstanceShape` of the local ``(n, m)``: every
+        registry algorithm reads only the shape of its instance.
         """
-        clean = accumulator.clean
-        dropped = accumulator.dropped
-        set_ids = accumulator.set_ids
-        members_by_set = accumulator.members_by_set
-        elements = accumulator.elements_sorted()
-
-        frozen_members = {
-            s: frozenset(members) for s, members in members_by_set.items()
-        }
+        local = accumulator.localize()
+        set_ids = local.set_ids.tolist()
+        local_n = len(local.elements)
         base_report = ShardReport(
             index=self.index,
-            edges=len(clean),
-            local_n=len(elements),
+            edges=len(local.local_sets),
+            local_n=local_n,
             local_m=len(set_ids),
             cover_size=0,
             certificate_size=0,
             space=_EMPTY_SPACE,
-            dropped_invalid=dropped,
+            dropped_invalid=accumulator.dropped,
             injection=injection,
         )
-        if not clean:
+        if not len(local.local_sets):
             # Nothing arrived: no local instance can even be built.  The
             # shard contributes an empty cover, which every coordinator
             # handles (an empty party forwards chain state untouched).
@@ -285,26 +366,16 @@ class Worker:
                 index=self.index,
                 cover=frozenset(),
                 certificate={},
-                members_by_set=frozen_members,
+                members_by_set=local.members_by_set,
                 set_order=tuple(set_ids),
                 report=base_report,
             )
 
-        to_local_set = {g: i for i, g in enumerate(set_ids)}
-        to_local_elem = {g: i for i, g in enumerate(elements)}
-        local_instance = SetCoverInstance(
-            len(elements),
-            (
-                sorted(to_local_elem[u] for u in members_by_set[g])
-                for g in set_ids
-            ),
+        local_instance = InstanceShape(
+            n=local_n,
+            m=len(set_ids),
             name=f"{instance_name or 'instance'}|shard[{self.index}]",
         )
-        local_edges = [
-            Edge(to_local_set[edge[0]], to_local_elem[edge[1]])
-            for edge in clean
-        ]
-
         algorithm = make_algorithm(
             self.algorithm,
             local_instance,
@@ -316,18 +387,21 @@ class Worker:
             SPAN_SHARD,
             worker=self.index,
             algorithm=self.algorithm,
-            edges=len(local_edges),
+            edges=base_report.edges,
             local_n=local_instance.n,
             local_m=local_instance.m,
         ):
             result = algorithm.run(
                 EdgeStream(
                     local_instance,
-                    local_edges,
+                    FrozenEdges.from_columns(
+                        local.local_sets, local.local_elements
+                    ),
                     order_name=f"shard[{self.index}]",
                 )
             )
 
+        elements = local.elements.tolist()
         cover = frozenset(set_ids[s] for s in result.cover)
         certificate = {
             elements[u]: set_ids[s] for u, s in result.certificate.items()
@@ -339,7 +413,7 @@ class Worker:
             index=self.index,
             cover=cover,
             certificate=certificate,
-            members_by_set=frozen_members,
+            members_by_set=local.members_by_set,
             set_order=tuple(set_ids),
             report=base_report,
         )

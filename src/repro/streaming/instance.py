@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.errors import InfeasibleInstanceError, InvalidInstanceError
 from repro.types import Edge, ElementId, SetId
 
@@ -58,6 +60,7 @@ class SetCoverInstance:
         self.name = name
         self._element_degrees: Optional[List[int]] = None
         self._num_edges: Optional[int] = None
+        self._edge_columns: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- basic shape -----------------------------------------------------
 
@@ -110,6 +113,31 @@ class SetCoverInstance:
         for set_id, members in enumerate(self._sets):
             for element in sorted(members):
                 yield Edge(set_id, element)
+
+    def edge_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The canonical enumeration of :meth:`edges` as ``int64`` columns.
+
+        Returns read-only ``(set_ids, elements)`` arrays, built once and
+        cached like the element degrees, so column consumers (the
+        sharded executor's order and routing steps) never build a
+        per-edge record.
+        """
+        if self._edge_columns is None:
+            sizes = np.fromiter(
+                (len(members) for members in self._sets),
+                dtype=np.int64,
+                count=len(self._sets),
+            )
+            set_ids = np.repeat(np.arange(len(self._sets), dtype=np.int64), sizes)
+            elements = np.fromiter(
+                (u for members in self._sets for u in sorted(members)),
+                dtype=np.int64,
+                count=len(set_ids),
+            )
+            set_ids.flags.writeable = False
+            elements.flags.writeable = False
+            self._edge_columns = (set_ids, elements)
+        return self._edge_columns
 
     def element_degrees(self) -> Sequence[int]:
         """Degree (number of containing sets) of each element, by id."""

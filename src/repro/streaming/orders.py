@@ -16,16 +16,25 @@ The paper contrasts three stream orders:
 Every policy is a callable object mapping a list of edges (the canonical
 enumeration of :meth:`SetCoverInstance.edges`) to a reordered list, with
 an explicit seed where randomness is involved.
+:meth:`ArrivalOrder.apply_columns` is the same mapping over ``int64``
+edge columns (:meth:`SetCoverInstance.edge_columns`); a policy whose
+order depends only on the stream length applies itself to an index
+range there, so the column path draws exactly the randomness the tuple
+path draws.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import InvalidStreamError
 from repro.types import Edge, SeedLike, make_rng
+
+Columns = Tuple[np.ndarray, np.ndarray]
 
 OrderFn = Callable[[Sequence[Edge]], List[Edge]]
 
@@ -43,6 +52,19 @@ class ArrivalOrder:
     def apply(self, edges: Sequence[Edge]) -> List[Edge]:
         raise NotImplementedError
 
+    def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
+        """Reorder ``int64`` edge columns exactly as :meth:`apply` would.
+
+        The default goes through :meth:`apply` on :class:`Edge` records;
+        policies that can reorder without them override it.
+        """
+        edges = list(map(Edge, set_ids.tolist(), elements.tolist()))
+        pairs = np.array(self.apply(edges), dtype=np.int64).reshape(-1, 2)
+        return (
+            np.ascontiguousarray(pairs[:, 0]),
+            np.ascontiguousarray(pairs[:, 1]),
+        )
+
     def __call__(self, edges: Sequence[Edge]) -> List[Edge]:
         return self.apply(edges)
 
@@ -58,6 +80,9 @@ class CanonicalOrder(ArrivalOrder):
     def apply(self, edges: Sequence[Edge]) -> List[Edge]:
         return list(edges)
 
+    def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
+        return set_ids, elements
+
 
 class RandomOrder(ArrivalOrder):
     """Uniformly random permutation — the model of Theorem 3."""
@@ -71,6 +96,13 @@ class RandomOrder(ArrivalOrder):
         shuffled = list(edges)
         self._rng.shuffle(shuffled)
         return shuffled
+
+    def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
+        # A shuffle's draws depend only on the length, so shuffling the
+        # index range is the same permutation :meth:`apply` makes.
+        k = len(set_ids)
+        permutation = np.fromiter(self.apply(range(k)), dtype=np.int64, count=k)
+        return set_ids[permutation], elements[permutation]
 
 
 class SetGroupedOrder(ArrivalOrder):

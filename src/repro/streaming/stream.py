@@ -6,11 +6,11 @@ be iterated again (algorithms that accidentally take two passes fail
 loudly in tests instead of silently cheating).
 
 The ordered edge sequence is frozen once into a :class:`FrozenEdges`
-buffer — an immutable tuple plus a lazily-built numpy ``(N,)`` column
-pair — and *shared* across every view of the ordering: creating a fresh
-one-pass view is O(1), and batch consumers (see :meth:`EdgeStream.iter_chunks`
-and :class:`StreamReader`) slice the shared buffer instead of stepping a
-generator one edge at a time.
+buffer — an immutable tuple and a numpy ``(N,)`` column pair, either
+one built lazily from the other — and *shared* across every view of the
+ordering: creating a fresh one-pass view is O(1), and batch consumers
+(see :meth:`EdgeStream.iter_chunks` and :class:`StreamReader`) slice the
+shared buffer instead of stepping a generator one edge at a time.
 
 Use :func:`stream_of` for the common case, or :class:`ReplayableStream`
 in experiment harnesses where several algorithms must see the *same*
@@ -35,12 +35,15 @@ EdgesLike = Union["FrozenEdges", Sequence[Edge]]
 class FrozenEdges:
     """An immutable edge ordering shared by every view of a stream.
 
-    Holds the edges as a tuple (the canonical Python representation) and
-    builds, on first request, a pair of numpy ``int64`` columns
-    ``(set_ids, elements)`` for vectorized batch processing.  Both
-    representations are built at most once and shared — wrapping an
-    existing :class:`FrozenEdges` or passing the same instance to many
-    streams never copies.
+    Holds the edges in two representations, each built at most once and
+    shared: a tuple of :class:`~repro.types.Edge` records (the canonical
+    Python form, for per-edge consumers) and a pair of numpy ``int64``
+    columns ``(set_ids, elements)`` for vectorized batch processing.
+    Built from edges, the columns are derived on first request; built
+    from columns (:meth:`from_columns`), the tuple is derived only if a
+    tuple consumer asks for it.  Wrapping an existing
+    :class:`FrozenEdges` or passing the same instance to many streams
+    never copies.
     """
 
     __slots__ = ("_edges", "_set_ids", "_elements")
@@ -51,25 +54,65 @@ class FrozenEdges:
             self._set_ids = edges._set_ids
             self._elements = edges._elements
             return
-        self._edges: Tuple[Edge, ...] = (
+        self._edges: Optional[Tuple[Edge, ...]] = (
             edges if isinstance(edges, tuple) else tuple(edges)
         )
         self._set_ids: Optional[np.ndarray] = None
         self._elements: Optional[np.ndarray] = None
 
+    @classmethod
+    def from_columns(
+        cls, set_ids: np.ndarray, elements: np.ndarray
+    ) -> "FrozenEdges":
+        """Adopt ``int64`` edge columns of equal length without copying."""
+        if len(set_ids) != len(elements):
+            raise InvalidStreamError(
+                f"edge columns differ in length: {len(set_ids)} set ids, "
+                f"{len(elements)} elements"
+            )
+        frozen = cls.__new__(cls)
+        frozen._edges = None
+        frozen._elements = elements
+        frozen._set_ids = set_ids
+        return frozen
+
     @property
     def edges(self) -> Tuple[Edge, ...]:
-        """The full ordered edge tuple (shared, never copied)."""
+        """The full ordered edge tuple (built once, shared, never copied)."""
+        if self._edges is None:
+            self._edges = tuple(
+                map(Edge, self._set_ids.tolist(), self._elements.tolist())
+            )
         return self._edges
 
     def __len__(self) -> int:
+        if self._edges is None:
+            return len(self._set_ids)
         return len(self._edges)
 
     def __iter__(self) -> Iterator[Edge]:
-        return iter(self._edges)
+        return iter(self.edges)
 
     def __getitem__(self, index):
-        return self._edges[index]
+        return self.edges[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrozenEdges):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(self.columns(), other.columns())
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.edges)
+
+    def __reduce__(self):
+        # Pickle the columns only: compact, and never the tuple view.
+        return (FrozenEdges.from_columns, self.columns())
+
+    def __repr__(self) -> str:
+        return f"FrozenEdges(N={len(self)})"
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray]:
         """Numpy ``(set_ids, elements)`` columns of the ordering.

@@ -20,10 +20,12 @@ The contracts from ``repro/distributed/asyncsim.py``:
 from __future__ import annotations
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
-from repro.distributed import run_distributed
+from repro.distributed import backends, run_distributed
 from repro.distributed.asyncsim import (
     AsyncScheduler,
     DeliveryPolicy,
@@ -370,6 +372,37 @@ class TestAsyncParameterValidation:
             run_distributed_async(
                 instance, workers=4, coordinator="bogus", backend="serial"
             )
+
+    @pytest.mark.parametrize("parameter", ["seed", "schedule_seed"])
+    @pytest.mark.parametrize(
+        "make_seed",
+        [lambda: random.Random(3), lambda: np.random.default_rng(3)],
+        ids=["random.Random", "numpy.Generator"],
+    )
+    def test_non_int_seed_rejected_before_shard_work(
+        self, instance, monkeypatch, parameter, make_seed
+    ):
+        # Regression: both seeds used to reach int() only after every
+        # shard and the merge had run, failing with a bare TypeError.
+        def no_shard_work(task):
+            raise AssertionError("shard work ran before seed validation")
+
+        monkeypatch.setattr(backends, "execute_shard_task", no_shard_work)
+        with pytest.raises(InvalidParameterError) as excinfo:
+            run_distributed_async(
+                instance, workers=4, backend="serial", **{parameter: make_seed()}
+            )
+        assert excinfo.value.parameter == parameter
+
+    def test_none_schedule_seed_means_zero(self, instance):
+        implicit = run_distributed_async(
+            instance, workers=4, backend="serial", schedule_seed=None
+        )
+        explicit = run_distributed_async(
+            instance, workers=4, backend="serial", schedule_seed=0
+        )
+        assert implicit == explicit
+        assert implicit.diagnostics["schedule_seed"] == 0.0
 
 
 class _ClosingRecorder(InprocTransport):

@@ -12,7 +12,9 @@ boundary that the process backend depends on.
 from __future__ import annotations
 
 import pickle
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.distributed import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
+    backends,
     build_shard_tasks,
     make_backend,
     registered_backends,
@@ -73,6 +76,41 @@ class TestMaxWorkersValidation:
         # Existing callers catching ConfigurationError keep working.
         with pytest.raises(ConfigurationError):
             run_distributed(instance, workers=2, max_workers=0)
+
+
+#: Seeds the executor cannot mix into integer shard seeds.
+NON_INT_SEEDS = [
+    pytest.param(lambda: random.Random(3), id="random.Random"),
+    pytest.param(lambda: np.random.default_rng(3), id="numpy.Generator"),
+    pytest.param(lambda: 3.0, id="float"),
+    pytest.param(lambda: True, id="bool"),
+]
+
+
+class TestSeedValidation:
+    """Regression: a non-int seed used to run every shard and the merge,
+    then fail with an untyped ``TypeError`` while assembling the result."""
+
+    @pytest.mark.parametrize("make_seed", NON_INT_SEEDS)
+    def test_rejected_before_any_shard_runs(
+        self, instance, monkeypatch, make_seed
+    ):
+        def no_shard_work(task):
+            raise AssertionError("shard work ran before seed validation")
+
+        monkeypatch.setattr(backends, "execute_shard_task", no_shard_work)
+        seed = make_seed()
+        with pytest.raises(InvalidParameterError) as excinfo:
+            run_distributed(instance, workers=2, seed=seed, backend="serial")
+        assert excinfo.value.parameter == "seed"
+
+    def test_integer_like_seeds_accepted(self, instance):
+        reference = run_distributed(instance, workers=2, seed=3)
+        assert run_distributed(instance, workers=2, seed=np.int64(3)) == reference
+        assert run_distributed(instance, workers=2, seed=None) == (
+            run_distributed(instance, workers=2, seed=0)
+        )
+        assert reference.seed == 3
 
 
 class TestBackendParity:
