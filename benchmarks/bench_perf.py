@@ -19,7 +19,7 @@ from repro.analysis.perfbench import (
     TIERS,
     check_regression,
     load_bench_file,
-    run_bench,
+    run_section,
 )
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
@@ -35,23 +35,23 @@ def committed():
 @pytest.mark.parametrize("algorithm", SMOKE_ALGORITHMS)
 def test_smoke_throughput(benchmark, algorithm):
     """Time one smoke-tier pass of a single algorithm."""
-    records = benchmark.pedantic(
-        lambda: run_bench(tier="smoke", seed=0, algorithms=[algorithm]),
+    rows = benchmark.pedantic(
+        lambda: run_section("smoke", seed=0, algorithms=[algorithm]),
         rounds=1,
         iterations=1,
     )
-    assert len(records) == len(TIERS["smoke"])
-    for record in records:
-        assert record.algorithm == algorithm
-        assert record.edges_per_sec > 0
-        assert record.peak_words > 0
-        assert record.cover_size >= 1
+    assert len(rows) == len(TIERS["smoke"])
+    for row in rows:
+        assert row["algorithm"] == algorithm
+        assert row["edges_per_sec"] > 0
+        assert row["peak_words"] > 0
+        assert row["cover_size"] >= 1
 
 
 def test_no_regression_vs_committed(committed):
     """Smoke run must stay within 2x of the committed edges/sec."""
     if not committed.get("smoke"):
         pytest.skip("no committed smoke numbers in BENCH_perf.json")
-    current = run_bench(tier="smoke", seed=0)
+    current = run_section("smoke", seed=0)
     failures = check_regression(current, committed["smoke"], factor=2.0)
     assert not failures, "; ".join(failures)

@@ -13,6 +13,12 @@ against the committed smoke numbers::
 
     PYTHONPATH=src python scripts/run_perf_bench.py --smoke --check
 
+Section flags combine: each appends its section, the selected sections
+run in table order, and each recorded one replaces its section of
+BENCH_perf.json (unless --no-write or a gate flag is given)::
+
+    PYTHONPATH=src python scripts/run_perf_bench.py --smoke --distributed --transport --merge
+
 Record the current code as the "seed baseline" (done once, before the
 hot-path optimization, so the speedup trajectory stays in the file)::
 
@@ -29,100 +35,61 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.perfbench import (  # noqa: E402
+    SECTIONS,
     check_kk_floor,
     check_regression,
     load_bench_file,
-    records_to_json,
-    run_bench,
-    run_distributed_scaling,
-    run_kk_kernel_bench,
-    run_merge_bench,
-    run_shipping_bench,
-    run_trace_overhead,
-    run_transport_bench,
+    run_section,
     speedup_table,
+    timed,
     write_bench_file,
 )
 
 BENCH_FILE = REPO_ROOT / "BENCH_perf.json"
 
+#: The switches that are not sections -> their help.
+OPTIONS = {
+    "--smoke": "run only the small smoke tier",
+    "--check": "compare against committed BENCH_perf.json; exit 1 on >FACTOR "
+    "regression (implies --no-write)",
+    "--check-kk-floor": "run the smoke tier's kk cell and exit 1 if its throughput "
+    "falls below the committed scalar seed baseline (CI smoke gate for the "
+    "vectorized kernel; implies --no-write)",
+    "--record-seed-baseline": "store this run's full-tier numbers as the "
+    "immutable pre-optimization baseline",
+    "--no-write": "do not touch BENCH_perf.json",
+}
+
+#: One flag per section the tier does not pin (``--kk-kernel`` selects
+#: ``kk_kernel``); the throughput ladder runs when no flag is given.
+SECTION_FLAGS = [name for name, section in SECTIONS.items() if section.tier is None]
+
+
+def _flag_help(name: str) -> str:
+    """A section flag's help: its generator's summary line, then its fate."""
+    section = SECTIONS[name]
+    summary = section.run.__doc__.splitlines()[0].rstrip(".")
+    if not section.recorded:
+        return f"{summary}; printed only, never recorded"
+    return (
+        f"{summary}; updates the '{name}' section of BENCH_perf.json "
+        "unless --no-write"
+    )
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true", help="run only the small smoke tier"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against committed BENCH_perf.json; exit 1 on >FACTOR"
-        " regression (implies --no-write)",
-    )
+    for flag, help_text in OPTIONS.items():
+        parser.add_argument(flag, action="store_true", help=help_text)
+    for name in SECTION_FLAGS:
+        parser.add_argument(
+            "--" + name.replace("_", "-"), action="store_true", help=_flag_help(name)
+        )
     parser.add_argument(
         "--factor",
         type=float,
         default=2.0,
         help="allowed edges/sec regression factor for --check (default 2.0)",
-    )
-    parser.add_argument(
-        "--record-seed-baseline",
-        action="store_true",
-        help="store this run's full-tier numbers as the immutable "
-        "pre-optimization baseline",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="do not touch BENCH_perf.json"
-    )
-    parser.add_argument(
-        "--trace-overhead",
-        action="store_true",
-        help="measure structured-tracing cost (off vs on) instead of the "
-        "throughput ladder; fails if tracing perturbs any cover",
-    )
-    parser.add_argument(
-        "--distributed",
-        action="store_true",
-        help="measure the sharded executor's backend x W scaling surface "
-        "(backends serial/thread/process, W in {1,2,4,8}) instead of the "
-        "throughput ladder; updates the 'distributed' section of "
-        "BENCH_perf.json unless --no-write",
-    )
-    parser.add_argument(
-        "--kk-kernel",
-        action="store_true",
-        help="benchmark the vectorized kk kernel against kk-reference on "
-        "identical streams (asserts byte-identical outputs); updates the "
-        "'kk_kernel' section of BENCH_perf.json unless --no-write",
-    )
-    parser.add_argument(
-        "--shipping",
-        action="store_true",
-        help="measure process-backend per-task serialized bytes, pickled "
-        "edges vs shared-memory spans; updates the 'shipping' section of "
-        "BENCH_perf.json unless --no-write",
-    )
-    parser.add_argument(
-        "--transport",
-        action="store_true",
-        help="measure wire bytes/frames per (transport, coordinator) cell "
-        "(asserts cover/comm parity with inproc; socket cells skipped "
-        "where binding is forbidden); updates the 'transport' section of "
-        "BENCH_perf.json unless --no-write",
-    )
-    parser.add_argument(
-        "--merge",
-        action="store_true",
-        help="measure the merge critical path, chain vs tournament over "
-        "fixed/adaptive tau (asserts tree < chain logical steps at W>=8 "
-        "and sync/async cover parity); updates the 'merge' section of "
-        "BENCH_perf.json unless --no-write",
-    )
-    parser.add_argument(
-        "--check-kk-floor",
-        action="store_true",
-        help="run the smoke tier's kk cell and exit 1 if its throughput "
-        "falls below the committed scalar seed baseline (CI smoke gate "
-        "for the vectorized kernel; implies --no-write)",
     )
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -130,194 +97,73 @@ def main(argv=None) -> int:
     def progress(line: str) -> None:
         print(line, flush=True)
 
+    committed = load_bench_file(BENCH_FILE)
+    selected = {name for name in SECTION_FLAGS if getattr(args, name)}
+    write = not (args.no_write or args.check or args.check_kk_floor)
+    if args.check:
+        selected.add("smoke")
+    if not selected and not args.check_kk_floor:
+        # The bare throughput ladder; at the smoke tier it is a dry run.
+        selected = {"smoke"} if args.smoke else {"smoke", "full"}
+        write = write and not args.smoke
+    if args.record_seed_baseline:
+        selected |= {"smoke", "full"}
+        write = True
+
+    results = {}
+    for name in (name for name in SECTIONS if name in selected):
+        rows, seconds = timed(
+            run_section,
+            name,
+            "smoke" if args.smoke else "full",
+            args.seed,
+            progress=progress,
+        )
+        results[name] = rows
+        print(f"ok: {name}: {len(rows)} rows in {seconds:.1f}s", flush=True)
+
+    recorded = {name: rows for name, rows in results.items() if SECTIONS[name].recorded}
+    if write and recorded:
+        payload = write_bench_file(
+            BENCH_FILE,
+            recorded,
+            seed_baseline=results["full"] if args.record_seed_baseline else None,
+        )
+        rows = speedup_table(payload["seed_baseline"], results.get("full", []))
+        if rows:
+            print("\nspeedup vs seed baseline:")
+        for config, algorithm, before, after, speedup in rows:
+            print(
+                f"  {config:>7} {algorithm:<13} "
+                f"{before:>12,.0f} -> {after:>12,.0f} edges/s  ({speedup:.1f}x)"
+            )
+        print(f"updated {', '.join(recorded)} in {BENCH_FILE}")
+
+    failures = []
+    if args.check:
+        failures += check_regression(
+            results["smoke"], committed.get("smoke", []), factor=args.factor
+        )
     if args.check_kk_floor:
         # Two measured runs, best-of per cell: the first pass pays
         # import/cache warmup that a regression gate should not count.
-        warm = run_bench(tier="smoke", seed=args.seed, algorithms=["kk"])
-        second = run_bench(
-            tier="smoke", seed=args.seed, algorithms=["kk"], progress=progress
+        warm = run_section("smoke", seed=args.seed, algorithms=["kk"])
+        second = run_section(
+            "smoke", seed=args.seed, algorithms=["kk"], progress=progress
         )
-        best = {
-            (r.config, r.algorithm): r for r in warm
-        }
-        for record in second:
-            key = (record.config, record.algorithm)
-            if record.edges_per_sec > best[key].edges_per_sec:
-                best[key] = record
-        current = list(best.values())
-        baseline = load_bench_file(BENCH_FILE).get("seed_baseline", [])
-        if not baseline:
-            print("no committed seed baseline in BENCH_perf.json; nothing to check")
-            return 0
-        failures = check_kk_floor(current, baseline)
-        for failure in failures:
-            print(f"REGRESSION: {failure}")
-        if failures:
-            return 1
-        print("ok: kk throughput clears the scalar seed-baseline floor")
-        return 0
-
-    if args.kk_kernel or args.shipping:
-        tier = "smoke" if args.smoke else "full"
-        kernel_records = None
-        shipping_records = None
-        if args.kk_kernel:
-            kernel_records = run_kk_kernel_bench(
-                tier=tier, seed=args.seed, progress=progress
-            )
-            best = max(kernel_records, key=lambda r: r.speedup)
-            print(
-                f"ok: {len(kernel_records)} kk-kernel cells byte-identical; "
-                f"best speedup x{best.speedup:.1f} ({best.config})"
-            )
-        if args.shipping:
-            shipping_records = run_shipping_bench(
-                tier=tier, seed=args.seed, progress=progress
-            )
-            best = max(shipping_records, key=lambda r: r.reduction_factor)
-            print(
-                f"ok: {len(shipping_records)} shipping cells; best task-bytes "
-                f"reduction x{best.reduction_factor:,.0f} ({best.config})"
-            )
-        if not args.no_write:
-            write_bench_file(
-                BENCH_FILE, kk_kernel=kernel_records, shipping=shipping_records
-            )
-            print(f"updated kk_kernel/shipping sections of {BENCH_FILE}")
-        return 0
-
-    if args.transport:
-        tier = "smoke" if args.smoke else "full"
-        records = run_transport_bench(
-            tier=tier, seed=args.seed, progress=progress
-        )
-        worst = max(records, key=lambda r: r.overhead_ratio)
-        print(
-            f"ok: {len(records)} transport cells parity-identical; worst "
-            f"bytes/word overhead x{worst.overhead_ratio:.3f} "
-            f"({worst.transport}/{worst.coordinator})"
-        )
-        if not any(r.transport == "socket" for r in records):
-            print("note: socket cells skipped (bind forbidden)")
-        if not args.no_write:
-            write_bench_file(BENCH_FILE, transport=records)
-            print(f"updated transport section of {BENCH_FILE}")
-        return 0
-
-    if args.merge:
-        tier = "smoke" if args.smoke else "full"
-        workers_grid = (2, 4, 8) if args.smoke else (2, 4, 8, 16)
-        records = run_merge_bench(
-            tier=tier,
-            seed=args.seed,
-            workers_grid=workers_grid,
-            progress=progress,
-        )
-        w_hi = max(r.workers for r in records)
-        by_cell = {
-            (r.coordinator, r.threshold_mode): r
-            for r in records
-            if r.workers == w_hi
-        }
-        chain = by_cell[("chain", "fixed")]
-        tree = by_cell[("tree", "adaptive")]
-        print(
-            f"ok: {len(records)} merge cells verified; at W={w_hi} the "
-            f"tree's critical path is {tree.logical_steps} steps vs the "
-            f"chain's {chain.logical_steps} "
-            f"(x{chain.logical_steps / max(tree.logical_steps, 1):.1f}), "
-            f"adaptive-tau cover {tree.cover_size} vs chain "
-            f"{chain.cover_size}"
-        )
-        if not args.no_write:
-            write_bench_file(BENCH_FILE, merge=records)
-            print(f"updated merge section of {BENCH_FILE}")
-        return 0
-
-    if args.distributed:
-        tier = "smoke" if args.smoke else "full"
-        records = run_distributed_scaling(
-            tier=tier, seed=args.seed, progress=progress
-        )
-        fastest = max(records, key=lambda r: r.edges_per_sec)
-        print(
-            f"ok: {len(records)} scaling points; fastest "
-            f"{fastest.config}/{fastest.backend}/W={fastest.workers} at "
-            f"{fastest.edges_per_sec:,.0f} edges/s"
-        )
-        best_speedups = {}
-        for record in records:
-            if record.speedup_vs_serial is None:
-                continue
-            key = record.backend
-            if (
-                key not in best_speedups
-                or record.speedup_vs_serial
-                > best_speedups[key].speedup_vs_serial
-            ):
-                best_speedups[key] = record
-        for backend in sorted(best_speedups):
-            best = best_speedups[backend]
-            print(
-                f"  best {backend} speedup: x{best.speedup_vs_serial:.2f} "
-                f"vs serial ({best.config}, W={best.workers})"
-            )
-        if not args.no_write:
-            write_bench_file(BENCH_FILE, distributed=records)
-            print(f"updated distributed section of {BENCH_FILE}")
-        return 0
-
-    if args.trace_overhead:
-        tier = "smoke" if args.smoke else "full"
-        records = run_trace_overhead(
-            tier=tier, seed=args.seed, progress=progress
-        )
-        worst = max(records, key=lambda r: r.overhead_fraction)
-        print(
-            f"ok: tracing left all {len(records)} covers bit-identical; "
-            f"worst overhead {100 * worst.overhead_fraction:.1f}% "
-            f"({worst.config}/{worst.algorithm})"
-        )
-        return 0
-
+        best = [
+            max(pair, key=lambda row: row["edges_per_sec"])
+            for pair in zip(warm, second)
+        ]
+        failures += check_kk_floor(best, committed.get("seed_baseline", []))
+    for failure in failures:
+        print(f"REGRESSION: {failure}")
+    if failures:
+        return 1
     if args.check:
-        current = run_bench(tier="smoke", seed=args.seed, progress=progress)
-        committed = load_bench_file(BENCH_FILE).get("smoke", [])
-        if not committed:
-            print("no committed smoke numbers in BENCH_perf.json; nothing to check")
-            return 0
-        failures = check_regression(current, committed, factor=args.factor)
-        for failure in failures:
-            print(f"REGRESSION: {failure}")
-        if failures:
-            return 1
         print(f"ok: no >{args.factor}x regression against committed smoke numbers")
-        return 0
-
-    smoke = run_bench(tier="smoke", seed=args.seed, progress=progress)
-    full = [] if args.smoke else run_bench(tier="full", seed=args.seed, progress=progress)
-
-    if args.record_seed_baseline:
-        if not full:
-            full = run_bench(tier="full", seed=args.seed, progress=progress)
-        write_bench_file(
-            BENCH_FILE, smoke, full, seed_baseline=records_to_json(full)
-        )
-        print(f"recorded seed baseline in {BENCH_FILE}")
-        return 0
-
-    if not args.no_write and not args.smoke:
-        payload = write_bench_file(BENCH_FILE, smoke, full)
-        rows = speedup_table(payload.get("seed_baseline", []), full)
-        if rows:
-            print("\nspeedup vs seed baseline:")
-            for config, algorithm, before, after, speedup in rows:
-                print(
-                    f"  {config:>7} {algorithm:<13} "
-                    f"{before:>12,.0f} -> {after:>12,.0f} edges/s  "
-                    f"({speedup:.1f}x)"
-                )
-        print(f"\nwrote {BENCH_FILE}")
+    if args.check_kk_floor:
+        print("ok: kk throughput clears the scalar seed-baseline floor")
     return 0
 
 

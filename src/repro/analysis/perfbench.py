@@ -2,17 +2,29 @@
 
 Measures end-to-end edges/sec (and peak RSS) of the three core one-pass
 algorithms — KK, random-order (Algorithm 1) and the low-space
-adversarial algorithm (Algorithm 2) — on a ladder of instance sizes.
-Results are written to ``BENCH_perf.json`` at the repository root so
-every future PR has a trajectory to regress against; CI runs the
-``smoke`` tier and fails on a >2x edges/sec regression.
+adversarial algorithm (Algorithm 2) — on a ladder of instance sizes,
+plus the sharded executor, the kk kernel, shard shipping, the wire
+transports and the merge critical path.  Results are written to
+``BENCH_perf.json`` at the repository root so every future PR has a
+trajectory to regress against; CI runs the ``smoke`` tier and fails on a
+>2x edges/sec regression.
 
-Three tiers:
+Two tiers:
 
 * ``smoke``  — one small instance (~3e4 edges), seconds; used by CI.
 * ``full``   — three sizes up to ~1e6 edges; the committed numbers.
 
-Use :func:`run_bench` programmatically or ``scripts/run_perf_bench.py``
+Every measurement is a *section*: a generator ``(tier, seed, ...) ->
+Iterator[dict]`` yielding one flat row per cell, keys in the order
+``BENCH_perf.json`` records them.  :data:`SECTIONS` maps each section
+name to its generator and says whether the file records it;
+:func:`run_section` runs one section, and :func:`write_bench_file`
+replaces exactly the sections it is given.  Sections that check a
+correctness contract (backend parity, kernel identity, transport
+parity, merge verification, tracing transparency) raise
+``AssertionError`` rather than yield a row that would contradict it.
+
+Use :func:`run_section` programmatically or ``scripts/run_perf_bench.py``
 from the command line.
 """
 
@@ -23,9 +35,19 @@ import math
 import platform
 import resource
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.adversarial import LowSpaceAdversarialAlgorithm
 from repro.core.base import StreamingSetCoverAlgorithm
@@ -33,6 +55,7 @@ from repro.core.kk import KKAlgorithm, KKReferenceAlgorithm
 from repro.core.random_order import RandomOrderAlgorithm
 from repro.generators.random_instances import fixed_size_instance
 from repro.obs.tracer import RecordingTracer
+from repro.streaming.instance import SetCoverInstance
 from repro.streaming.orders import RandomOrder
 from repro.streaming.stream import ReplayableStream
 
@@ -50,20 +73,25 @@ TIERS: Dict[str, List[Tuple[str, int, int, int]]] = {
 }
 
 
-@dataclass
-class BenchRecord:
-    """One (algorithm, instance) timing measurement."""
+def timed(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Tuple[Any, float]:
+    """``(fn(*args, **kwargs), wall seconds)``, timed on ``perf_counter``."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - start
 
-    config: str
-    algorithm: str
-    n: int
-    m: int
-    stream_length: int
-    seconds: float
-    edges_per_sec: float
-    peak_words: int
-    cover_size: int
-    max_rss_kb: int
+
+def _rate(edges: int, seconds: float) -> float:
+    return round(edges / max(seconds, 1e-9), 1)
+
+
+def _instances(
+    tier: str, seed: int
+) -> Iterator[Tuple[str, int, int, SetCoverInstance]]:
+    """``(config, n, m, instance)`` for every config of ``tier``."""
+    if tier not in TIERS:
+        raise ValueError(f"unknown tier {tier!r}; known: {sorted(TIERS)}")
+    for config, n, m, set_size in TIERS[tier]:
+        yield config, n, m, fixed_size_instance(n, m, set_size, seed=seed)
 
 
 def _algorithms(n: int, seed: int) -> Dict[str, Callable[[], StreamingSetCoverAlgorithm]]:
@@ -76,406 +104,180 @@ def _algorithms(n: int, seed: int) -> Dict[str, Callable[[], StreamingSetCoverAl
     }
 
 
-def _max_rss_kb() -> int:
-    """Process high-water RSS in KiB (Linux ``ru_maxrss`` unit)."""
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+def _same_run(a, b) -> bool:
+    """Two single-stream results agree on cover, certificate and space."""
+    return (
+        a.cover == b.cover
+        and a.certificate == b.certificate
+        and a.space.peak_words == b.space.peak_words
+    )
 
 
-def run_bench(
-    tier: str = "full",
-    seed: int = 0,
-    algorithms: Optional[Sequence[str]] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[BenchRecord]:
-    """Run one benchmark tier and return its records.
+# -- sections -----------------------------------------------------------------
 
-    Parameters
-    ----------
-    tier:
-        ``"smoke"`` or ``"full"`` (see :data:`TIERS`).
-    seed:
-        Master seed for instance generation, stream order and algorithms.
-    algorithms:
-        Optional subset of ``{"kk", "random-order", "adversarial"}``.
-    progress:
-        Optional callback receiving one status line per measurement.
+
+def bench_throughput(
+    tier: str, seed: int = 0, algorithms: Optional[Sequence[str]] = None
+) -> Iterator[dict]:
+    """The throughput ladder: edges/sec of each core algorithm per config.
+
+    ``algorithms`` optionally restricts the cell to a subset of
+    ``{"kk", "random-order", "adversarial"}``.
     """
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {sorted(TIERS)}")
-    records: List[BenchRecord] = []
-    for config, n, m, set_size in TIERS[tier]:
-        instance = fixed_size_instance(n, m, set_size, seed=seed)
+    for config, n, m, instance in _instances(tier, seed):
         replayable = ReplayableStream(instance, RandomOrder(seed=seed))
         for name, factory in _algorithms(n, seed).items():
             if algorithms is not None and name not in algorithms:
                 continue
-            algorithm = factory()
-            stream = replayable.fresh()
-            start = time.perf_counter()
-            result = algorithm.run(stream)
-            seconds = time.perf_counter() - start
-            record = BenchRecord(
-                config=config,
-                algorithm=name,
-                n=n,
-                m=m,
-                stream_length=replayable.length,
-                seconds=round(seconds, 4),
-                edges_per_sec=round(replayable.length / max(seconds, 1e-9), 1),
-                peak_words=result.space.peak_words,
-                cover_size=result.cover_size,
-                max_rss_kb=_max_rss_kb(),
-            )
-            records.append(record)
-            if progress is not None:
-                progress(
-                    f"{config:>7} {name:<13} N={record.stream_length:>8} "
-                    f"{record.edges_per_sec:>12,.0f} edges/s "
-                    f"({record.seconds:.2f}s)"
-                )
-    return records
+            result, seconds = timed(factory().run, replayable.fresh())
+            yield {
+                "config": config,
+                "algorithm": name,
+                "n": n,
+                "m": m,
+                "stream_length": replayable.length,
+                "seconds": round(seconds, 4),
+                "edges_per_sec": _rate(replayable.length, seconds),
+                "peak_words": result.space.peak_words,
+                "cover_size": result.cover_size,
+                # Process high-water RSS in KiB (Linux ``ru_maxrss`` unit).
+                "max_rss_kb": int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
+            }
 
 
-@dataclass
-class TraceOverheadRecord:
-    """Tracing-cost measurement for one (algorithm, instance) cell.
+def bench_trace_overhead(tier: str, seed: int = 0) -> Iterator[dict]:
+    """Structured-tracing cost, off vs on (asserts tracing perturbs no cover).
 
-    ``seconds_off`` is the run with the default :class:`NullTracer`,
-    ``seconds_on`` the identical run (same seed, same frozen stream)
-    with a :class:`RecordingTracer` attached.  ``covers_identical``
-    certifies the observability contract: tracing must never perturb
-    the algorithm's output.
+    Each algorithm runs twice on the same frozen stream with the same
+    seed: untraced (the hot path pays only ``tracer.enabled`` checks)
+    and with a :class:`RecordingTracer`.  Tracing that changes the
+    cover, certificate or space is a bug, not an overhead.
     """
-
-    config: str
-    algorithm: str
-    stream_length: int
-    seconds_off: float
-    seconds_on: float
-    overhead_fraction: float
-    events: int
-    covers_identical: bool
-
-
-def run_trace_overhead(
-    tier: str = "smoke",
-    seed: int = 0,
-    algorithms: Optional[Sequence[str]] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[TraceOverheadRecord]:
-    """Measure the cost of structured tracing, disabled and enabled.
-
-    For each benchmark cell the algorithm runs twice on the same frozen
-    stream with the same seed: once untraced (the hot path must pay
-    only ``tracer.enabled`` checks) and once with a recording tracer.
-    Raises ``AssertionError`` if the two covers differ — tracing that
-    changes results is a bug, not an overhead.
-    """
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {sorted(TIERS)}")
-    records: List[TraceOverheadRecord] = []
-    for config, n, m, set_size in TIERS[tier]:
-        instance = fixed_size_instance(n, m, set_size, seed=seed)
+    for config, n, _, instance in _instances(tier, seed):
         replayable = ReplayableStream(instance, RandomOrder(seed=seed))
         for name, factory in _algorithms(n, seed).items():
-            if algorithms is not None and name not in algorithms:
-                continue
-            untraced = factory()
-            start = time.perf_counter()
-            result_off = untraced.run(replayable.fresh())
-            seconds_off = time.perf_counter() - start
-
+            result_off, seconds_off = timed(factory().run, replayable.fresh())
             tracer = RecordingTracer()
             traced = factory()
             traced.set_tracer(tracer)
-            start = time.perf_counter()
-            result_on = traced.run(replayable.fresh())
-            seconds_on = time.perf_counter() - start
+            result_on, seconds_on = timed(traced.run, replayable.fresh())
             tracer.finish()
-
-            identical = (
-                result_off.cover == result_on.cover
-                and result_off.certificate == result_on.certificate
-                and result_off.space.peak_words == result_on.space.peak_words
-            )
-            assert identical, (
+            assert _same_run(result_off, result_on), (
                 f"tracing perturbed {name} on {config}: covers/certificates/"
                 "space must be bit-identical with and without a tracer"
             )
-            record = TraceOverheadRecord(
-                config=config,
-                algorithm=name,
-                stream_length=replayable.length,
-                seconds_off=round(seconds_off, 4),
-                seconds_on=round(seconds_on, 4),
-                overhead_fraction=round(
+            yield {
+                "config": config,
+                "algorithm": name,
+                "stream_length": replayable.length,
+                "seconds_off": round(seconds_off, 4),
+                "seconds_on": round(seconds_on, 4),
+                "overhead_fraction": round(
                     seconds_on / max(seconds_off, 1e-9) - 1.0, 4
                 ),
-                events=len(tracer.events),
-                covers_identical=identical,
-            )
-            records.append(record)
-            if progress is not None:
-                progress(
-                    f"{config:>7} {name:<13} off={record.seconds_off:.3f}s "
-                    f"on={record.seconds_on:.3f}s "
-                    f"(+{100 * record.overhead_fraction:.1f}%, "
-                    f"{record.events} events)"
-                )
-    return records
+                "events": len(tracer.events),
+                "covers_identical": True,
+            }
 
 
-@dataclass
-class DistributedScalingRecord:
-    """One point of the distributed scaling surface: a (backend, W) cell.
+def bench_distributed(
+    tier: str, seed: int = 0, workers_grid: Sequence[int] = (1, 2, 4, 8)
+) -> Iterator[dict]:
+    """The sharded executor's backend x W scaling surface (kk, chain).
 
-    ``workers`` is the semantic shard count; ``max_workers`` the real
-    executor parallelism (set equal to ``workers`` for the curve, so the
-    point measures the speedup available at that shard width).
-    ``backend`` names the execution backend; ``speedup_vs_serial`` is
-    this cell's throughput over the serial backend at the same
-    ``(config, workers)`` cell (``None`` for the serial rows
-    themselves).
-    """
-
-    config: str
-    backend: str
-    workers: int
-    max_workers: int
-    algorithm: str
-    coordinator: str
-    stream_length: int
-    seconds: float
-    edges_per_sec: float
-    speedup_vs_serial: Optional[float]
-    cover_size: int
-    total_comm_words: int
-    max_message_words: int
-    peak_shard_words: int
-
-
-#: Backends swept by :func:`run_distributed_scaling`, serial first so
-#: every later cell has its baseline available.
-DISTRIBUTED_BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
-
-
-def run_distributed_scaling(
-    tier: str = "smoke",
-    seed: int = 0,
-    workers_grid: Sequence[int] = (1, 2, 4, 8),
-    algorithm: str = "kk",
-    coordinator: str = "chain",
-    backends: Sequence[str] = DISTRIBUTED_BACKENDS,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[DistributedScalingRecord]:
-    """Benchmark :func:`repro.distributed.run_distributed` over backend × W.
-
-    Each grid point runs the full route → shard → merge pipeline with
-    ``max_workers=W``, so the surface shows both the semantic effect of
-    sharding (comm words grow with W) and the wall-clock effect of each
-    execution backend.  The serial backend is always measured first so
-    every (config, W) cell gets a ``speedup_vs_serial`` against the
-    same-shaped serial run; the determinism contract makes every
-    backend's semantic outputs identical, which the sweep asserts.
+    Backends serial/thread/process over W in {1,2,4,8} by default;
+    ``max_workers`` equals ``workers``, so each point measures the
+    speedup available at that shard width.  The serial backend runs
+    first so every later cell gets ``speedup_vs_serial`` against the
+    same-shaped serial run, and its cover is asserted equal.
     """
     from repro.distributed import run_distributed
 
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {sorted(TIERS)}")
-    sweep = list(dict.fromkeys(["serial", *backends]))
-    records: List[DistributedScalingRecord] = []
-    for config, n, m, set_size in TIERS[tier]:
-        instance = fixed_size_instance(n, m, set_size, seed=seed)
-        stream_length = instance.num_edges
-        serial_seconds: dict = {}
-        serial_cover: dict = {}
-        for backend in sweep:
+    for config, _, _, instance in _instances(tier, seed):
+        serial: Dict[int, Tuple[float, int]] = {}
+        for backend in ("serial", "thread", "process"):
             for workers in workers_grid:
-                start = time.perf_counter()
-                result = run_distributed(
+                result, seconds = timed(
+                    run_distributed,
                     instance,
                     workers=workers,
-                    algorithm=algorithm,
-                    coordinator=coordinator,
+                    algorithm="kk",
+                    coordinator="chain",
                     seed=seed,
                     max_workers=workers,
                     backend=backend,
                 )
-                seconds = time.perf_counter() - start
+                speedup = None
                 if backend == "serial":
-                    serial_seconds[workers] = seconds
-                    serial_cover[workers] = result.cover_size
+                    serial[workers] = (seconds, result.cover_size)
                 else:
-                    assert result.cover_size == serial_cover[workers], (
+                    serial_seconds, serial_cover = serial[workers]
+                    assert result.cover_size == serial_cover, (
                         f"backend {backend!r} diverged from serial at "
                         f"{config} W={workers}: determinism contract broken"
                     )
-                baseline = serial_seconds.get(workers)
-                speedup = (
-                    None
-                    if backend == "serial" or not baseline
-                    else round(baseline / max(seconds, 1e-9), 3)
-                )
-                record = DistributedScalingRecord(
-                    config=config,
-                    backend=backend,
-                    workers=workers,
-                    max_workers=workers,
-                    algorithm=algorithm,
-                    coordinator=coordinator,
-                    stream_length=stream_length,
-                    seconds=round(seconds, 4),
-                    edges_per_sec=round(
-                        stream_length / max(seconds, 1e-9), 1
-                    ),
-                    speedup_vs_serial=speedup,
-                    cover_size=result.cover_size,
-                    total_comm_words=result.total_comm_words,
-                    max_message_words=result.max_message_words,
-                    peak_shard_words=int(
+                    speedup = round(serial_seconds / max(seconds, 1e-9), 3)
+                yield {
+                    "config": config,
+                    "backend": backend,
+                    "workers": workers,
+                    "max_workers": workers,
+                    "algorithm": "kk",
+                    "coordinator": "chain",
+                    "stream_length": instance.num_edges,
+                    "seconds": round(seconds, 4),
+                    "edges_per_sec": _rate(instance.num_edges, seconds),
+                    "speedup_vs_serial": speedup,
+                    "cover_size": result.cover_size,
+                    "total_comm_words": result.total_comm_words,
+                    "max_message_words": result.max_message_words,
+                    "peak_shard_words": int(
                         result.diagnostics.get("peak_shard_space_words", 0)
                     ),
-                )
-                records.append(record)
-                if progress is not None:
-                    speedup_note = (
-                        "" if speedup is None else f" x{speedup:.2f} vs serial"
-                    )
-                    progress(
-                        f"{config:>7} {backend:<7} W={workers:<2} "
-                        f"{record.edges_per_sec:>12,.0f} edges/s "
-                        f"cover={record.cover_size} "
-                        f"comm={record.total_comm_words}w "
-                        f"({record.seconds:.2f}s){speedup_note}"
-                    )
-    return records
+                }
 
 
-@dataclass
-class KKKernelRecord:
-    """One vectorized-vs-scalar KK kernel cell: same stream, both paths.
+def bench_kk_kernel(tier: str, seed: int = 0) -> Iterator[dict]:
+    """The vectorized kk kernel vs kk-reference (asserts identical outputs).
 
-    ``identical`` certifies the tentpole gate — the vectorized kernel
-    must reproduce the scalar reference's cover, certificate, and peak
-    space exactly on the benchmarked stream, or the measurement refuses
-    to exist (``run_kk_kernel_bench`` raises).
+    Both consume the identical frozen stream with the same seed, so the
+    baseline is like-for-like and the identity assertion is exact.
     """
-
-    config: str
-    n: int
-    m: int
-    stream_length: int
-    reference_seconds: float
-    reference_edges_per_sec: float
-    kernel_seconds: float
-    kernel_edges_per_sec: float
-    speedup: float
-    cover_size: int
-    identical: bool
-
-
-def run_kk_kernel_bench(
-    tier: str = "full",
-    seed: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[KKKernelRecord]:
-    """Benchmark the vectorized KK kernel against ``kk-reference``.
-
-    Both algorithms consume the identical frozen stream with the same
-    seed, so the scalar path's timing is a true like-for-like baseline
-    and the equality assertion is exact, not statistical.
-    """
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {sorted(TIERS)}")
-    records: List[KKKernelRecord] = []
-    for config, n, m, set_size in TIERS[tier]:
-        instance = fixed_size_instance(n, m, set_size, seed=seed)
+    for config, n, m, instance in _instances(tier, seed):
         replayable = ReplayableStream(instance, RandomOrder(seed=seed))
-
-        reference = KKReferenceAlgorithm(seed=seed)
-        start = time.perf_counter()
-        result_ref = reference.run(replayable.fresh())
-        reference_seconds = time.perf_counter() - start
-
-        kernel = KKAlgorithm(seed=seed)
-        start = time.perf_counter()
-        result_vec = kernel.run(replayable.fresh())
-        kernel_seconds = time.perf_counter() - start
-
-        identical = (
-            result_vec.cover == result_ref.cover
-            and result_vec.certificate == result_ref.certificate
-            and result_vec.space.peak_words == result_ref.space.peak_words
+        edges = replayable.length
+        reference, reference_seconds = timed(
+            KKReferenceAlgorithm(seed=seed).run, replayable.fresh()
         )
-        assert identical, (
+        kernel, kernel_seconds = timed(KKAlgorithm(seed=seed).run, replayable.fresh())
+        assert _same_run(kernel, reference), (
             f"vectorized kk diverged from kk-reference on {config}: the "
             "kernels must be byte-identical"
         )
-        record = KKKernelRecord(
-            config=config,
-            n=n,
-            m=m,
-            stream_length=replayable.length,
-            reference_seconds=round(reference_seconds, 4),
-            reference_edges_per_sec=round(
-                replayable.length / max(reference_seconds, 1e-9), 1
-            ),
-            kernel_seconds=round(kernel_seconds, 4),
-            kernel_edges_per_sec=round(
-                replayable.length / max(kernel_seconds, 1e-9), 1
-            ),
-            speedup=round(
+        yield {
+            "config": config,
+            "n": n,
+            "m": m,
+            "stream_length": edges,
+            "reference_seconds": round(reference_seconds, 4),
+            "reference_edges_per_sec": _rate(edges, reference_seconds),
+            "kernel_seconds": round(kernel_seconds, 4),
+            "kernel_edges_per_sec": _rate(edges, kernel_seconds),
+            "speedup": round(
                 max(reference_seconds, 1e-9) / max(kernel_seconds, 1e-9), 2
             ),
-            cover_size=len(result_vec.cover),
-            identical=identical,
-        )
-        records.append(record)
-        if progress is not None:
-            progress(
-                f"{config:>7} kk-kernel     "
-                f"{record.reference_edges_per_sec:>12,.0f} -> "
-                f"{record.kernel_edges_per_sec:>12,.0f} edges/s "
-                f"(x{record.speedup:.1f}, identical)"
-            )
-    return records
+            "cover_size": len(kernel.cover),
+            "identical": True,
+        }
 
 
-@dataclass
-class ShippingRecord:
-    """Bytes-shipped-per-shard measurement for the process backend.
+def bench_shipping(tier: str, seed: int = 0) -> Iterator[dict]:
+    """Process-backend bytes per task, pickled edges vs shared-memory spans.
 
-    Contrasts what one pooled dispatch serializes per task under
-    pickled-edges shipping versus shared-memory spans on the same shard
-    plan: ``pickle_*`` is O(shard edges), ``shm_*`` O(descriptor).  The
-    segment itself (``segment_bytes``) is written once and mapped, not
-    serialized per worker.
-    """
-
-    config: str
-    workers: int
-    stream_length: int
-    pickle_total_bytes: int
-    pickle_max_task_bytes: int
-    shm_total_task_bytes: int
-    shm_max_task_bytes: int
-    segment_bytes: int
-    reduction_factor: float
-    shared_memory: bool
-
-
-def run_shipping_bench(
-    tier: str = "full",
-    seed: int = 0,
-    workers: int = 4,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[ShippingRecord]:
-    """Measure per-shard shipped bytes, pickled versus shared-memory.
-
-    Builds the exact :class:`~repro.distributed.backends.ShardTask`
-    records :func:`repro.distributed.run_distributed` would pool out,
-    then pickles them both ways.  No algorithm runs — this isolates the
-    serialization cost the zero-copy path removes.
+    Pickles the exact shard tasks :func:`repro.distributed.run_distributed`
+    would pool out, both ways; no algorithm runs.  The segment itself
+    (``segment_bytes``) is written once and mapped, not serialized per
+    worker.  Without shared memory the ``shm_*`` fields stay 0.
     """
     from repro.distributed import build_shard_tasks
     from repro.distributed.shmem import (
@@ -484,15 +286,12 @@ def run_shipping_bench(
         ship_tasks,
     )
 
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {sorted(TIERS)}")
-    records: List[ShippingRecord] = []
-    for config, n, m, set_size in TIERS[tier]:
-        instance = fixed_size_instance(n, m, set_size, seed=seed)
+    workers = 4
+
+    for config, _, _, instance in _instances(tier, seed):
         tasks = build_shard_tasks(instance, workers=workers, seed=seed)
         pickled = measure_shipping(tasks, "pickle")
-        shm_total = shm_max = segment_bytes = 0
-        shipped_shm = False
+        shm = None
         if shared_memory_available():
             shipped, segment = ship_tasks(tasks)
             if segment is not None:
@@ -500,304 +299,195 @@ def run_shipping_bench(
                     shm = measure_shipping(shipped, "shared-memory", segment)
                 finally:
                     segment.cleanup()
-                shm_total = shm.total_task_bytes
-                shm_max = shm.max_task_bytes
-                segment_bytes = shm.segment_bytes
-                shipped_shm = True
-        record = ShippingRecord(
-            config=config,
-            workers=workers,
-            stream_length=instance.num_edges,
-            pickle_total_bytes=pickled.total_task_bytes,
-            pickle_max_task_bytes=pickled.max_task_bytes,
-            shm_total_task_bytes=shm_total,
-            shm_max_task_bytes=shm_max,
-            segment_bytes=segment_bytes,
-            reduction_factor=round(
-                pickled.total_task_bytes / max(shm_total, 1), 1
-            ),
-            shared_memory=shipped_shm,
+        shm_total, shm_max, segment_bytes = (
+            (shm.total_task_bytes, shm.max_task_bytes, shm.segment_bytes)
+            if shm is not None
+            else (0, 0, 0)
         )
-        records.append(record)
-        if progress is not None:
-            progress(
-                f"{config:>7} shipping W={workers} "
-                f"pickle={record.pickle_total_bytes:>12,}B -> "
-                f"shm tasks={record.shm_total_task_bytes:>8,}B "
-                f"(x{record.reduction_factor:,.0f} smaller, "
-                f"segment {record.segment_bytes:,}B mapped)"
-            )
-    return records
+        yield {
+            "config": config,
+            "workers": workers,
+            "stream_length": instance.num_edges,
+            "pickle_total_bytes": pickled.total_task_bytes,
+            "pickle_max_task_bytes": pickled.max_task_bytes,
+            "shm_total_task_bytes": shm_total,
+            "shm_max_task_bytes": shm_max,
+            "segment_bytes": segment_bytes,
+            "reduction_factor": round(pickled.total_task_bytes / max(shm_total, 1), 1),
+            "shared_memory": shm is not None,
+        }
 
 
-@dataclass
-class TransportRecord:
-    """One (transport, coordinator) wire-measurement cell.
+def bench_transport(tier: str, seed: int = 0) -> Iterator[dict]:
+    """Wire bytes/frames per (transport, coordinator) (asserts inproc parity).
 
-    ``parity_with_inproc`` certifies the transport gate: the cell's
-    cover, certificate, and comm report are identical to the inproc
-    run of the same shard plan (``run_transport_bench`` raises
-    otherwise, so a committed ``False`` cannot exist — the field keeps
-    the certification visible in the artifact).  ``overhead_ratio`` is
-    measured wire bytes over 8 × metered words, ≥ 1 by construction of
-    the wire format.
-    """
-
-    config: str
-    transport: str
-    coordinator: str
-    codec: str
-    workers: int
-    seconds: float
-    metered_words: int
-    wire_bytes: int
-    frames: int
-    retransmits: int
-    overhead_ratio: float
-    parity_with_inproc: bool
-
-
-def run_transport_bench(
-    tier: str = "smoke",
-    seed: int = 0,
-    workers: int = 4,
-    coordinators: Sequence[str] = ("union", "greedy", "chain", "tree"),
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[TransportRecord]:
-    """Benchmark the wire transports over coordinator × transport.
-
-    Every cell reruns the same shard plan through one transport and
-    records what the wire carried; the inproc cell of each coordinator
-    is the parity baseline the other transports are asserted against.
-    A sandbox that forbids binding skips the socket cells (they are
-    simply absent from the records, mirroring the parity gate).
+    The inproc cell of each coordinator is the parity baseline: the
+    other transports must deliver the identical cover, certificate and
+    comm report.  ``overhead_ratio`` is wire bytes over 8 × metered
+    words, ≥ 1 by construction.  Where binding is forbidden the socket
+    cells are skipped (absent from the rows).
     """
     from repro.distributed import run_distributed
-    from repro.distributed.transport import SocketTransport, make_transport
+    from repro.distributed.transport import make_transport
     from repro.errors import TransportError
 
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {sorted(TIERS)}")
-    records: List[TransportRecord] = []
-    for config, n, m, set_size in TIERS[tier]:
-        instance = fixed_size_instance(n, m, set_size, seed=seed)
-        for coordinator in coordinators:
+    workers = 4
+
+    for config, _, _, instance in _instances(tier, seed):
+        for coordinator in ("union", "greedy", "chain", "tree"):
             baseline = None
             for name in ("inproc", "loopback", "socket"):
-                if name == "socket":
-                    try:
-                        transport = SocketTransport()
-                    except TransportError:
-                        if progress is not None:
-                            progress(
-                                f"{config:>7} socket  {coordinator:<7} "
-                                "skipped (bind forbidden)"
-                            )
-                        continue
-                else:
-                    transport = make_transport(name)
-                start = time.perf_counter()
-                result = run_distributed(
+                try:
+                    wire_transport = make_transport(name)
+                except TransportError:
+                    continue
+                result, seconds = timed(
+                    run_distributed,
                     instance,
                     workers=workers,
                     coordinator=coordinator,
                     seed=seed,
-                    transport=transport,
+                    transport=wire_transport,
                 )
-                seconds = time.perf_counter() - start
-                if baseline is None:
-                    baseline = result
-                    parity = True
-                else:
-                    parity = (
-                        result.cover == baseline.cover
-                        and result.certificate == baseline.certificate
-                        and result.comm == baseline.comm
-                    )
-                    assert parity, (
-                        f"transport {name!r} diverged from inproc at "
-                        f"{config}/{coordinator}: parity contract broken"
-                    )
+                merged = (result.cover, result.certificate, result.comm)
+                baseline = baseline or merged
+                assert merged == baseline, (
+                    f"transport {name!r} diverged from inproc at "
+                    f"{config}/{coordinator}: parity contract broken"
+                )
                 wire = result.transport
-                record = TransportRecord(
-                    config=config,
-                    transport=name,
-                    coordinator=coordinator,
-                    codec=wire.codec,
-                    workers=workers,
-                    seconds=round(seconds, 4),
-                    metered_words=wire.metered_words,
-                    wire_bytes=wire.total_bytes,
-                    frames=wire.total_frames,
-                    retransmits=wire.retransmits,
-                    overhead_ratio=round(wire.overhead_ratio, 4),
-                    parity_with_inproc=parity,
-                )
-                records.append(record)
-                if progress is not None:
-                    progress(
-                        f"{config:>7} {name:<8} {coordinator:<7} "
-                        f"{record.wire_bytes:>9,}B in {record.frames} frames "
-                        f"({record.metered_words}w, "
-                        f"x{record.overhead_ratio:.3f}, "
-                        f"{record.seconds:.2f}s)"
-                    )
-    return records
+                yield {
+                    "config": config,
+                    "transport": name,
+                    "coordinator": coordinator,
+                    "codec": wire.codec,
+                    "workers": workers,
+                    "seconds": round(seconds, 4),
+                    "metered_words": wire.metered_words,
+                    "wire_bytes": wire.total_bytes,
+                    "frames": wire.total_frames,
+                    "retransmits": wire.retransmits,
+                    "overhead_ratio": round(wire.overhead_ratio, 4),
+                    "parity_with_inproc": True,
+                }
 
 
-@dataclass
-class MergeLatencyRecord:
-    """One (coordinator, τ-mode, W) cell of the merge critical path.
-
-    ``logical_steps`` and ``idle_ticks`` come off the async simulator's
-    logical clock — the chain's state relay costs ``2(W-1)`` steps while
-    the tournament's round-batched hand-offs cost ``2·⌈log₂W⌉``, and
-    ``merge_rounds`` records the dependency depth directly.  The tree
-    pays in ``max_message_words`` (leaves ship witnesses for every held
-    element); ``cover_size`` shows what adaptive τ re-estimation buys
-    back.  Every cell is verified against its instance and checked for
-    sync/async cover parity before the measurement exists.
-    """
-
-    config: str
-    coordinator: str
-    threshold_mode: str
-    workers: int
-    seconds: float
-    logical_steps: int
-    idle_ticks: int
-    merge_rounds: int
-    cover_size: int
-    total_comm_words: int
-    max_message_words: int
-
-
-def run_merge_bench(
-    tier: str = "smoke",
-    seed: int = 0,
-    workers_grid: Sequence[int] = (2, 4, 8, 16),
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[MergeLatencyRecord]:
-    """Benchmark merge topologies: chain vs tournament, fixed vs adaptive τ.
+def bench_merge(
+    tier: str, seed: int = 0, workers_grid: Optional[Sequence[int]] = None
+) -> Iterator[dict]:
+    """Merge critical path, chain vs tree (asserts tree < chain steps at W>=8).
 
     Each cell runs the async simulator (serial backend, fault-free
-    default schedule) so the logical clock measures pure dependency
-    depth; the same cell is re-run synchronously and the covers are
-    asserted identical.  At every ``W >= 8`` the tree's critical path is
-    asserted strictly below the chain's — the tentpole claim, refusing
-    to record numbers that do not show it.
+    schedule) so the logical clock measures pure dependency depth; the
+    result is verified against its instance and its cover asserted equal
+    to the synchronous run's.  At every ``W >= 8`` the tree's critical
+    path must be strictly below the chain's.  ``workers_grid`` defaults
+    to ``(2, 4, 8)`` on the smoke tier and ``(2, 4, 8, 16)`` otherwise.
     """
     from repro.distributed import run_distributed
     from repro.distributed.asyncsim import run_distributed_async
 
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {sorted(TIERS)}")
-    records: List[MergeLatencyRecord] = []
-    for config, n, m, set_size in TIERS[tier]:
-        instance = fixed_size_instance(n, m, set_size, seed=seed)
-        steps_at: Dict[Tuple[str, int], int] = {}
+    if workers_grid is None:
+        workers_grid = (2, 4, 8) if tier == "smoke" else (2, 4, 8, 16)
+    for config, _, _, instance in _instances(tier, seed):
         for workers in workers_grid:
+            steps: Dict[Tuple[str, str], int] = {}
             for coordinator in ("chain", "tree"):
-                for adaptive in (False, True):
-                    mode = "adaptive" if adaptive else "fixed"
-                    start = time.perf_counter()
-                    result = run_distributed_async(
-                        instance,
+                for mode in ("fixed", "adaptive"):
+                    options = dict(
                         workers=workers,
                         coordinator=coordinator,
-                        adaptive_threshold=adaptive,
+                        adaptive_threshold=mode == "adaptive",
                         seed=seed,
                         backend="serial",
-                        schedule_seed=seed,
                     )
-                    seconds = time.perf_counter() - start
+                    result, seconds = timed(
+                        run_distributed_async, instance, schedule_seed=seed, **options
+                    )
                     result.verify(instance)
-                    sync = run_distributed(
-                        instance,
-                        workers=workers,
-                        coordinator=coordinator,
-                        adaptive_threshold=adaptive,
-                        seed=seed,
-                        backend="serial",
-                    )
-                    assert result.cover == sync.cover, (
+                    assert result.cover == run_distributed(instance, **options).cover, (
                         f"async/sync cover parity broken at {config}/"
                         f"{coordinator}/{mode} W={workers}"
                     )
-                    steps = int(result.diagnostics["logical_steps"])
-                    steps_at[(f"{coordinator}/{mode}", workers)] = steps
-                    record = MergeLatencyRecord(
-                        config=config,
-                        coordinator=coordinator,
-                        threshold_mode=mode,
-                        workers=workers,
-                        seconds=round(seconds, 4),
-                        logical_steps=steps,
-                        idle_ticks=int(result.diagnostics["idle_ticks"]),
-                        merge_rounds=int(
-                            result.diagnostics.get("merge_rounds", workers - 1)
+                    diagnostics = result.diagnostics
+                    steps[coordinator, mode] = int(diagnostics["logical_steps"])
+                    yield {
+                        "config": config,
+                        "coordinator": coordinator,
+                        "threshold_mode": mode,
+                        "workers": workers,
+                        "seconds": round(seconds, 4),
+                        "logical_steps": steps[coordinator, mode],
+                        "idle_ticks": int(diagnostics["idle_ticks"]),
+                        "merge_rounds": int(
+                            diagnostics.get("merge_rounds", workers - 1)
                         ),
-                        cover_size=result.cover_size,
-                        total_comm_words=result.total_comm_words,
-                        max_message_words=result.max_message_words,
-                    )
-                    records.append(record)
-                    if progress is not None:
-                        progress(
-                            f"{config:>7} {coordinator:<5} {mode:<8} "
-                            f"W={workers:<2} steps={record.logical_steps:<3} "
-                            f"rounds={record.merge_rounds:<2} "
-                            f"cover={record.cover_size:<3} "
-                            f"maxmsg={record.max_message_words}w "
-                            f"({record.seconds:.2f}s)"
-                        )
+                        "cover_size": result.cover_size,
+                        "total_comm_words": result.total_comm_words,
+                        "max_message_words": result.max_message_words,
+                    }
             if workers >= 8:
                 for mode in ("fixed", "adaptive"):
-                    tree_steps = steps_at[(f"tree/{mode}", workers)]
-                    chain_steps = steps_at[(f"chain/{mode}", workers)]
-                    assert tree_steps < chain_steps, (
+                    tree, chain = steps["tree", mode], steps["chain", mode]
+                    assert tree < chain, (
                         f"tournament merge lost its latency edge at {config}/"
-                        f"{mode} W={workers}: tree {tree_steps} steps vs "
-                        f"chain {chain_steps} — critical path must be "
-                        "Theta(log W)"
+                        f"{mode} W={workers}: tree {tree} steps vs chain "
+                        f"{chain} — critical path must be Theta(log W)"
                     )
-    return records
 
 
-def check_kk_floor(
-    current: Sequence[BenchRecord], seed_baseline: Sequence[dict]
-) -> List[str]:
-    """Fail if kk throughput falls back to the scalar seed baseline.
+class Section(NamedTuple):
+    """One benchmark section: its row generator and where its rows go."""
 
-    The floor is the *fastest* committed seed-baseline kk cell: after
-    the kernel rework, even the smoke tier must clear what the scalar
-    implementation ever achieved.  Returns failure strings (empty =
-    pass); an absent baseline passes vacuously.
+    run: Callable[..., Iterator[dict]]
+    #: Whether ``BENCH_perf.json`` keeps a section of this name.
+    recorded: bool = True
+    #: A fixed tier, overriding the caller's (the throughput ladder's
+    #: ``smoke``/``full`` sections are named after their tier).
+    tier: Optional[str] = None
+
+
+#: Section name -> section, in run order (and ``BENCH_perf.json`` order).
+SECTIONS: Dict[str, Section] = {
+    "smoke": Section(bench_throughput, tier="smoke"),
+    "full": Section(bench_throughput, tier="full"),
+    "trace_overhead": Section(bench_trace_overhead, recorded=False),
+    "distributed": Section(bench_distributed),
+    "kk_kernel": Section(bench_kk_kernel),
+    "shipping": Section(bench_shipping),
+    "transport": Section(bench_transport),
+    "merge": Section(bench_merge),
+}
+
+
+def format_row(name: str, row: Mapping[str, object]) -> str:
+    """One progress line for one row of section ``name``."""
+    return f"{name:>14} " + " ".join(f"{key}={value}" for key, value in row.items())
+
+
+def run_section(
+    name: str,
+    tier: str = "smoke",
+    seed: int = 0,
+    progress: Optional[Callable[[str], None]] = None,
+    **options: Any,
+) -> List[dict]:
+    """Run section ``name`` to its list of rows.
+
+    ``options`` go to the section's generator (e.g. ``workers_grid``);
+    ``progress`` receives one :func:`format_row` line per row as it
+    lands.
     """
-    floor = max(
-        (
-            row["edges_per_sec"]
-            for row in seed_baseline
-            if row.get("algorithm") == "kk"
-        ),
-        default=0.0,
-    )
-    failures: List[str] = []
-    for record in current:
-        if record.algorithm != "kk":
-            continue
-        if record.edges_per_sec < floor:
-            failures.append(
-                f"{record.config}/kk: {record.edges_per_sec:,.0f} edges/s is "
-                f"below the scalar seed-baseline floor of {floor:,.0f} "
-                "edges/s — the vectorized kernel has regressed"
-            )
-    return failures
+    section = SECTIONS[name]
+    rows: List[dict] = []
+    for row in section.run(section.tier or tier, seed, **options):
+        rows.append(row)
+        if progress is not None:
+            progress(format_row(name, row))
+    return rows
 
 
-def records_to_json(records: Sequence[object]) -> List[dict]:
-    """Plain-dict form of dataclass records, ready for ``json.dump``."""
-    return [asdict(r) for r in records]
+# -- the committed file and its gates -----------------------------------------
 
 
 def load_bench_file(path: Path) -> dict:
@@ -809,33 +499,23 @@ def load_bench_file(path: Path) -> dict:
 
 def write_bench_file(
     path: Path,
-    smoke: Optional[Sequence[BenchRecord]] = None,
-    full: Optional[Sequence[BenchRecord]] = None,
+    sections: Mapping[str, Sequence[dict]],
     seed_baseline: Optional[List[dict]] = None,
-    distributed: Optional[Sequence[DistributedScalingRecord]] = None,
-    kk_kernel: Optional[Sequence[KKKernelRecord]] = None,
-    shipping: Optional[Sequence[ShippingRecord]] = None,
-    transport: Optional[Sequence[TransportRecord]] = None,
-    merge: Optional[Sequence[MergeLatencyRecord]] = None,
 ) -> dict:
-    """Write ``BENCH_perf.json``, preserving any recorded seed baseline.
+    """Write ``BENCH_perf.json``, replacing only the given sections.
 
-    ``seed_baseline`` holds the pre-optimization ("before") numbers; it
-    is kept verbatim across re-runs so the speedup trajectory stays
-    visible in the committed file.  Each of ``smoke``/``full``/
-    ``distributed``/``kk_kernel``/``shipping``/``transport``/``merge``
-    replaces its section when given and preserves the committed section
-    when ``None`` — so a
-    distributed-only run does not clobber the throughput ladder, and
-    vice versa.
+    ``sections`` maps recorded section names to their rows; every other
+    section keeps its committed rows, so a distributed-only run does not
+    clobber the throughput ladder, and vice versa.  ``seed_baseline``
+    holds the pre-optimization ("before") numbers; it is kept verbatim
+    across re-runs unless given, so the speedup trajectory stays
+    visible in the committed file.
     """
+    recorded = [name for name, section in SECTIONS.items() if section.recorded]
+    unknown = sorted(set(sections) - set(recorded))
+    if unknown:
+        raise ValueError(f"not recorded in BENCH_perf.json: {unknown}")
     existing = load_bench_file(path)
-
-    def section(records, key: str) -> List[dict]:
-        if records is None:
-            return existing.get(key, [])
-        return records_to_json(records)
-
     payload = {
         "schema": 5,
         "description": (
@@ -870,65 +550,72 @@ def write_bench_file(
             if seed_baseline is not None
             else existing.get("seed_baseline", [])
         ),
-        "smoke": section(smoke, "smoke"),
-        "full": section(full, "full"),
-        "distributed": section(distributed, "distributed"),
-        "kk_kernel": section(kk_kernel, "kk_kernel"),
-        "shipping": section(shipping, "shipping"),
-        "transport": section(transport, "transport"),
-        "merge": section(merge, "merge"),
     }
+    for name in recorded:
+        payload[name] = (
+            list(sections[name]) if name in sections else existing.get(name, [])
+        )
     path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     return payload
 
 
-def check_regression(
-    current: Sequence[BenchRecord],
-    committed: Sequence[dict],
-    factor: float = 2.0,
-) -> List[str]:
-    """Compare a smoke run against committed numbers.
+def _by_cell(rows: Sequence[dict]) -> Dict[Tuple[str, str], float]:
+    """Throughput rows keyed by (config, algorithm) -> edges/sec."""
+    return {(row["config"], row["algorithm"]): row["edges_per_sec"] for row in rows}
 
-    Returns a list of human-readable failure strings, one per
-    (config, algorithm) cell whose edges/sec dropped by more than
-    ``factor`` versus the committed measurement.  An empty list means
-    no regression.
+
+def check_regression(
+    current: Sequence[dict], committed: Sequence[dict], factor: float = 2.0
+) -> List[str]:
+    """Compare throughput rows against committed ones.
+
+    Returns one human-readable failure string per (config, algorithm)
+    cell whose edges/sec dropped by more than ``factor`` versus the
+    committed row; an empty list means no regression.
     """
-    baseline = {
-        (row["config"], row["algorithm"]): row["edges_per_sec"]
-        for row in committed
-    }
+    baseline = _by_cell(committed)
     failures: List[str] = []
-    for record in current:
-        key = (record.config, record.algorithm)
-        reference = baseline.get(key)
-        if reference is None or reference <= 0:
-            continue
-        if record.edges_per_sec * factor < reference:
+    for row in current:
+        reference = baseline.get((row["config"], row["algorithm"]))
+        if reference and row["edges_per_sec"] * factor < reference:
             failures.append(
-                f"{record.config}/{record.algorithm}: "
-                f"{record.edges_per_sec:,.0f} edges/s is more than {factor}x "
+                f"{row['config']}/{row['algorithm']}: "
+                f"{row['edges_per_sec']:,.0f} edges/s is more than {factor}x "
                 f"below the committed {reference:,.0f} edges/s"
             )
     return failures
 
 
+def check_kk_floor(current: Sequence[dict], seed_baseline: Sequence[dict]) -> List[str]:
+    """Fail if kk throughput falls back to the scalar seed baseline.
+
+    The floor is the *fastest* committed seed-baseline kk cell: after
+    the kernel rework, even the smoke tier must clear what the scalar
+    implementation ever achieved.  Returns failure strings (empty =
+    pass); an absent baseline passes vacuously.
+    """
+    floor = max(
+        (row["edges_per_sec"] for row in seed_baseline if row.get("algorithm") == "kk"),
+        default=0.0,
+    )
+    return [
+        f"{row['config']}/kk: {row['edges_per_sec']:,.0f} edges/s is below the "
+        f"scalar seed-baseline floor of {floor:,.0f} edges/s — the vectorized "
+        "kernel has regressed"
+        for row in current
+        if row["algorithm"] == "kk" and row["edges_per_sec"] < floor
+    ]
+
+
 def speedup_table(
-    before: Sequence[dict], after: Sequence[BenchRecord]
+    before: Sequence[dict], after: Sequence[dict]
 ) -> List[Tuple[str, str, float, float, float]]:
     """Rows of (config, algorithm, before, after, speedup) for reporting."""
-    by_key = {(r["config"], r["algorithm"]): r["edges_per_sec"] for r in before}
+    by_key = _by_cell(before)
     rows = []
-    for record in after:
-        ref = by_key.get((record.config, record.algorithm))
+    for row in after:
+        ref = by_key.get((row["config"], row["algorithm"]))
         if ref:
-            rows.append(
-                (
-                    record.config,
-                    record.algorithm,
-                    ref,
-                    record.edges_per_sec,
-                    record.edges_per_sec / ref,
-                )
-            )
+            rate = row["edges_per_sec"]
+            rows.append((row["config"], row["algorithm"], ref, rate, rate / ref))
     return rows

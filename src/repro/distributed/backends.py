@@ -395,7 +395,9 @@ def run_tasks_with_recovery(
 
     Returns ``(envelopes, outcomes)``: ``envelopes[i]`` corresponds to
     ``tasks[i]`` (``None`` when abandoned) and ``outcomes`` carries one
-    :class:`ShardOutcome` per task, in task order.
+    :class:`ShardOutcome` per task, in task order.  ``max_attempts`` and
+    ``backoff_steps`` are validated by the executor entry points, before
+    any routing.
     """
     # Imported here, not at module scope: repro.analysis re-exports the
     # chaos harness, which imports this package — a module-level import
@@ -403,14 +405,6 @@ def run_tasks_with_recovery(
     from repro.analysis.runner import derive_retry_seed
 
     tracer = tracer if tracer is not None else NULL_TRACER
-    if max_attempts < 1:
-        raise InvalidParameterError(
-            "max_attempts", max_attempts, "must be >= 1"
-        )
-    if backoff_steps < 0:
-        raise InvalidParameterError(
-            "backoff_steps", backoff_steps, "must be >= 0"
-        )
     if attempt_steps < 1:
         raise InvalidParameterError(
             "attempt_steps", attempt_steps, "must be >= 1"

@@ -99,6 +99,20 @@ def check_seed(parameter: str, seed: Optional[int]) -> int:
     return int(seed)
 
 
+def _check_count(parameter: str, value: object, minimum: int = 1) -> None:
+    """Reject anything but a non-bool int ``>= minimum`` with a typed error.
+
+    Runs before routing, so a float, a bool or an out-of-range count
+    never reaches ``range()`` or an executor pool.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < minimum
+    ):
+        raise InvalidParameterError(parameter, value, f"must be an int >= {minimum}")
+
+
 def validate_transport(transport: Optional[object]) -> None:
     """Fail fast on a ``transport`` argument that can never resolve.
 
@@ -499,12 +513,14 @@ def _run_sharded(
     appended to the result.  The merge runs exactly once either way, on
     the surviving outputs in shard-index order.
     """
-    if workers < 1:
-        raise ConfigurationError(f"need at least 1 worker, got {workers}")
+    _check_count("workers", workers)
     seed = check_seed("seed", seed)
-    if max_workers < 1:
+    _check_count("max_workers", max_workers)
+    _check_count("max_attempts", max_attempts)
+    _check_count("backoff_steps", backoff_steps, minimum=0)
+    if comm_budget is not None and not isinstance(comm_budget, CommBudget):
         raise InvalidParameterError(
-            "max_workers", max_workers, "need at least 1 executor worker"
+            "comm_budget", comm_budget, "expected a CommBudget (or None)"
         )
     backend_impl = make_backend(backend if backend is not None else "thread")
     # Construct the merger before any shard work: an unknown coordinator

@@ -33,7 +33,7 @@ Wire format (shared by every transport, so their byte counts are
 comparable)::
 
     4 bytes  magic  b"RPWT"
-    1 byte   codec tag (1 = pickle, 2 = msgpack)
+    1 byte   codec tag (1 = pickle, the only codec)
     4 bytes  payload length, big-endian
     N bytes  codec-encoded payload
 
@@ -46,9 +46,7 @@ two-words-per-key charge is mirrored by a two-int64 encoding per key),
 so ``TransportReport.overhead_ratio >= 1`` is a structural property,
 not a measurement accident.
 
-The codec is msgpack when the interpreter has it, pickle otherwise
-(both handle the primitive wire dicts); requesting ``msgpack``
-explicitly on an interpreter without it is a typed
+The codec is pickle; a frame carrying any other codec tag is a typed
 :class:`~repro.errors.TransportError`.
 
 Determinism and parity: a transport never changes *what* is computed —
@@ -155,61 +153,9 @@ class PickleCodec(Codec):
         return pickle.loads(data)
 
 
-class MsgpackCodec(Codec):
-    """Msgpack codec, gated on the interpreter actually having msgpack."""
-
-    name = "msgpack"
-    tag = 2
-
-    def __init__(self) -> None:
-        try:
-            import msgpack
-        except ImportError:
-            raise TransportError(
-                "msgpack codec requested but msgpack is not installed; "
-                "use the pickle codec"
-            ) from None
-        self._msgpack = msgpack
-
-    def encode(self, payload: object) -> bytes:
-        return self._msgpack.packb(payload, use_bin_type=True)
-
-    def decode(self, data: bytes) -> object:
-        return self._msgpack.unpackb(data, raw=False)
-
-
-#: Codec name -> class; tag -> class for frame decoding.
-CODEC_REGISTRY: Dict[str, Type[Codec]] = {
-    "pickle": PickleCodec,
-    "msgpack": MsgpackCodec,
-}
-_CODEC_BY_TAG: Dict[int, Type[Codec]] = {
-    cls.tag: cls for cls in CODEC_REGISTRY.values()
-}
-
-
-def msgpack_available() -> bool:
-    """Whether this interpreter can import msgpack."""
-    try:
-        import msgpack  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def make_codec(name: Optional[str] = None) -> Codec:
-    """Construct a codec by name; ``None`` prefers msgpack, falls back
-    to pickle — the "msgpack-or-pickle" default."""
-    if name is None:
-        return MsgpackCodec() if msgpack_available() else PickleCodec()
-    try:
-        cls = CODEC_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(CODEC_REGISTRY))
-        raise InvalidParameterError(
-            "codec", name, f"known codecs: {known}"
-        ) from None
-    return cls()
+def make_codec() -> Codec:
+    """The wire codec every transport and the serve protocol use."""
+    return PickleCodec()
 
 
 # -- framing ----------------------------------------------------------------
@@ -236,11 +182,9 @@ def decode_frame(frame: bytes) -> object:
         raise TransportError(
             f"frame announces {length} payload bytes but carries {len(body)}"
         )
-    try:
-        codec = _CODEC_BY_TAG[tag]()
-    except KeyError:
-        raise TransportError(f"unknown codec tag {tag}") from None
-    return codec.decode(body)
+    if tag != PickleCodec.tag:
+        raise TransportError(f"unknown codec tag {tag}")
+    return PickleCodec().decode(body)
 
 
 # -- wire payload schemas ---------------------------------------------------
@@ -465,8 +409,8 @@ class Transport:
 
     name = "abstract"
 
-    def __init__(self, codec: Optional[str] = None) -> None:
-        self.codec = make_codec(codec)
+    def __init__(self) -> None:
+        self.codec = make_codec()
         self._per_link_bytes: Dict[str, int] = {}
         self._per_link_frames: Dict[str, int] = {}
         self._per_link_retransmits: Dict[str, int] = {}
@@ -566,7 +510,6 @@ class LoopbackTransport(Transport):
 
     def __init__(
         self,
-        codec: Optional[str] = None,
         seed: SeedLike = 0,
         link_delays: Optional[Mapping[str, int]] = None,
         default_delay: int = 1,
@@ -575,7 +518,7 @@ class LoopbackTransport(Transport):
         partitioned: Sequence[str] = (),
         max_retries: int = 3,
     ) -> None:
-        super().__init__(codec)
+        super().__init__()
         if jitter < 0:
             raise InvalidParameterError("jitter", jitter, "must be >= 0")
         if not 0.0 <= drop_rate < 1.0:
@@ -668,12 +611,11 @@ class SocketTransport(Transport):
 
     def __init__(
         self,
-        codec: Optional[str] = None,
         host: str = "127.0.0.1",
         timeout: float = 10.0,
         max_retries: int = 2,
     ) -> None:
-        super().__init__(codec)
+        super().__init__()
         if max_retries < 0:
             raise InvalidParameterError(
                 "max_retries", max_retries, "must be >= 0"
@@ -793,7 +735,6 @@ def registered_transports() -> List[str]:
 
 def make_transport(
     name: str,
-    codec: Optional[str] = None,
     seed: SeedLike = 0,
     **options: object,
 ) -> Transport:
@@ -811,5 +752,5 @@ def make_transport(
             "transport", name, f"known transports: {known}"
         ) from None
     if cls is LoopbackTransport:
-        return LoopbackTransport(codec=codec, seed=seed, **options)  # type: ignore[arg-type]
-    return cls(codec=codec, **options)  # type: ignore[arg-type]
+        return LoopbackTransport(seed=seed, **options)  # type: ignore[arg-type]
+    return cls(**options)  # type: ignore[arg-type]

@@ -43,7 +43,6 @@ class ServeClient:
         host: str = "127.0.0.1",
         port: int = 0,
         timeout: float = 60.0,
-        codec: Optional[str] = None,
         max_retries: int = 0,
     ) -> None:
         if max_retries < 0:
@@ -53,7 +52,7 @@ class ServeClient:
         self.host = host
         self.port = port
         self.max_retries = max_retries
-        self._codec = make_codec(codec)
+        self._codec = make_codec()
         self._lock = threading.Lock()
         self._next_id = 0
         self._closed = False

@@ -94,8 +94,6 @@ class ServeConfig:
     #: Backend/parallelism for distribute requests (operational).
     backend: str = "thread"
     max_workers: int = 1
-    #: Wire codec name (None = msgpack-or-pickle default).
-    codec: Optional[str] = None
     #: Seconds shutdown waits for in-flight requests before force-close.
     drain_timeout: float = 30.0
 
@@ -131,7 +129,7 @@ class SetCoverServer:
             max_queue=self.config.max_queue,
             queue_timeout=self.config.queue_timeout,
         )
-        self._codec: Codec = make_codec(self.config.codec)
+        self._codec: Codec = make_codec()
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[asyncio.StreamWriter] = set()
         self._handlers: Set[asyncio.Task] = set()

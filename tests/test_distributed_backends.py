@@ -30,6 +30,7 @@ from repro.distributed import (
     registered_backends,
     run_distributed,
 )
+from repro.distributed.asyncsim import run_distributed_async
 from repro.distributed.backends import execute_shard_task
 from repro.errors import ConfigurationError, InvalidParameterError
 from repro.generators.planted import planted_partition_instance
@@ -111,6 +112,67 @@ class TestSeedValidation:
             run_distributed(instance, workers=2, seed=0)
         )
         assert reference.seed == 3
+
+
+ENTRY_POINTS = [
+    pytest.param(run_distributed, id="sync"),
+    pytest.param(run_distributed_async, id="async"),
+]
+
+
+@pytest.fixture
+def no_shard_work(monkeypatch):
+    def fail(task):
+        raise AssertionError("shard work ran before argument validation")
+
+    monkeypatch.setattr(backends, "execute_shard_task", fail)
+
+
+class TestEntryPointValidation:
+    """Regression: both entry points reject a bad budget or count with a
+    typed error before routing.  A plain-int ``comm_budget`` used to run
+    every shard and then crash in the merge with an ``AttributeError``;
+    float and bool counts escaped as bare ``TypeError``s, or were
+    silently accepted, depending on the entry point and backend."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_plain_int_comm_budget_rejected(self, instance, no_shard_work, entry):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            entry(instance, workers=2, comm_budget=5, backend="serial")
+        assert excinfo.value.parameter == "comm_budget"
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_attempts": 0},
+            {"backoff_steps": -1},
+            {"workers": 2.0},
+            {"workers": True},
+            {"max_workers": 2.5},
+            {"max_workers": True},
+            {"max_workers": 2.5, "backend": "process"},
+        ],
+        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_bad_counts_rejected(self, instance, no_shard_work, entry, kwargs):
+        options = {"workers": 4, "backend": "serial", **kwargs}
+        with pytest.raises(InvalidParameterError) as excinfo:
+            entry(instance, **options)
+        assert excinfo.value.parameter == next(iter(kwargs))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_boundary_counts_accepted(self, instance, entry):
+        reference = entry(instance, workers=2, seed=3, backend="serial")
+        assert entry(
+            instance,
+            workers=np.int64(2),
+            seed=3,
+            backend="serial",
+            max_workers=np.int64(2),
+            max_attempts=1,
+            backoff_steps=0,
+        ) == reference
 
 
 class TestBackendParity:

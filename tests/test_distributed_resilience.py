@@ -141,11 +141,12 @@ class TestRunTasksWithRecovery:
         assert outcomes[0].attempts == 3
         assert outcomes[0].completion_step == 3 * 1 + 2 * 4
 
+    # max_attempts and backoff_steps are checked by the executor entry
+    # points before routing (tests/test_distributed_backends.py,
+    # TestEntryPointValidation).
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_attempts": 0},
-            {"backoff_steps": -1},
             {"attempt_steps": 0},
             {"deadline_steps": 0},
         ],

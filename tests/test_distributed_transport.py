@@ -24,14 +24,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distributed import (
-    CODEC_REGISTRY,
     TRANSPORT_REGISTRY,
     CommBudget,
     CommMeter,
     DistributedResult,
     InprocTransport,
     LoopbackTransport,
-    MsgpackCodec,
     PickleCodec,
     SocketTransport,
     TransportReport,
@@ -39,7 +37,6 @@ from repro.distributed import (
     encode_frame,
     make_codec,
     make_transport,
-    msgpack_available,
     pack_words,
     registered_transports,
     run_distributed,
@@ -105,26 +102,15 @@ class TestCodecs:
         payload = {"kind": "cover", "index": 2, "cover": pack_words([1, 2])}
         assert codec.decode(codec.encode(payload)) == payload
 
-    def test_default_codec_prefers_msgpack_else_pickle(self):
-        codec = make_codec(None)
-        expected = "msgpack" if msgpack_available() else "pickle"
-        assert codec.name == expected
-
-    def test_msgpack_gated_on_availability(self):
-        if msgpack_available():
-            codec = MsgpackCodec()
-            payload = {"kind": "x", "n": 3, "data": b"\x00\x01"}
-            assert codec.decode(codec.encode(payload)) == payload
-        else:
-            with pytest.raises(TransportError, match="msgpack"):
-                MsgpackCodec()
+    def test_make_codec_is_pickle(self):
+        assert make_codec().name == "pickle"
 
     def test_unknown_codec_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            make_codec("cbor")
-
-    def test_registry_names(self):
-        assert set(CODEC_REGISTRY) == {"pickle", "msgpack"}
+        # Tag 2 was msgpack's; pickle is the only codec a frame may name.
+        frame = bytearray(encode_frame(PickleCodec(), {"k": 1}))
+        frame[4] = 2
+        with pytest.raises(TransportError, match="codec tag 2"):
+            decode_frame(bytes(frame))
 
 
 class TestFraming:

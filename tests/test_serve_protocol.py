@@ -119,7 +119,7 @@ class TestFraming:
         return left, right
 
     def test_round_trip_over_socketpair(self):
-        codec = make_codec(None)
+        codec = make_codec()
         left, right = self.pair()
         try:
             payload = request_payload("ping", 1, blob="x" * 1000)
@@ -130,7 +130,7 @@ class TestFraming:
             right.close()
 
     def test_multiple_frames_in_sequence(self):
-        codec = make_codec(None)
+        codec = make_codec()
         left, right = self.pair()
         try:
             for i in range(5):
@@ -150,7 +150,7 @@ class TestFraming:
             right.close()
 
     def test_mid_frame_eof_is_typed(self):
-        codec = make_codec(None)
+        codec = make_codec()
         left, right = self.pair()
         try:
             frame = encode_frame(codec, {"x": 1})
@@ -162,7 +162,7 @@ class TestFraming:
             right.close()
 
     def test_oversized_announced_length_is_typed(self):
-        codec = make_codec(None)
+        codec = make_codec()
         left, right = self.pair()
         try:
             frame = bytearray(encode_frame(codec, {"x": 1}))
