@@ -147,6 +147,8 @@ class TestRunTasksWithRecovery:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"attempt_steps": -1},
+            {"deadline_steps": -1},
             {"attempt_steps": 0},
             {"deadline_steps": 0},
         ],
