@@ -25,6 +25,14 @@ stream faults (``corrupt`` plus ``duplicate`` :class:`FaultSpec`s,
 applied per shard), each under every coordinator.  Its literals were
 recorded from the code before routing, ingest and localization moved
 onto edge columns.
+
+A third grid pins what the wire carried, which result equality ignores:
+the :class:`~repro.distributed.transport.TransportReport` per-link
+bytes, frames and retransmits, plus the loopback transport's logical
+clock and idle ticks, for every coordinator (chain and tree under fixed
+and adaptive τ) at W ∈ {1, 3, 8} over a jittered, lossy loopback with a
+duplicated shard.  Its literals were recorded from the code before the
+chain and tree merges moved onto one protocol path.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import pytest
 
 from repro.distributed import run_distributed
 from repro.distributed.asyncsim import run_distributed_async
+from repro.distributed.transport import LoopbackTransport
 from repro.faults.injectors import FaultSpec
 from repro.faults.shards import PERMANENT, ShardFaultPlan, ShardFaultSpec
 from repro.generators.planted import planted_partition_instance
@@ -478,3 +487,92 @@ def test_data_path_pinned(instance, coordinator, path):
     assert (result_digest(result), _digest(trace)) == (
         EXPECTED_DATA_PATH_DIGESTS[(coordinator, path)]
     )
+
+
+#: Wire grid: coordinator -> the τ modes it runs under.  The star
+#: coordinators have no take-threshold; the protocol merges run with the
+#: fixed √(n/W) and with adaptive re-estimation.
+WIRE_MODES = {
+    "union": ("fixed",),
+    "greedy": ("fixed",),
+    "chain": ("fixed", "adaptive"),
+    "tree": ("fixed", "adaptive"),
+}
+WIRE_WIDTHS = (1, 3, 8)
+WIRE_CELLS = [
+    (coordinator, mode, workers)
+    for coordinator, modes in WIRE_MODES.items()
+    for mode in modes
+    for workers in WIRE_WIDTHS
+]
+
+
+def run_wire_cell(instance, coordinator: str, mode: str, workers: int):
+    """Run one wire cell over a lossy, jittered loopback; returns the
+    :class:`~repro.distributed.transport.TransportReport`."""
+    result = run_distributed_async(
+        instance,
+        workers=workers,
+        algorithm="kk",
+        strategy="by-set",
+        coordinator=coordinator,
+        order=RandomOrder(seed=7),
+        seed=5,
+        backend="serial",
+        adaptive_threshold=mode == "adaptive",
+        shard_faults=ShardFaultPlan({0: ShardFaultSpec(duplicate=True)}),
+        schedule_seed=3,
+        transport=LoopbackTransport(seed=1, jitter=2, drop_rate=0.2),
+    )
+    result.verify(instance)
+    return result.transport
+
+
+def wire_signature(report) -> tuple:
+    """``(per-link digest, total bytes, frames, retransmits, logical
+    clock, idle ticks)`` of one transport report."""
+    links = {
+        "bytes": report.per_link_bytes,
+        "frames": report.per_link_frames,
+        "retransmits": report.per_link_retransmits,
+    }
+    return (
+        _digest(json.dumps(links, sort_keys=True)),
+        report.total_bytes,
+        report.total_frames,
+        report.retransmits,
+        int(report.diagnostics["logical_clock"]),
+        int(report.diagnostics["idle_ticks"]),
+    )
+
+
+#: (coordinator, τ mode, W) -> wire_signature.  TransportReport is
+#: excluded from result equality, so the grids above cannot see a change
+#: to hand-off frame bytes; this one pins them.
+EXPECTED_WIRE = {
+    ('union', 'fixed', 1): ('2c0fe03c5341bb65', 1702, 2, 1, 2, 1),
+    ('union', 'fixed', 3): ('24a7e446c2b8b6b7', 3308, 4, 1, 8, 5),
+    ('union', 'fixed', 8): ('2b94fa59d120b8ab', 8289, 11, 3, 20, 12),
+    ('greedy', 'fixed', 1): ('da2a543c78c96f43', 3450, 2, 1, 2, 1),
+    ('greedy', 'fixed', 3): ('cd182dd31dac3cd4', 5940, 4, 1, 8, 5),
+    ('greedy', 'fixed', 8): ('d69145e627013b1b', 11103, 11, 3, 20, 12),
+    ('chain', 'fixed', 1): ('ff04725de9805093', 0, 0, 0, 0, 0),
+    ('chain', 'fixed', 3): ('1f9153f2fc33723b', 2541, 3, 1, 5, 3),
+    ('chain', 'fixed', 8): ('25c469fd079a7dd4', 8646, 10, 3, 18, 11),
+    ('chain', 'adaptive', 1): ('ff04725de9805093', 0, 0, 0, 0, 0),
+    ('chain', 'adaptive', 3): ('1f9153f2fc33723b', 2541, 3, 1, 5, 3),
+    ('chain', 'adaptive', 8): ('1473ff3b18e10e18', 8822, 10, 3, 18, 11),
+    ('tree', 'fixed', 1): ('ff04725de9805093', 0, 0, 0, 0, 0),
+    ('tree', 'fixed', 3): ('ed05afa0109214a6', 2674, 3, 1, 5, 3),
+    ('tree', 'fixed', 8): ('b8f13db1d1390c08', 9303, 10, 3, 18, 11),
+    ('tree', 'adaptive', 1): ('ff04725de9805093', 0, 0, 0, 0, 0),
+    ('tree', 'adaptive', 3): ('1e50e1620aadeff2', 3080, 3, 1, 5, 3),
+    ('tree', 'adaptive', 8): ('4f671bb41a636917', 9675, 10, 3, 18, 11),
+}
+
+
+@pytest.mark.parametrize("coordinator,mode,workers", WIRE_CELLS)
+def test_wire_pinned(instance, coordinator, mode, workers):
+    report = run_wire_cell(instance, coordinator, mode, workers)
+    assert report.transport == "loopback"
+    assert wire_signature(report) == EXPECTED_WIRE[(coordinator, mode, workers)]
