@@ -47,6 +47,7 @@ from repro.distributed.chain import tournament_rounds
 from repro.distributed.comm import (
     CommBudget,
     CommMeter,
+    check_link_delays,
     link_label,
     words_for_cover_message,
 )
@@ -167,17 +168,8 @@ class AsyncScheduler:
         default_delay: int = 1,
         tracer=None,
     ) -> None:
-        if default_delay < 0:
-            raise InvalidParameterError(
-                "default_delay", default_delay, "must be >= 0"
-            )
         self.policy = policy if policy is not None else FifoDelivery()
-        self.link_delays = dict(link_delays or {})
-        for label, delay in self.link_delays.items():
-            if delay < 0:
-                raise InvalidParameterError(
-                    "link_delays", f"{label}:{delay}", "delays must be >= 0"
-                )
+        self.link_delays = check_link_delays(link_delays, default_delay)
         self.default_delay = default_delay
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.clock = 0
@@ -233,6 +225,43 @@ class AsyncScheduler:
         """Messages delivered to ``player``, in delivery order."""
         return list(self._inboxes.get(player, ()))
 
+    def _deliverable(self) -> List[Message]:
+        """The pending messages available now, idling the clock to the
+        earliest availability (counted in ``idle_ticks``) if none is."""
+        deliverable = [
+            m for m in self._pending if m.available_step <= self.clock
+        ]
+        if deliverable:
+            return deliverable
+        horizon = min(m.available_step for m in self._pending)
+        self.idle_ticks += horizon - self.clock
+        self.clock = horizon
+        return [m for m in self._pending if m.available_step <= self.clock]
+
+    def _deliver_one(self, deliverable: List[Message], step: int) -> Message:
+        """Pop the policy's pick off ``deliverable`` and deliver it to
+        its receiver's inbox, traced at logical step ``step``."""
+        choice = self.policy.choose(deliverable)
+        if not 0 <= choice < len(deliverable):
+            raise ProtocolError(
+                f"delivery policy {self.policy.name!r} chose index {choice} "
+                f"out of {len(deliverable)} deliverable message(s)"
+            )
+        message = deliverable.pop(choice)
+        self._pending.remove(message)
+        self.delivered += 1
+        self._inboxes.setdefault(message.dst, []).append(message)
+        if self.tracer.enabled:
+            self.tracer.event(
+                MESSAGE_DELIVERED,
+                link=message.link,
+                kind=message.kind,
+                words=message.words,
+                seq=message.seq,
+                step=step,
+            )
+        return message
+
     def deliver_next(self) -> Optional[Message]:
         """Deliver one message chosen by the policy; ``None`` when idle.
 
@@ -243,36 +272,8 @@ class AsyncScheduler:
         """
         if not self._pending:
             return None
-        deliverable = [
-            m for m in self._pending if m.available_step <= self.clock
-        ]
-        if not deliverable:
-            horizon = min(m.available_step for m in self._pending)
-            self.idle_ticks += horizon - self.clock
-            self.clock = horizon
-            deliverable = [
-                m for m in self._pending if m.available_step <= self.clock
-            ]
-        choice = self.policy.choose(deliverable)
-        if not 0 <= choice < len(deliverable):
-            raise ProtocolError(
-                f"delivery policy {self.policy.name!r} chose index {choice} "
-                f"out of {len(deliverable)} deliverable message(s)"
-            )
-        message = deliverable[choice]
-        self._pending.remove(message)
+        message = self._deliver_one(self._deliverable(), self.clock + 1)
         self.clock += 1
-        self.delivered += 1
-        self._inboxes.setdefault(message.dst, []).append(message)
-        if self.tracer.enabled:
-            self.tracer.event(
-                MESSAGE_DELIVERED,
-                link=message.link,
-                kind=message.kind,
-                words=message.words,
-                seq=message.seq,
-                step=self.clock,
-            )
         return message
 
     def deliver_available(self) -> List[Message]:
@@ -291,40 +292,11 @@ class AsyncScheduler:
         """
         if not self._pending:
             return []
-        deliverable = [
-            m for m in self._pending if m.available_step <= self.clock
-        ]
-        if not deliverable:
-            horizon = min(m.available_step for m in self._pending)
-            self.idle_ticks += horizon - self.clock
-            self.clock = horizon
-            deliverable = [
-                m for m in self._pending if m.available_step <= self.clock
-            ]
+        deliverable = self._deliverable()
         self.clock += 1
         batch: List[Message] = []
         while deliverable:
-            choice = self.policy.choose(deliverable)
-            if not 0 <= choice < len(deliverable):
-                raise ProtocolError(
-                    f"delivery policy {self.policy.name!r} chose index "
-                    f"{choice} out of {len(deliverable)} deliverable "
-                    "message(s)"
-                )
-            message = deliverable.pop(choice)
-            self._pending.remove(message)
-            self.delivered += 1
-            self._inboxes.setdefault(message.dst, []).append(message)
-            if self.tracer.enabled:
-                self.tracer.event(
-                    MESSAGE_DELIVERED,
-                    link=message.link,
-                    kind=message.kind,
-                    words=message.words,
-                    seq=message.seq,
-                    step=self.clock,
-                )
-            batch.append(message)
+            batch.append(self._deliver_one(deliverable, self.clock))
         return batch
 
     def drain(self) -> List[Message]:
@@ -571,10 +543,16 @@ def run_distributed_async(
     same-round hand-offs are delivered as one batch per round
     (Θ(log W) steps), and the star coordinators post everything at
     once.  ``seed`` and ``schedule_seed`` must be ints (``None`` means
-    0); anything else raises :class:`~repro.errors.InvalidParameterError`
+    0), ``default_delay`` and every ``link_delays`` value non-bool ints
+    ``>= 0``, and ``delivery`` a :class:`DeliveryPolicy` (or ``None``);
+    anything else raises :class:`~repro.errors.InvalidParameterError`
     before any shard runs.
     """
     schedule_seed = check_seed("schedule_seed", schedule_seed)
+    if delivery is not None and not isinstance(delivery, DeliveryPolicy):
+        raise InvalidParameterError(
+            "delivery", delivery, "expected a DeliveryPolicy (or None)"
+        )
     policy = (
         delivery if delivery is not None else RandomDelivery(schedule_seed)
     )

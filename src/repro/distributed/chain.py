@@ -35,6 +35,11 @@ Two variations live alongside the literal protocol:
   of independent hand-offs, at the cost of larger early messages (a
   leaf ships witnesses for *every* element it holds).
 
+Both engines return one :class:`ProtocolOutcome` — a chain is the
+schedule whose hop ``i`` is the edge ``(i, i, i + 1)`` — and share
+everything but their party loops: τ validation, the own-sets copy, the
+state snapshot, and the last party's patch, dedup and certificate.
+
 This module deliberately does not import :mod:`repro.lowerbound`
 (which imports *us*); the sequential chain loop is ~10 lines and is
 re-implemented here rather than routed through ``OneWayChain``.
@@ -56,40 +61,57 @@ SetKey = Hashable
 PartySets = Sequence[Tuple[SetKey, Set[ElementId]]]
 
 
-@dataclass
-class ChainOutcome:
-    """Result of one :func:`chain_merge` execution.
+#: One hand-off's forwarded state: ``(sorted uncovered, sorted witness
+#: pairs, chosen keys in pick order)``.
+StateSnapshot = Tuple[
+    Tuple[ElementId, ...],
+    Tuple[Tuple[ElementId, SetKey], ...],
+    Tuple[SetKey, ...],
+]
 
-    ``message_words[i]`` is the size of the message party ``i`` forwards
-    to party ``i+1``; by the protocol convention the last party's output
-    announcement is excluded (the lower bound concerns inter-party
-    communication), so the list has ``t - 1`` entries.
+
+@dataclass
+class ProtocolOutcome:
+    """Result of one :func:`chain_merge` or :func:`tournament_merge`.
+
+    ``message_words[i]`` is the size of the state shipped over
+    ``edges[i]``; both run in hand-off order, ``t - 1`` entries total.
+    By the protocol convention the last party's output announcement is
+    excluded (the lower bound concerns inter-party communication).  A
+    chain is the degenerate schedule with one hand-off per round: hop
+    ``i`` is the edge ``(i, i, i + 1)``.
     """
 
     cover: List[SetKey]
     certificate: Dict[ElementId, SetKey]
     message_words: List[int]
+    #: The protocol baseline τ = √(n/t), or the explicit override —
+    #: always finite; the per-step values are in :attr:`thresholds`.
     threshold: float
+    #: One ``(round, src, dst)`` triple per hand-off: in round ``round``
+    #: the state hosted at party ``src`` ships to party ``dst``.
+    edges: Tuple[Tuple[int, int, int], ...] = ()
+    #: Largest message of each round — the tree's known cost: early
+    #: rounds ship witness-heavy leaf states the chain amortises.
+    round_max_words: Tuple[int, ...] = ()
+    #: τ used at each greedy invocation, in execution order.  The chain
+    #: has one per party; the tree has the ``t`` leaf phases first, then
+    #: one per internal node in hand-off order (adaptive leaves defer
+    #: greedy, recorded as ``inf``).  Constant under fixed τ.
+    thresholds: Tuple[float, ...] = ()
     #: Elements no surviving party could cover (non-empty only when the
     #: merge ran with ``partial=True`` over a degraded party set).
     uncovered: Tuple[ElementId, ...] = ()
-    #: Per-hop snapshots of the forwarded state, parallel to
-    #: ``message_words`` — ``(sorted uncovered, sorted witness pairs,
-    #: chosen keys in pick order)``.  Populated only when
-    #: :func:`chain_merge` ran with ``capture_states=True`` (the
-    #: transport layer replays each hand-off as real bytes).
-    forwarded_states: Tuple[
-        Tuple[
-            Tuple[ElementId, ...],
-            Tuple[Tuple[ElementId, SetKey], ...],
-            Tuple[SetKey, ...],
-        ],
-        ...,
-    ] = ()
-    #: τ each party actually used, one per party.  Constant under the
-    #: fixed protocol; strictly recomputed per party when the merge ran
-    #: with ``adaptive=True``.
-    thresholds: Tuple[float, ...] = ()
+    #: Per-hand-off snapshots of the shipped state, parallel to
+    #: ``message_words``; populated only under ``capture_states=True``
+    #: (the transport layer replays each hand-off as real bytes).
+    forwarded_states: Tuple[StateSnapshot, ...] = ()
+
+    @property
+    def rounds(self) -> int:
+        """Number of merge rounds: ``t - 1`` for the chain,
+        ``⌈log₂ t⌉`` for the tree (0 for a single party)."""
+        return len(self.round_max_words)
 
     @property
     def cover_size(self) -> int:
@@ -152,6 +174,100 @@ def _greedy_take(
                 progress = True
 
 
+def _baseline_tau(
+    n: int,
+    party_sets: Sequence[PartySets],
+    threshold: Optional[float],
+    adaptive: bool,
+) -> float:
+    """Validate a merge's parties and τ options; return the baseline τ,
+    ``√(n/t)`` unless ``threshold`` overrides it."""
+    t = len(party_sets)
+    if t < 1:
+        raise ConfigurationError(f"need at least 1 party, got {t}")
+    if adaptive and threshold is not None:
+        raise ConfigurationError(
+            "adaptive re-estimation and an explicit threshold are "
+            "mutually exclusive"
+        )
+    return threshold if threshold is not None else math.sqrt(n / t)
+
+
+def _own_sets(
+    share: PartySets,
+    members_by_key: Dict[SetKey, Set[ElementId]],
+) -> List[Tuple[SetKey, Set[ElementId]]]:
+    """Copy one party's share and fold its views into ``members_by_key``.
+
+    ``members_by_key`` accumulates every party's view of a key for the
+    certificate — a later party's view of a repeated key extends an
+    earlier one's.
+    """
+    local = [(key, set(members)) for key, members in share]
+    for key, members in local:
+        members_by_key.setdefault(key, set()).update(members)
+    return local
+
+
+def _snapshot(
+    uncovered: Set[ElementId],
+    witnesses: Dict[ElementId, SetKey],
+    chosen: Sequence[SetKey],
+) -> StateSnapshot:
+    """The forwarded state as a transport ships it."""
+    return (
+        tuple(sorted(uncovered)),
+        tuple(sorted(witnesses.items())),
+        tuple(chosen),
+    )
+
+
+def _finish(
+    n: int,
+    state: Tuple[Set[ElementId], Dict[ElementId, SetKey], List[SetKey]],
+    members_by_key: Dict[SetKey, Set[ElementId]],
+    partial: bool,
+    **fields: object,
+) -> ProtocolOutcome:
+    """The last party's step on the final ``(uncovered, witnesses,
+    chosen)`` state: patch the residue, dedup, certify.
+
+    Every still-uncovered element is patched with its recorded witness;
+    the chosen list is deduplicated in pick order (a witness may repeat
+    a greedy pick, and a repeated key may be taken by two parties); the
+    certificate maps each element to the first cover key whose
+    accumulated view holds it.  ``fields`` are the engine's remaining
+    :class:`ProtocolOutcome` fields.
+    """
+    uncovered, witnesses, chosen = state
+    for u in sorted(uncovered):
+        witness = witnesses.get(u)
+        if witness is not None:
+            chosen.append(witness)
+        elif not partial:
+            raise ProtocolError(
+                f"element {u} is covered by no party's sets; "
+                "instance infeasible"
+            )
+    cover = list(dict.fromkeys(chosen))
+    certificate: Dict[ElementId, SetKey] = {}
+    for key in cover:
+        for u in members_by_key.get(key, ()):
+            certificate.setdefault(u, key)
+    missing = [u for u in range(n) if u not in certificate]
+    if missing and not partial:
+        raise ProtocolError(
+            f"protocol output misses {len(missing)} element(s), e.g. "
+            f"{missing[:5]}"
+        )
+    return ProtocolOutcome(
+        cover=cover,
+        certificate=certificate,
+        uncovered=tuple(missing),
+        **fields,  # type: ignore[arg-type]
+    )
+
+
 def chain_merge(
     n: int,
     party_sets: Sequence[PartySets],
@@ -159,7 +275,7 @@ def chain_merge(
     partial: bool = False,
     capture_states: bool = False,
     adaptive: bool = False,
-) -> ChainOutcome:
+) -> ProtocolOutcome:
     """Run the deterministic chain protocol over per-party set shares.
 
     Parameters
@@ -178,172 +294,61 @@ def chain_merge(
         analysis.
     partial:
         Quorum-degraded mode: elements no party can witness are left
-        uncovered and reported in :attr:`ChainOutcome.uncovered`
+        uncovered and reported in :attr:`ProtocolOutcome.uncovered`
         instead of raising :class:`ProtocolError`.  The default keeps
         the protocol's contract — an infeasible residue is an error.
     capture_states:
         Also snapshot each hand-off's forwarded state into
-        :attr:`ChainOutcome.forwarded_states` so a transport can ship
+        :attr:`ProtocolOutcome.forwarded_states` so a transport can ship
         the exact state the word count was charged for.  Off by
         default: the snapshots copy O(n) state per hop.
     adaptive:
         Re-estimate ``τ = √(|uncovered| / remaining_parties)`` at every
         party from the forwarded state instead of fixing ``√(n/t)`` up
         front (mutually exclusive with an explicit ``threshold``).  The
-        τ each party used lands in :attr:`ChainOutcome.thresholds`.
+        τ each party used lands in :attr:`ProtocolOutcome.thresholds`.
     """
+    fixed_tau = _baseline_tau(n, party_sets, threshold, adaptive)
     t = len(party_sets)
-    if t < 1:
-        raise ConfigurationError(f"need at least 1 party, got {t}")
-    if adaptive and threshold is not None:
-        raise ConfigurationError(
-            "adaptive re-estimation and an explicit threshold are "
-            "mutually exclusive"
-        )
-    tau = threshold if threshold is not None else math.sqrt(n / t)
-
+    tau = fixed_tau
     uncovered: Set[ElementId] = set(range(n))
     witnesses: Dict[ElementId, SetKey] = {}
     chosen: List[SetKey] = []
-    # Membership views accumulated along the chain, for certificate
-    # construction — a later party's view of a repeated key extends an
-    # earlier one's.
     members_by_key: Dict[SetKey, Set[ElementId]] = {}
     message_words: List[int] = []
-    forwarded_states: List[
-        Tuple[
-            Tuple[ElementId, ...],
-            Tuple[Tuple[ElementId, SetKey], ...],
-            Tuple[SetKey, ...],
-        ]
-    ] = []
-
+    forwarded_states: List[StateSnapshot] = []
     thresholds: List[float] = []
 
     for index, share in enumerate(party_sets):
-        is_last = index == t - 1
-        local = [(key, set(members)) for key, members in share]
-        for key, members in local:
-            members_by_key.setdefault(key, set()).update(members)
+        local = _own_sets(share, members_by_key)
         # Record witnesses for any still-uncovered element this party holds.
         for key, members in local:
             for u in members:
                 if u in uncovered and u not in witnesses:
                     witnesses[u] = key
-        # Greedy phase over this party's own sets.
         if adaptive:
             tau = adaptive_threshold_for(len(uncovered), t - index)
         thresholds.append(tau)
         _greedy_take(local, uncovered, chosen, tau)
-        if is_last:
-            # Patch the residue with recorded witnesses.
-            unpatchable: List[ElementId] = []
-            for u in sorted(uncovered):
-                witness = witnesses.get(u)
-                if witness is None:
-                    if partial:
-                        unpatchable.append(u)
-                        continue
-                    raise ProtocolError(
-                        f"element {u} is covered by no party's sets; "
-                        "instance infeasible"
-                    )
-                chosen.append(witness)
-            uncovered = set(unpatchable)
-        else:
+        if index < t - 1:
             message_words.append(state_words(uncovered, witnesses, chosen))
             if capture_states:
                 forwarded_states.append(
-                    (
-                        tuple(sorted(uncovered)),
-                        tuple(sorted(witnesses.items())),
-                        tuple(chosen),
-                    )
+                    _snapshot(uncovered, witnesses, chosen)
                 )
 
-    # Deduplicate the chosen list (a witness may repeat a greedy pick,
-    # and a repeated key may be taken by two parties).
-    seen: Set[SetKey] = set()
-    cover: List[SetKey] = []
-    for pick in chosen:
-        if pick not in seen:
-            seen.add(pick)
-            cover.append(pick)
-
-    certificate: Dict[ElementId, SetKey] = {}
-    for key in cover:
-        for u in members_by_key.get(key, ()):
-            certificate.setdefault(u, key)
-    missing = [u for u in range(n) if u not in certificate]
-    if missing and not partial:
-        raise ProtocolError(
-            f"protocol output misses {len(missing)} element(s), e.g. "
-            f"{missing[:5]}"
-        )
-
-    return ChainOutcome(
-        cover=cover,
-        certificate=certificate,
+    return _finish(
+        n,
+        (uncovered, witnesses, chosen),
+        members_by_key,
+        partial,
         message_words=message_words,
-        threshold=thresholds[0],
-        uncovered=tuple(missing),
-        forwarded_states=tuple(forwarded_states),
+        threshold=fixed_tau,
+        edges=tuple((i, i, i + 1) for i in range(t - 1)),
+        round_max_words=tuple(message_words),
         thresholds=tuple(thresholds),
+        forwarded_states=tuple(forwarded_states),
     )
-
-
-@dataclass
-class TournamentOutcome:
-    """Result of one :func:`tournament_merge` execution.
-
-    ``message_words[i]`` is the size of the state shipped over
-    ``edges[i]``; both lists run in hand-off order (round by round,
-    left to right), ``t - 1`` entries total — a tournament moves exactly
-    as many messages as a chain, just ``⌈log₂ t⌉`` deep instead of
-    ``t - 1`` deep.
-    """
-
-    cover: List[SetKey]
-    certificate: Dict[ElementId, SetKey]
-    message_words: List[int]
-    threshold: float
-    #: Number of merge rounds, ``⌈log₂ t⌉`` (0 for a single party).
-    rounds: int
-    #: One ``(round, src, dst)`` triple per hand-off: in round ``round``
-    #: the subtree hosted at party ``src`` ships its state to party
-    #: ``dst``, which survives into the next round.
-    edges: Tuple[Tuple[int, int, int], ...] = ()
-    #: Largest message of each round — the tree's known cost: early
-    #: rounds ship witness-heavy leaf states the chain amortises.
-    round_max_words: Tuple[int, ...] = ()
-    #: τ used at each greedy invocation: the ``t`` leaf phases first,
-    #: then one entry per internal node in hand-off order.  Constant
-    #: under fixed τ; recomputed from the merged state when
-    #: ``adaptive=True`` (adaptive leaves defer greedy, recorded as
-    #: ``inf``).
-    thresholds: Tuple[float, ...] = ()
-    #: Elements no surviving party could cover (``partial=True`` only).
-    uncovered: Tuple[ElementId, ...] = ()
-    #: Per-hand-off snapshots of the shipped state, parallel to
-    #: ``message_words``; populated only under ``capture_states=True``.
-    forwarded_states: Tuple[
-        Tuple[
-            Tuple[ElementId, ...],
-            Tuple[Tuple[ElementId, SetKey], ...],
-            Tuple[SetKey, ...],
-        ],
-        ...,
-    ] = ()
-
-    @property
-    def cover_size(self) -> int:
-        """Number of distinct set keys in the output cover."""
-        return len(self.cover)
-
-    @property
-    def max_message_words(self) -> int:
-        """Longest hand-off in words."""
-        return max(self.message_words) if self.message_words else 0
 
 
 def tournament_rounds(
@@ -380,7 +385,7 @@ def tournament_merge(
     partial: bool = False,
     capture_states: bool = False,
     adaptive: bool = False,
-) -> TournamentOutcome:
+) -> ProtocolOutcome:
     """Run the chain protocol's party step as a binary reduction tree.
 
     Every party first plays the chain step *against the full universe*
@@ -417,20 +422,12 @@ def tournament_merge(
       (``t = 1`` degenerates to a single leaf acting alone at ``√n``,
       matching the one-party chain.)
 
-    Parameters match :func:`chain_merge`; the outcome adds the round
-    structure (:attr:`TournamentOutcome.edges`,
-    :attr:`TournamentOutcome.round_max_words`).
+    Parameters and outcome match :func:`chain_merge`; the tree's edges
+    pair parties per :func:`tournament_rounds`, so
+    :attr:`ProtocolOutcome.round_max_words` has one entry per round.
     """
+    fixed_tau = _baseline_tau(n, party_sets, threshold, adaptive)
     t = len(party_sets)
-    if t < 1:
-        raise ConfigurationError(f"need at least 1 party, got {t}")
-    if adaptive and threshold is not None:
-        raise ConfigurationError(
-            "adaptive re-estimation and an explicit threshold are "
-            "mutually exclusive"
-        )
-    fixed_tau = threshold if threshold is not None else math.sqrt(n / t)
-
     members_by_key: Dict[SetKey, Set[ElementId]] = {}
     locals_by_party: List[List[Tuple[SetKey, Set[ElementId]]]] = []
     thresholds: List[float] = []
@@ -444,10 +441,8 @@ def tournament_merge(
     # — except the degenerate one-party tree, which acts alone at √n
     # like the one-party chain.
     for index, share in enumerate(party_sets):
-        local = [(key, set(members)) for key, members in share]
+        local = _own_sets(share, members_by_key)
         locals_by_party.append(local)
-        for key, members in local:
-            members_by_key.setdefault(key, set()).update(members)
         uncovered: Set[ElementId] = set(range(n))
         witnesses: Dict[ElementId, SetKey] = {}
         for key, members in local:
@@ -466,19 +461,12 @@ def tournament_merge(
         states[index] = (uncovered, witnesses, chosen)
         sizes[index] = 1
 
-    schedule = tournament_rounds(range(t))
     message_words: List[int] = []
     edges: List[Tuple[int, int, int]] = []
     round_max_words: List[int] = []
-    forwarded_states: List[
-        Tuple[
-            Tuple[ElementId, ...],
-            Tuple[Tuple[ElementId, SetKey], ...],
-            Tuple[SetKey, ...],
-        ]
-    ] = []
+    forwarded_states: List[StateSnapshot] = []
 
-    for round_index, pairs in enumerate(schedule):
+    for round_index, pairs in enumerate(tournament_rounds(range(t))):
         round_max = 0
         for src, dst in pairs:
             u_src, w_src, c_src = states.pop(src)
@@ -488,13 +476,7 @@ def tournament_merge(
             edges.append((round_index, src, dst))
             round_max = max(round_max, words)
             if capture_states:
-                forwarded_states.append(
-                    (
-                        tuple(sorted(u_src)),
-                        tuple(sorted(w_src.items())),
-                        tuple(c_src),
-                    )
-                )
+                forwarded_states.append(_snapshot(u_src, w_src, c_src))
             uncovered = u_src & u_dst
             witnesses = {**w_dst, **w_src}
             chosen = c_src + c_dst
@@ -509,51 +491,16 @@ def tournament_merge(
             states[dst] = (uncovered, witnesses, chosen)
         round_max_words.append(round_max)
 
-    (root,) = states
-    uncovered, witnesses, chosen = states[root]
-    unpatchable: List[ElementId] = []
-    for u in sorted(uncovered):
-        witness = witnesses.get(u)
-        if witness is None:
-            if partial:
-                unpatchable.append(u)
-                continue
-            raise ProtocolError(
-                f"element {u} is covered by no party's sets; "
-                "instance infeasible"
-            )
-        chosen.append(witness)
-
-    seen: Set[SetKey] = set()
-    cover: List[SetKey] = []
-    for pick in chosen:
-        if pick not in seen:
-            seen.add(pick)
-            cover.append(pick)
-
-    certificate: Dict[ElementId, SetKey] = {}
-    for key in cover:
-        for u in members_by_key.get(key, ()):
-            certificate.setdefault(u, key)
-    missing = [u for u in range(n) if u not in certificate]
-    if missing and not partial:
-        raise ProtocolError(
-            f"protocol output misses {len(missing)} element(s), e.g. "
-            f"{missing[:5]}"
-        )
-
-    return TournamentOutcome(
-        cover=cover,
-        certificate=certificate,
+    (root_state,) = states.values()
+    return _finish(
+        n,
+        root_state,
+        members_by_key,
+        partial,
         message_words=message_words,
-        # The headline τ is the protocol baseline √(n/t) (or the
-        # override) — always finite; the per-node values, including the
-        # adaptive leaves' ∞ defer-markers, are in ``thresholds``.
         threshold=fixed_tau,
-        rounds=len(schedule),
         edges=tuple(edges),
         round_max_words=tuple(round_max_words),
         thresholds=tuple(thresholds),
-        uncovered=tuple(missing),
         forwarded_states=tuple(forwarded_states),
     )

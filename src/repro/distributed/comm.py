@@ -30,8 +30,9 @@ reports whatever the real thread count was.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import CommBudgetError, InvalidParameterError
 
@@ -71,6 +72,33 @@ def link_label(src: str, dst: str) -> str:
     link a synchronous merge would have used.
     """
     return f"{src}->{dst}"
+
+
+def check_count(parameter: str, value: object, minimum: int = 1) -> None:
+    """Reject anything but a non-bool int ``>= minimum`` with a typed error.
+
+    The entry points run it before routing, so a float, a bool or an
+    out-of-range count never reaches ``range()``, an executor pool or a
+    logical clock.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < minimum
+    ):
+        raise InvalidParameterError(parameter, value, f"must be an int >= {minimum}")
+
+
+def check_link_delays(
+    link_delays: Optional[Mapping[str, int]], default_delay: int
+) -> Dict[str, int]:
+    """Validate per-link delays (keyed by ``src->dst`` label) and their
+    default, in logical steps; returns the delays as a plain dict."""
+    check_count("default_delay", default_delay, minimum=0)
+    delays = dict(link_delays or {})
+    for label, delay in delays.items():
+        check_count(f"link_delays[{label}]", delay, minimum=0)
+    return delays
 
 
 @dataclass

@@ -39,11 +39,15 @@ quality, and merge latency:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Type
 
-from repro.distributed.chain import chain_merge, tournament_merge
+from repro.distributed.chain import (
+    ProtocolOutcome,
+    StateSnapshot,
+    chain_merge,
+    tournament_merge,
+)
 from repro.distributed.comm import CommMeter, words_for_cover_message
-from repro.distributed.router import ShardPlan
 from repro.distributed.transport import (
     Transport,
     candidate_upload_wire,
@@ -62,7 +66,6 @@ from repro.errors import (
     TransportError,
 )
 from repro.obs.events import MESSAGE_SENT
-from repro.obs.tracer import NULL_TRACER
 from repro.streaming.instance import SetCoverInstance
 from repro.types import ElementId, SetId
 
@@ -89,27 +92,24 @@ def _send(
     src: str,
     dst: str,
     words: int,
-    transport: Optional[Transport] = None,
-    kind: str = "message",
-    payload: Optional[object] = None,
+    transport: Transport,
+    kind: str,
+    payload: object,
 ) -> object:
     """Charge one message to the meter, move it, and return the payload.
 
     The meter is charged *first* — a :class:`~repro.errors.CommBudgetError`
     fires before anything crosses the wire, so a budget-tripped run
     shows the over-budget message as metered but never transmitted.
-    With a transport attached the payload travels as real bytes and the
-    **delivered** copy is returned (merges consume the return value, so
-    the wire is on the data path); without one the payload passes
-    through untouched.  One charged message maps to exactly one
-    transport frame, which is what makes the ``TransportReport`` frame
-    counts equal the ``CommReport`` message counts structurally.
+    The payload travels as real bytes and the **delivered** copy is
+    returned (merges consume the return value, so the wire is on the
+    data path).  One charged message maps to exactly one transport
+    frame, which is what makes the ``TransportReport`` frame counts
+    equal the ``CommReport`` message counts structurally.
     """
     link = comm.record(src, dst, words)
     if tracer.enabled:
         tracer.event(MESSAGE_SENT, link=link, words=words)
-    if transport is None:
-        return payload
     return transport.send(src, dst, kind, payload)
 
 
@@ -117,10 +117,10 @@ def _send(
 class CoordinatorOptions:
     """Strategy-specific merge options, validated per coordinator.
 
-    The typed replacement for the old ad-hoc ``threshold`` kwarg on
-    :func:`make_coordinator`: every option names the CLI flag it rides
-    in on, and validation rejects options the chosen strategy cannot
-    honour with an error that names that flag — so
+    The one way to pass a threshold to :func:`make_coordinator`: every
+    option names the CLI flag it rides in on, and validation rejects
+    options the chosen strategy cannot honour with an error that names
+    that flag — so
     ``--threshold``/``--adaptive-threshold`` on a star coordinator
     fails identically whether it arrives via the CLI, the executor, or
     a direct call.
@@ -144,11 +144,12 @@ class Coordinator:
     :attr:`MergeOutcome.uncovered` listing what was lost — instead of
     raising on an uncoverable universe.
 
-    ``transport`` optionally carries every charged message as real
-    bytes (:mod:`repro.distributed.transport`); the merge consumes the
+    ``transport`` carries every charged message as real bytes
+    (:mod:`repro.distributed.transport`); the merge consumes the
     *delivered* payloads, so a transport that corrupted a message would
     corrupt the merge — parity across transports is therefore a real
-    end-to-end property, not a bookkeeping identity.
+    end-to-end property, not a bookkeeping identity.  ``tracer``
+    receives one ``MESSAGE_SENT`` event per charged message.
     """
 
     name = "abstract"
@@ -160,12 +161,11 @@ class Coordinator:
     def merge(
         self,
         instance: SetCoverInstance,
-        plan: ShardPlan,
         outputs: Sequence[ShardOutput],
         comm: CommMeter,
-        tracer=None,
+        tracer,
+        transport: Transport,
         allow_partial: bool = False,
-        transport: Optional[Transport] = None,
     ) -> MergeOutcome:
         raise NotImplementedError
 
@@ -178,14 +178,12 @@ class UnionCoordinator(Coordinator):
     def merge(
         self,
         instance: SetCoverInstance,
-        plan: ShardPlan,
         outputs: Sequence[ShardOutput],
         comm: CommMeter,
-        tracer=None,
+        tracer,
+        transport: Transport,
         allow_partial: bool = False,
-        transport: Optional[Transport] = None,
     ) -> MergeOutcome:
-        tracer = tracer if tracer is not None else NULL_TRACER
         cover: Set[SetId] = set()
         certificate: Dict[ElementId, SetId] = {}
         for out in outputs:
@@ -195,11 +193,9 @@ class UnionCoordinator(Coordinator):
                 f"shard[{out.index}]",
                 "coordinator",
                 words_for_cover_message(len(out.cover), len(out.certificate)),
-                transport=transport,
-                kind="cover",
-                payload=cover_upload_wire(
-                    out.index, out.cover, out.certificate
-                ),
+                transport,
+                "cover",
+                cover_upload_wire(out.index, out.cover, out.certificate),
             )
             _, shard_cover, witness_pairs = read_cover_upload(delivered)
             cover.update(shard_cover)
@@ -235,14 +231,12 @@ class GreedyCoordinator(Coordinator):
     def merge(
         self,
         instance: SetCoverInstance,
-        plan: ShardPlan,
         outputs: Sequence[ShardOutput],
         comm: CommMeter,
-        tracer=None,
+        tracer,
+        transport: Transport,
         allow_partial: bool = False,
-        transport: Optional[Transport] = None,
     ) -> MergeOutcome:
-        tracer = tracer if tracer is not None else NULL_TRACER
         candidates: Dict[SetId, Set[ElementId]] = {}
         for out in outputs:
             words = sum(
@@ -255,11 +249,9 @@ class GreedyCoordinator(Coordinator):
                 f"shard[{out.index}]",
                 "coordinator",
                 words,
-                transport=transport,
-                kind="candidates",
-                payload=candidate_upload_wire(
-                    out.index, out.cover, out.members_by_set
-                ),
+                transport,
+                "candidates",
+                candidate_upload_wire(out.index, out.cover, out.members_by_set),
             )
             _, uploads = read_candidate_upload(delivered)
             for sid, members in uploads:
@@ -304,21 +296,29 @@ class GreedyCoordinator(Coordinator):
         )
 
 
-class ChainCoordinator(Coordinator):
-    """The deterministic 2√(nW) chain protocol over shard views.
+class _ProtocolCoordinator(Coordinator):
+    """The one merge body of the protocol coordinators (chain, tree).
 
     Parties are the shards in index order; party ``i``'s sets are the
     shard's ``set_order`` enumeration with the membership it observed.
-    Each hand-off is charged to the link between the *actual* shard
-    indices of consecutive surviving parties (``shard[0]->shard[1]`` in
-    a full merge; e.g. ``shard[0]->shard[2]`` when shard 1 was lost to a
-    quorum-degraded merge) at the forwarded state's exact word count, so
+    The subclass names the protocol engine, which returns the hand-off
+    edges between parties.  Each hand-off is charged to the link between
+    the *actual* shard indices of its two parties (e.g.
+    ``shard[0]->shard[2]`` when shard 1 was lost to a quorum-degraded
+    merge) at the forwarded state's exact word count, so
     ``max_message_words`` is the protocol's longest message — the
-    quantity Theorem 2's lower bound governs.
+    quantity Theorem 2's lower bound governs.  The state then crosses
+    the transport, and the delivered payload's word count must equal
+    the charge.
     """
 
-    name = "chain"
     accepts_threshold = True
+    #: The protocol engine (:func:`~repro.distributed.chain.chain_merge`
+    #: or :func:`~repro.distributed.chain.tournament_merge`).
+    engine: Callable[..., ProtocolOutcome]
+    #: Whether the diagnostics carry the round structure
+    #: (``merge_rounds``, ``round_max_words_{r}``).
+    reports_rounds = False
 
     def __init__(
         self,
@@ -328,17 +328,19 @@ class ChainCoordinator(Coordinator):
         self.threshold = threshold
         self.adaptive = adaptive
 
+    #: ``(hop, round, src shard, dst shard, state) -> payload``: the wire
+    #: form of one hand-off.
+    wire: Callable[[int, int, int, int, StateSnapshot], Dict[str, object]]
+
     def merge(
         self,
         instance: SetCoverInstance,
-        plan: ShardPlan,
         outputs: Sequence[ShardOutput],
         comm: CommMeter,
-        tracer=None,
+        tracer,
+        transport: Transport,
         allow_partial: bool = False,
-        transport: Optional[Transport] = None,
     ) -> MergeOutcome:
-        tracer = tracer if tracer is not None else NULL_TRACER
         party_sets = [
             [
                 (sid, set(out.members_by_set.get(sid, frozenset())))
@@ -346,148 +348,101 @@ class ChainCoordinator(Coordinator):
             ]
             for out in outputs
         ]
-        outcome = chain_merge(
+        outcome = self.engine(
             instance.n,
             party_sets,
             threshold=self.threshold,
             partial=allow_partial,
-            capture_states=transport is not None,
+            capture_states=True,
             adaptive=self.adaptive,
         )
-        for i, words in enumerate(outcome.message_words):
-            payload = None
-            if transport is not None:
-                uncovered, witnesses, chosen = outcome.forwarded_states[i]
-                payload = handoff_wire(i, uncovered, witnesses, chosen)
+        for hop, (round_index, src, dst) in enumerate(outcome.edges):
+            words = outcome.message_words[hop]
+            src_index, dst_index = outputs[src].index, outputs[dst].index
+            payload = self.wire(
+                hop,
+                round_index,
+                src_index,
+                dst_index,
+                outcome.forwarded_states[hop],
+            )
+            kind = str(payload["kind"])
             delivered = _send(
                 comm,
                 tracer,
-                f"shard[{outputs[i].index}]",
-                f"shard[{outputs[i + 1].index}]",
+                f"shard[{src_index}]",
+                f"shard[{dst_index}]",
                 words,
-                transport=transport,
-                kind="handoff",
-                payload=payload,
+                transport,
+                kind,
+                payload,
             )
-            if transport is not None and handoff_words(delivered) != words:
+            if handoff_words(delivered) != words:
                 raise TransportError(
-                    f"hand-off {i} delivered "
-                    f"{handoff_words(delivered)} word(s) of state but "
-                    f"{words} were charged; the wire dropped or altered "
-                    "protocol state"
-                )
-        return MergeOutcome(
-            cover=tuple(outcome.cover),
-            certificate=dict(outcome.certificate),
-            diagnostics={
-                "threshold": outcome.threshold,
-                "protocol_messages": float(len(outcome.message_words)),
-                "max_message_words": float(outcome.max_message_words),
-                "adaptive_threshold": 1.0 if self.adaptive else 0.0,
-            },
-            uncovered=outcome.uncovered,
-        )
-
-
-class TournamentCoordinator(Coordinator):
-    """The chain protocol folded into a ``⌈log₂ W⌉``-round tournament.
-
-    Parties are the shards in index order, exactly as the chain; the
-    merge runs :func:`~repro.distributed.chain.tournament_merge` and
-    charges each tree edge to the link between the *actual* shard
-    indices of the paired parties (``shard[0]->shard[1]``,
-    ``shard[2]->shard[3]``, … in round 0 of a full merge).  Same W−1
-    total messages as the chain; what changes is the dependency
-    structure — same-round edges are independent, which the async
-    scheduler exploits to deliver them on one logical tick.  The known
-    cost is message size: a leaf ships witnesses for every element it
-    holds, so per-round maxima land in the diagnostics
-    (``round_max_words_{r}``) next to the headline
-    ``max_message_words``.
-    """
-
-    name = "tree"
-    accepts_threshold = True
-
-    def __init__(
-        self,
-        threshold: Optional[float] = None,
-        adaptive: bool = False,
-    ) -> None:
-        self.threshold = threshold
-        self.adaptive = adaptive
-
-    def merge(
-        self,
-        instance: SetCoverInstance,
-        plan: ShardPlan,
-        outputs: Sequence[ShardOutput],
-        comm: CommMeter,
-        tracer=None,
-        allow_partial: bool = False,
-        transport: Optional[Transport] = None,
-    ) -> MergeOutcome:
-        tracer = tracer if tracer is not None else NULL_TRACER
-        party_sets = [
-            [
-                (sid, set(out.members_by_set.get(sid, frozenset())))
-                for sid in out.set_order
-            ]
-            for out in outputs
-        ]
-        outcome = tournament_merge(
-            instance.n,
-            party_sets,
-            threshold=self.threshold,
-            partial=allow_partial,
-            capture_states=transport is not None,
-            adaptive=self.adaptive,
-        )
-        for i, (round_index, src, dst) in enumerate(outcome.edges):
-            words = outcome.message_words[i]
-            payload = None
-            if transport is not None:
-                uncovered, witnesses, chosen = outcome.forwarded_states[i]
-                payload = tree_handoff_wire(
-                    round_index,
-                    outputs[src].index,
-                    outputs[dst].index,
-                    uncovered,
-                    witnesses,
-                    chosen,
-                )
-            delivered = _send(
-                comm,
-                tracer,
-                f"shard[{outputs[src].index}]",
-                f"shard[{outputs[dst].index}]",
-                words,
-                transport=transport,
-                kind="tree-handoff",
-                payload=payload,
-            )
-            if transport is not None and handoff_words(delivered) != words:
-                raise TransportError(
-                    f"tree hand-off {i} (round {round_index}) delivered "
-                    f"{handoff_words(delivered)} word(s) of state but "
-                    f"{words} were charged; the wire dropped or altered "
-                    "protocol state"
+                    f"{kind} {hop} (round {round_index}) "
+                    f"delivered {handoff_words(delivered)} word(s) of "
+                    f"state but {words} were charged; the wire dropped "
+                    "or altered protocol state"
                 )
         diagnostics = {
             "threshold": outcome.threshold,
             "protocol_messages": float(len(outcome.message_words)),
-            "merge_rounds": float(outcome.rounds),
             "max_message_words": float(outcome.max_message_words),
             "adaptive_threshold": 1.0 if self.adaptive else 0.0,
         }
-        for r, words in enumerate(outcome.round_max_words):
-            diagnostics[f"round_max_words_{r}"] = float(words)
+        if self.reports_rounds:
+            diagnostics["merge_rounds"] = float(outcome.rounds)
+            for r, words in enumerate(outcome.round_max_words):
+                diagnostics[f"round_max_words_{r}"] = float(words)
         return MergeOutcome(
             cover=tuple(outcome.cover),
             certificate=dict(outcome.certificate),
             diagnostics=diagnostics,
             uncovered=outcome.uncovered,
         )
+
+
+class ChainCoordinator(_ProtocolCoordinator):
+    """The deterministic 2√(nW) chain protocol over shard views.
+
+    Hand-off ``i`` relays the state from the ``i``-th to the
+    ``(i+1)``-th surviving shard (``shard[0]->shard[1]``, … in a full
+    merge) as a framed ``handoff`` payload.
+    """
+
+    name = "chain"
+    engine = staticmethod(chain_merge)
+    # Kept in the class namespace so the merge can be wrapped per class.
+    merge = _ProtocolCoordinator.merge
+
+    @staticmethod
+    def wire(hop, round_index, src, dst, state):
+        return handoff_wire(hop, *state)
+
+
+class TournamentCoordinator(_ProtocolCoordinator):
+    """The chain protocol folded into a ``⌈log₂ W⌉``-round tournament.
+
+    The merge runs :func:`~repro.distributed.chain.tournament_merge`,
+    so round 0 of a full merge pairs ``shard[0]->shard[1]``,
+    ``shard[2]->shard[3]``, … and each edge ships a framed
+    ``tree-handoff`` payload.  Same W−1 total messages as the chain;
+    what changes is the dependency structure — same-round edges are
+    independent, which the async scheduler exploits to deliver them on
+    one logical tick.  The known cost is message size: a leaf ships
+    witnesses for every element it holds, so per-round maxima land in
+    the diagnostics (``round_max_words_{r}``) next to the headline
+    ``max_message_words``.
+    """
+
+    name = "tree"
+    engine = staticmethod(tournament_merge)
+    reports_rounds = True
+    merge = _ProtocolCoordinator.merge
+
+    @staticmethod
+    def wire(hop, round_index, src, dst, state):
+        return tree_handoff_wire(round_index, src, dst, *state)
 
 
 #: Public name -> coordinator class.
@@ -507,16 +462,13 @@ def registered_coordinators() -> List[str]:
 def make_coordinator(
     name: str,
     options: Optional[CoordinatorOptions] = None,
-    threshold: Optional[float] = None,
 ) -> Coordinator:
     """Construct a registered coordinator by name.
 
     ``options`` carries the strategy-specific knobs
     (:class:`CoordinatorOptions`); options the named strategy cannot
     honour raise :class:`~repro.errors.ConfigurationError` naming the
-    offending flag.  The legacy ``threshold`` kwarg is shorthand for
-    ``CoordinatorOptions(threshold=...)`` and may not be combined with
-    an explicit ``options``.
+    offending flag.
     """
     try:
         cls = COORDINATOR_REGISTRY[name]
@@ -525,13 +477,6 @@ def make_coordinator(
         raise InvalidParameterError(
             "coordinator", name, f"known coordinators: {known}"
         ) from None
-    if threshold is not None:
-        if options is not None:
-            raise ConfigurationError(
-                "pass the threshold inside CoordinatorOptions, not both "
-                "ways at once"
-            )
-        options = CoordinatorOptions(threshold=threshold)
     opts = options if options is not None else CoordinatorOptions()
     if not cls.accepts_threshold:
         if opts.threshold is not None:

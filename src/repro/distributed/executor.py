@@ -45,7 +45,12 @@ from repro.distributed.backends import (
     make_backend,
     run_tasks_with_recovery,
 )
-from repro.distributed.comm import CommBudget, CommMeter, CommReport
+from repro.distributed.comm import (
+    CommBudget,
+    CommMeter,
+    CommReport,
+    check_count,
+)
 from repro.distributed.coordinator import (
     CoordinatorOptions,
     make_coordinator,
@@ -97,20 +102,6 @@ def check_seed(parameter: str, seed: Optional[int]) -> int:
             parameter, seed, "expected an int seed (or None for 0)"
         )
     return int(seed)
-
-
-def _check_count(parameter: str, value: object, minimum: int = 1) -> None:
-    """Reject anything but a non-bool int ``>= minimum`` with a typed error.
-
-    Runs before routing, so a float, a bool or an out-of-range count
-    never reaches ``range()`` or an executor pool.
-    """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or value < minimum
-    ):
-        raise InvalidParameterError(parameter, value, f"must be an int >= {minimum}")
 
 
 def validate_transport(transport: Optional[object]) -> None:
@@ -513,11 +504,11 @@ def _run_sharded(
     appended to the result.  The merge runs exactly once either way, on
     the surviving outputs in shard-index order.
     """
-    _check_count("workers", workers)
+    check_count("workers", workers)
     seed = check_seed("seed", seed)
-    _check_count("max_workers", max_workers)
-    _check_count("max_attempts", max_attempts)
-    _check_count("backoff_steps", backoff_steps, minimum=0)
+    check_count("max_workers", max_workers)
+    check_count("max_attempts", max_attempts)
+    check_count("backoff_steps", backoff_steps, minimum=0)
     if comm_budget is not None and not isinstance(comm_budget, CommBudget):
         raise InvalidParameterError(
             "comm_budget", comm_budget, "expected a CommBudget (or None)"
@@ -609,12 +600,11 @@ def _run_sharded(
         ):
             outcome = merger.merge(
                 instance,
-                plan,
                 shard_outputs,
                 comm,
                 tracer=merge_tracer,
-                allow_partial=bool(lost),
                 transport=transport_impl,
+                allow_partial=bool(lost),
             )
         schedule = replay(outputs, outcomes, comm) if replay is not None else {}
         comm_report = comm.report()

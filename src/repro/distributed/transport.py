@@ -13,13 +13,11 @@ registered :class:`Transport`:
     its wire size, then delivered by reference — today's behaviour
     with a byte count attached.
 ``loopback``
-    An in-memory channel driven by the
-    :class:`~repro.distributed.asyncsim.AsyncScheduler` logical clock,
-    with seeded per-link latency, jitter, and partition/drop injection.
-    Frames are encoded, carried through the scheduler, and decoded on
-    delivery; a partitioned link retransmits up to ``max_retries``
-    times and then raises a typed
-    :class:`~repro.errors.TransportPartitionError`.
+    An in-memory channel on a logical clock, with seeded per-link
+    latency, jitter, and partition/drop injection.  Frames are encoded,
+    held for their link delay, and decoded on delivery; a partitioned
+    link retransmits up to ``max_retries`` times and then raises a
+    typed :class:`~repro.errors.TransportPartitionError`.
 ``socket``
     Real TCP over localhost.  A background acceptor thread owns the
     listening socket; senders hold one connection per link and ship
@@ -69,7 +67,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
 
-from repro.distributed.comm import link_label
+from repro.distributed.comm import check_count, check_link_delays, link_label
 from repro.errors import (
     InvalidParameterError,
     TransportError,
@@ -264,13 +262,12 @@ def read_candidate_upload(
     return int(payload["index"]), out  # type: ignore[arg-type]
 
 
-def handoff_wire(
-    hop: int,
+def _state_fields(
     uncovered: Iterable[int],
     witnesses: Iterable[Tuple[int, int]],
     chosen: Iterable[int],
 ) -> Dict[str, object]:
-    """One chain hand-off: the forwarded protocol state.
+    """The packed protocol state every hand-off carries.
 
     A chosen key is charged at *two* words by
     :func:`~repro.distributed.chain.state_words` (keys may be composite
@@ -286,11 +283,23 @@ def handoff_wire(
         flat_chosen.append(0)
         flat_chosen.append(key)
     return {
-        "kind": "handoff",
-        "hop": hop,
         "uncovered": pack_words(sorted(uncovered)),
         "witnesses": pack_words(flat_witnesses),
         "chosen": pack_words(flat_chosen),
+    }
+
+
+def handoff_wire(
+    hop: int,
+    uncovered: Iterable[int],
+    witnesses: Iterable[Tuple[int, int]],
+    chosen: Iterable[int],
+) -> Dict[str, object]:
+    """One chain hand-off: the forwarded protocol state after ``hop``."""
+    return {
+        "kind": "handoff",
+        "hop": hop,
+        **_state_fields(uncovered, witnesses, chosen),
     }
 
 
@@ -302,29 +311,15 @@ def tree_handoff_wire(
     witnesses: Iterable[Tuple[int, int]],
     chosen: Iterable[int],
 ) -> Dict[str, object]:
-    """One tournament hand-off: a subtree's state shipped to its peer.
-
-    Same packed state fields as :func:`handoff_wire` — the tournament
-    forwards the identical (uncovered, witnesses, chosen) structure, so
-    :func:`handoff_words` verifies either kind — with the tree position
-    (``round``, ``src``, ``dst``) in place of the chain's ``hop``.
-    """
-    flat_witnesses: List[int] = []
-    for u, s in witnesses:
-        flat_witnesses.append(u)
-        flat_witnesses.append(s)
-    flat_chosen: List[int] = []
-    for key in chosen:
-        flat_chosen.append(0)
-        flat_chosen.append(key)
+    """One tournament hand-off: a subtree's state shipped to its peer,
+    with the tree position (``round``, ``src``, ``dst``) in place of the
+    chain's ``hop``."""
     return {
         "kind": "tree-handoff",
         "round": round_index,
         "src": src,
         "dst": dst,
-        "uncovered": pack_words(sorted(uncovered)),
-        "witnesses": pack_words(flat_witnesses),
-        "chosen": pack_words(flat_chosen),
+        **_state_fields(uncovered, witnesses, chosen),
     }
 
 
@@ -493,17 +488,20 @@ class InprocTransport(Transport):
 
 
 class LoopbackTransport(Transport):
-    """In-memory channel on the async scheduler's logical clock.
+    """In-memory channel on its own logical clock.
 
-    Every frame becomes a scheduler message with its configured link
-    delay plus seeded jitter; the transport drains the scheduler and
-    decodes the delivered frame, so the logical clock measures the
-    merge's wire latency in the same units PR 7's simulator uses.
+    Every frame is delivered after its configured link delay plus seeded
+    jitter, then decoded.  One frame is in flight at a time, so each
+    delivery idles the clock through the delay and spends one step
+    landing: ``idle_ticks += delay`` and ``clock += delay + 1`` — the
+    reading an :class:`~repro.distributed.asyncsim.AsyncScheduler`
+    draining a single message gives, in the async simulator's units.
     Fault injection: links named in ``partitioned`` drop every frame,
     and ``drop_rate`` drops each transmission independently (seeded) —
     both retransmit up to ``max_retries`` extra times before raising
     :class:`~repro.errors.TransportPartitionError`.  Dropped frames
     still count toward bytes/frames: a real NIC transmits them too.
+    Delays, ``jitter`` and ``max_retries`` must be non-bool ints ``>= 0``.
     """
 
     name = "loopback"
@@ -519,28 +517,23 @@ class LoopbackTransport(Transport):
         max_retries: int = 3,
     ) -> None:
         super().__init__()
-        if jitter < 0:
-            raise InvalidParameterError("jitter", jitter, "must be >= 0")
+        check_count("jitter", jitter, minimum=0)
         if not 0.0 <= drop_rate < 1.0:
             raise InvalidParameterError(
                 "drop_rate", drop_rate, "must be in [0, 1)"
             )
-        if max_retries < 0:
-            raise InvalidParameterError(
-                "max_retries", max_retries, "must be >= 0"
-            )
-        # Imported lazily: asyncsim imports the coordinator module,
-        # which imports us — a module-level import would be circular.
-        from repro.distributed.asyncsim import AsyncScheduler
-
-        self._scheduler = AsyncScheduler(
-            link_delays=link_delays, default_delay=default_delay
-        )
+        check_count("max_retries", max_retries, minimum=0)
+        self.link_delays = check_link_delays(link_delays, default_delay)
+        self.default_delay = default_delay
         self._rng = make_rng(seed)
         self.jitter = jitter
         self.drop_rate = drop_rate
         self.partitioned = frozenset(partitioned)
         self.max_retries = max_retries
+        #: Logical steps after the frames so far.
+        self.clock = 0
+        #: Steps the clock spent waiting out link delays.
+        self.idle_ticks = 0
 
     def send(self, src: str, dst: str, kind: str, payload: object) -> object:
         frame = encode_frame(self.codec, payload)
@@ -552,30 +545,18 @@ class LoopbackTransport(Transport):
             )
             if dropped:
                 continue
-            delay = self._scheduler.link_delay(src, dst)
+            delay = self.link_delays.get(link, self.default_delay)
             if self.jitter:
                 delay += self._rng.randrange(self.jitter + 1)
-            self._scheduler.post(
-                src,
-                dst,
-                kind=kind,
-                words=len(frame),
-                payload=frame,
-                available_step=self._scheduler.clock + delay,
-            )
-            delivered = self._scheduler.drain()[-1]
-            return decode_frame(delivered.payload)
+            self.idle_ticks += delay
+            self.clock += delay + 1
+            return decode_frame(frame)
         raise TransportPartitionError(link, self.max_retries + 1)
-
-    @property
-    def clock(self) -> int:
-        """The scheduler's logical clock after the frames so far."""
-        return self._scheduler.clock
 
     def _diagnostics(self) -> Dict[str, float]:
         return {
-            "logical_clock": float(self._scheduler.clock),
-            "idle_ticks": float(self._scheduler.idle_ticks),
+            "logical_clock": float(self.clock),
+            "idle_ticks": float(self.idle_ticks),
         }
 
 

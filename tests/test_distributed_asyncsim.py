@@ -394,6 +394,36 @@ class TestAsyncParameterValidation:
             )
         assert excinfo.value.parameter == parameter
 
+    @pytest.mark.parametrize(
+        "kwargs,parameter",
+        [
+            ({"default_delay": 1.5}, "default_delay"),
+            ({"default_delay": True}, "default_delay"),
+            ({"default_delay": "1"}, "default_delay"),
+            ({"default_delay": -1}, "default_delay"),
+            ({"link_delays": {"shard[0]->shard[1]": 1.5}}, "link_delays"),
+            ({"link_delays": {"shard[0]->shard[1]": "2"}}, "link_delays"),
+            ({"link_delays": {"shard[0]->shard[1]": False}}, "link_delays"),
+            ({"delivery": "fifo"}, "delivery"),
+        ],
+    )
+    def test_bad_delay_or_delivery_rejected_before_shard_work(
+        self, instance, monkeypatch, kwargs, parameter
+    ):
+        # Regression: fractional delays used to run to a fractional
+        # logical clock, a str delay escaped as a bare TypeError, and a
+        # policy name ran every shard and the merge before failing with
+        # AttributeError in the replay.
+        def no_shard_work(task):
+            raise AssertionError("shard work ran before delay validation")
+
+        monkeypatch.setattr(backends, "execute_shard_task", no_shard_work)
+        with pytest.raises(InvalidParameterError) as excinfo:
+            run_distributed_async(
+                instance, workers=4, backend="serial", **kwargs
+            )
+        assert excinfo.value.parameter.startswith(parameter)
+
     def test_none_schedule_seed_means_zero(self, instance):
         implicit = run_distributed_async(
             instance, workers=4, backend="serial", schedule_seed=None

@@ -59,20 +59,14 @@ class TestRegistry:
             make_coordinator("quorum")
 
     def test_threshold_only_for_protocol_merges(self):
-        make_coordinator("chain", threshold=3.0)
-        make_coordinator("tree", threshold=3.0)
-        for name in ("union", "greedy"):
-            with pytest.raises(ConfigurationError, match="--threshold"):
-                make_coordinator(name, threshold=3.0)
-
-    def test_options_object_equivalent_to_kwarg(self):
         from repro.distributed import CoordinatorOptions
 
-        via_options = make_coordinator(
-            "chain", CoordinatorOptions(threshold=3.0)
-        )
-        via_kwarg = make_coordinator("chain", threshold=3.0)
-        assert via_options.threshold == via_kwarg.threshold == 3.0
+        options = CoordinatorOptions(threshold=3.0)
+        assert make_coordinator("chain", options).threshold == 3.0
+        assert make_coordinator("tree", options).threshold == 3.0
+        for name in ("union", "greedy"):
+            with pytest.raises(ConfigurationError, match="--threshold"):
+                make_coordinator(name, options)
 
     def test_adaptive_threshold_mutually_exclusive(self):
         from repro.distributed import CoordinatorOptions
@@ -89,14 +83,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="--adaptive-threshold"):
             make_coordinator(
                 "union", CoordinatorOptions(adaptive_threshold=True)
-            )
-
-    def test_options_and_legacy_kwarg_conflict(self):
-        from repro.distributed import CoordinatorOptions
-
-        with pytest.raises(ConfigurationError):
-            make_coordinator(
-                "chain", CoordinatorOptions(threshold=3.0), threshold=3.0
             )
 
 
@@ -224,7 +210,9 @@ class TestBudgetsAndFailures:
         # greedy merge stall; it must raise InvalidCoverError, not loop.
         from repro.distributed.comm import CommMeter as Meter
         from repro.distributed.coordinator import GreedyCoordinator
+        from repro.distributed.transport import InprocTransport
         from repro.distributed.worker import ShardOutput
+        from repro.obs.tracer import NULL_TRACER
 
         instance = SetCoverInstance(3, [{0, 1, 2}])
         outputs = [
@@ -237,7 +225,9 @@ class TestBudgetsAndFailures:
             )
         ]
         with pytest.raises(InvalidCoverError):
-            GreedyCoordinator().merge(instance, None, outputs, Meter())
+            GreedyCoordinator().merge(
+                instance, outputs, Meter(), NULL_TRACER, InprocTransport()
+            )
 
     def test_invalid_worker_counts(self, instance):
         with pytest.raises(ConfigurationError):

@@ -271,6 +271,38 @@ class TestLoopbackTransport:
         with pytest.raises(InvalidParameterError):
             LoopbackTransport(max_retries=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs,parameter",
+        [
+            ({"jitter": 1.5}, "jitter"),
+            ({"jitter": True}, "jitter"),
+            ({"max_retries": 1.5}, "max_retries"),
+            ({"max_retries": False}, "max_retries"),
+            ({"default_delay": 0.5}, "default_delay"),
+            ({"default_delay": -1}, "default_delay"),
+            ({"link_delays": {"a->b": 2.5}}, "link_delays"),
+        ],
+    )
+    def test_non_int_counts_rejected_at_construction(self, kwargs, parameter):
+        # Regression: a fractional jitter or retry count used to pass
+        # construction and fail mid-merge with a bare ValueError or
+        # TypeError; a fractional delay gave a fractional clock.
+        with pytest.raises(InvalidParameterError) as excinfo:
+            LoopbackTransport(**kwargs)
+        assert excinfo.value.parameter.startswith(parameter)
+
+    def test_clock_counts_delay_then_delivery_step(self):
+        # One frame in flight: idle through its delay, one step to land.
+        transport = LoopbackTransport(link_delays={"a->b": 3}, default_delay=0)
+        clock = []
+        for src, dst in (("a", "b"), ("b", "c")):
+            transport.send(src, dst, "x", {"k": 1})
+            diagnostics = transport.report().diagnostics
+            clock.append(
+                (diagnostics["logical_clock"], diagnostics["idle_ticks"])
+            )
+        assert clock == [(4.0, 3.0), (5.0, 3.0)]
+
 
 class TestSocketTransport:
     def test_round_trip_over_tcp(self):
