@@ -33,6 +33,13 @@ clock and idle ticks, for every coordinator (chain and tree under fixed
 and adaptive τ) at W ∈ {1, 3, 8} over a jittered, lossy loopback with a
 duplicated shard.  Its literals were recorded from the code before the
 chain and tree merges moved onto one protocol path.
+
+A fourth grid pins the protocol merges where set keys repeat across
+parties: chain and tree under adaptive τ with ``by-element`` and
+``hash`` routing, plus one quorum-degraded cell per coordinator (one
+shard lost, so the merge runs partial and leaves elements uncovered).
+Its literals were recorded from the code before the protocol merge
+state moved from Python sets onto arrays.
 """
 
 from __future__ import annotations
@@ -576,3 +583,98 @@ def test_wire_pinned(instance, coordinator, mode, workers):
     report = run_wire_cell(instance, coordinator, mode, workers)
     assert report.transport == "loopback"
     assert wire_signature(report) == EXPECTED_WIRE[(coordinator, mode, workers)]
+
+
+#: Protocol grid: the cells where set keys repeat across parties (by-element
+#: and hash routing) under adaptive τ, plus one quorum-degraded cell per
+#: coordinator (by-element routing with shard 1 lost, so the elements it
+#: held stay uncovered and the protocol residue patch runs partial).
+#: Cell -> (coordinator, strategy, adaptive, degraded).
+PROTOCOL_CELLS = {
+    ("chain", "adaptive-by-element"): ("by-element", True, False),
+    ("chain", "adaptive-hash"): ("hash", True, False),
+    ("tree", "adaptive-by-element"): ("by-element", True, False),
+    ("tree", "adaptive-hash"): ("hash", True, False),
+    **{
+        (coordinator, "degraded-by-element"): ("by-element", False, True)
+        for coordinator in COORDINATORS
+    },
+}
+
+
+def run_protocol_cell(instance, coordinator: str, cell: str):
+    """Run one protocol cell; returns ``(result, trace_jsonl)``."""
+    strategy, adaptive, degraded = PROTOCOL_CELLS[(coordinator, cell)]
+    collector = TraceCollector()
+    extra = {}
+    if degraded:
+        extra = {
+            "shard_faults": ShardFaultPlan(
+                {1: ShardFaultSpec(crash_attempts=PERMANENT)}
+            ),
+            "min_shards": 3,
+        }
+    result = run_distributed(
+        instance,
+        workers=4,
+        algorithm="kk",
+        strategy=strategy,
+        coordinator=coordinator,
+        order=RandomOrder(seed=7),
+        seed=5,
+        backend="serial",
+        adaptive_threshold=adaptive,
+        comm_log=True,
+        collector=collector,
+        **extra,
+    )
+    return result, collector.to_jsonl()
+
+
+#: (coordinator, cell) -> (result digest, trace digest).  Recorded from
+#: the code before the protocol merge state moved onto arrays.
+EXPECTED_PROTOCOL_DIGESTS = {
+    ("chain", "adaptive-by-element"): (
+        "1a5e60b6582292a9",
+        "6ccd9819468ec162",
+    ),
+    ("chain", "adaptive-hash"): (
+        "f1212e2fa92cca95",
+        "a5d001e34abc625a",
+    ),
+    ("chain", "degraded-by-element"): (
+        "1f2080c72b3fe97b",
+        "e170db91adbe5712",
+    ),
+    ("greedy", "degraded-by-element"): (
+        "4a1dcb93ac8bdfe6",
+        "f46d5f2536251f99",
+    ),
+    ("tree", "adaptive-by-element"): (
+        "e175894bd71ff4c8",
+        "8acf45f97342bdee",
+    ),
+    ("tree", "adaptive-hash"): (
+        "9b12acf2922fbdee",
+        "6b160c15336daee4",
+    ),
+    ("tree", "degraded-by-element"): (
+        "aea4f32bc749e52b",
+        "9ca64bf520271f0c",
+    ),
+    ("union", "degraded-by-element"): (
+        "aa63c8e1cd4723c2",
+        "a04b310c9b9fdd74",
+    ),
+}
+
+
+@pytest.mark.parametrize("coordinator,cell", sorted(PROTOCOL_CELLS))
+def test_protocol_path_pinned(instance, coordinator, cell):
+    result, trace = run_protocol_cell(instance, coordinator, cell)
+    degraded = PROTOCOL_CELLS[(coordinator, cell)][2]
+    result.verify(instance, allow_partial=degraded)
+    assert bool(result.degradations) == bool(result.uncovered) == degraded
+    assert (result_digest(result), _digest(trace)) == (
+        EXPECTED_PROTOCOL_DIGESTS[(coordinator, cell)]
+    )
