@@ -27,29 +27,31 @@ Two variations live alongside the literal protocol:
   ``remaining = t``, so its τ matches the fixed protocol exactly; later
   parties see a shrinking uncovered set and lower their bar with it.
 * **Tournament merge** (:func:`tournament_merge`): the same per-party
-  step arranged as a binary reduction tree.  Every party first runs the
-  chain step *against the full universe* (its leaf state), then pairs
-  of states merge bottom-up in ``⌈log₂ t⌉`` rounds — uncovered sets
-  intersect, witnesses and chosen keys union — cutting the merge's
-  critical path from ``t − 1`` sequential hops to ``⌈log₂ t⌉`` rounds
-  of independent hand-offs, at the cost of larger early messages (a
-  leaf ships witnesses for *every* element it holds).
+  step arranged as a binary reduction tree — ``⌈log₂ t⌉`` rounds of
+  independent hand-offs instead of ``t − 1`` sequential hops, at the
+  cost of larger early messages.
 
 Both engines return one :class:`ProtocolOutcome` — a chain is the
 schedule whose hop ``i`` is the edge ``(i, i, i + 1)`` — and share
-everything but their party loops: τ validation, the own-sets copy, the
-state snapshot, and the last party's patch, dedup and certificate.
+everything but their party loops (:class:`_Merge`).  The state is held
+as arrays: set keys are interned to dense ids in first-appearance
+order, each party's share is CSR, uncovered is a bool mask over
+``0..n-1``, witnesses an int64 key id per element (−1 for none), and
+the chosen keys a list of ids.  Hand-off snapshots and word counts are
+taken from those arrays, so neither depends on Python set order.
 
-This module deliberately does not import :mod:`repro.lowerbound`
-(which imports *us*); the sequential chain loop is ~10 lines and is
-re-implemented here rather than routed through ``OneWayChain``.
+This module does not import :mod:`repro.lowerbound` (which imports
+*us*), so the chain loop is not routed through ``OneWayChain``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Sized, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.types import ElementId
@@ -61,13 +63,23 @@ SetKey = Hashable
 PartySets = Sequence[Tuple[SetKey, Set[ElementId]]]
 
 
-#: One hand-off's forwarded state: ``(sorted uncovered, sorted witness
-#: pairs, chosen keys in pick order)``.
-StateSnapshot = Tuple[
-    Tuple[ElementId, ...],
-    Tuple[Tuple[ElementId, SetKey], ...],
-    Tuple[SetKey, ...],
-]
+#: One hand-off's forwarded state: ``(uncovered, witnesses, chosen)`` —
+#: the uncovered element ids ascending, a ``(k, 2)`` array of
+#: ``(element, key)`` witness rows in ascending element order, and the
+#: chosen keys in pick order.
+StateSnapshot = Tuple[np.ndarray, np.ndarray, Tuple[SetKey, ...]]
+
+#: A merge's running state: the uncovered mask over ``0..n-1``, the
+#: witness key id per element (−1 for none), and the chosen key ids in
+#: pick order.
+_State = Tuple[np.ndarray, np.ndarray, List[int]]
+
+
+#: One party's sets in CSR form, ``(key_ids, indptr, members, rows)``:
+#: row ``r`` is the set with key id ``key_ids[r]`` and members
+#: ``members[indptr[r]:indptr[r + 1]]``; ``rows[i]`` is the row holding
+#: ``members[i]``.
+_Share = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -124,11 +136,7 @@ class ProtocolOutcome:
         return max(self.message_words) if self.message_words else 0
 
 
-def state_words(
-    uncovered: Set[ElementId],
-    witnesses: Dict[ElementId, SetKey],
-    chosen: Sequence[SetKey],
-) -> int:
+def state_words(uncovered: Sized, witnesses: Sized, chosen: Sized) -> int:
     """Words of a forwarded state: 1 per uncovered element, 2 per witness
     entry, 2 per chosen key — a key is charged at two words whatever its
     concrete type, matching the historical ``(party, local_id)``
@@ -150,122 +158,177 @@ def adaptive_threshold_for(uncovered: int, remaining_parties: int) -> float:
     return math.sqrt(uncovered / max(1, remaining_parties))
 
 
+def _shares(
+    n: int, party_sets: Sequence[PartySets]
+) -> Tuple[List[SetKey], List[_Share]]:
+    """Intern the set keys and pack every party's share as CSR.
+
+    Keys get dense ids in first-appearance order (party by party, in
+    enumeration order); returns the keys by id and one :data:`_Share`
+    per party.  Every member must be an int element id in ``0..n-1`` —
+    checked here, before any party acts, so an out-of-range id can
+    neither be certified nor alias another element.
+    """
+    key_index: Dict[SetKey, int] = {}
+    party_ids = [
+        [key_index.setdefault(key, len(key_index)) for key, _ in share]
+        for share in party_sets
+    ]
+    views = [members for share in party_sets for _, members in share]
+    members = np.array(list(itertools.chain.from_iterable(views)))
+    if members.size and members.dtype.kind not in "iu":
+        raise ProtocolError(
+            f"set members must be int element ids, got {members.dtype} values"
+        )
+    outside = members[(members < 0) | (members >= n)]
+    if outside.size:
+        raise ProtocolError(
+            f"set member {int(outside[0])} is outside the universe 0..{n - 1}"
+        )
+    indptr = np.cumsum([0] + [len(view) for view in views])
+    shares: List[_Share] = []
+    for ids in party_ids:
+        bounds, indptr = indptr[: len(ids) + 1], indptr[len(ids) :]
+        local = bounds - bounds[0]
+        shares.append(
+            (
+                np.array(ids, dtype=np.int64),
+                local,
+                members[bounds[0] : bounds[-1]].astype(np.int64),
+                np.repeat(np.arange(len(ids)), np.diff(local)),
+            )
+        )
+    return list(key_index), shares
+
+
+def _record_witnesses(share: _Share, witnesses: np.ndarray) -> None:
+    """Give every element ``share`` holds that has no witness yet the
+    first of the party's sets, in enumeration order, that holds it."""
+    key_ids, _, members, rows = share
+    elements, first = np.unique(members, return_index=True)
+    fresh = witnesses[elements] < 0
+    witnesses[elements[fresh]] = key_ids[rows[first[fresh]]]
+
+
 def _greedy_take(
-    local: Sequence[Tuple[SetKey, Set[ElementId]]],
-    uncovered: Set[ElementId],
-    chosen: List[SetKey],
+    share: _Share,
+    uncovered: np.ndarray,
+    chosen: List[int],
     tau: float,
 ) -> None:
-    """One party's greedy phase: repeatedly take any own set with gain
-    ≥ τ, in enumeration order, until a full pass takes nothing.
+    """One party's greedy phase: take, in enumeration order, every own
+    set whose gain when its turn comes is ≥ τ (and > 0, for τ = 0).
 
-    Mutates ``uncovered`` and ``chosen`` in place.  The ``gain > 0``
-    guard keeps the loop terminating when adaptive τ collapses to 0 —
-    an empty-gain set must never be "taken" forever.
+    One pass is the fixpoint: gains only shrink, so a set passed over
+    never qualifies later.  The gains at entry (one ``bincount``) are
+    upper bounds, so only sets whose bound qualifies are recounted.
+    Mutates ``uncovered`` and ``chosen`` in place.
     """
-    progress = True
-    while progress:
-        progress = False
-        for key, members in local:
-            gain = len(members & uncovered)
-            if gain >= tau and gain > 0:
-                chosen.append(key)
-                uncovered -= members
-                progress = True
+    key_ids, indptr, members, rows = share
+    bound = np.bincount(rows[uncovered[members]], minlength=len(key_ids))
+    for r in np.flatnonzero((bound >= tau) & (bound > 0)).tolist():
+        view = members[indptr[r] : indptr[r + 1]]
+        gain = int(np.count_nonzero(uncovered[view]))
+        if gain >= tau and gain > 0:
+            chosen.append(int(key_ids[r]))
+            uncovered[view] = False
 
 
-def _baseline_tau(
-    n: int,
-    party_sets: Sequence[PartySets],
-    threshold: Optional[float],
-    adaptive: bool,
-) -> float:
-    """Validate a merge's parties and τ options; return the baseline τ,
-    ``√(n/t)`` unless ``threshold`` overrides it."""
-    t = len(party_sets)
-    if t < 1:
-        raise ConfigurationError(f"need at least 1 party, got {t}")
-    if adaptive and threshold is not None:
-        raise ConfigurationError(
-            "adaptive re-estimation and an explicit threshold are "
-            "mutually exclusive"
-        )
-    return threshold if threshold is not None else math.sqrt(n / t)
+class _Merge:
+    """The bookkeeping both engines share: validated inputs, the CSR
+    shares, the per-hand-off record, and the last party's step."""
 
+    def __init__(
+        self,
+        n: int,
+        party_sets: Sequence[PartySets],
+        threshold: Optional[float],
+        adaptive: bool,
+        capture_states: bool,
+    ) -> None:
+        self.n, self.t = n, len(party_sets)
+        if self.t < 1:
+            raise ConfigurationError(f"need at least 1 party, got {self.t}")
+        if adaptive and threshold is not None:
+            raise ConfigurationError(
+                "adaptive re-estimation and an explicit threshold are "
+                "mutually exclusive"
+            )
+        #: The baseline τ: ``√(n/t)`` unless ``threshold`` overrides it.
+        self.tau = threshold if threshold is not None else math.sqrt(n / self.t)
+        self.keys, self.shares = _shares(n, party_sets)
+        self.key_values: Optional[np.ndarray] = None
+        if capture_states:
+            # int64 when every key is an int (the shape the wire packs).
+            ints = all(isinstance(k, (int, np.integer)) for k in self.keys)
+            self.key_values = np.fromiter(
+                self.keys, dtype=np.int64 if ints else object
+            )
+        self.thresholds: List[float] = []
+        self.message_words: List[int] = []
+        self.forwarded_states: List[StateSnapshot] = []
 
-def _own_sets(
-    share: PartySets,
-    members_by_key: Dict[SetKey, Set[ElementId]],
-) -> List[Tuple[SetKey, Set[ElementId]]]:
-    """Copy one party's share and fold its views into ``members_by_key``.
+    def fresh(self) -> _State:
+        """A state with everything uncovered and no witness or pick."""
+        return np.ones(self.n, dtype=bool), np.full(self.n, -1, np.int64), []
 
-    ``members_by_key`` accumulates every party's view of a key for the
-    certificate — a later party's view of a repeated key extends an
-    earlier one's.
-    """
-    local = [(key, set(members)) for key, members in share]
-    for key, members in local:
-        members_by_key.setdefault(key, set()).update(members)
-    return local
+    def ship(self, state: _State) -> int:
+        """Record one hand-off of ``state``; returns its
+        :func:`state_words`."""
+        uncovered, witnesses, chosen = state
+        ids, seen = np.flatnonzero(uncovered), np.flatnonzero(witnesses >= 0)
+        self.message_words.append(state_words(ids, seen, chosen))
+        if self.key_values is not None:
+            self.forwarded_states.append(
+                (
+                    ids,
+                    np.column_stack((seen, self.key_values[witnesses[seen]])),
+                    tuple(self.key_values[chosen].tolist()),
+                )
+            )
+        return self.message_words[-1]
 
+    def finish(
+        self, state: _State, partial: bool, **fields: object
+    ) -> ProtocolOutcome:
+        """The last party's step: patch the residue, dedup, certify.
 
-def _snapshot(
-    uncovered: Set[ElementId],
-    witnesses: Dict[ElementId, SetKey],
-    chosen: Sequence[SetKey],
-) -> StateSnapshot:
-    """The forwarded state as a transport ships it."""
-    return (
-        tuple(sorted(uncovered)),
-        tuple(sorted(witnesses.items())),
-        tuple(chosen),
-    )
-
-
-def _finish(
-    n: int,
-    state: Tuple[Set[ElementId], Dict[ElementId, SetKey], List[SetKey]],
-    members_by_key: Dict[SetKey, Set[ElementId]],
-    partial: bool,
-    **fields: object,
-) -> ProtocolOutcome:
-    """The last party's step on the final ``(uncovered, witnesses,
-    chosen)`` state: patch the residue, dedup, certify.
-
-    Every still-uncovered element is patched with its recorded witness;
-    the chosen list is deduplicated in pick order (a witness may repeat
-    a greedy pick, and a repeated key may be taken by two parties); the
-    certificate maps each element to the first cover key whose
-    accumulated view holds it.  ``fields`` are the engine's remaining
-    :class:`ProtocolOutcome` fields.
-    """
-    uncovered, witnesses, chosen = state
-    for u in sorted(uncovered):
-        witness = witnesses.get(u)
-        if witness is not None:
-            chosen.append(witness)
-        elif not partial:
+        Each still-uncovered element is patched with its witness; one
+        with none is held by no party, an error unless ``partial``.  The
+        picks are deduplicated in pick order; the certificate maps each
+        element, ascending, to the first cover key whose view (the union
+        over parties) holds it.  ``fields`` are the schedule fields.
+        """
+        uncovered, witnesses, chosen = state
+        residue = np.flatnonzero(uncovered)
+        patch = witnesses[residue]
+        missing = residue[patch < 0].tolist()
+        if missing and not partial:
             raise ProtocolError(
-                f"element {u} is covered by no party's sets; "
+                f"element {missing[0]} is covered by no party's sets; "
                 "instance infeasible"
             )
-    cover = list(dict.fromkeys(chosen))
-    certificate: Dict[ElementId, SetKey] = {}
-    for key in cover:
-        for u in members_by_key.get(key, ()):
-            certificate.setdefault(u, key)
-    missing = [u for u in range(n) if u not in certificate]
-    if missing and not partial:
-        raise ProtocolError(
-            f"protocol output misses {len(missing)} element(s), e.g. "
-            f"{missing[:5]}"
+        cover_ids = list(dict.fromkeys(chosen + patch[patch >= 0].tolist()))
+        rank = np.full(len(self.keys), len(cover_ids))
+        rank[cover_ids] = np.arange(len(cover_ids))
+        best = np.full(self.n, len(cover_ids))
+        for key_ids, _, members, rows in self.shares:
+            np.minimum.at(best, members, rank[key_ids[rows]])
+        certified = np.flatnonzero(best < len(cover_ids))
+        cover = [self.keys[i] for i in cover_ids]
+        ranks = best[certified].tolist()
+        return ProtocolOutcome(
+            cover=cover,
+            certificate={
+                u: cover[r] for u, r in zip(certified.tolist(), ranks)
+            },
+            message_words=self.message_words,
+            threshold=self.tau,
+            thresholds=tuple(self.thresholds),
+            uncovered=tuple(missing),
+            forwarded_states=tuple(self.forwarded_states),
+            **fields,  # type: ignore[arg-type]
         )
-    return ProtocolOutcome(
-        cover=cover,
-        certificate=certificate,
-        uncovered=tuple(missing),
-        **fields,  # type: ignore[arg-type]
-    )
 
 
 def chain_merge(
@@ -288,7 +351,9 @@ def chain_merge(
         appear at several parties (partial views under by-element or
         hash sharding); its membership is the union of the views *held
         by the parties that enumerate it*, each party acting only on its
-        own view as a real shard would.
+        own view as a real shard would.  A view is a set of int element
+        ids in ``0..n-1``; any other member raises :class:`ProtocolError`
+        before any party acts.
     threshold:
         Greedy take-threshold; defaults to ``√(n/t)`` as in the
         analysis.
@@ -308,46 +373,27 @@ def chain_merge(
         front (mutually exclusive with an explicit ``threshold``).  The
         τ each party used lands in :attr:`ProtocolOutcome.thresholds`.
     """
-    fixed_tau = _baseline_tau(n, party_sets, threshold, adaptive)
-    t = len(party_sets)
-    tau = fixed_tau
-    uncovered: Set[ElementId] = set(range(n))
-    witnesses: Dict[ElementId, SetKey] = {}
-    chosen: List[SetKey] = []
-    members_by_key: Dict[SetKey, Set[ElementId]] = {}
-    message_words: List[int] = []
-    forwarded_states: List[StateSnapshot] = []
-    thresholds: List[float] = []
-
-    for index, share in enumerate(party_sets):
-        local = _own_sets(share, members_by_key)
-        # Record witnesses for any still-uncovered element this party holds.
-        for key, members in local:
-            for u in members:
-                if u in uncovered and u not in witnesses:
-                    witnesses[u] = key
+    run = _Merge(n, party_sets, threshold, adaptive, capture_states)
+    state = uncovered, witnesses, chosen = run.fresh()
+    tau = run.tau
+    for index, share in enumerate(run.shares):
+        # Record witnesses for the held elements that have none.  Only
+        # uncovered ones qualify, and every covered element has one: its
+        # coverer's party recorded it just before taking the set.
+        _record_witnesses(share, witnesses)
         if adaptive:
-            tau = adaptive_threshold_for(len(uncovered), t - index)
-        thresholds.append(tau)
-        _greedy_take(local, uncovered, chosen, tau)
-        if index < t - 1:
-            message_words.append(state_words(uncovered, witnesses, chosen))
-            if capture_states:
-                forwarded_states.append(
-                    _snapshot(uncovered, witnesses, chosen)
-                )
-
-    return _finish(
-        n,
-        (uncovered, witnesses, chosen),
-        members_by_key,
+            tau = adaptive_threshold_for(
+                int(np.count_nonzero(uncovered)), run.t - index
+            )
+        run.thresholds.append(tau)
+        _greedy_take(share, uncovered, chosen, tau)
+        if index < run.t - 1:
+            run.ship(state)
+    return run.finish(
+        state,
         partial,
-        message_words=message_words,
-        threshold=fixed_tau,
-        edges=tuple((i, i, i + 1) for i in range(t - 1)),
-        round_max_words=tuple(message_words),
-        thresholds=tuple(thresholds),
-        forwarded_states=tuple(forwarded_states),
+        edges=tuple((i, i, i + 1) for i in range(run.t - 1)),
+        round_max_words=tuple(run.message_words),
     )
 
 
@@ -366,15 +412,9 @@ def tournament_rounds(
     actives = list(parties)
     rounds: List[List[Tuple[int, int]]] = []
     while len(actives) > 1:
-        pairs: List[Tuple[int, int]] = []
-        survivors: List[int] = []
-        for j in range(0, len(actives) - 1, 2):
-            pairs.append((actives[j], actives[j + 1]))
-            survivors.append(actives[j + 1])
-        if len(actives) % 2:
-            survivors.append(actives[-1])
-        rounds.append(pairs)
-        actives = survivors
+        rounds.append(list(zip(actives[0::2], actives[1::2])))
+        # Each pair's dst survives; an odd trailing survivor gets a bye.
+        actives = actives[1::2] + actives[len(actives) & ~1 :]
     return rounds
 
 
@@ -426,13 +466,9 @@ def tournament_merge(
     pair parties per :func:`tournament_rounds`, so
     :attr:`ProtocolOutcome.round_max_words` has one entry per round.
     """
-    fixed_tau = _baseline_tau(n, party_sets, threshold, adaptive)
-    t = len(party_sets)
-    members_by_key: Dict[SetKey, Set[ElementId]] = {}
-    locals_by_party: List[List[Tuple[SetKey, Set[ElementId]]]] = []
-    thresholds: List[float] = []
+    run = _Merge(n, party_sets, threshold, adaptive, capture_states)
     # label -> (uncovered, witnesses, chosen) of the subtree it hosts.
-    states: Dict[int, Tuple[Set[ElementId], Dict[ElementId, SetKey], List[SetKey]]] = {}
+    states: Dict[int, _State] = {}
     sizes: Dict[int, int] = {}
 
     # Leaf phase: every party plays the chain step against the full
@@ -440,67 +476,43 @@ def tournament_merge(
     # so it defers greedy entirely (τ = ∞) and only records witnesses
     # — except the degenerate one-party tree, which acts alone at √n
     # like the one-party chain.
-    for index, share in enumerate(party_sets):
-        local = _own_sets(share, members_by_key)
-        locals_by_party.append(local)
-        uncovered: Set[ElementId] = set(range(n))
-        witnesses: Dict[ElementId, SetKey] = {}
-        for key, members in local:
-            for u in members:
-                if u not in witnesses:
-                    witnesses[u] = key
-        if not adaptive:
-            tau = fixed_tau
-        elif t == 1:
-            tau = adaptive_threshold_for(len(uncovered), 1)
-        else:
-            tau = math.inf
-        thresholds.append(tau)
-        chosen: List[SetKey] = []
-        _greedy_take(local, uncovered, chosen, tau)
-        states[index] = (uncovered, witnesses, chosen)
+    for index, share in enumerate(run.shares):
+        uncovered, witnesses, chosen = states[index] = run.fresh()
+        _record_witnesses(share, witnesses)
+        # (A one-party adaptive baseline is √(n/1), the estimator's √n.)
+        tau = math.inf if adaptive and run.t > 1 else run.tau
+        run.thresholds.append(tau)
+        _greedy_take(share, uncovered, chosen, tau)
         sizes[index] = 1
 
-    message_words: List[int] = []
     edges: List[Tuple[int, int, int]] = []
     round_max_words: List[int] = []
-    forwarded_states: List[StateSnapshot] = []
-
-    for round_index, pairs in enumerate(tournament_rounds(range(t))):
+    for round_index, pairs in enumerate(tournament_rounds(range(run.t))):
         round_max = 0
         for src, dst in pairs:
-            u_src, w_src, c_src = states.pop(src)
+            u_src, w_src, c_src = shipped = states.pop(src)
             u_dst, w_dst, c_dst = states[dst]
-            words = state_words(u_src, w_src, c_src)
-            message_words.append(words)
+            round_max = max(round_max, run.ship(shipped))
             edges.append((round_index, src, dst))
-            round_max = max(round_max, words)
-            if capture_states:
-                forwarded_states.append(_snapshot(u_src, w_src, c_src))
             uncovered = u_src & u_dst
-            witnesses = {**w_dst, **w_src}
             chosen = c_src + c_dst
+            states[dst] = uncovered, np.where(w_src >= 0, w_src, w_dst), chosen
             sizes[dst] = sizes.pop(src) + sizes[dst]
             tau = (
-                adaptive_threshold_for(len(uncovered), sizes[dst] - 1)
+                adaptive_threshold_for(
+                    int(np.count_nonzero(uncovered)), sizes[dst] - 1
+                )
                 if adaptive
-                else fixed_tau
+                else run.tau
             )
-            thresholds.append(tau)
-            _greedy_take(locals_by_party[dst], uncovered, chosen, tau)
-            states[dst] = (uncovered, witnesses, chosen)
+            run.thresholds.append(tau)
+            _greedy_take(run.shares[dst], uncovered, chosen, tau)
         round_max_words.append(round_max)
 
     (root_state,) = states.values()
-    return _finish(
-        n,
+    return run.finish(
         root_state,
-        members_by_key,
         partial,
-        message_words=message_words,
-        threshold=fixed_tau,
         edges=tuple(edges),
         round_max_words=tuple(round_max_words),
-        thresholds=tuple(thresholds),
-        forwarded_states=tuple(forwarded_states),
     )

@@ -342,10 +342,7 @@ class _ProtocolCoordinator(Coordinator):
         allow_partial: bool = False,
     ) -> MergeOutcome:
         party_sets = [
-            [
-                (sid, set(out.members_by_set.get(sid, frozenset())))
-                for sid in out.set_order
-            ]
+            [(sid, out.members_by_set.get(sid, ())) for sid in out.set_order]
             for out in outputs
         ]
         outcome = self.engine(

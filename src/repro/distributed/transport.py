@@ -59,6 +59,7 @@ wire actually carried: per-link bytes, frames, and retransmits.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import queue
 import socket as socket_module
@@ -66,6 +67,8 @@ import struct
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
+
+import numpy as np
 
 from repro.distributed.comm import check_count, check_link_delays, link_label
 from repro.errors import (
@@ -105,10 +108,12 @@ def parse_frame_header(header: bytes) -> Tuple[int, int]:
 # -- word packing -----------------------------------------------------------
 
 
-def pack_words(values: Iterable[int]) -> bytes:
-    """Pack integer ids as big-endian int64 — eight bytes per word."""
-    seq = list(values)
-    return struct.pack(f"!{len(seq)}q", *seq)
+def pack_words(values: Iterable[object]) -> bytes:
+    """Pack integer ids — or rows of ids, row-major — as big-endian
+    int64, eight bytes per word."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    return np.asarray(values, dtype=">i8").tobytes()
 
 
 def unpack_words(data: bytes) -> List[int]:
@@ -200,15 +205,11 @@ def cover_upload_wire(
     certificate: Mapping[int, int],
 ) -> Dict[str, object]:
     """A shard's (cover, certificate) upload — the union merge's input."""
-    pairs: List[int] = []
-    for u, s in sorted(certificate.items()):
-        pairs.append(u)
-        pairs.append(s)
     return {
         "kind": "cover",
         "index": index,
         "cover": pack_words(sorted(cover)),
-        "certificate": pack_words(pairs),
+        "certificate": pack_words(sorted(certificate.items())),
     }
 
 
@@ -232,18 +233,13 @@ def candidate_upload_wire(
 ) -> Dict[str, object]:
     """A shard's candidate-set upload — the greedy merge's input."""
     sids = sorted(cover)
-    counts: List[int] = []
-    members: List[int] = []
-    for sid in sids:
-        view = sorted(members_by_set.get(sid, ()))
-        counts.append(len(view))
-        members.extend(view)
+    views = [sorted(members_by_set.get(sid, ())) for sid in sids]
     return {
         "kind": "candidates",
         "index": index,
         "sets": pack_words(sids),
-        "counts": pack_words(counts),
-        "members": pack_words(members),
+        "counts": pack_words(len(view) for view in views),
+        "members": pack_words(itertools.chain.from_iterable(views)),
     }
 
 
@@ -254,11 +250,8 @@ def read_candidate_upload(
     sids = unpack_words(payload["sets"])  # type: ignore[arg-type]
     counts = unpack_words(payload["counts"])  # type: ignore[arg-type]
     members = unpack_words(payload["members"])  # type: ignore[arg-type]
-    out: List[Tuple[int, List[int]]] = []
-    offset = 0
-    for sid, count in zip(sids, counts):
-        out.append((sid, members[offset : offset + count]))
-        offset += count
+    bounds = list(itertools.accumulate(counts, initial=0))
+    out = [(sid, members[a:b]) for sid, a, b in zip(sids, bounds, bounds[1:])]
     return int(payload["index"]), out  # type: ignore[arg-type]
 
 
@@ -269,23 +262,21 @@ def _state_fields(
 ) -> Dict[str, object]:
     """The packed protocol state every hand-off carries.
 
-    A chosen key is charged at *two* words by
-    :func:`~repro.distributed.chain.state_words` (keys may be composite
-    in the abstract protocol), so it is encoded as two int64s here —
-    the wire mirrors the accounting, keeping payload bytes ≥ 8 × words.
+    Takes a :data:`~repro.distributed.chain.StateSnapshot` (ascending
+    uncovered array, ``(k, 2)`` witness array) as is, or plain
+    iterables: an uncovered iterable is sorted here, witness pairs are
+    packed in the order given.  A chosen key is charged at *two* words
+    by :func:`~repro.distributed.chain.state_words` (keys may be
+    composite in the abstract protocol), so it is encoded as two int64s
+    here — the wire mirrors the accounting, keeping payload bytes ≥
+    8 × words.
     """
-    flat_witnesses: List[int] = []
-    for u, s in witnesses:
-        flat_witnesses.append(u)
-        flat_witnesses.append(s)
-    flat_chosen: List[int] = []
-    for key in chosen:
-        flat_chosen.append(0)
-        flat_chosen.append(key)
+    if not isinstance(uncovered, np.ndarray):
+        uncovered = sorted(uncovered)
     return {
-        "uncovered": pack_words(sorted(uncovered)),
-        "witnesses": pack_words(flat_witnesses),
-        "chosen": pack_words(flat_chosen),
+        "uncovered": pack_words(uncovered),
+        "witnesses": pack_words(witnesses),
+        "chosen": pack_words([(0, key) for key in chosen]),
     }
 
 
