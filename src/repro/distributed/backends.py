@@ -32,7 +32,6 @@ trace cells merge sorted by label.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Type
@@ -232,26 +231,20 @@ class ProcessBackend(Backend):
     tasks run inline (the result is identical either way — that *is*
     the contract).
 
-    By default the edge payloads do *not* travel in the pickle: they
-    are staged once into a shared-memory segment and each task ships an
-    O(1) :class:`~repro.distributed.shmem.ShardSpan` descriptor instead
-    (:mod:`repro.distributed.shmem`).  Set ``REPRO_SHM=0`` (or pass
-    ``use_shared_memory=False``) to force the classic pickled-edges
-    path; platforms without :mod:`multiprocessing.shared_memory` fall
-    back automatically.  ``last_shipping`` records what the most recent
+    Where the platform has shared memory the edge payloads do *not*
+    travel in the pickle: they are staged once into a shared-memory
+    segment and each task ships an O(1)
+    :class:`~repro.distributed.shmem.ShardSpan` descriptor instead
+    (:mod:`repro.distributed.shmem`).  Platforms without
+    :mod:`multiprocessing.shared_memory` fall back to the classic
+    pickled-edges path.  ``last_shipping`` records what the most recent
     pooled dispatch physically serialized — operational metadata the
     executor copies onto the result.
     """
 
     name = "process"
 
-    def __init__(self, use_shared_memory: Optional[bool] = None) -> None:
-        if use_shared_memory is None:
-            env = os.environ.get("REPRO_SHM", "").strip().lower()
-            use_shared_memory = env not in {"0", "false", "off", "no"}
-        self.use_shared_memory = (
-            bool(use_shared_memory) and shared_memory_available()
-        )
+    def __init__(self) -> None:
         self.last_shipping: Optional[ShippingReport] = None
 
     def run_tasks(
@@ -264,7 +257,7 @@ class ProcessBackend(Backend):
         shipped: Sequence[ShardTask] = tasks
         segment = None
         mode = "pickle"
-        if self.use_shared_memory:
+        if shared_memory_available():
             shipped, segment = ship_tasks(tasks)
             if segment is not None:
                 mode = "shared-memory"
@@ -280,12 +273,6 @@ class ProcessBackend(Backend):
             # Unlink even when a worker raised — the leak-safety contract.
             if segment is not None:
                 segment.cleanup()
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}"
-            f"(use_shared_memory={self.use_shared_memory})"
-        )
 
 
 #: Public name -> backend class.

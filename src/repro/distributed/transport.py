@@ -24,7 +24,7 @@ registered :class:`Transport`:
     length-prefixed frames, which the receiver side decodes and hands
     back.  Connection failures retransmit; a sandbox that forbids
     binding raises :class:`~repro.errors.TransportError` at
-    construction, which callers (the parity gate, the bench) treat as
+    construction, which callers (the parity tests, the bench) treat as
     a graceful skip.
 
 Wire format (shared by every transport, so their byte counts are
@@ -48,9 +48,10 @@ The codec is pickle; a frame carrying any other codec tag is a typed
 :class:`~repro.errors.TransportError`.
 
 Determinism and parity: a transport never changes *what* is computed —
-coordinators consume the **delivered** payload, so the parity gate
-(``scripts/check_transport_parity.py``) proves covers, certificates,
-and comm reports byte-identical across all three transports, while the
+coordinators consume the **delivered** payload, so the parity tests
+(``tests/test_distributed_transport.py::TestTransportParity``) prove
+covers, certificates, and comm reports byte-identical across all three
+transports, while the
 :class:`TransportReport` (attached to
 :attr:`~repro.distributed.executor.DistributedResult.transport`,
 excluded from equality like ``shipping``) records what the
@@ -60,6 +61,8 @@ wire actually carried: per-link bytes, frames, and retransmits.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import pickle
 import queue
 import socket as socket_module
@@ -576,7 +579,9 @@ class SocketTransport(Transport):
     lock — coordinator merges are sequential, and the lock keeps the
     request/response pairing trivially correct if they ever are not.
     A send that hits a connection error reconnects and retransmits up
-    to ``max_retries`` extra times.
+    to ``max_retries`` extra times.  ``max_retries`` must be a non-bool
+    int ``>= 0`` and ``timeout`` a finite non-bool real ``> 0``; both
+    are checked before the listener binds.
     """
 
     name = "socket"
@@ -588,9 +593,14 @@ class SocketTransport(Transport):
         max_retries: int = 2,
     ) -> None:
         super().__init__()
-        if max_retries < 0:
+        check_count("max_retries", max_retries, minimum=0)
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, numbers.Real)
+            or not 0 < timeout < math.inf
+        ):
             raise InvalidParameterError(
-                "max_retries", max_retries, "must be >= 0"
+                "timeout", timeout, "must be a finite real > 0"
             )
         self.host = host
         self.timeout = timeout

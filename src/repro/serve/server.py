@@ -10,9 +10,9 @@ with a typed :class:`~repro.errors.AdmissionError` — then run the
 *batch* code path (:func:`~repro.algorithms.make_algorithm`,
 :func:`~repro.distributed.executor.run_distributed`) on a worker
 thread, so a served solve is byte-identical to its CLI twin
-(``scripts/check_serve_parity.py`` gates this).  Control requests
-(``ping`` / ``load`` / ``list`` / ``stats`` / ...) bypass admission and
-stay answerable while the pool is saturated.
+(``tests/test_serve_server.py::TestBatchTwinParity`` checks this).
+Control requests (``ping`` / ``load`` / ``list`` / ``stats`` / ...)
+bypass admission and stay answerable while the pool is saturated.
 
 Connection model: one asyncio task per connection, requests on a
 connection processed in order (pipelining across *connections* is the
@@ -31,13 +31,14 @@ request remains live.
 
 A sandbox that forbids binding raises the typed
 :class:`~repro.errors.TransportError` from :meth:`start`, which the
-parity gate, the bench, and CI treat as a graceful skip — the same
+parity tests, the bench, and CI treat as a graceful skip — the same
 contract as the PR-8 socket transport.
 """
 
 from __future__ import annotations
 
 import asyncio
+import numbers
 import threading
 import time
 from dataclasses import dataclass, field
@@ -246,7 +247,15 @@ class SetCoverServer:
                     "request payload must be a dict",
                 ),
             )
-        request_id = int(request.get("id", 0))
+        request_id = request.get("id", 0)
+        if isinstance(request_id, bool) or not isinstance(
+            request_id, numbers.Integral
+        ):
+            # No usable id to echo: answer on id 0, as for a non-dict.
+            return error_response(
+                0, InvalidParameterError("id", request_id, "must be an int")
+            )
+        request_id = int(request_id)
         kind = request.get("kind")
         self._enter()
         try:

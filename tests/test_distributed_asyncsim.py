@@ -20,6 +20,7 @@ The contracts from ``repro/distributed/asyncsim.py``:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -46,6 +47,8 @@ from repro.generators.planted import planted_partition_instance
 from repro.obs.tracer import TraceCollector
 
 COORDINATORS = ("union", "greedy", "chain", "tree")
+#: ``adaptive_threshold`` values: fixed and adaptive tau.
+TAU_MODES = (False, True)
 
 
 @pytest.fixture(scope="module")
@@ -235,51 +238,45 @@ class TestAsyncDiagnostics:
         assert diag["idle_ticks"] >= 0.0
         assert diag["duplicates_dropped"] == 0.0
 
-    def test_chain_critical_path_grows_with_workers(self, instance):
-        def steps(workers):
-            return run_distributed_async(
-                instance,
-                workers=workers,
-                coordinator="chain",
-                seed=1,
-                backend="serial",
-            ).diagnostics
+    @staticmethod
+    def diag(instance, workers, coordinator, adaptive=False):
+        """A fault-free async run's diagnostics; its cover must equal sync."""
+        kwargs = dict(
+            workers=workers,
+            coordinator=coordinator,
+            adaptive_threshold=adaptive,
+            seed=1,
+            backend="serial",
+        )
+        result = run_distributed_async(instance, **kwargs)
+        result.verify(instance)
+        assert result.cover == run_distributed(instance, **kwargs).cover
+        return result.diagnostics
 
+    def test_chain_critical_path_grows_with_workers(self, instance):
         # One wait per hand-off: idle ticks count the chain's
         # sequential dependency, W-1 of them at unit link delay.
-        assert steps(2)["idle_ticks"] == 1.0
-        assert steps(4)["idle_ticks"] == 3.0
-        assert steps(8)["idle_ticks"] == 7.0
+        for adaptive, workers in itertools.product(TAU_MODES, (2, 4, 8, 16)):
+            diag = self.diag(instance, workers, "chain", adaptive)
+            assert diag["idle_ticks"] == workers - 1
 
     def test_tree_critical_path_grows_logarithmically(self, instance):
-        def diag(workers):
-            return run_distributed_async(
-                instance,
-                workers=workers,
-                coordinator="tree",
-                seed=1,
-                backend="serial",
-            ).diagnostics
-
         # One idle tick per *round*, not per hand-off: ceil(log2 W)
-        # waits, each delivering the whole round as one batch.
-        assert diag(2)["idle_ticks"] == 1.0
-        assert diag(4)["idle_ticks"] == 2.0
-        assert diag(8)["idle_ticks"] == 3.0
-        assert diag(8)["logical_steps"] == 6.0
-        assert diag(8)["merge_rounds"] == 3.0
+        # waits, each delivering the whole round as one batch.  Two
+        # more steps cover posting the leaves and the root's settle.
+        for adaptive, workers in itertools.product(TAU_MODES, (2, 4, 8, 16)):
+            rounds = math.ceil(math.log2(workers))
+            diag = self.diag(instance, workers, "tree", adaptive)
+            assert diag["idle_ticks"] == rounds
+            assert diag["merge_rounds"] == rounds
+            assert diag["logical_steps"] <= 2 * rounds + 2
+        assert self.diag(instance, 8, "tree")["logical_steps"] == 6.0
 
     def test_tree_beats_chain_at_width(self, instance):
-        def steps(coordinator):
-            return run_distributed_async(
-                instance,
-                workers=8,
-                coordinator=coordinator,
-                seed=1,
-                backend="serial",
-            ).diagnostics["logical_steps"]
-
-        assert steps("tree") < steps("chain")
+        for adaptive, workers in itertools.product(TAU_MODES, (8, 16)):
+            tree = self.diag(instance, workers, "tree", adaptive)
+            chain = self.diag(instance, workers, "chain", adaptive)
+            assert tree["logical_steps"] < chain["logical_steps"]
 
 
 class TestDuplicateDelivery:

@@ -33,6 +33,7 @@ from repro.distributed import (
 from repro.distributed.asyncsim import run_distributed_async
 from repro.distributed.backends import execute_shard_task
 from repro.errors import ConfigurationError, InvalidParameterError
+from repro.faults.injectors import FaultSpec
 from repro.generators.planted import planted_partition_instance
 from repro.obs.tracer import TraceCollector
 
@@ -175,6 +176,21 @@ class TestEntryPointValidation:
         ) == reference
 
 
+#: Data paths the by-set parity cells above do not take: the other
+#: routings, and the worker's faulted-shard path (stream faults).
+DATA_PATHS = {
+    "by-element": ("by-element", None),
+    "hash": ("hash", None),
+    "by-set+stream-faults": (
+        "by-set",
+        (
+            FaultSpec(kind="corrupt", rate=0.05, seed=1),
+            FaultSpec(kind="duplicate", rate=0.1, seed=2),
+        ),
+    ),
+}
+
+
 class TestBackendParity:
     """Acceptance criterion: process == serial for every max_workers."""
 
@@ -199,6 +215,29 @@ class TestBackendParity:
         )
         assert process == serial
         assert process_collector.to_jsonl() == serial_collector.to_jsonl()
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("path", sorted(DATA_PATHS))
+    def test_trace_bytes_match_serial_on_every_data_path(
+        self, instance, path, backend, max_workers
+    ):
+        def run(backend, max_workers):
+            strategy, faults = DATA_PATHS[path]
+            collector = TraceCollector()
+            result = run_distributed(
+                instance, workers=4, algorithm="kk", strategy=strategy,
+                seed=29, backend=backend, max_workers=max_workers,
+                collector=collector, faults=faults,
+            )
+            return result, collector.to_jsonl()
+
+        reference, reference_trace = run("serial", 1)
+        if DATA_PATHS[path][1] is None:
+            reference.verify(instance)
+        result, trace = run(backend, max_workers)
+        assert result == reference
+        assert trace == reference_trace
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_all_backends_agree(self, instance, backend):

@@ -9,6 +9,8 @@ acceptance criteria name.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.distributed import (
@@ -171,32 +173,59 @@ class TestChainProtocolParity:
         assert result.max_message_words == protocol.max_message_words
 
 
+#: (coordinator, adaptive tau) cells; the one-shot union and greedy
+#: merges have no tau to adapt.
+BUDGET_CELLS = (
+    ("union", False),
+    ("greedy", False),
+    ("chain", False),
+    ("chain", True),
+    ("tree", False),
+    ("tree", True),
+)
+
+
+def budgeted_run(instance, cell, comm_budget=None):
+    coordinator, adaptive = cell
+    return run_distributed(
+        instance,
+        workers=4,
+        coordinator=coordinator,
+        adaptive_threshold=adaptive,
+        seed=4,
+        comm_budget=comm_budget,
+    )
+
+
 class TestBudgetsAndFailures:
+    # Enforcement fires the moment the running total crosses the cap,
+    # so each cell's smallest feasible budget is exactly its metered
+    # total: the run passes there and fails one word below it.
     def test_comm_budget_enforced(self, instance):
-        generous = run_distributed(
-            instance, workers=3, coordinator="chain", seed=4
-        )
-        with pytest.raises(CommBudgetError):
-            run_distributed(
-                instance,
-                workers=3,
-                coordinator="chain",
-                seed=4,
-                comm_budget=CommBudget(generous.total_comm_words // 2),
-            )
+        for cell in BUDGET_CELLS:
+            total = budgeted_run(instance, cell).total_comm_words
+            with pytest.raises(CommBudgetError):
+                budgeted_run(instance, cell, CommBudget(total - 1))
 
     def test_generous_budget_passes(self, instance):
-        reference = run_distributed(
-            instance, workers=3, coordinator="chain", seed=4
-        )
-        budgeted = run_distributed(
-            instance,
-            workers=3,
-            coordinator="chain",
-            seed=4,
-            comm_budget=CommBudget(reference.total_comm_words),
-        )
-        assert budgeted.cover == reference.cover
+        for cell in BUDGET_CELLS:
+            reference = budgeted_run(instance, cell)
+            reference.verify(instance)
+            total = reference.total_comm_words
+            budgeted = budgeted_run(instance, cell, CommBudget(total))
+            assert budgeted.cover == reference.cover, cell
+            assert budgeted.total_comm_words == total, cell
+
+    def test_protocol_merges_stay_under_comm_ceiling(self, instance):
+        # The full-version t-party analysis: each of the W-1 hand-offs
+        # carries at most n uncovered elements, 2n witness words and two
+        # words per chosen key, with at most 2*sqrt(nW)*OPT keys chosen.
+        n, workers, opt = instance.n, 4, 6  # opt: the fixture's planted OPT
+        ceiling = (workers - 1) * (3 * n + 4 * math.sqrt(n * workers) * opt)
+        for cell in BUDGET_CELLS:
+            if cell[0] in ("chain", "tree"):
+                total = budgeted_run(instance, cell).total_comm_words
+                assert total <= ceiling, cell
 
     def test_chain_infeasible_instance_raises_protocol_error(self):
         # Element 3 is in no set: routing succeeds, the chain's last

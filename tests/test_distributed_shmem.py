@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.distributed import (
     ProcessBackend,
+    backends,
     build_shard_tasks,
     run_distributed,
 )
@@ -45,6 +46,7 @@ from repro.distributed.shmem import (
 from repro.distributed.worker import ShardAccumulator
 from repro.generators.planted import planted_partition_instance
 from repro.generators.random_instances import fixed_size_instance
+from repro.obs.tracer import TraceCollector
 from repro.types import Edge
 
 pytestmark = pytest.mark.skipif(
@@ -216,7 +218,7 @@ class TestLeakSafety:
             for task in build_shard_tasks(instance, workers=2, seed=0)
         ]
         before = _named_segments()
-        backend = ProcessBackend(use_shared_memory=True)
+        backend = ProcessBackend()
         with pytest.raises(Exception):
             backend.run_tasks(tasks, max_workers=2)
         assert _named_segments() == before
@@ -225,7 +227,7 @@ class TestLeakSafety:
     def test_successful_dispatch_leaves_no_segments(self, instance):
         tasks = build_shard_tasks(instance, workers=2, algorithm="kk", seed=5)
         before = _named_segments()
-        backend = ProcessBackend(use_shared_memory=True)
+        backend = ProcessBackend()
         envelopes = backend.run_tasks(tasks, max_workers=2)
         assert len(envelopes) == 2
         assert backend.last_shipping is not None
@@ -240,28 +242,23 @@ class TestShippingModeIsOperational:
             workers=4, algorithm="kk", seed=29, backend="process",
             max_workers=2,
         )
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        shm = run_distributed(instance, **kwargs)
-        monkeypatch.setenv("REPRO_SHM", "0")
-        pickled = run_distributed(instance, **kwargs)
+        shm_trace, pickled_trace = TraceCollector(), TraceCollector()
+        shm = run_distributed(instance, collector=shm_trace, **kwargs)
+        # The platform probe alone picks the mode; fake a platform
+        # without shared memory to take the pickled-edges fallback.
+        monkeypatch.setattr(backends, "shared_memory_available", lambda: False)
+        pickled = run_distributed(instance, collector=pickled_trace, **kwargs)
         assert shm == pickled
+        assert shm_trace.to_jsonl() == pickled_trace.to_jsonl()
         assert shm.shipping is not None and shm.shipping.mode == "shared-memory"
         assert pickled.shipping is not None and pickled.shipping.mode == "pickle"
         assert (
             shm.shipping.max_task_bytes < pickled.shipping.max_task_bytes
         )
 
-    def test_env_switch_controls_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert ProcessBackend().use_shared_memory is False
-        monkeypatch.setenv("REPRO_SHM", "1")
-        assert ProcessBackend().use_shared_memory is True
-        monkeypatch.delenv("REPRO_SHM")
-        assert ProcessBackend().use_shared_memory is True
-
     def test_inline_dispatch_ships_nothing(self, instance):
         tasks = build_shard_tasks(instance, workers=3, seed=2)
-        backend = ProcessBackend(use_shared_memory=True)
+        backend = ProcessBackend()
         backend.run_tasks(tasks, max_workers=1)
         assert backend.last_shipping is None
 

@@ -305,6 +305,27 @@ class TestLoopbackTransport:
 
 
 class TestSocketTransport:
+    @pytest.mark.parametrize(
+        "kwargs, parameter",
+        [
+            ({"max_retries": 1.5}, "max_retries"),
+            ({"max_retries": "2"}, "max_retries"),
+            ({"timeout": -1.0}, "timeout"),
+            ({"timeout": 0}, "timeout"),
+            ({"timeout": True}, "timeout"),
+            ({"timeout": float("nan")}, "timeout"),
+        ],
+    )
+    def test_bad_retries_or_timeout_rejected_before_binding(
+        self, kwargs, parameter
+    ):
+        # Regression: these used to construct (binding a listener) and
+        # fail at the first send with a bare TypeError or ValueError, or
+        # as a misleading partition error for timeout=0.
+        with pytest.raises(InvalidParameterError) as excinfo:
+            SocketTransport(**kwargs)
+        assert excinfo.value.parameter == parameter
+
     def test_round_trip_over_tcp(self):
         transport = socket_or_skip()
         try:
@@ -361,6 +382,9 @@ class TestTransportParity:
             assert result == baseline, name
             assert result.comm == baseline.comm, name
             assert result.transport.transport == name
+            assert result.transport.per_link_frames == (
+                result.comm.per_link_messages
+            ), name
             # Same codec + framing everywhere: measured bytes agree too.
             assert result.transport.total_bytes == (
                 baseline.transport.total_bytes

@@ -18,6 +18,7 @@ binding — the PR-8 socket contract).  The three load-bearing claims:
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -26,6 +27,7 @@ import pytest
 from repro.algorithms import make_algorithm
 from repro.distributed import run_distributed
 from repro.distributed.shmem import _LIVE_SEGMENTS
+from repro.distributed.transport import make_codec
 from repro.errors import (
     AdmissionError,
     RemoteServeError,
@@ -39,6 +41,7 @@ from repro.serve import (
     ServeConfig,
     start_server_thread,
 )
+from repro.serve.protocol import payload_to_error, recv_frame, send_frame
 from repro.streaming.io import dumps_instance
 from repro.streaming.orders import make_order
 from repro.streaming.stream import stream_of
@@ -131,6 +134,24 @@ class TestControlPlane:
             client.solve("demo", algorithm="quantum")
         assert excinfo.value.error_type == "InvalidParameterError"
 
+    @pytest.mark.parametrize("bad_id", [None, "x", 1.5, True])
+    def test_bad_request_id_is_typed_and_connection_survives(
+        self, handle, bad_id
+    ):
+        # Regression: int(id) ran outside the dispatch's try, so a bad
+        # id got no reply and the server dropped the connection.
+        codec = make_codec()
+        with socket.create_connection((handle.host, handle.port), 10) as sock:
+            send_frame(sock, codec, {"id": bad_id, "kind": "ping"})
+            reply = recv_frame(sock)
+            assert reply["id"] == 0 and reply["ok"] is False
+            error = payload_to_error(reply["error"])
+            assert error.error_type == "InvalidParameterError"
+            assert "invalid id=" in str(error)
+            send_frame(sock, codec, {"id": 7, "kind": "ping"})
+            pong = recv_frame(sock)
+            assert pong["id"] == 7 and pong["ok"] is True
+
     def test_stats_counters_accumulate(self, client):
         before = client.stats()["counters"].get("solve", 0)
         client.solve("demo")
@@ -145,6 +166,7 @@ class TestBatchTwinParity:
             ("kk", "canonical", 0),
             ("kk", "random", 7),
             ("store-all", "large-sets-last", 2),
+            ("first-fit", "large-sets-last", 3),
         ]:
             twin, twin_trace = batch_solve(
                 instance, algorithm, order_name, seed
@@ -194,18 +216,23 @@ class TestBatchTwinParity:
             assert served["peak_words"] == twin.space.peak_words
 
     def test_distribute_matches_batch_twin(self, client, instance):
-        twin = run_distributed(
-            instance, workers=3, algorithm="kk", coordinator="greedy",
-            seed=SEED,
-        )
-        twin.verify(instance)
-        served = client.distribute(
-            "demo", workers=3, coordinator="greedy", seed=SEED
-        )
-        assert tuple(served["cover"]) == tuple(sorted(twin.cover))
-        assert served["total_comm_words"] == twin.total_comm_words
-        assert served["max_message_words"] == twin.max_message_words
-        assert served["messages"] == twin.comm.num_messages
+        for workers, coordinator in [(3, "greedy"), (3, "chain"), (2, "union")]:
+            twin = run_distributed(
+                instance, workers=workers, algorithm="kk",
+                coordinator=coordinator, seed=SEED,
+            )
+            twin.verify(instance)
+            served = client.distribute(
+                "demo", workers=workers, coordinator=coordinator, seed=SEED
+            )
+            assert tuple(served["cover"]) == tuple(sorted(twin.cover))
+            assert tuple(tuple(p) for p in served["certificate"]) == tuple(
+                sorted(twin.certificate.items())
+            )
+            assert served["total_comm_words"] == twin.total_comm_words
+            assert served["max_message_words"] == twin.max_message_words
+            assert served["messages"] == twin.comm.num_messages
+            assert served["per_link_words"] == twin.comm.per_link_words
 
     def test_summary_reports_trace(self, client):
         served = client.summary("demo", algorithm="kk", seed=1)
