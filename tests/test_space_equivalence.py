@@ -8,18 +8,37 @@ This module keeps a verbatim copy of the original implementation as the
 oracle and drives both meters through random charge/set/release traces,
 including budget-enforced traces where the *ordering* (apply the update,
 record the peak, then raise) is part of the contract.
+
+A characterization grid at the end pins every registry algorithm that
+keeps a first-set store (the per-element witness map every algorithm
+patches its cover from) across space budgets and truncated streams:
+the result, or the budget error's ``used`` and the salvaged
+:class:`~repro.errors.PartialState`.  Its literals were recorded from
+the code that charged the store one element at a time.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 from typing import Dict, Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SpaceBudgetExceededError
+from repro.baselines.trivial import FirstFitAlgorithm
+from repro.core.adversarial import LowSpaceAdversarialAlgorithm
+from repro.core.element_sampling import ElementSamplingAlgorithm
+from repro.core.kk import KKAlgorithm, KKReferenceAlgorithm
+from repro.core.random_order import RandomOrderAlgorithm
+from repro.errors import ReproError, SpaceBudgetExceededError
+from repro.generators.planted import planted_partition_instance
+from repro.generators.random_instances import uniform_instance
+from repro.streaming.orders import RandomOrder
 from repro.streaming.space import ChargedDict, ChargedSet, SpaceBudget, SpaceMeter
+from repro.streaming.stream import EdgeStream
 
 
 class LegacySpaceMeter:
@@ -225,3 +244,169 @@ class TestChargedContainersMatchHandCharging:
         legacy.set_component("d", 2 * len(hand))
         assert charged == hand
         assert legacy.snapshot() == new_snapshot(current)
+
+
+# -- characterization grid: the first-set store under budgets ------------
+
+#: Registry name -> constructor with the registry's shape defaults and a
+#: space budget (the registry builders take no budget).
+GRID_ALGORITHMS = {
+    "kk": lambda inst, seed, budget: KKAlgorithm(seed=seed, space_budget=budget),
+    "kk-reference": lambda inst, seed, budget: KKReferenceAlgorithm(
+        seed=seed, space_budget=budget
+    ),
+    "adversarial": lambda inst, seed, budget: LowSpaceAdversarialAlgorithm(
+        alpha=2 * math.sqrt(inst.n), seed=seed, space_budget=budget
+    ),
+    "random-order": lambda inst, seed, budget: RandomOrderAlgorithm(
+        seed=seed, space_budget=budget
+    ),
+    "element-sampling": lambda inst, seed, budget: ElementSamplingAlgorithm(
+        alpha=math.sqrt(inst.n), seed=seed, space_budget=budget
+    ),
+    "first-fit": lambda inst, seed, budget: FirstFitAlgorithm(
+        seed=seed, space_budget=budget
+    ),
+}
+
+GRID_BUDGETS = (None, 40, 97, 150, 400)
+GRID_CUTS = ("full", "third")
+
+
+def _grid_instances():
+    # The third instance makes kk-reference cross budget 400 inside
+    # patching, where the cover's charge decides where the certificate
+    # stops.
+    return (
+        uniform_instance(120, 60, 0.06, seed=3),
+        planted_partition_instance(150, 50, 6, seed=4).instance,
+        uniform_instance(150, 20, 0.1, seed=3),
+    )
+
+
+def _grid_outcome(algorithm, stream):
+    """A JSON-ready record of one run: its result, or its failure."""
+    try:
+        result = algorithm.run(stream)
+    except ReproError as error:
+        partial = error.partial
+        return {
+            "error": type(error).__name__,
+            "used": getattr(error, "used", None),
+            "cover": sorted(partial.cover),
+            "certificate": list(partial.certificate.items()),
+            "edges_consumed": partial.edges_consumed,
+            "meter_peak": partial.meter_peak,
+        }
+    space = result.space
+    return {
+        "cover": sorted(result.cover),
+        "certificate": list(result.certificate.items()),
+        "space": [
+            space.peak_words,
+            space.final_words,
+            sorted(space.components_at_peak.items()),
+            sorted(space.component_peaks.items()),
+        ],
+    }
+
+
+def grid_cell(name: str, budget_words: Optional[int], cut: str):
+    """Outcomes of one (algorithm, budget, cut) cell over its inputs."""
+    budget = SpaceBudget(budget_words, context="grid") if budget_words else None
+    outcomes = []
+    for instance in _grid_instances():
+        edges = RandomOrder(seed=11).apply(list(instance.edges()))
+        if cut == "third":
+            edges = edges[: len(edges) // 3]
+        for seed in (1, 2):
+            algorithm = GRID_ALGORITHMS[name](instance, seed, budget)
+            stream = EdgeStream(instance, edges, order_name="random")
+            outcomes.append(_grid_outcome(algorithm, stream))
+    return outcomes
+
+
+def grid_digest(outcomes) -> str:
+    text = json.dumps(outcomes, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+#: (algorithm, budget words or None, cut) -> digest of the cell's outcomes.
+FIRST_SET_GRID = {
+    ("kk", None, "full"): "9284c71ae1b7c59d",
+    ("kk", None, "third"): "4c5117bca37f83d4",
+    ("kk", 40, "full"): "ff62eff577dce2b4",
+    ("kk", 40, "third"): "a90e708d5ee7b9f8",
+    ("kk", 97, "full"): "840cd3b7b0890891",
+    ("kk", 97, "third"): "303c7f5ad139fdb7",
+    ("kk", 150, "full"): "05de0354929f3a93",
+    ("kk", 150, "third"): "2c0cca5d41f010ee",
+    ("kk", 400, "full"): "5ffb08c49a0378c5",
+    ("kk", 400, "third"): "4c5117bca37f83d4",
+    ("kk-reference", None, "full"): "9284c71ae1b7c59d",
+    ("kk-reference", None, "third"): "8667490013888eb0",
+    ("kk-reference", 40, "full"): "ff62eff577dce2b4",
+    ("kk-reference", 40, "third"): "a90e708d5ee7b9f8",
+    ("kk-reference", 97, "full"): "840cd3b7b0890891",
+    ("kk-reference", 97, "third"): "303c7f5ad139fdb7",
+    ("kk-reference", 150, "full"): "05de0354929f3a93",
+    ("kk-reference", 150, "third"): "2c0cca5d41f010ee",
+    ("kk-reference", 400, "full"): "c67532f1569cc55b",
+    ("kk-reference", 400, "third"): "fa5f5861c9f92cd5",
+    ("adversarial", None, "full"): "974876dd60545176",
+    ("adversarial", None, "third"): "1629bdbd75cb39e9",
+    ("adversarial", 40, "full"): "765f5052a5aa3ea2",
+    ("adversarial", 40, "third"): "bb9ed192a2b4defd",
+    ("adversarial", 97, "full"): "e0bb4e1764ebf247",
+    ("adversarial", 97, "third"): "11a784410759ecfd",
+    ("adversarial", 150, "full"): "949d0bb198d3e0db",
+    ("adversarial", 150, "third"): "04e93fd6c49c4712",
+    ("adversarial", 400, "full"): "7d0aaaa6eac8b232",
+    ("adversarial", 400, "third"): "d3aea0958352e16b",
+    ("random-order", None, "full"): "cb37c1c1b5703303",
+    ("random-order", None, "third"): "f88ac7ab28770d47",
+    ("random-order", 40, "full"): "db510def65e5a04a",
+    ("random-order", 40, "third"): "cea16d339c1c9ad7",
+    ("random-order", 97, "full"): "0e51ec8a67935fa6",
+    ("random-order", 97, "third"): "cb4d22179b19e366",
+    ("random-order", 150, "full"): "f98d952b534d7f7e",
+    ("random-order", 150, "third"): "5e68673d3a7d79e9",
+    ("random-order", 400, "full"): "7273f6604f587428",
+    ("random-order", 400, "third"): "541870befa1c0a81",
+    ("element-sampling", None, "full"): "8ff43d30924374dd",
+    ("element-sampling", None, "third"): "229cb34285d597e8",
+    ("element-sampling", 40, "full"): "83d43a9601a7b10d",
+    ("element-sampling", 40, "third"): "83d43a9601a7b10d",
+    ("element-sampling", 97, "full"): "a29c7f53636dd17c",
+    ("element-sampling", 97, "third"): "5989bb39d1f37428",
+    ("element-sampling", 150, "full"): "3bdc45f8c5d7884c",
+    ("element-sampling", 150, "third"): "bc76053fa6f3b462",
+    ("element-sampling", 400, "full"): "8370cf13e91ccc8b",
+    ("element-sampling", 400, "third"): "c68da3952b536cd2",
+    ("first-fit", None, "full"): "e1206c08f6955a03",
+    ("first-fit", None, "third"): "ab77d96490632b68",
+    ("first-fit", 40, "full"): "02821a549c06ec7e",
+    ("first-fit", 40, "third"): "02821a549c06ec7e",
+    ("first-fit", 97, "full"): "444a1a540c1942a6",
+    ("first-fit", 97, "third"): "444a1a540c1942a6",
+    ("first-fit", 150, "full"): "5ef27bf802553b65",
+    ("first-fit", 150, "third"): "5ef27bf802553b65",
+    ("first-fit", 400, "full"): "e1206c08f6955a03",
+    ("first-fit", 400, "third"): "ab77d96490632b68",
+}
+
+
+@pytest.mark.parametrize(
+    "name,budget_words,cut",
+    [
+        (name, budget_words, cut)
+        for name in GRID_ALGORITHMS
+        for budget_words in GRID_BUDGETS
+        for cut in GRID_CUTS
+    ],
+)
+def test_first_set_store_cell_pinned(name, budget_words, cut):
+    outcomes = grid_cell(name, budget_words, cut)
+    assert grid_digest(outcomes) == FIRST_SET_GRID[(name, budget_words, cut)], [
+        (o.get("error"), o.get("used"), len(o["certificate"])) for o in outcomes
+    ]
