@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterable, Mapping, Optional, Set, Union
+from typing import Dict, Iterable, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from repro.core.solution import StreamingResult
 from repro.errors import InvalidCoverError, PartialState, ReproError
 from repro.obs import events as obs_events
 from repro.obs.tracer import NULL_TRACER, NullTracer, RecordingTracer
-from repro.streaming.space import ChargedDict, SpaceBudget, SpaceMeter
+from repro.streaming.space import ChargedDict, SpaceBudget, SpaceMeter, batch_fits
 from repro.streaming.stream import EdgeStream
 from repro.types import ElementId, SeedLike, SetId, make_rng
 
@@ -36,8 +36,8 @@ class FirstSetStore:
     Mirrors Algorithm 1 line 4 and Algorithm 2 lines 9–10.  Costs Õ(n)
     space, charged to the given meter under the component name
     ``"first-set"`` via a :class:`~repro.streaming.space.ChargedDict`
-    (the meter is updated only when a new element is recorded, never per
-    edge).
+    (the meter is updated only when new elements are recorded, never per
+    edge, and once per chunk on the columnar path).
     """
 
     COMPONENT = "first-set"
@@ -88,12 +88,12 @@ class FirstSetStore:
         uniques, first_within = np.unique(
             elements[new_positions], return_index=True
         )
-        first = self._first
-        for element, offset in zip(
-            uniques.tolist(), new_positions[first_within].tolist()
-        ):
-            first[element] = int(set_ids[offset])
-            seen[element] = True
+        # One batch write, charged once (per item only if it may cross
+        # a space budget); ``uniques`` ascend, as per-edge writes would.
+        self._first.update(
+            zip(uniques.tolist(), set_ids[new_positions[first_within]].tolist())
+        )
+        seen[uniques] = True
 
     def get(self, element: ElementId) -> Optional[SetId]:
         """The first set observed to contain ``element``, or ``None``."""
@@ -123,22 +123,48 @@ class FirstSetStore:
         Every element without a witness gets its first-seen set; the set
         is added to the cover.  Returns the number of patched elements.
         Raises :class:`InvalidCoverError` if some element was never seen
-        in the stream at all (infeasible instance or truncated stream).
+        in the stream at all (infeasible instance or truncated stream),
+        after patching every lower element.  The unwitnessed elements
+        come from a mask of the certificate's keys and are written as
+        one batch per container, charged exactly as element-by-element
+        writes would be (see :func:`~repro.streaming.space.batch_fits`).
         """
-        patched = 0
-        for element in range(universe_size):
-            if element in certificate:
-                continue
-            first = self._first.get(element)
-            if first is None:
-                raise InvalidCoverError(
-                    f"element {element} never appeared in the stream; cannot "
-                    "patch a feasible cover"
-                )
-            certificate[element] = first
-            cover.add(first)
-            patched += 1
-        return patched
+        witnessed = np.zeros(universe_size, dtype=bool)
+        witnessed[_keys_below(certificate, universe_size)[0]] = True
+        first_of = np.full(universe_size, -1, dtype=np.int64)
+        keys, values = _keys_below(self._first, universe_size)
+        first_of[keys] = values
+        missing = np.flatnonzero(~witnessed)
+        firsts = first_of[missing]
+        unseen = np.flatnonzero(firsts < 0)
+        stop = int(unseen[0]) if len(unseen) else len(missing)
+        elements, sets = missing[:stop].tolist(), firsts[:stop].tolist()
+        if batch_fits(len(elements), certificate, cover):
+            certificate.update(zip(elements, sets))
+            cover.update(sets)
+        else:
+            # A budget may trip mid-batch: interleave the writes so the
+            # certificate stops at the element whose charge crossed it.
+            for element, first in zip(elements, sets):
+                certificate[element] = first
+                cover.add(first)
+        if stop < len(missing):
+            raise InvalidCoverError(
+                f"element {missing[stop]} never appeared in the stream; "
+                "cannot patch a feasible cover"
+            )
+        return stop
+
+
+def _keys_below(
+    mapping: Mapping[ElementId, SetId], universe_size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``mapping``'s keys in ``[0, universe_size)`` and their values, as arrays."""
+    count = len(mapping)
+    keys = np.fromiter(mapping.keys(), dtype=np.int64, count=count)
+    values = np.fromiter(mapping.values(), dtype=np.int64, count=count)
+    in_range = (keys >= 0) & (keys < universe_size)
+    return keys[in_range], values[in_range]
 
 
 class StreamingSetCoverAlgorithm:

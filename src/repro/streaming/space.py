@@ -44,7 +44,7 @@ hypothesis property in ``tests/test_meter_contract.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import SpaceBudgetExceededError
 
@@ -267,6 +267,27 @@ class SpaceMeter:
         )
 
 
+def batch_fits(count: int, *containers) -> bool:
+    """Whether ``count`` new entries in each container stay within budget.
+
+    Sums the worst case (every entry new) per meter across the charged
+    containers among ``containers``; plain ``set``/``dict`` containers
+    cost nothing.  A batch that fits can be inserted natively and
+    charged once: growth only peaks at its end, so the peak, the
+    breakdown at the peak and every component peak equal those of
+    per-item charging, and no budget check along the way could fire.
+    """
+    extra: Dict[SpaceMeter, int] = {}
+    for container in containers:
+        if isinstance(container, (ChargedSet, ChargedDict)):
+            meter = container._meter
+            extra[meter] = extra.get(meter, 0) + count * container._words_per_entry
+    return all(
+        meter.budget is None or meter.current_words + words <= meter.budget.words
+        for meter, words in extra.items()
+    )
+
+
 class ChargedSet(set):
     """A ``set`` that charges a meter component whenever its size changes.
 
@@ -274,7 +295,18 @@ class ChargedSet(set):
     ``meter.set_component(name, words_for_set(len(s)))`` after every
     mutation: membership tests and iteration run at native ``set`` speed
     (no Python-level indirection), and only genuine size changes touch
-    the meter — each an O(1) update.
+    the meter — each an O(1) update.  Every size-changing method,
+    including the in-place operators, charges the meter.
+
+    Batch insertions (:meth:`update`, ``|=``) charge exactly as one
+    :meth:`add` per item would.  Without a budget, or when the whole
+    batch fits under it, they insert natively and charge once.  A batch
+    that may cross the budget is inserted one item at a time, so it
+    stops at the crossing item and raises the same
+    :class:`~repro.errors.SpaceBudgetExceededError`.  Removals
+    (``difference_update``, ``-=``, ``intersection_update``, ``&=``)
+    charge once; a symmetric difference charges its removals, then its
+    insertions as a batch.
 
     Parameters
     ----------
@@ -311,6 +343,13 @@ class ChargedSet(set):
             self._component, len(self) * self._words_per_entry
         )
 
+    def _apply(self, method, *args) -> None:
+        """Run the native ``method`` and charge once if the size changed."""
+        before = len(self)
+        method(self, *args)
+        if len(self) != before:
+            self._recharge()
+
     def add(self, item) -> None:
         if item not in self:
             set.add(self, item)
@@ -336,10 +375,45 @@ class ChargedSet(set):
             self._recharge()
 
     def update(self, *iterables) -> None:
-        before = len(self)
-        set.update(self, *iterables)
-        if len(self) != before:
-            self._recharge()
+        if self._meter.budget is not None:
+            items = [item for iterable in iterables for item in iterable]
+            if not batch_fits(len(items), self):
+                for item in items:
+                    self.add(item)
+                return
+            iterables = (items,)
+        self._apply(set.update, *iterables)
+
+    def difference_update(self, *others) -> None:
+        self._apply(set.difference_update, *others)
+
+    def intersection_update(self, *others) -> None:
+        self._apply(set.intersection_update, *others)
+
+    def symmetric_difference_update(self, other) -> None:
+        other = set(other)
+        common = other & self
+        self.difference_update(common)
+        self.update(other - common)
+
+    def _in_place(self, method, other):
+        """The in-place operator form of ``method``: sets only, returns self."""
+        if not isinstance(other, (set, frozenset)):
+            return NotImplemented
+        method(self, other)
+        return self
+
+    def __ior__(self, other):
+        return self._in_place(ChargedSet.update, other)
+
+    def __isub__(self, other):
+        return self._in_place(ChargedSet.difference_update, other)
+
+    def __iand__(self, other):
+        return self._in_place(ChargedSet.intersection_update, other)
+
+    def __ixor__(self, other):
+        return self._in_place(ChargedSet.symmetric_difference_update, other)
 
 
 class ChargedDict(dict):
@@ -348,7 +422,11 @@ class ChargedDict(dict):
     Lookups (``d[k]``, ``k in d``, ``d.get``) run at native ``dict``
     speed; insertions and deletions charge ``words_per_entry`` words per
     entry (2 for an id -> counter mapping) with an O(1) meter update.
-    See :class:`ChargedSet` for the parameter meanings.
+    :meth:`update` and ``|=`` charge exactly as one ``d[k] = v`` per
+    pair would, under the batch rule described on :class:`ChargedSet`;
+    a batch cut short by the budget leaves the same contents, in the
+    same insertion order, as per-pair insertion.  See
+    :class:`ChargedSet` for the parameter meanings.
     """
 
     def __init__(
@@ -406,10 +484,36 @@ class ChargedDict(dict):
             self._recharge()
 
     def update(self, *args, **kwargs) -> None:
+        if self._meter.budget is not None:
+            pairs = _update_pairs(args, kwargs)
+            if not batch_fits(len(pairs), self):
+                for key, value in pairs:
+                    self[key] = value
+                return
+            args, kwargs = (pairs,), {}
         before = len(self)
         dict.update(self, *args, **kwargs)
         if len(self) != before:
             self._recharge()
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+
+def _update_pairs(args: tuple, kwargs: dict) -> List[Tuple]:
+    """The ``(key, value)`` pairs ``dict.update(*args, **kwargs)`` applies, in order."""
+    if len(args) > 1:
+        raise TypeError(f"update expected at most 1 argument, got {len(args)}")
+    pairs: List[Tuple] = []
+    if args:
+        (other,) = args
+        if hasattr(other, "keys"):
+            pairs = [(key, other[key]) for key in other.keys()]
+        else:
+            pairs = [(key, value) for key, value in other]
+    pairs.extend(kwargs.items())
+    return pairs
 
 
 def words_for_mapping(entries: int, words_per_entry: int = 2) -> int:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.base import FirstSetStore, StreamingSetCoverAlgorithm
 from repro.core.solution import StreamingResult
-from repro.errors import InvalidCoverError
-from repro.streaming.space import SpaceMeter
+from repro.errors import InvalidCoverError, SpaceBudgetExceededError
+from repro.streaming.space import ChargedSet, SpaceBudget, SpaceMeter
 from repro.streaming.stream import stream_of
 
 
@@ -58,6 +59,80 @@ class TestFirstSetStore:
         certificate = {0: 4}
         cover = {4}
         assert store.patch(certificate, cover, universe_size=1) == 0
+
+
+class CountingMeter(SpaceMeter):
+    """A meter that counts its ``set_component`` calls."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, budget=None) -> None:
+        super().__init__(budget=budget)
+        self.calls = 0
+
+    def set_component(self, name, words) -> None:
+        self.calls += 1
+        super().set_component(name, words)
+
+
+class TestFirstSetStoreBatching:
+    def test_observe_columns_charges_once_per_chunk(self):
+        # A chunk of k new elements is one meter update, not k: the
+        # columnar path must never fall back to per-element charging.
+        meter = CountingMeter()
+        store = FirstSetStore(meter, universe_size=50)
+        elements = np.array([3, 1, 3, 7, 1, 9, 0, 42], dtype=np.int64)
+        set_ids = np.arange(len(elements), dtype=np.int64) + 100
+        store.observe_columns(set_ids, elements)
+        assert meter.calls <= 1
+        assert dict(store.mapping) == {0: 106, 1: 101, 3: 100, 7: 103, 9: 105, 42: 107}
+        assert list(store.mapping) == [0, 1, 3, 7, 9, 42]
+        assert meter.component(FirstSetStore.COMPONENT) == 12
+        # A chunk of known elements does not touch the meter at all.
+        store.observe_columns(set_ids, elements)
+        assert meter.calls <= 1
+
+    def test_patch_fills_lower_elements_before_raising(self):
+        store = FirstSetStore(SpaceMeter())
+        for set_id, element in [(5, 0), (6, 1), (7, 3)]:
+            store.observe(set_id, element)
+        certificate = {1: 9}
+        cover = {9}
+        with pytest.raises(InvalidCoverError, match="element 2 "):
+            store.patch(certificate, cover, universe_size=5)
+        assert certificate == {1: 9, 0: 5}
+        assert cover == {9, 5}
+
+    def test_patch_ignores_out_of_range_certificate_keys(self):
+        store = FirstSetStore(SpaceMeter())
+        store.observe(4, 0)
+        certificate = {-1: 8, 7: 8}
+        cover = set()
+        assert store.patch(certificate, cover, universe_size=1) == 1
+        assert certificate[0] == 4 and cover == {4}
+
+    def test_budgeted_cover_stops_certificate_at_crossing(self):
+        # The cover's charge crosses the budget at element 2's set: the
+        # certificate holds elements 0..2, exactly as one-by-one writes.
+        def run(batched):
+            store_meter = SpaceMeter()
+            store = FirstSetStore(store_meter)
+            for element in range(6):
+                store.observe(10 + element, element)
+            meter = SpaceMeter(budget=SpaceBudget(2))
+            cover = ChargedSet(meter, "cover", charge_initial=False)
+            certificate = {}
+            with pytest.raises(SpaceBudgetExceededError) as caught:
+                if batched:
+                    store.patch(certificate, cover, universe_size=6)
+                else:
+                    for element in range(6):
+                        certificate[element] = store.get(element)
+                        cover.add(store.get(element))
+            return certificate, set(cover), caught.value.used, meter.report()
+
+        assert run(batched=True) == run(batched=False)
+        assert list(run(batched=True)[0]) == [0, 1, 2]
 
 
 class _ConstantAlgorithm(StreamingSetCoverAlgorithm):

@@ -81,6 +81,42 @@ class TestSectionRows:
         with pytest.raises(ValueError, match="unknown tier"):
             run_section("kk_kernel", "huge")
 
+    def test_distributed_cell_keeps_fastest_of_identical_repeats(
+        self, tiny_tiers, monkeypatch
+    ):
+        import repro.distributed
+
+        real = repro.distributed.run_distributed
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["backend"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.distributed, "run_distributed", counted)
+        rows = run_section("distributed", "smoke", workers_grid=(1,))
+        assert len(calls) == len(rows) * perfbench.DISTRIBUTED_REPEATS
+        assert all(row["repeats"] == perfbench.DISTRIBUTED_REPEATS for row in rows)
+
+    def test_distributed_repeats_must_agree(self, tiny_tiers, monkeypatch):
+        import dataclasses
+
+        import repro.distributed
+
+        real = repro.distributed.run_distributed
+        calls = []
+
+        def drifting(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 2:
+                result = dataclasses.replace(result, cover=frozenset())
+            return result
+
+        monkeypatch.setattr(repro.distributed, "run_distributed", drifting)
+        with pytest.raises(AssertionError, match="repeated 'serial' runs diverged"):
+            run_section("distributed", "smoke", workers_grid=(1,))
+
     def test_ladder_sections_pin_their_tier(self, tiny_tiers, monkeypatch):
         monkeypatch.setitem(perfbench.TIERS, "full", [("other", 40, 80, 5)])
         assert {row["config"] for row in run_section("full", "smoke")} == {"other"}

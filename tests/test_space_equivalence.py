@@ -246,6 +246,192 @@ class TestChargedContainersMatchHandCharging:
         assert legacy.snapshot() == new_snapshot(current)
 
 
+def _run_batches(
+    kind, words_per_entry, initial, drop, other_words, slack, batches, form, per_item
+):
+    """Drive one charged container through ``batches``.
+
+    ``per_item`` applies each batch as one ``d[k] = v`` / ``s.add(x)``
+    per item, the oracle; otherwise as one :meth:`update` call.  Returns
+    the contents, the report, and ``(batch index, used)`` of the budget
+    error, if one fired.
+    """
+    meter = SpaceMeter()
+    meter.set_component("other", other_words)
+    if kind == "dict":
+        container = ChargedDict(
+            meter, "c", words_per_entry=words_per_entry, charge_initial=False
+        )
+        for key in initial:
+            container[key] = -key
+    else:
+        container = ChargedSet(
+            meter, "c", words_per_entry=words_per_entry, charge_initial=False
+        )
+        for key in initial:
+            container.add(key)
+    # Release a few entries so the recorded peak is not the current state.
+    for key in list(container)[:drop]:
+        if kind == "dict":
+            del container[key]
+        else:
+            container.discard(key)
+    if slack is not None:
+        meter.budget = SpaceBudget(meter.current_words + slack + 1, context="t")
+    failure = None
+    for index, pairs in enumerate(batches):
+        try:
+            if per_item:
+                if kind == "dict":
+                    source = dict(pairs).items() if form == "mapping" else pairs
+                    for key, value in source:
+                        container[key] = value
+                else:
+                    for key, _ in pairs:
+                        container.add(key)
+            elif kind == "dict":
+                if form == "mapping":
+                    container.update(dict(pairs))
+                elif form == "generator":
+                    container.update(pair for pair in pairs)
+                else:
+                    container.update(pairs)
+            elif form == "generator":
+                container.update(key for key, _ in pairs)
+            else:
+                container.update([key for key, _ in pairs])
+        except SpaceBudgetExceededError as error:
+            failure = (index, error.used)
+            break
+    contents = list(container.items()) if kind == "dict" else sorted(container)
+    return contents, new_snapshot(meter), failure
+
+
+class TestBatchUpdateMatchesPerItemCharging:
+    """``update`` charges exactly as one insertion per item would.
+
+    Batches mix duplicate keys, keys already present and fresh keys,
+    arrive as lists, generators or mappings, and run with and without
+    a budget.  Under a budget the batch must stop at the crossing item:
+    the same contents in the same insertion order, the same report,
+    and the same ``error.used``.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(["dict", "set"]),
+        words_per_entry=st.integers(1, 3),
+        initial=st.lists(st.integers(0, 30), max_size=12),
+        drop=st.integers(0, 4),
+        other_words=st.integers(0, 10),
+        slack=st.one_of(st.none(), st.integers(0, 40)),
+        batches=st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 40), st.integers(0, 5)), max_size=15
+            ),
+            max_size=4,
+        ),
+        form=st.sampled_from(["list", "generator", "mapping"]),
+    )
+    def test_batches_match_per_item(
+        self, kind, words_per_entry, initial, drop, other_words, slack, batches, form
+    ):
+        args = (kind, words_per_entry, initial, drop, other_words, slack, batches, form)
+        batched = _run_batches(*args, per_item=False)
+        assert batched == _run_batches(*args, per_item=True)
+
+    @pytest.mark.parametrize("kind", ["dict", "set"])
+    def test_budget_crossing_batch_stops_at_crossing_item(self, kind):
+        # Seven words of budget, ten new two-word entries (one word for
+        # the set): the batch stops where per-item charging stops.
+        words = 2 if kind == "dict" else 1
+        meter = SpaceMeter(budget=SpaceBudget(7))
+        if kind == "dict":
+            container = ChargedDict(meter, "c", words_per_entry=2)
+            batch = [(key, key) for key in range(10)]
+        else:
+            container = ChargedSet(meter, "c", words_per_entry=1)
+            batch = list(range(10))
+        with pytest.raises(SpaceBudgetExceededError) as caught:
+            container.update(batch)
+        assert caught.value.used == 8
+        assert len(container) == 8 // words
+        assert meter.current_words == 8
+
+
+#: (method, args) for every size-changing method of ``set``.
+SET_MUTATORS = [
+    ("add", (9,)),
+    ("discard", (1,)),
+    ("remove", (1,)),
+    ("pop", ()),
+    ("clear", ()),
+    ("update", ([7, 8], {9})),
+    ("difference_update", ([1], {2})),
+    ("intersection_update", ({1, 2, 9},)),
+    ("symmetric_difference_update", ([1, 2, 9, 9],)),
+    ("__ior__", ({7, 8},)),
+    ("__isub__", ({1, 2},)),
+    ("__iand__", ({1, 9},)),
+    ("__ixor__", ({1, 2, 9},)),
+]
+
+#: (method, args) for every size-changing method of ``dict``.
+DICT_MUTATORS = [
+    ("__setitem__", (9, 0)),
+    ("__delitem__", (1,)),
+    ("setdefault", (9,)),
+    ("pop", (1,)),
+    ("popitem", ()),
+    ("clear", ()),
+    ("update", ({9: 0, 1: 5},)),
+    ("__ior__", ([(9, 0), (8, 1)],)),
+]
+
+
+class TestEveryMutatorCharges:
+    """Each size-changing method, in-place operators included, recharges."""
+
+    @pytest.mark.parametrize(
+        "kind,method,args",
+        [("set", method, args) for method, args in SET_MUTATORS]
+        + [("dict", method, args) for method, args in DICT_MUTATORS],
+    )
+    def test_component_tracks_size(self, kind, method, args):
+        meter = SpaceMeter()
+        if kind == "set":
+            plain = {1, 2, 3}
+            charged = ChargedSet(meter, "c", words_per_entry=3, iterable=plain)
+        else:
+            plain = {1: 10, 2: 20, 3: 30}
+            charged = ChargedDict(meter, "c", words_per_entry=3, mapping=plain)
+        expected = getattr(plain, method)(*args)
+        returned = getattr(charged, method)(*args)
+        if method.startswith("__i"):
+            assert returned is charged
+        else:
+            assert returned == expected
+        assert charged == plain
+        assert len(charged) != 3  # every case changes the size
+        assert meter.component("c") == 3 * len(charged)
+        report = meter.report()
+        assert report.peak_words == max(9, 3 * len(charged))
+        assert report.component_peaks["c"] == report.peak_words
+
+    def test_every_mutator_is_overridden(self):
+        for cls, mutators in (
+            (ChargedSet, SET_MUTATORS),
+            (ChargedDict, DICT_MUTATORS),
+        ):
+            for method, _ in mutators:
+                assert method in vars(cls), (cls.__name__, method)
+
+    def test_in_place_operators_reject_non_sets(self):
+        charged = ChargedSet(SpaceMeter(), "c")
+        with pytest.raises(TypeError):
+            charged |= [1, 2]
+
+
 # -- characterization grid: the first-set store under budgets ------------
 
 #: Registry name -> constructor with the registry's shape defaults and a
