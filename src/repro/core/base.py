@@ -22,7 +22,12 @@ from repro.core.solution import StreamingResult
 from repro.errors import InvalidCoverError, PartialState, ReproError
 from repro.obs import events as obs_events
 from repro.obs.tracer import NULL_TRACER, NullTracer, RecordingTracer
-from repro.streaming.space import ChargedDict, SpaceBudget, SpaceMeter, batch_fits
+from repro.streaming.space import (
+    ChargedDict,
+    SpaceBudget,
+    SpaceMeter,
+    charges_budget,
+)
 from repro.streaming.stream import EdgeStream
 from repro.types import ElementId, SeedLike, SetId, make_rng
 
@@ -88,12 +93,17 @@ class FirstSetStore:
         uniques, first_within = np.unique(
             elements[new_positions], return_index=True
         )
-        # One batch write, charged once (per item only if it may cross
-        # a space budget); ``uniques`` ascend, as per-edge writes would.
-        self._first.update(
-            zip(uniques.tolist(), set_ids[new_positions[first_within]].tolist())
-        )
-        seen[uniques] = True
+        # One batch write, charged once (per item under a space budget);
+        # ``uniques`` ascend, as per-edge writes would.
+        before = len(self._first)
+        try:
+            self._first.update(
+                zip(uniques.tolist(), set_ids[new_positions[first_within]].tolist())
+            )
+        finally:
+            # A budget error stops the write at its crossing element; the
+            # elements written are a prefix of ``uniques``.
+            seen[uniques[: len(self._first) - before]] = True
 
     def get(self, element: ElementId) -> Optional[SetId]:
         """The first set observed to contain ``element``, or ``None``."""
@@ -127,27 +137,29 @@ class FirstSetStore:
         after patching every lower element.  The unwitnessed elements
         come from a mask of the certificate's keys and are written as
         one batch per container, charged exactly as element-by-element
-        writes would be (see :func:`~repro.streaming.space.batch_fits`).
+        writes would be.  When a container is charged against a space
+        budget the writes interleave element by element instead, so the
+        certificate stops at the element whose charge crossed it.
         """
         witnessed = np.zeros(universe_size, dtype=bool)
-        witnessed[_keys_below(certificate, universe_size)[0]] = True
+        keys, in_range = _key_array(certificate, universe_size)
+        witnessed[keys[in_range]] = True
         first_of = np.full(universe_size, -1, dtype=np.int64)
-        keys, values = _keys_below(self._first, universe_size)
-        first_of[keys] = values
+        keys, in_range = _key_array(self._first, universe_size)
+        values = np.fromiter(self._first.values(), dtype=np.int64, count=len(keys))
+        first_of[keys[in_range]] = values[in_range]
         missing = np.flatnonzero(~witnessed)
         firsts = first_of[missing]
         unseen = np.flatnonzero(firsts < 0)
         stop = int(unseen[0]) if len(unseen) else len(missing)
         elements, sets = missing[:stop].tolist(), firsts[:stop].tolist()
-        if batch_fits(len(elements), certificate, cover):
-            certificate.update(zip(elements, sets))
-            cover.update(sets)
-        else:
-            # A budget may trip mid-batch: interleave the writes so the
-            # certificate stops at the element whose charge crossed it.
+        if charges_budget(certificate) or charges_budget(cover):
             for element, first in zip(elements, sets):
                 certificate[element] = first
                 cover.add(first)
+        else:
+            certificate.update(zip(elements, sets))
+            cover.update(sets)
         if stop < len(missing):
             raise InvalidCoverError(
                 f"element {missing[stop]} never appeared in the stream; "
@@ -156,15 +168,12 @@ class FirstSetStore:
         return stop
 
 
-def _keys_below(
+def _key_array(
     mapping: Mapping[ElementId, SetId], universe_size: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``mapping``'s keys in ``[0, universe_size)`` and their values, as arrays."""
-    count = len(mapping)
-    keys = np.fromiter(mapping.keys(), dtype=np.int64, count=count)
-    values = np.fromiter(mapping.values(), dtype=np.int64, count=count)
-    in_range = (keys >= 0) & (keys < universe_size)
-    return keys[in_range], values[in_range]
+    """``mapping``'s keys as an array, and the mask of those in ``[0, universe_size)``."""
+    keys = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
+    return keys, (keys >= 0) & (keys < universe_size)
 
 
 class StreamingSetCoverAlgorithm:

@@ -267,24 +267,17 @@ class SpaceMeter:
         )
 
 
-def batch_fits(count: int, *containers) -> bool:
-    """Whether ``count`` new entries in each container stay within budget.
+def charges_budget(container) -> bool:
+    """Whether writes to ``container`` are charged against a space budget.
 
-    Sums the worst case (every entry new) per meter across the charged
-    containers among ``containers``; plain ``set``/``dict`` containers
-    cost nothing.  A batch that fits can be inserted natively and
-    charged once: growth only peaks at its end, so the peak, the
-    breakdown at the peak and every component peak equal those of
-    per-item charging, and no budget check along the way could fire.
+    True only for a :class:`ChargedSet` / :class:`ChargedDict` whose
+    meter enforces a :class:`SpaceBudget`; such a container inserts a
+    batch item by item, so a caller writing several containers together
+    must interleave its writes to stop where per-item writes would.
     """
-    extra: Dict[SpaceMeter, int] = {}
-    for container in containers:
-        if isinstance(container, (ChargedSet, ChargedDict)):
-            meter = container._meter
-            extra[meter] = extra.get(meter, 0) + count * container._words_per_entry
-    return all(
-        meter.budget is None or meter.current_words + words <= meter.budget.words
-        for meter, words in extra.items()
+    return (
+        isinstance(container, (ChargedSet, ChargedDict))
+        and container._meter.budget is not None
     )
 
 
@@ -299,10 +292,11 @@ class ChargedSet(set):
     including the in-place operators, charges the meter.
 
     Batch insertions (:meth:`update`, ``|=``) charge exactly as one
-    :meth:`add` per item would.  Without a budget, or when the whole
-    batch fits under it, they insert natively and charge once.  A batch
-    that may cross the budget is inserted one item at a time, so it
-    stops at the crossing item and raises the same
+    :meth:`add` per item would.  Without a budget they insert natively
+    and charge once: growth only peaks at the end of the batch, so the
+    peak and both breakdowns match per-item charging.  Under a budget
+    they insert one item at a time, so a batch stops at the crossing
+    item and raises the same
     :class:`~repro.errors.SpaceBudgetExceededError`.  Removals
     (``difference_update``, ``-=``, ``intersection_update``, ``&=``)
     charge once; a symmetric difference charges its removals, then its
@@ -375,14 +369,12 @@ class ChargedSet(set):
             self._recharge()
 
     def update(self, *iterables) -> None:
-        if self._meter.budget is not None:
-            items = [item for iterable in iterables for item in iterable]
-            if not batch_fits(len(items), self):
-                for item in items:
-                    self.add(item)
-                return
-            iterables = (items,)
-        self._apply(set.update, *iterables)
+        if self._meter.budget is None:
+            self._apply(set.update, *iterables)
+            return
+        for iterable in iterables:
+            for item in iterable:
+                self.add(item)
 
     def difference_update(self, *others) -> None:
         self._apply(set.difference_update, *others)
@@ -484,17 +476,14 @@ class ChargedDict(dict):
             self._recharge()
 
     def update(self, *args, **kwargs) -> None:
-        if self._meter.budget is not None:
-            pairs = _update_pairs(args, kwargs)
-            if not batch_fits(len(pairs), self):
-                for key, value in pairs:
-                    self[key] = value
-                return
-            args, kwargs = (pairs,), {}
-        before = len(self)
-        dict.update(self, *args, **kwargs)
-        if len(self) != before:
-            self._recharge()
+        if self._meter.budget is None:
+            before = len(self)
+            dict.update(self, *args, **kwargs)
+            if len(self) != before:
+                self._recharge()
+            return
+        for key, value in _update_pairs(args, kwargs):
+            self[key] = value
 
     def __ior__(self, other):
         self.update(other)

@@ -92,6 +92,21 @@ class TestFirstSetStoreBatching:
         store.observe_columns(set_ids, elements)
         assert meter.calls <= 1
 
+    def test_budget_error_mid_chunk_keeps_store_consistent(self):
+        # The third element's 2 words cross a 5-word budget: the store
+        # keeps elements 0..2 and treats exactly those as seen, so a
+        # later chunk records only element 3, as per-edge observe would.
+        meter = SpaceMeter(budget=SpaceBudget(5))
+        store = FirstSetStore(meter, universe_size=10)
+        elements = np.array([0, 1, 2, 3], dtype=np.int64)
+        with pytest.raises(SpaceBudgetExceededError) as caught:
+            store.observe_columns(elements + 100, elements)
+        assert caught.value.used == 6
+        assert dict(store.mapping) == {0: 100, 1: 101, 2: 102}
+        meter.budget = None
+        store.observe_columns(elements + 200, elements)
+        assert dict(store.mapping) == {0: 100, 1: 101, 2: 102, 3: 203}
+
     def test_patch_fills_lower_elements_before_raising(self):
         store = FirstSetStore(SpaceMeter())
         for set_id, element in [(5, 0), (6, 1), (7, 3)]:
