@@ -42,7 +42,7 @@ from repro.faults.shards import ShardFaultPlan
 from repro.obs.events import SHARD_ABANDONED, SHARD_RETRY
 from repro.obs.tracer import NULL_TRACER, RecordingTracer
 from repro.streaming.stream import EdgesLike, FrozenEdges
-from repro.types import Edge, SetId
+from repro.types import SetId
 
 from repro.distributed.shmem import (
     ShardSpan,
@@ -126,12 +126,11 @@ def execute_shard_task(task: ShardTask) -> ShardEnvelope:
     registry algorithm over the shard, and — when tracing — serializes
     the finished span cell for the parent to adopt.
 
-    A fault plan needs an edge *sequence* to perturb, so a faulted
-    shard's columns become :class:`~repro.types.Edge` records for
-    :func:`~repro.faults.injectors.apply_faults` and the perturbed
-    sequence is fed back through the same accumulator.  A span view is
-    closed before returning — a child never holds a mapping past its
-    task.
+    A fault plan rewrites the columns first
+    (:func:`~repro.faults.injectors.apply_faults`); clean and faulted
+    shards alike reach the accumulator as one column pair.  A span view
+    is closed before returning, after every view derived from it is
+    dropped — a child never holds a mapping past its task.
     """
     tracer = RecordingTracer() if task.traced else NULL_TRACER
     worker = Worker(
@@ -148,20 +147,18 @@ def execute_shard_task(task: ShardTask) -> ShardEnvelope:
     injection = None
     view = SpanView(task.span) if task.span is not None else None
     try:
-        if view is not None:
-            set_ids, elements = view.set_ids, view.elements
-        else:
-            set_ids, elements = FrozenEdges(task.edges).columns()
+        edges = (
+            FrozenEdges.from_columns(view.set_ids, view.elements)
+            if view is not None
+            else FrozenEdges(task.edges)
+        )
         if task.fault_specs:
-            edges = list(map(Edge, set_ids.tolist(), elements.tolist()))
-            perturbed, _, injection = apply_faults(
+            edges, _, injection = apply_faults(
                 edges, shape.n, shape.m, task.fault_specs
             )
-            accumulator.feed(perturbed)
-        else:
-            accumulator.feed_columns(set_ids, elements)
+        accumulator.feed_columns(*edges.columns())
         # A mapping cannot close while views of it are still referenced.
-        del set_ids, elements
+        del edges
     finally:
         if view is not None:
             view.close()

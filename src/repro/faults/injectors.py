@@ -23,23 +23,28 @@ kind          effect on the stream
 ============  ==========================================================
 
 Injection is **reproducible** — every :class:`FaultSpec` carries its own
-seed and perturbation happens once, up front, on the frozen edge buffer
-— and **space-isolated**: the injector charges its working buffer to a
-*private* :class:`~repro.streaming.space.SpaceMeter` recorded on the
+seed and perturbation happens once, up front, as a rewrite of the frozen
+buffer's ``int64`` edge columns (a mask, a repeat, a patched copy, a
+slice or a permutation) — and **space-isolated**: the injector charges
+its working buffer to a *private*
+:class:`~repro.streaming.space.SpaceMeter` recorded on the
 :class:`InjectionReport`, so the algorithm under test reports exactly
 the :class:`SpaceReport` it would on a clean stream.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.space import SpaceMeter, SpaceReport
-from repro.streaming.stream import EdgeStream, FrozenEdges
-from repro.types import Edge, SeedLike, make_rng
+from repro.streaming.stream import EdgesLike, EdgeStream, FrozenEdges
+from repro.types import SeedLike, make_rng
 
 #: Every fault kind :func:`apply_faults` understands, in canonical order.
 FAULT_KINDS: Tuple[str, ...] = (
@@ -94,101 +99,118 @@ class InjectionReport:
         return self.declared_length != self.final_length
 
 
+def _coins(rng: random.Random, k: int) -> np.ndarray:
+    """``k`` draws of ``rng.random()``, in call order, as a float column."""
+    draw = rng.random
+    return np.array([draw() for _ in range(k)], dtype=np.float64)
+
+
 def _apply_one(
-    edges: List[Edge],
+    set_ids: np.ndarray,
+    elements: np.ndarray,
     spec: FaultSpec,
     n: int,
     m: int,
     declared: Optional[int],
     report: InjectionReport,
-) -> Tuple[List[Edge], Optional[int]]:
+) -> Tuple[np.ndarray, np.ndarray, Optional[int]]:
+    """One fault as a rewrite of the edge columns.
+
+    Each kind draws the coins a per-edge loop over the stream would
+    draw, in the same order, so the perturbation is a function of the
+    spec's seed and the stream length alone.
+    """
     rng = make_rng(spec.seed)
     rate = spec.rate
+    k = len(set_ids)
     touched = 0
     if spec.kind == "drop":
-        kept: List[Edge] = []
-        for edge in edges:
-            if rng.random() < rate:
-                touched += 1
-            else:
-                kept.append(edge)
-        edges = kept
+        dropped = _coins(rng, k) < rate
+        touched = int(np.count_nonzero(dropped))
+        set_ids, elements = set_ids[~dropped], elements[~dropped]
     elif spec.kind == "duplicate":
-        doubled: List[Edge] = []
-        for edge in edges:
-            doubled.append(edge)
-            if rng.random() < rate:
-                doubled.append(edge)
-                touched += 1
-        edges = doubled
+        copies = 1 + (_coins(rng, k) < rate)
+        touched = int(np.count_nonzero(copies == 2))
+        set_ids, elements = np.repeat(set_ids, copies), np.repeat(elements, copies)
     elif spec.kind == "corrupt":
-        corrupted: List[Edge] = []
-        for edge in edges:
-            if rng.random() < rate:
-                touched += 1
-                if rng.random() < 0.5:
+        # The replacement id draws interleave with the per-edge coins,
+        # so the coins come one edge at a time.
+        draw, randrange = rng.random, rng.randrange
+        bad_sets: Dict[int, int] = {}
+        bad_elements: Dict[int, int] = {}
+        for position in range(k):
+            if draw() < rate:
+                if draw() < 0.5:
                     # Unknown set id: outside range(m).
-                    corrupted.append(Edge(m + rng.randrange(1, m + 2), edge.element))
+                    bad_sets[position] = m + randrange(1, m + 2)
                 else:
                     # Unknown element id: outside range(n).
-                    corrupted.append(Edge(edge.set_id, n + rng.randrange(1, n + 2)))
-            else:
-                corrupted.append(edge)
-        edges = corrupted
+                    bad_elements[position] = n + randrange(1, n + 2)
+        touched = len(bad_sets) + len(bad_elements)
+        set_ids, elements = set_ids.copy(), elements.copy()
+        set_ids[list(bad_sets)] = list(bad_sets.values())
+        elements[list(bad_elements)] = list(bad_elements.values())
     elif spec.kind == "truncate":
-        keep = len(edges) - int(rate * len(edges))
-        touched = len(edges) - keep
-        edges = edges[:keep]
+        keep = k - int(rate * k)
+        touched = k - keep
+        set_ids, elements = set_ids[:keep], elements[:keep]
     elif spec.kind == "reorder":
-        window = max(2, int(rate * len(edges)))
-        shuffled: List[Edge] = []
-        for start in range(0, len(edges), window):
-            chunk = edges[start : start + window]
+        # random.shuffle's draws depend only on the list's length, so
+        # shuffling positions yields the order shuffling edges would.
+        window = max(2, int(rate * k))
+        order: List[int] = []
+        for start in range(0, k, window):
+            chunk = list(range(start, min(start + window, k)))
             rng.shuffle(chunk)
-            shuffled.extend(chunk)
-        touched = len(edges)
-        edges = shuffled
+            order.extend(chunk)
+        touched = k
+        positions = np.array(order, dtype=np.int64)
+        set_ids, elements = set_ids[positions], elements[positions]
     elif spec.kind == "lie-length":
-        base = len(edges) if declared is None else declared
+        base = k if declared is None else declared
         declared = base + max(1, int(rate * max(1, base)))
         touched = 1
     report.counts[spec.kind] = report.counts.get(spec.kind, 0) + touched
-    return edges, declared
+    return set_ids, elements, declared
 
 
 def apply_faults(
-    edges: Sequence[Edge],
+    edges: EdgesLike,
     n: int,
     m: int,
     faults: Sequence[FaultSpec],
-) -> Tuple[Tuple[Edge, ...], Optional[int], InjectionReport]:
+) -> Tuple[FrozenEdges, Optional[int], InjectionReport]:
     """Run ``edges`` through the fault pipeline, in order.
 
-    Returns the perturbed edge tuple, the declared length (``None``
-    when the stream remains honest about N), and an
+    Returns the perturbed edges (column-backed), the declared length
+    (``None`` when the stream remains honest about N), and an
     :class:`InjectionReport`.  Deterministic: each spec's perturbation
-    is driven solely by its own seed.
+    is driven solely by its own seed.  The input columns are never
+    written; a fault that keeps them (a rate of 0, a truncation) may
+    return views of them.
     """
+    set_ids, elements = FrozenEdges(edges).columns()
     meter = SpaceMeter()
     report = InjectionReport(
-        original_length=len(edges),
-        final_length=len(edges),
-        declared_length=len(edges),
+        original_length=len(set_ids),
+        final_length=len(set_ids),
+        declared_length=len(set_ids),
     )
-    working = list(edges)
     declared: Optional[int] = None
     # The injector's working buffer is the only state it holds; charge
     # it to the private meter so the cost is auditable yet invisible to
     # the algorithm's own SpaceReport.
-    meter.set_component("fault-injector-buffer", 2 * len(working))
+    meter.set_component("fault-injector-buffer", 2 * len(set_ids))
     for spec in faults:
-        working, declared = _apply_one(working, spec, n, m, declared, report)
-        meter.set_component("fault-injector-buffer", 2 * len(working))
-    report.final_length = len(working)
-    report.declared_length = declared if declared is not None else len(working)
+        set_ids, elements, declared = _apply_one(
+            set_ids, elements, spec, n, m, declared, report
+        )
+        meter.set_component("fault-injector-buffer", 2 * len(set_ids))
+    report.final_length = len(set_ids)
+    report.declared_length = declared if declared is not None else len(set_ids)
     meter.set_component("fault-injector-buffer", 0)
     report.space = meter.report()
-    return tuple(working), declared, report
+    return FrozenEdges.from_columns(set_ids, elements), declared, report
 
 
 class FaultyStream(EdgeStream):
@@ -196,13 +218,14 @@ class FaultyStream(EdgeStream):
 
     Behaves exactly like :class:`EdgeStream` — same reader / chunk /
     iterator protocol, same one-pass discipline — over the perturbed
-    ordering.  The :attr:`injection` report records what was done.
+    ordering, whose column buffer it adopts.  The :attr:`injection`
+    report records what was done.
     """
 
     def __init__(
         self,
         instance: SetCoverInstance,
-        edges: Sequence[Edge],
+        edges: EdgesLike,
         faults: Sequence[FaultSpec],
         order_name: str = "canonical",
     ) -> None:
@@ -211,7 +234,7 @@ class FaultyStream(EdgeStream):
         )
         super().__init__(
             instance,
-            FrozenEdges(perturbed),
+            perturbed,
             order_name=f"{order_name}+faults",
             declared_length=declared,
         )

@@ -39,13 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.core.base import StreamingSetCoverAlgorithm
 from repro.core.solution import StreamingResult
 from repro.errors import ConfigurationError, PartialState, ReproError
 from repro.obs import events as obs_events
 from repro.streaming.space import SpaceReport
-from repro.streaming.stream import EdgeStream
-from repro.types import Edge
+from repro.streaming.stream import EdgeStream, FrozenEdges
 
 #: Recognised degradation policies, mildest first.
 POLICIES: Tuple[str, ...] = ("fail_fast", "skip_bad_edges", "best_effort")
@@ -282,27 +283,34 @@ class ResilientAlgorithm:
 def _sanitize(stream: EdgeStream) -> Tuple[EdgeStream, int, bool]:
     """Drop malformed edges and correct a mis-declared length.
 
-    Returns ``(clean_stream, edges_skipped, length_lied)``.  The input
-    stream's pass is spent here; the sanitized stream is the only live
-    one-pass view afterwards.
+    Returns ``(clean_stream, edges_skipped, length_lied)``.  An edge is
+    kept iff its ids are in range and the pair is one of the instance's
+    edges (found in its canonical edge columns, whose ``set * n +
+    element`` keys ascend).  Kept edges stay in arrival order.  The
+    input stream's pass is spent here; the sanitized stream is the only
+    live one-pass view afterwards.
     """
     instance = stream.instance
     n, m = instance.n, instance.m
     length_lied = stream.length != stream.actual_length
-    edges = stream.peek_all()
+    frozen = stream.peek_all()
     stream.reader()  # spend the source's single pass
-    kept = []
-    skipped = 0
-    for edge in edges:
-        set_id, element = edge
-        if 0 <= set_id < m and 0 <= element < n and instance.contains(set_id, element):
-            kept.append(edge if isinstance(edge, Edge) else Edge(set_id, element))
-        else:
-            skipped += 1
-    if not skipped and not length_lied:
-        clean = EdgeStream(instance, edges, order_name=stream.order_name)
-    else:
-        clean = EdgeStream(
-            instance, tuple(kept), order_name=f"{stream.order_name}+sanitized"
-        )
+    set_ids, elements = frozen.columns()
+    in_range = np.flatnonzero(
+        (set_ids >= 0) & (set_ids < m) & (elements >= 0) & (elements < n)
+    )
+    keys = set_ids[in_range] * n + elements[in_range]
+    known_sets, known_elements = instance.edge_columns()
+    known = known_sets * n + known_elements
+    slot = np.searchsorted(known, keys)
+    found = slot < len(known)
+    found[found] = known[slot[found]] == keys[found]
+    kept = in_range[found]
+    skipped = len(set_ids) - len(kept)
+    if skipped:
+        frozen = FrozenEdges.from_columns(set_ids[kept], elements[kept])
+    order_name = stream.order_name
+    if skipped or length_lied:
+        order_name += "+sanitized"
+    clean = EdgeStream(instance, frozen, order_name=order_name)
     return clean, skipped, length_lied

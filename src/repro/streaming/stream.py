@@ -429,14 +429,16 @@ class EdgeStream:
             self._position = resume_from.position
         return StreamReader(self)
 
-    def peek_all(self) -> Sequence[Edge]:
-        """The full ordered edge list, for verification only.
+    def peek_all(self) -> FrozenEdges:
+        """The shared ordered edge buffer, for verification only.
 
         Experiment harnesses and tests may inspect the stream; streaming
         algorithms must not (they receive the iterator, not the stream
-        object's internals).
+        object's internals).  The buffer supports ``len``, iteration and
+        indexing over :class:`~repro.types.Edge`, and its
+        :meth:`~FrozenEdges.columns` are read without a copy.
         """
-        return self._frozen.edges
+        return self._frozen
 
     def __repr__(self) -> str:
         return (
@@ -477,9 +479,9 @@ class ReplayableStream:
         """A new, unconsumed one-pass view of the frozen ordering."""
         return EdgeStream(self.instance, self._frozen, order_name=self.order_name)
 
-    def edges(self) -> Sequence[Edge]:
-        """The frozen ordered edge sequence (verification only)."""
-        return self._frozen.edges
+    def edges(self) -> FrozenEdges:
+        """The shared frozen edge buffer (verification only)."""
+        return self._frozen
 
     def __repr__(self) -> str:
         return (

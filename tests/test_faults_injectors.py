@@ -5,16 +5,22 @@ from __future__ import annotations
 import pytest
 
 from repro.core.kk import KKAlgorithm
+from repro.distributed.backends import ShardTask, execute_shard_task
+from repro.distributed.router import ShardRouter
+from repro.distributed.shmem import shared_memory_available, ship_tasks
+from repro.distributed.worker import InstanceShape
 from repro.errors import ConfigurationError, StreamExhaustedError
 from repro.faults import (
     FAULT_KINDS,
     FaultSpec,
     FaultyStream,
+    ResilientAlgorithm,
     apply_faults,
     fault_plan,
     inject,
 )
-from repro.streaming.stream import stream_of
+from repro.generators.planted import planted_partition_instance
+from repro.streaming.stream import FrozenEdges, stream_of
 
 
 @pytest.fixture
@@ -59,7 +65,7 @@ class TestApplyFaults:
         out, declared, report = apply_faults(
             edges, n, m, [FaultSpec(kind, 0.0, seed=3)]
         )
-        assert out == edges
+        assert tuple(out) == edges
         assert declared is None
         assert report.counts[kind] == 0
 
@@ -97,7 +103,7 @@ class TestApplyFaults:
             edges, n, m, [FaultSpec("truncate", 0.5, seed=7)]
         )
         keep = len(edges) - int(0.5 * len(edges))
-        assert out == edges[:keep]
+        assert tuple(out) == edges[:keep]
         assert report.counts["truncate"] == len(edges) - keep
 
     def test_reorder_preserves_multiset(self, chain_instance, edges):
@@ -113,7 +119,7 @@ class TestApplyFaults:
         out, declared, report = apply_faults(
             edges, n, m, [FaultSpec("lie-length", 0.25, seed=9)]
         )
-        assert out == edges
+        assert tuple(out) == edges
         assert declared is not None and declared > len(edges)
         assert report.lies_about_length
 
@@ -190,3 +196,79 @@ class TestFaultPlan:
         assert fault_plan(FAULT_KINDS, 0.1, seed=3) == fault_plan(
             FAULT_KINDS, 0.1, seed=3
         )
+
+
+@pytest.fixture
+def no_edge_records(monkeypatch):
+    """Fail the test if a ``FrozenEdges`` tuple view is built, or if a
+    buffer is built from anything but columns or another buffer."""
+
+    def forbidden(self):
+        raise AssertionError("the column path built an Edge tuple")
+
+    wrap = FrozenEdges.__init__
+
+    def from_buffer_only(self, edges):
+        if not isinstance(edges, FrozenEdges):
+            raise AssertionError("the column path froze Edge records")
+        wrap(self, edges)
+
+    def patch():
+        monkeypatch.setattr(FrozenEdges, "edges", property(forbidden))
+        monkeypatch.setattr(FrozenEdges, "__init__", from_buffer_only)
+
+    return patch
+
+
+class TestFaultsStayOnColumns:
+    """Faulted shards and resilient runs never build ``Edge`` records."""
+
+    @pytest.fixture
+    def planted(self):
+        return planted_partition_instance(80, 30, opt_size=6, seed=11).instance
+
+    @pytest.mark.parametrize("shipping", ["pickled", "span"])
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_faulted_shard_task(self, planted, no_edge_records, kind, shipping):
+        if shipping == "span" and not shared_memory_available():
+            pytest.skip("no shared memory on this platform")
+        plan = ShardRouter("hash", workers=2, seed=1).route_edges(
+            planted, FrozenEdges.from_columns(*planted.edge_columns())
+        )
+        task = ShardTask(
+            index=0,
+            algorithm="kk",
+            seed=3,
+            shape=InstanceShape.of(planted),
+            edges=plan.shard_edges[0],
+            set_order=plan.set_order[0],
+            fault_specs=(FaultSpec(kind, 0.3, seed=5),),
+        )
+        expected = execute_shard_task(task)
+        no_edge_records()
+        segment = None
+        if shipping == "span":
+            (task,), segment = ship_tasks([task])
+            assert segment is not None
+        try:
+            envelope = execute_shard_task(task)
+        finally:
+            if segment is not None:
+                segment.cleanup()
+        assert envelope.output == expected.output
+        assert list(envelope.output.report.injection.counts) == [kind]
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_inject_then_best_effort(self, planted, no_edge_records, kind):
+        def run(source):
+            faulty = inject(source, [FaultSpec(kind, 0.3, seed=5)])
+            return ResilientAlgorithm(KKAlgorithm(seed=2), "best_effort").run(
+                faulty
+            )
+
+        expected = run(stream_of(planted))
+        source = stream_of(planted)
+        no_edge_records()
+        outcome = run(source)
+        assert outcome.degradation == expected.degradation
+        assert outcome.result.cover == expected.result.cover
