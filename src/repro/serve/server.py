@@ -46,9 +46,9 @@ from typing import Any, Dict, Optional, Set
 
 from repro.algorithms import make_algorithm, registered_algorithms
 from repro.distributed.backends import registered_backends
-from repro.distributed.comm import make_comm_budget
+from repro.distributed.comm import check_count, make_comm_budget
 from repro.distributed.coordinator import registered_coordinators
-from repro.distributed.executor import run_distributed
+from repro.distributed.executor import check_seed, run_distributed
 from repro.distributed.router import STRATEGIES
 from repro.distributed.transport import Codec, make_codec
 from repro.errors import (
@@ -355,7 +355,7 @@ class SetCoverServer:
             "entry": self.registry.get(str(request.get("instance", ""))),
             "algorithm": algorithm,
             "order": order,
-            "seed": int(request.get("seed", 0)),
+            "seed": check_seed("seed", request.get("seed", 0)),
             "alpha": request.get("alpha"),
         }
 
@@ -363,14 +363,24 @@ class SetCoverServer:
         params = self._solve_params(request)
         entry: LoadedInstance = params["entry"]
         include_trace = bool(request.get("include_trace", False))
-        delay_ms = min(max(int(request.get("delay_ms", 0)), 0), MAX_DELAY_MS)
+        delay_ms = request.get("delay_ms", 0)
+        check_count("delay_ms", delay_ms, minimum=0)
+        delay_ms = min(delay_ms, MAX_DELAY_MS)
         fault_kind = request.get("fault_kind")
         if fault_kind is not None and fault_kind not in FAULT_KINDS:
             raise InvalidParameterError(
                 "fault_kind", fault_kind,
                 "known fault kinds: " + ", ".join(FAULT_KINDS),
             )
-        fault_rate = float(request.get("fault_rate", 0.1))
+        fault_rate = request.get("fault_rate", 0.1)
+        if (
+            isinstance(fault_rate, bool)
+            or not isinstance(fault_rate, numbers.Real)
+            or not 0.0 <= fault_rate <= 1.0
+        ):
+            raise InvalidParameterError(
+                "fault_rate", fault_rate, "must be a number in [0, 1]"
+            )
         policy = str(request.get("policy", "best_effort"))
         if policy not in POLICIES:
             raise InvalidParameterError(
@@ -498,11 +508,8 @@ class SetCoverServer:
     ) -> Dict[str, Any]:
         params = self._solve_params(request)
         entry: LoadedInstance = params["entry"]
-        workers = int(request.get("workers", 4))
-        if workers < 1:
-            raise InvalidParameterError(
-                "workers", workers, "need at least 1 shard"
-            )
+        workers = request.get("workers", 4)
+        check_count("workers", workers)
         strategy = str(request.get("strategy", "by-set"))
         if strategy not in STRATEGIES:
             raise InvalidParameterError(

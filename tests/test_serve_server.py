@@ -134,6 +134,36 @@ class TestControlPlane:
             client.solve("demo", algorithm="quantum")
         assert excinfo.value.error_type == "InvalidParameterError"
 
+    @pytest.mark.parametrize(
+        "kind, fields, parameter",
+        [
+            ("solve", {"seed": "x"}, "seed"),
+            ("solve", {"seed": 1.9}, "seed"),
+            ("summary", {"seed": True}, "seed"),
+            ("distribute", {"seed": "7"}, "seed"),
+            ("distribute", {"workers": "four"}, "workers"),
+            ("distribute", {"workers": 2.0}, "workers"),
+            ("distribute", {"workers": 0}, "workers"),
+            ("solve", {"delay_ms": "soon"}, "delay_ms"),
+            ("solve", {"delay_ms": 1.5}, "delay_ms"),
+            ("solve", {"delay_ms": -1}, "delay_ms"),
+            ("solve", {"fault_kind": "drop", "fault_rate": "abc"}, "fault_rate"),
+            ("solve", {"fault_kind": "drop", "fault_rate": 2.0}, "fault_rate"),
+            ("solve", {"fault_kind": "drop", "fault_rate": -0.1}, "fault_rate"),
+            ("solve", {"fault_kind": "drop", "fault_rate": float("nan")}, "fault_rate"),
+            ("solve", {"fault_rate": True}, "fault_rate"),
+        ],
+    )
+    def test_malformed_parameter_is_typed_before_admission(
+        self, client, kind, fields, parameter
+    ):
+        admitted = client.stats()["pool"]["admitted"]
+        with pytest.raises(RemoteServeError) as excinfo:
+            client.request(kind, instance="demo", **fields)
+        assert excinfo.value.error_type == "InvalidParameterError"
+        assert f"invalid {parameter}=" in str(excinfo.value)
+        assert client.stats()["pool"]["admitted"] == admitted
+
     @pytest.mark.parametrize("bad_id", [None, "x", 1.5, True])
     def test_bad_request_id_is_typed_and_connection_survives(
         self, handle, bad_id
