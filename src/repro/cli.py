@@ -611,34 +611,23 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.analysis.chaos import run_chaos, run_shard_chaos
 
     if args.shards:
-        shard_report = run_shard_chaos(seed=args.seed, quick=args.quick)
-        print(shard_report.render(markdown=args.markdown))
-        shard_violations = shard_report.violations()
-        if shard_violations:
-            print(
-                f"shard chaos invariant VIOLATED in "
-                f"{len(shard_violations)} cell(s)",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"shard chaos invariant holds over {len(shard_report.rows)} "
-            f"cells (seed={args.seed})"
+        label = "shard chaos"
+        report = run_shard_chaos(seed=args.seed, quick=args.quick)
+    else:
+        label = "chaos"
+        report = run_chaos(
+            seed=args.seed, quick=args.quick, policy=args.policy
         )
-        return 0
-    report = run_chaos(
-        seed=args.seed, quick=args.quick, policy=args.policy
-    )
     print(report.render(markdown=args.markdown))
-    violations = report.violations()
-    if violations:
-        print(
-            f"chaos invariant VIOLATED in {len(violations)} cell(s)",
-            file=sys.stderr,
-        )
+    try:
+        report.assert_invariant()
+    except AssertionError as violated:
+        # One line per violating cell: its coordinates and the seed that
+        # reproduces it standalone.
+        print(violated, file=sys.stderr)
         return 1
     print(
-        f"chaos invariant holds over {len(report.rows)} cells "
+        f"{label} invariant holds over {len(report.rows)} cells "
         f"(seed={args.seed})"
     )
     return 0

@@ -317,6 +317,34 @@ class TestChaos:
     def test_policy_option(self, capsys):
         assert main(["chaos", "--quick", "--policy", "skip_bad_edges"]) == 0
 
+    def test_violation_exits_one_and_names_the_seed(self, capsys, monkeypatch):
+        from repro.analysis import chaos
+
+        def violating_sweep(seed, quick, policy):
+            cell = chaos.ChaosCell(
+                algorithm="kk",
+                fault_kind="corrupt",
+                rate=0.5,
+                order="random",
+                policy=policy,
+                seed=seed + 40,
+                outcome="violation",
+                detail="bare KeyError: 7",
+            )
+            return chaos.ChaosReport(
+                policy=policy, seed=seed, instance_label="stub", rows=[cell]
+            )
+
+        monkeypatch.setattr(chaos, "run_chaos", violating_sweep)
+        assert main(["chaos", "--quick", "--seed", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "violation" in captured.out
+        assert "invariant violated in 1 cell(s)" in captured.err
+        assert (
+            "kk × corrupt@0.5 × random (seed=42): bare KeyError: 7"
+            in captured.err
+        )
+
 
 class TestDistributeResilience:
     def test_unknown_coordinator_is_typed_error(self, capsys, instance_file):
