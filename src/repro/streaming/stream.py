@@ -123,11 +123,16 @@ class FrozenEdges:
         """
         if self._set_ids is None:
             n = len(self._edges)
-            flat = np.fromiter(
-                (value for edge in self._edges for value in edge),
-                dtype=np.int64,
-                count=2 * n,
-            )
+            try:
+                flat = np.fromiter(
+                    (value for edge in self._edges for value in edge),
+                    dtype=np.int64,
+                    count=2 * n,
+                )
+            except OverflowError as error:
+                raise InvalidStreamError(
+                    "edge ids must fit in int64"
+                ) from error
             pairs = flat.reshape(n, 2) if n else flat.reshape(0, 2)
             # Assign _elements before _set_ids: concurrent callers gate on
             # _set_ids, so both columns must be ready once it is visible.

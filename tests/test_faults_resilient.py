@@ -9,11 +9,12 @@ from repro.core.kk import KKAlgorithm
 from repro.core.solution import StreamingResult
 from repro.errors import (
     ConfigurationError,
+    InvalidStreamError,
     ReproError,
     SpaceBudgetExceededError,
 )
 from repro.faults import FaultSpec, ResilientAlgorithm, inject
-from repro.streaming.stream import stream_of
+from repro.streaming.stream import EdgeStream, stream_of
 
 
 class BudgetBlownAlgorithm(StreamingSetCoverAlgorithm):
@@ -135,6 +136,13 @@ class TestSkipBadEdges:
         wrapper = ResilientAlgorithm(KKAlgorithm(seed=0), policy="skip_bad_edges")
         outcome = wrapper.run(stream_of(chain_instance))
         assert outcome.ok
+
+    @pytest.mark.parametrize("bad_id", [2**63, -(2**63) - 1, 2**70])
+    def test_id_outside_int64_is_typed(self, chain_instance, bad_id):
+        edges = tuple(chain_instance.edges()) + ((bad_id, 0),)
+        wrapper = ResilientAlgorithm(KKAlgorithm(seed=0), policy="best_effort")
+        with pytest.raises(InvalidStreamError, match="int64"):
+            wrapper.run(EdgeStream(chain_instance, edges))
 
     def test_algorithm_errors_still_propagate(self, chain_instance):
         wrapper = ResilientAlgorithm(
