@@ -186,8 +186,8 @@ def apply_faults(
     (``None`` when the stream remains honest about N), and an
     :class:`InjectionReport`.  Deterministic: each spec's perturbation
     is driven solely by its own seed.  The input columns are never
-    written; a fault that keeps them (a rate of 0, a truncation) may
-    return views of them.
+    written; a truncation, a length lie or an empty pipeline returns
+    views of them.
     """
     set_ids, elements = FrozenEdges(edges).columns()
     meter = SpaceMeter()
