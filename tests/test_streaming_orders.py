@@ -1,8 +1,20 @@
-"""Tests for arrival-order policies: permutation property, model shapes."""
+"""Tests for arrival-order policies: permutation property, model shapes.
+
+Also here: on arbitrary edge lists — repeated, unordered, ids anywhere
+in ``int64`` — every order's column path draws and returns exactly
+what its per-edge reference in ``orders_reference.py`` does.
+"""
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import orders_reference as reference
 
 from repro.errors import InvalidStreamError
 from repro.streaming.instance import SetCoverInstance
@@ -11,6 +23,7 @@ from repro.streaming.orders import (
     CanonicalOrder,
     ExplicitOrder,
     LargeSetsLastOrder,
+    LocallyShuffledOrder,
     RandomOrder,
     RoundRobinInterleaveOrder,
     SetGroupedOrder,
@@ -186,3 +199,69 @@ class TestCheckPermutation:
         tampered[1] = tampered[0]
         with pytest.raises(InvalidStreamError):
             check_permutation(edges, tampered)
+
+
+#: name -> (order on a generator and a permutation, per-edge reference).
+COLUMN_CASES = {
+    "canonical": (lambda rng, p: CanonicalOrder(), lambda p: reference.canonical),
+    "random": (lambda rng, p: RandomOrder(seed=rng), lambda p: reference.random_order),
+    "set-grouped": (
+        lambda rng, p: SetGroupedOrder(seed=rng),
+        lambda p: reference.set_grouped,
+    ),
+    "round-robin": (
+        lambda rng, p: RoundRobinInterleaveOrder(seed=rng),
+        lambda p: reference.round_robin,
+    ),
+    "large-sets-last": (
+        lambda rng, p: LargeSetsLastOrder(seed=rng),
+        lambda p: reference.large_sets_last,
+    ),
+    **{
+        f"locally-shuffled-{r}": (
+            lambda rng, p, r=r: LocallyShuffledOrder(r, seed=rng),
+            lambda p, r=r: reference.locally_shuffled(r),
+        )
+        for r in (0.0, 0.01, 0.3, 1.0)
+    },
+    "explicit": (lambda rng, p: ExplicitOrder(p), reference.explicit),
+}
+
+int64s = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists over few set ids (so groups form), some far out in int64."""
+    set_ids = draw(st.lists(st.one_of(st.integers(0, 6), int64s), max_size=5))
+    if not set_ids:
+        return []
+    pairs = st.tuples(st.sampled_from(set_ids), st.one_of(st.integers(0, 9), int64s))
+    return [Edge(s, u) for s, u in draw(st.lists(pairs, max_size=40))]
+
+
+class TestColumnsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edges=edge_lists(),
+        case=st.sampled_from(sorted(COLUMN_CASES)),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    def test_apply_columns_matches_reference(self, edges, case, seed, data):
+        make, make_reference = COLUMN_CASES[case]
+        positions = data.draw(st.permutations(range(len(edges))))
+        expected_rng = random.Random(seed)
+        expected = make_reference(positions)(list(edges), expected_rng)
+
+        rng = random.Random(seed)
+        set_ids = np.array([s for s, _ in edges], dtype=np.int64)
+        elements = np.array([u for _, u in edges], dtype=np.int64)
+        got_sets, got_elements = make(rng, positions).apply_columns(set_ids, elements)
+        assert got_sets.dtype == got_elements.dtype == np.int64
+        assert list(zip(got_sets.tolist(), got_elements.tolist())) == expected
+        assert rng.getstate() == expected_rng.getstate()
+
+        rng = random.Random(seed)
+        assert make(rng, positions).apply(edges) == expected
+        assert rng.getstate() == expected_rng.getstate()
