@@ -81,10 +81,8 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
         m = stream.instance.m
         meter = self._meter
 
-        # Line 6: sample D0 up-front at rate p0 = alpha/m.  We draw the
-        # member count binomially and sample ids without replacement,
-        # which is distribution-identical to m independent coins but
-        # costs O(|D0|) rather than O(m) work.
+        # Line 6: sample D0 up-front at rate p0 = alpha/m, one coin per
+        # set id in ascending order (m draws; none when p0 = 1).
         p0 = self.inclusion_probability(0, n, m)
         d0: Set[SetId] = {
             set_id for set_id in range(m) if self._rng.random() < p0

@@ -90,7 +90,6 @@ class InstanceRegistry:
                 "name", name, "instance name must be a non-empty string"
             )
         instance.validate()
-        edges = sum(1 for _ in instance.edges())
         with self._lock:
             if name in self._entries:
                 raise InvalidParameterError(
@@ -102,9 +101,9 @@ class InstanceRegistry:
                 instance=instance,
                 n=instance.n,
                 m=instance.m,
-                edges=edges,
+                edges=instance.num_edges,
                 estimated_solve_words=_estimate_solve_words(
-                    instance.n, instance.m, edges
+                    instance.n, instance.m, instance.num_edges
                 ),
                 loaded_seq=self._next_seq,
             )

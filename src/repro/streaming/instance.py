@@ -6,8 +6,8 @@ experiment harnesses in the library are defined against this type.
 
 The paper (Section 2) represents an instance as a bipartite incidence
 graph ``G = (S, U, E)`` with an edge ``(S_i, u)`` iff ``u ∈ S_i``; the
-:meth:`SetCoverInstance.edges` iterator enumerates exactly that edge
-set.  Feasibility (every element in at least one set) is the paper's
+columns of :meth:`SetCoverInstance.edge_columns` enumerate exactly that
+edge set.  Feasibility (every element in at least one set) is the paper's
 standing assumption; :meth:`validate` enforces it on demand, and
 generators produce feasible instances by construction.
 """
@@ -105,22 +105,19 @@ class SetCoverInstance:
     # -- derived structure -------------------------------------------------
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate all incidence edges, grouped by set, elements ascending.
+        """Iterate :meth:`edge_columns` as :class:`Edge` records."""
+        set_ids, elements = self.edge_columns()
+        return map(Edge, set_ids.tolist(), elements.tolist())
+
+    def edge_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """All incidence edges, grouped by set, elements ascending.
 
         This is the canonical (deterministic) edge enumeration; arrival
         orders are applied on top of it by :mod:`repro.streaming.orders`.
-        """
-        for set_id, members in enumerate(self._sets):
-            for element in sorted(members):
-                yield Edge(set_id, element)
-
-    def edge_columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The canonical enumeration of :meth:`edges` as ``int64`` columns.
-
-        Returns read-only ``(set_ids, elements)`` arrays, built once and
-        cached like the element degrees, so column consumers (the
-        sharded executor's order and routing steps) never build a
-        per-edge record.
+        Returns read-only ``int64`` ``(set_ids, elements)`` columns,
+        built once and cached like the element degrees, so column
+        consumers (the stream builders, the sharded executor's order
+        and routing steps) never build a per-edge record.
         """
         if self._edge_columns is None:
             sizes = np.fromiter(

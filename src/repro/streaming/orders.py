@@ -13,21 +13,21 @@ The paper contrasts three stream orders:
   the classical *set-arrival* model as a special case of edge arrival
   and is used for the Table-1 row-1 baseline.
 
-Every policy is a callable object mapping a list of edges (the canonical
-enumeration of :meth:`SetCoverInstance.edges`) to a reordered list, with
-an explicit seed where randomness is involved.
-:meth:`ArrivalOrder.apply_columns` is the same mapping over ``int64``
-edge columns (:meth:`SetCoverInstance.edge_columns`); a policy whose
-order depends only on the stream length applies itself to an index
-range there, so the column path draws exactly the randomness the tuple
-path draws.
+Every policy reorders the ``int64`` edge columns of the canonical
+enumeration (:meth:`SetCoverInstance.edge_columns`) in
+:meth:`ArrivalOrder.apply_columns`, with an explicit seed where
+randomness is involved.  Its shuffles shuffle lists of edge positions:
+a shuffle's draws depend only on the list's length, so they draw
+exactly what shuffling the edges themselves would.  :meth:`ArrivalOrder.apply`
+maps a list of :class:`Edge` records through the same columns.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+import operator
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,34 +36,62 @@ from repro.types import Edge, SeedLike, make_rng
 
 Columns = Tuple[np.ndarray, np.ndarray]
 
-OrderFn = Callable[[Sequence[Edge]], List[Edge]]
+
+def pair_columns(edges: Sequence[Tuple[int, int]]) -> Columns:
+    """``int64`` ``(set_ids, elements)`` columns of ``(set, element)`` pairs.
+
+    Raises :class:`InvalidStreamError` for an id outside ``int64``.
+    """
+    count = 2 * len(edges)
+    try:
+        flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=count)
+    except OverflowError as error:
+        raise InvalidStreamError("edge ids must fit in int64") from error
+    return tuple(flat.reshape(-1, 2).T.copy())
+
+
+def _gather(
+    set_ids: np.ndarray, elements: np.ndarray, positions: Iterable[int]
+) -> Columns:
+    """The edges at ``positions`` (one per edge), in that order."""
+    index = np.fromiter(positions, dtype=np.int64, count=len(set_ids))
+    return set_ids[index], elements[index]
+
+
+def _group_positions(set_ids: np.ndarray, first_appearance: bool) -> List[List[int]]:
+    """Each set's edge positions in input order, one list per set id.
+
+    The lists come in ascending set-id order, or with ``first_appearance``
+    in the order each id first occurs in the input.
+    """
+    if not len(set_ids):
+        return []
+    by_set = np.argsort(set_ids, kind="stable")
+    starts = np.flatnonzero(np.diff(set_ids[by_set])) + 1
+    groups = [group.tolist() for group in np.split(by_set, starts)]
+    if first_appearance:
+        groups.sort(key=operator.itemgetter(0))
+    return groups
 
 
 class ArrivalOrder:
     """Base class for arrival-order policies.
 
-    Subclasses implement :meth:`apply`.  Policies must return a
+    Subclasses implement :meth:`apply_columns`.  Policies must return a
     permutation of their input — :func:`check_permutation` is available
     for defensive subclasses and is exercised by the test suite.
     """
 
     name = "base"
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
+    def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
+        """Reorder equal-length ``int64`` edge columns."""
         raise NotImplementedError
 
-    def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
-        """Reorder ``int64`` edge columns exactly as :meth:`apply` would.
-
-        The default goes through :meth:`apply` on :class:`Edge` records;
-        policies that can reorder without them override it.
-        """
-        edges = list(map(Edge, set_ids.tolist(), elements.tolist()))
-        pairs = np.array(self.apply(edges), dtype=np.int64).reshape(-1, 2)
-        return (
-            np.ascontiguousarray(pairs[:, 0]),
-            np.ascontiguousarray(pairs[:, 1]),
-        )
+    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
+        """Reorder a list of edges, as :meth:`apply_columns` orders them."""
+        set_ids, elements = self.apply_columns(*pair_columns(edges))
+        return list(map(Edge, set_ids.tolist(), elements.tolist()))
 
     def __call__(self, edges: Sequence[Edge]) -> List[Edge]:
         return self.apply(edges)
@@ -76,9 +104,6 @@ class CanonicalOrder(ArrivalOrder):
     """Identity order: edges as enumerated (grouped by set id)."""
 
     name = "canonical"
-
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
-        return list(edges)
 
     def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
         return set_ids, elements
@@ -93,16 +118,15 @@ class RandomOrder(ArrivalOrder):
         self._rng = make_rng(seed)
 
     def apply(self, edges: Sequence[Edge]) -> List[Edge]:
+        # Shuffles any sequence directly: the column path shuffles an
+        # index range through here, and layerbench times this method as
+        # the ``orders.apply`` layer.
         shuffled = list(edges)
         self._rng.shuffle(shuffled)
         return shuffled
 
     def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
-        # A shuffle's draws depend only on the length, so shuffling the
-        # index range is the same permutation :meth:`apply` makes.
-        k = len(set_ids)
-        permutation = np.fromiter(self.apply(range(k)), dtype=np.int64, count=k)
-        return set_ids[permutation], elements[permutation]
+        return _gather(set_ids, elements, self.apply(range(len(set_ids))))
 
 
 class SetGroupedOrder(ArrivalOrder):
@@ -118,18 +142,12 @@ class SetGroupedOrder(ArrivalOrder):
     def __init__(self, seed: SeedLike = None) -> None:
         self._rng = make_rng(seed)
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
-        groups: Dict[int, List[Edge]] = {}
-        for edge in edges:
-            groups.setdefault(edge.set_id, []).append(edge)
-        set_ids = list(groups)
-        self._rng.shuffle(set_ids)
-        out: List[Edge] = []
-        for set_id in set_ids:
-            group = groups[set_id]
+    def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
+        groups = _group_positions(set_ids, first_appearance=True)
+        self._rng.shuffle(groups)
+        for group in groups:
             self._rng.shuffle(group)
-            out.extend(group)
-        return out
+        return _gather(set_ids, elements, chain.from_iterable(groups))
 
 
 class RoundRobinInterleaveOrder(ArrivalOrder):
@@ -147,27 +165,21 @@ class RoundRobinInterleaveOrder(ArrivalOrder):
     def __init__(self, seed: SeedLike = None) -> None:
         self._rng = make_rng(seed)
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
-        groups: Dict[int, List[Edge]] = {}
-        for edge in edges:
-            groups.setdefault(edge.set_id, []).append(edge)
-        queues = []
-        for set_id in sorted(groups):
-            group = groups[set_id]
-            self._rng.shuffle(group)
-            queues.append(group)
+    def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
+        queues = _group_positions(set_ids, first_appearance=False)
+        for queue in queues:
+            self._rng.shuffle(queue)
         self._rng.shuffle(queues)
-        out: List[Edge] = []
-        cursor = 0
-        while queues:
-            cursor %= len(queues)
-            queue = queues[cursor]
-            out.append(queue.pop())
-            if queue:
-                cursor += 1
-            else:
-                queues.pop(cursor)
-        return out
+        # The deal pops each queue from its end, one edge per queue per
+        # round, visiting the queues in order: an edge is dealt in the
+        # round equal to its distance from the end of its queue.
+        k = len(set_ids)
+        positions = np.fromiter(chain.from_iterable(queues), dtype=np.int64, count=k)
+        sizes = np.fromiter(map(len, queues), dtype=np.int64, count=len(queues))
+        rounds = np.repeat(np.cumsum(sizes) - 1, sizes) - np.arange(k)
+        queue_of = np.repeat(np.arange(len(queues)), sizes)
+        dealt = positions[np.lexsort((queue_of, rounds))]
+        return set_ids[dealt], elements[dealt]
 
 
 class LargeSetsLastOrder(ArrivalOrder):
@@ -183,17 +195,12 @@ class LargeSetsLastOrder(ArrivalOrder):
     def __init__(self, seed: SeedLike = None) -> None:
         self._rng = make_rng(seed)
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
-        groups: Dict[int, List[Edge]] = {}
-        for edge in edges:
-            groups.setdefault(edge.set_id, []).append(edge)
-        set_ids = sorted(groups, key=lambda s: (len(groups[s]), s))
-        out: List[Edge] = []
-        for set_id in set_ids:
-            group = groups[set_id]
+    def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
+        groups = _group_positions(set_ids, first_appearance=False)
+        groups.sort(key=len)  # stable: equal sizes stay in ascending id order
+        for group in groups:
             self._rng.shuffle(group)
-            out.extend(group)
-        return out
+        return _gather(set_ids, elements, chain.from_iterable(groups))
 
 
 class LocallyShuffledOrder(ArrivalOrder):
@@ -222,22 +229,22 @@ class LocallyShuffledOrder(ArrivalOrder):
         self.randomness = randomness
         self._rng = make_rng(seed)
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
+    def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
         base = RoundRobinInterleaveOrder(
             seed=self._rng.getrandbits(63)
-        ).apply(edges)
-        if self.randomness <= 0.0 or len(base) <= 1:
+        ).apply_columns(set_ids, elements)
+        k = len(set_ids)
+        if self.randomness <= 0.0 or k <= 1:
             return base
         # Ceiling, not floor: flooring collapses small positive
         # ``randomness`` on short streams to window 1 — a no-op shuffle
         # that silently reports the adversarial base as "perturbed".
-        window = max(1, math.ceil(self.randomness * len(base)))
-        out: List[Edge] = []
-        for start in range(0, len(base), window):
-            chunk = base[start : start + window]
+        window = max(1, math.ceil(self.randomness * k))
+        positions = list(range(k))
+        windows = [positions[start : start + window] for start in range(0, k, window)]
+        for chunk in windows:
             self._rng.shuffle(chunk)
-            out.extend(chunk)
-        return out
+        return _gather(*base, chain.from_iterable(windows))
 
 
 class ExplicitOrder(ArrivalOrder):
@@ -250,19 +257,23 @@ class ExplicitOrder(ArrivalOrder):
     name = "explicit"
 
     def __init__(self, positions: Sequence[int]) -> None:
-        self._positions = list(positions)
-        if sorted(self._positions) != list(range(len(self._positions))):
+        try:
+            indices = [operator.index(i) for i in positions]
+        except TypeError:
+            raise InvalidStreamError("explicit positions must be integers") from None
+        if sorted(indices) != list(range(len(indices))):
             raise InvalidStreamError(
                 "explicit order must be a permutation of range(len(edges))"
             )
+        self._positions = np.array(indices, dtype=np.int64)
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
-        if len(edges) != len(self._positions):
+    def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
+        if len(set_ids) != len(self._positions):
             raise InvalidStreamError(
                 f"explicit order of length {len(self._positions)} applied to "
-                f"{len(edges)} edges"
+                f"{len(set_ids)} edges"
             )
-        return [edges[i] for i in self._positions]
+        return set_ids[self._positions], elements[self._positions]
 
 
 #: Registry of order constructors by public name, for the CLI/experiments.

@@ -5,12 +5,12 @@ enforces the single-pass discipline: once consumed, a stream refuses to
 be iterated again (algorithms that accidentally take two passes fail
 loudly in tests instead of silently cheating).
 
-The ordered edge sequence is frozen once into a :class:`FrozenEdges`
-buffer — an immutable tuple and a numpy ``(N,)`` column pair, either
-one built lazily from the other — and *shared* across every view of the
-ordering: creating a fresh one-pass view is O(1), and batch consumers
-(see :meth:`EdgeStream.iter_chunks` and :class:`StreamReader`) slice the
-shared buffer instead of stepping a generator one edge at a time.
+The builders freeze the ``int64`` columns an arrival order makes of
+:meth:`SetCoverInstance.edge_columns` once, into a :class:`FrozenEdges`
+buffer *shared* across every view of the ordering (``Edge`` records are
+built only for a per-edge consumer): creating a fresh one-pass view is
+O(1), and batch consumers (see :meth:`EdgeStream.iter_chunks` and
+:class:`StreamReader`) slice the buffer instead of stepping a generator.
 
 Use :func:`stream_of` for the common case, or :class:`ReplayableStream`
 in experiment harnesses where several algorithms must see the *same*
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import InvalidStreamError, StreamExhaustedError
 from repro.streaming.instance import SetCoverInstance
-from repro.streaming.orders import ArrivalOrder, CanonicalOrder
+from repro.streaming.orders import ArrivalOrder, CanonicalOrder, pair_columns
 from repro.types import Edge
 
 EdgesLike = Union["FrozenEdges", Sequence[Edge]]
@@ -105,7 +105,7 @@ class FrozenEdges:
         )
 
     def __hash__(self) -> int:
-        return hash(self.edges)
+        return hash(tuple(column.tobytes() for column in self.columns()))
 
     def __reduce__(self):
         # Pickle the columns only: compact, and never the tuple view.
@@ -122,22 +122,11 @@ class FrozenEdges:
         consumers never copy edge data.
         """
         if self._set_ids is None:
-            n = len(self._edges)
-            try:
-                flat = np.fromiter(
-                    (value for edge in self._edges for value in edge),
-                    dtype=np.int64,
-                    count=2 * n,
-                )
-            except OverflowError as error:
-                raise InvalidStreamError(
-                    "edge ids must fit in int64"
-                ) from error
-            pairs = flat.reshape(n, 2) if n else flat.reshape(0, 2)
+            set_ids, elements = pair_columns(self._edges)
             # Assign _elements before _set_ids: concurrent callers gate on
             # _set_ids, so both columns must be ready once it is visible.
-            self._elements = np.ascontiguousarray(pairs[:, 1])
-            self._set_ids = np.ascontiguousarray(pairs[:, 0])
+            self._elements = elements
+            self._set_ids = set_ids
         return self._set_ids, self._elements
 
 
@@ -264,11 +253,11 @@ class EdgeStream:
     instance:
         The underlying set-cover instance.
     edges:
-        The ordered edge sequence to present; callers usually obtain it
-        by applying an :class:`~repro.streaming.orders.ArrivalOrder` to
-        ``instance.edges()``.  A :class:`FrozenEdges` (or a plain tuple)
-        is adopted without copying, so replayable harnesses share one
-        buffer across every view.
+        The ordered edge sequence to present; :func:`stream_of` passes
+        the columns an :class:`~repro.streaming.orders.ArrivalOrder`
+        makes of ``instance.edge_columns()``.  A :class:`FrozenEdges`
+        (or a plain tuple) is adopted without copying, so replayable
+        harnesses share one buffer across every view.
     order_name:
         Label recorded in experiment output.
     declared_length:
@@ -457,8 +446,8 @@ class ReplayableStream:
 
     Freezes one ordered edge sequence so that multiple algorithms can be
     compared on the *identical* stream, each receiving its own one-pass
-    view.  The frozen buffer (tuple and numpy columns alike) is shared
-    by every view: :meth:`fresh` is O(1) and never copies edges.
+    view.  The frozen buffer is shared by every view: :meth:`fresh` is
+    O(1) and never copies edges.
     """
 
     def __init__(
@@ -467,13 +456,9 @@ class ReplayableStream:
         order: Optional[ArrivalOrder] = None,
     ) -> None:
         self.instance = instance
-        order = order if order is not None else CanonicalOrder()
-        self.order_name = order.name
-        self._frozen = FrozenEdges(order.apply(list(instance.edges())))
-        # Column materialization is stream *preparation*, like applying
-        # the arrival order above — pay it at freeze time so the first
-        # vectorized consumer's measured pass is not billed for it.
-        self._frozen.columns()
+        stream = stream_of(instance, order)
+        self.order_name = stream.order_name
+        self._frozen = stream.peek_all()
 
     @property
     def length(self) -> int:
@@ -505,8 +490,8 @@ def stream_of(
     enumeration is streamed.
     """
     order = order if order is not None else CanonicalOrder()
-    edges = order.apply(list(instance.edges()))
-    return EdgeStream(instance, edges, order_name=order.name)
+    frozen = FrozenEdges.from_columns(*order.apply_columns(*instance.edge_columns()))
+    return EdgeStream(instance, frozen, order_name=order.name)
 
 
 def concat_streams(first: EdgeStream, second: EdgeStream) -> EdgeStream:
@@ -519,9 +504,9 @@ def concat_streams(first: EdgeStream, second: EdgeStream) -> EdgeStream:
     """
     if first.consumed or second.consumed:
         raise StreamExhaustedError("cannot concatenate consumed streams")
-    edges = tuple(first.peek_all()) + tuple(second.peek_all())
+    head, tail = first.peek_all().columns(), second.peek_all().columns()
     return EdgeStream(
         first.instance,
-        edges,
+        FrozenEdges.from_columns(*map(np.concatenate, zip(head, tail))),
         order_name=f"{first.order_name}+{second.order_name}",
     )

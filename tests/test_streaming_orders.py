@@ -168,6 +168,22 @@ class TestExplicitOrder:
         with pytest.raises(InvalidStreamError):
             order.apply(edges)
 
+    def test_rejects_non_integer_positions(self):
+        with pytest.raises(InvalidStreamError):
+            ExplicitOrder([1.0, 0.0])
+
+    def test_accepts_numpy_integer_positions(self, edges):
+        positions = np.arange(len(edges))[::-1]
+        assert ExplicitOrder(positions).apply(edges) == edges[::-1]
+
+
+class TestEdgeAdapter:
+    # RandomOrder keeps its own apply, which shuffles records unread.
+    @pytest.mark.parametrize("name", sorted(set(ORDER_REGISTRY) - {"random"}))
+    def test_rejects_ids_outside_int64(self, name):
+        with pytest.raises(InvalidStreamError):
+            make_order(name, seed=1).apply([Edge(0, 1), Edge(2**63, 0)])
+
 
 class TestRegistry:
     def test_all_registered_constructible(self):

@@ -2,17 +2,40 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.algorithms import make_algorithm
 from repro.errors import StreamExhaustedError
-from repro.streaming.orders import RandomOrder
+from repro.generators.planted import planted_partition_instance
+from repro.streaming.instance import SetCoverInstance
+from repro.streaming.orders import (
+    ORDER_REGISTRY,
+    ExplicitOrder,
+    LocallyShuffledOrder,
+    RandomOrder,
+    make_order,
+)
 from repro.streaming.stream import (
     EdgeStream,
+    FrozenEdges,
     ReplayableStream,
     concat_streams,
     stream_of,
 )
 from repro.types import Edge
+
+
+@pytest.fixture
+def no_edge_records(monkeypatch):
+    """Fail the test if a buffer's tuple view or the instance's
+    :meth:`~SetCoverInstance.edges` is asked for."""
+
+    def forbidden(self):
+        raise AssertionError("the column path built Edge records")
+
+    monkeypatch.setattr(FrozenEdges, "edges", property(forbidden))
+    monkeypatch.setattr(SetCoverInstance, "edges", forbidden)
 
 
 class TestEdgeStream:
@@ -121,3 +144,56 @@ class TestConcatStreams:
         first = EdgeStream(tiny_instance, [Edge(0, 0)], order_name="a")
         second = EdgeStream(tiny_instance, [Edge(2, 3)], order_name="b")
         assert concat_streams(first, second).order_name == "a+b"
+
+
+class TestFrozenEdgesHash:
+    def test_tuple_and_column_buffers_hash_equal(self, chain_instance):
+        edges = RandomOrder(seed=3).apply(list(chain_instance.edges()))
+        from_tuples = FrozenEdges(edges)
+        from_columns = FrozenEdges.from_columns(
+            np.array([s for s, _ in edges], dtype=np.int64),
+            np.array([u for _, u in edges], dtype=np.int64),
+        )
+        assert from_tuples == from_columns
+        assert hash(from_tuples) == hash(from_columns)
+        assert hash(from_tuples) != hash(FrozenEdges(edges[::-1]))
+
+    def test_hash_builds_no_edge_records(self, chain_instance, no_edge_records):
+        frozen = FrozenEdges.from_columns(*chain_instance.edge_columns())
+        assert hash(frozen) == hash(FrozenEdges.from_columns(*frozen.columns()))
+
+
+#: Every order class, from a seed and the stream length.
+ALL_ORDERS = {
+    **{
+        name: lambda seed, k, name=name: make_order(name, seed=seed)
+        for name in ORDER_REGISTRY
+    },
+    "locally-shuffled": lambda seed, k: LocallyShuffledOrder(0.3, seed=seed),
+    "explicit": lambda seed, k: ExplicitOrder(range(k - 1, -1, -1)),
+}
+
+
+class TestBuildersStayOnColumns:
+    """The stream builders and a kk solve never build ``Edge`` records."""
+
+    @pytest.fixture
+    def planted(self):
+        return planted_partition_instance(80, 30, opt_size=6, seed=11).instance
+
+    @pytest.mark.parametrize("order", sorted(ALL_ORDERS))
+    def test_builders(self, planted, tiny_instance, no_edge_records, order):
+        make = ALL_ORDERS[order]
+        k = planted.num_edges
+        assert stream_of(planted, make(1, k)).length == k
+        assert ReplayableStream(planted, make(2, k)).fresh().length == k
+        combined = concat_streams(
+            stream_of(planted, make(3, k)),
+            stream_of(tiny_instance, make(4, tiny_instance.num_edges)),
+        )
+        assert combined.length == k + tiny_instance.num_edges
+
+    def test_kk_solve(self, planted, no_edge_records):
+        stream = stream_of(planted, RandomOrder(seed=5))
+        result = make_algorithm("kk", planted, seed=6).run(stream)
+        assert planted.is_cover(result.cover)
