@@ -443,6 +443,10 @@ def run_shard_chaos_cell(
             workers=workers,
             coordinator=coordinator,
             backend=backend,
+            # One pool slot per shard: at max_workers=1 every backend
+            # runs the shards serially, so the thread axis would only
+            # repeat the serial one.
+            max_workers=workers,
             seed=seed,
             shard_faults=plan,
             min_shards=min_shards,

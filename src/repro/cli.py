@@ -478,14 +478,7 @@ def _cmd_distribute(args: argparse.Namespace) -> int:
             straggle_steps=args.straggle_steps,
             duplicate_rate=args.duplicate,
         )
-    resilience = dict(
-        shard_faults=shard_faults,
-        min_shards=args.min_shards,
-        deadline_steps=args.deadline_steps,
-        max_attempts=args.max_attempts,
-        backoff_steps=args.backoff_steps,
-    )
-    common = dict(
+    options = dict(
         workers=args.workers,
         algorithm=args.algorithm,
         strategy=args.strategy,
@@ -499,21 +492,21 @@ def _cmd_distribute(args: argparse.Namespace) -> int:
         transport=args.transport,
         threshold=args.threshold,
         adaptive_threshold=args.adaptive_threshold,
+        shard_faults=shard_faults,
+        min_shards=args.min_shards,
+        deadline_steps=args.deadline_steps,
+        max_attempts=args.max_attempts,
+        backoff_steps=args.backoff_steps,
     )
     if args.async_sim:
         result = run_distributed_async(
             instance,
             schedule_seed=args.schedule_seed,
             default_delay=args.default_delay,
-            **common,
-            **resilience,
+            **options,
         )
     else:
-        result = run_distributed(
-            instance,
-            **common,
-            **resilience,
-        )
+        result = run_distributed(instance, **options)
     degraded = bool(result.degradations)
     result.verify(instance, allow_partial=degraded)
     rows = [

@@ -10,7 +10,7 @@ how to verify itself against the ground-truth instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Set
+from typing import AbstractSet, Dict, FrozenSet, Mapping, Optional, Set
 
 from repro.errors import InvalidCoverError
 from repro.streaming.instance import SetCoverInstance
@@ -56,22 +56,9 @@ class StreamingResult:
         the certificate is total, every witness actually contains its
         element, and every witness is a member of the reported cover.
         """
-        for u in range(instance.n):
-            if u not in self.certificate:
-                raise InvalidCoverError(
-                    f"{self.algorithm or 'result'}: element {u} has no witness"
-                )
-            witness = self.certificate[u]
-            if witness not in self.cover:
-                raise InvalidCoverError(
-                    f"{self.algorithm or 'result'}: witness {witness} for "
-                    f"element {u} is not in the reported cover"
-                )
-            if not instance.contains(witness, u):
-                raise InvalidCoverError(
-                    f"{self.algorithm or 'result'}: set {witness} does not "
-                    f"contain element {u}"
-                )
+        verify_certificate(
+            instance, self.cover, self.certificate, self.algorithm or "result"
+        )
 
     def is_valid(self, instance: SetCoverInstance) -> bool:
         """``True`` iff :meth:`verify` passes."""
@@ -90,6 +77,44 @@ class StreamingResult:
     def covered_elements(self, instance: SetCoverInstance) -> Set[ElementId]:
         """Elements covered by the reported cover (ground-truth union)."""
         return instance.coverage_of(self.cover)
+
+
+def verify_certificate(
+    instance: SetCoverInstance,
+    cover: AbstractSet[SetId],
+    certificate: Mapping[ElementId, SetId],
+    label: str,
+    uncovered: Optional[AbstractSet[ElementId]] = None,
+) -> None:
+    """Raise :class:`InvalidCoverError` unless ``certificate`` proves ``cover``.
+
+    The one cover check behind every result's ``verify``: the
+    certificate is total, every witness is a member of the cover, and
+    every witness contains its element.  Messages start with ``label``.
+    With ``uncovered`` (quorum-degraded runs) totality relaxes to
+    *accounted-for* totality: an element without a witness must appear
+    in ``uncovered`` — a silently missing element still fails.
+    """
+    for u in range(instance.n):
+        if u not in certificate:
+            if uncovered is None:
+                raise InvalidCoverError(f"{label}: element {u} has no witness")
+            if u in uncovered:
+                continue
+            raise InvalidCoverError(
+                f"{label}: element {u} has no witness and is not "
+                "reported uncovered"
+            )
+        witness = certificate[u]
+        if witness not in cover:
+            raise InvalidCoverError(
+                f"{label}: witness {witness} for element {u} is not in "
+                "the reported cover"
+            )
+        if not instance.contains(witness, u):
+            raise InvalidCoverError(
+                f"{label}: set {witness} does not contain element {u}"
+            )
 
 
 def certificate_from_cover(

@@ -40,26 +40,28 @@ cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.distributed.backends import ShardOutcome
 from repro.distributed.chain import tournament_rounds
 from repro.distributed.comm import (
-    CommBudget,
     CommMeter,
     check_link_delays,
     link_label,
     words_for_cover_message,
 )
-from repro.distributed.executor import DistributedResult, _run_sharded, check_seed
+from repro.distributed.executor import (
+    DistributedConfig,
+    DistributedResult,
+    _run_sharded,
+    check_seed,
+)
 from repro.distributed.worker import ShardOutput
 from repro.errors import InvalidParameterError, ProtocolError
-from repro.faults.injectors import FaultSpec
 from repro.faults.shards import ShardFaultPlan
 from repro.obs.events import MESSAGE_DELIVERED, SPAN_ASYNC
-from repro.obs.tracer import NULL_TRACER, TraceCollector
+from repro.obs.tracer import NULL_TRACER
 from repro.streaming.instance import SetCoverInstance
-from repro.streaming.orders import ArrivalOrder
 from repro.types import SeedLike, make_rng
 
 
@@ -501,35 +503,18 @@ class _ScheduleReplay:
 def run_distributed_async(
     instance: SetCoverInstance,
     workers: int,
-    algorithm: str = "kk",
-    strategy: str = "by-set",
-    coordinator: str = "chain",
-    order: Optional[ArrivalOrder] = None,
-    seed: Optional[int] = 0,
-    alpha: Optional[float] = None,
-    max_workers: int = 1,
-    comm_budget: Optional[CommBudget] = None,
-    faults: Optional[Sequence[FaultSpec]] = None,
-    collector: Optional[TraceCollector] = None,
-    threshold: Optional[float] = None,
-    adaptive_threshold: bool = False,
-    comm_log: bool = False,
-    backend: Optional[str] = None,
-    transport: Optional[object] = None,
-    shard_faults: Optional[ShardFaultPlan] = None,
-    min_shards: Optional[int] = None,
-    deadline_steps: Optional[int] = None,
-    max_attempts: int = 3,
-    backoff_steps: int = 1,
+    *,
     schedule_seed: Optional[int] = 0,
     delivery: Optional[DeliveryPolicy] = None,
     link_delays: Optional[Mapping[str, int]] = None,
     default_delay: int = 1,
+    **options: Any,
 ) -> DistributedResult:
     """Asynchronous twin of :func:`~repro.distributed.executor.run_distributed`.
 
-    Same semantic parameters, same result type, same executor body,
-    plus the delivery schedule: ``delivery`` (default
+    Same options (:class:`~repro.distributed.executor.DistributedConfig`
+    fields, by keyword), same result type, same executor body, plus the
+    delivery schedule: ``delivery`` (default
     :class:`RandomDelivery` seeded with ``schedule_seed``),
     ``link_delays`` / ``default_delay`` in logical steps.  Shards always
     run under the retry/deadline recovery layer.  The returned result's
@@ -548,6 +533,7 @@ def run_distributed_async(
     anything else raises :class:`~repro.errors.InvalidParameterError`
     before any shard runs.
     """
+    config = DistributedConfig(**options)
     schedule_seed = check_seed("schedule_seed", schedule_seed)
     if delivery is not None and not isinstance(delivery, DeliveryPolicy):
         raise InvalidParameterError(
@@ -561,35 +547,12 @@ def run_distributed_async(
         link_delays=link_delays,
         default_delay=default_delay,
         tracer=(
-            collector.tracer_for("async")
-            if collector is not None
+            config.collector.tracer_for("async")
+            if config.collector is not None
             else NULL_TRACER
         ),
     )
-    return _run_sharded(
-        instance,
-        workers,
-        algorithm=algorithm,
-        strategy=strategy,
-        coordinator=coordinator,
-        order=order,
-        seed=seed,
-        alpha=alpha,
-        max_workers=max_workers,
-        comm_budget=comm_budget,
-        faults=faults,
-        collector=collector,
-        threshold=threshold,
-        adaptive_threshold=adaptive_threshold,
-        comm_log=comm_log,
-        backend=backend,
-        transport=transport,
-        shard_faults=shard_faults,
-        min_shards=min_shards,
-        deadline_steps=deadline_steps,
-        max_attempts=max_attempts,
-        backoff_steps=backoff_steps,
-        replay=_ScheduleReplay(
-            scheduler, coordinator, workers, shard_faults, schedule_seed
-        ),
+    replay = _ScheduleReplay(
+        scheduler, config.coordinator, workers, config.shard_faults, schedule_seed
     )
+    return _run_sharded(instance, workers, config, replay=replay)

@@ -31,6 +31,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     FrozenSet,
     List,
@@ -39,7 +40,9 @@ from typing import (
     Tuple,
 )
 
+from repro.core.solution import verify_certificate
 from repro.distributed.backends import (
+    Backend,
     ShardOutcome,
     ShardTask,
     make_backend,
@@ -52,6 +55,7 @@ from repro.distributed.comm import (
     check_count,
 )
 from repro.distributed.coordinator import (
+    Coordinator,
     CoordinatorOptions,
     make_coordinator,
 )
@@ -68,7 +72,6 @@ from repro.distributed.worker import (
     ShardReport,
 )
 from repro.errors import (
-    ConfigurationError,
     InvalidCoverError,
     InvalidParameterError,
 )
@@ -197,35 +200,21 @@ class DistributedResult:
     ) -> None:
         """Raise :class:`InvalidCoverError` unless this is a valid cover.
 
-        Same three checks as :meth:`StreamingResult.verify`: total
+        Same three checks as :meth:`StreamingResult.verify`
+        (:func:`~repro.core.solution.verify_certificate`): total
         certificate, witnesses inside the cover, witnesses containing
         their elements.  With ``allow_partial`` (quorum-degraded runs)
         the totality check relaxes to *accounted-for* totality: every
         element must either carry a valid witness or appear explicitly
         in :attr:`uncovered` — a silently missing element still fails.
         """
-        label = f"distributed[{self.coordinator or 'merge'}]"
-        reported_uncovered = set(self.uncovered)
-        for u in range(instance.n):
-            if u not in self.certificate:
-                if allow_partial and u in reported_uncovered:
-                    continue
-                if allow_partial:
-                    raise InvalidCoverError(
-                        f"{label}: element {u} has no witness and is not "
-                        "reported uncovered"
-                    )
-                raise InvalidCoverError(f"{label}: element {u} has no witness")
-            witness = self.certificate[u]
-            if witness not in self.cover:
-                raise InvalidCoverError(
-                    f"{label}: witness {witness} for element {u} is not in "
-                    "the reported cover"
-                )
-            if not instance.contains(witness, u):
-                raise InvalidCoverError(
-                    f"{label}: set {witness} does not contain element {u}"
-                )
+        verify_certificate(
+            instance,
+            self.cover,
+            self.certificate,
+            f"distributed[{self.coordinator or 'merge'}]",
+            uncovered=set(self.uncovered) if allow_partial else None,
+        )
 
     def is_valid(
         self, instance: SetCoverInstance, allow_partial: bool = False
@@ -269,15 +258,131 @@ def _reseeded_faults(
     )
 
 
+@dataclass(frozen=True)
+class DistributedConfig:
+    """The per-run options of both executors, declared once.
+
+    :func:`run_distributed` and
+    :func:`~repro.distributed.asyncsim.run_distributed_async` take these
+    fields as keywords and build one config per run.  Construction
+    validates every option whose check does not need ``workers``, so a
+    bad value fails typed before any shard runs; ``seed`` is stored as
+    an int (``None`` means 0).
+    """
+
+    #: Streaming algorithm each shard runs (registry name).
+    algorithm: str = "kk"
+    #: Routing strategy (:data:`~repro.distributed.router.STRATEGIES`).
+    strategy: str = "by-set"
+    #: Merge coordinator (registry name).
+    coordinator: str = "chain"
+    #: Arrival order applied to the canonical edge enumeration before
+    #: routing; defaults to :class:`CanonicalOrder`.
+    order: Optional[ArrivalOrder] = None
+    #: Root seed of routing and of every per-shard seed.
+    seed: Optional[int] = 0
+    #: Each shard's α, passed to :func:`~repro.algorithms.make_algorithm`
+    #: (``None`` means the algorithm's default).
+    alpha: Optional[float] = None
+    #: Real executor parallelism (threads or processes, ≥ 1).  This is
+    #: an *operational* parameter — it must not, and does not, change
+    #: the result.
+    max_workers: int = 1
+    #: Optional hard cap on total merge communication; crossing it
+    #: raises :class:`~repro.errors.CommBudgetError`.
+    comm_budget: Optional[CommBudget] = None
+    #: Fault specs applied *per shard* to each shard's edge sequence
+    #: (each shard re-seeds the specs from its own pre-drawn fault
+    #: seed, so shards fail independently as real machines would).
+    faults: Optional[Sequence[FaultSpec]] = None
+    #: Attach to record per-shard (``shard[i]``) and merge traces.
+    collector: Optional[TraceCollector] = None
+    #: Protocol coordinators' (chain, tree) fixed greedy take-threshold
+    #: override.
+    threshold: Optional[float] = None
+    #: Re-estimate τ from the forwarded state at every merge step
+    #: (chain, tree); mutually exclusive with ``threshold``.
+    adaptive_threshold: bool = False
+    #: Keep the full per-message log in the comm report (tests only).
+    comm_log: bool = False
+    #: Execution backend name — ``"serial"``, ``"thread"``, or
+    #: ``"process"`` (see :mod:`repro.distributed.backends`).  ``None``
+    #: means ``"thread"``, the historical behaviour.  Operational: every
+    #: backend produces the identical result.
+    backend: Optional[str] = None
+    #: Wire transport for merge messages — a registry name
+    #: (``"inproc"``, ``"loopback"``, ``"socket"``) or a constructed
+    #: :class:`~repro.distributed.transport.Transport` (tests inject
+    #: fault-configured loopbacks this way).  ``None`` means
+    #: ``"inproc"``.  Operational: every transport produces the
+    #: identical cover/certificate/comm report; only the
+    #: :attr:`DistributedResult.transport` byte accounting differs.  The
+    #: transport is closed before the run returns.
+    transport: Optional[object] = None
+    #: Machine-level fault plan: crashes and stragglers afflicting
+    #: specific shards.  Setting any resilience knob (this,
+    #: ``min_shards`` or ``deadline_steps``) routes execution through
+    #: :func:`~repro.distributed.backends.run_tasks_with_recovery`
+    #: (retry-with-backoff on a logical clock).
+    shard_faults: Optional[ShardFaultPlan] = None
+    #: Quorum policy: the merge proceeds — degraded, with explicit
+    #: :class:`~repro.faults.resilient.DegradationRecord`s — as long as
+    #: at least this many shards survive.  ``None`` demands all
+    #: ``workers`` shards, so any abandoned shard raises its typed
+    #: :class:`~repro.errors.ShardCrashError` /
+    #: :class:`~repro.errors.ShardTimeoutError`.  Its range check needs
+    #: ``workers``, so the executor body runs it.
+    min_shards: Optional[int] = None
+    #: Per-attempt deadline on the logical clock; an attempt finishing
+    #: later times out and is retried, then abandoned.
+    deadline_steps: Optional[int] = None
+    #: Attempts per shard before abandoning it (retries re-seed via
+    #: :func:`~repro.analysis.runner.derive_retry_seed`).
+    max_attempts: int = 3
+    #: Logical steps between a failed attempt and the next.
+    backoff_steps: int = 1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", check_seed("seed", self.seed))
+        check_count("max_workers", self.max_workers)
+        check_count("max_attempts", self.max_attempts)
+        check_count("backoff_steps", self.backoff_steps, minimum=0)
+        if self.comm_budget is not None and not isinstance(
+            self.comm_budget, CommBudget
+        ):
+            raise InvalidParameterError(
+                "comm_budget",
+                self.comm_budget,
+                "expected a CommBudget (or None)",
+            )
+        # An unknown backend or coordinator, or an option the coordinator
+        # cannot honour, fails here rather than after W shards have run.
+        # The transport name is validated too, but the transport itself
+        # is built at merge time so a shard failure cannot leak a bound
+        # socket.
+        self.build_backend()
+        self.build_merger()
+        validate_transport(self.transport)
+
+    def build_backend(self) -> Backend:
+        """A fresh instance of the configured execution backend."""
+        return make_backend(self.backend if self.backend is not None else "thread")
+
+    def build_merger(self) -> Coordinator:
+        """A fresh instance of the configured coordinator."""
+        return make_coordinator(
+            self.coordinator,
+            CoordinatorOptions(
+                threshold=self.threshold,
+                adaptive_threshold=self.adaptive_threshold,
+            ),
+        )
+
+
 def build_shard_plan_and_tasks(
     instance: SetCoverInstance,
     workers: int,
-    algorithm: str = "kk",
-    strategy: str = "by-set",
-    order: Optional[ArrivalOrder] = None,
-    seed: Optional[int] = 0,
-    alpha: Optional[float] = None,
-    faults: Optional[Sequence[FaultSpec]] = None,
+    config: DistributedConfig,
     traced: bool = False,
 ) -> Tuple[ShardPlan, List[ShardTask]]:
     """Route ``instance`` and return the plan plus W self-contained tasks.
@@ -290,27 +395,27 @@ def build_shard_plan_and_tasks(
     coincidental.  The edge stream stays in ``int64`` columns from the
     instance through the order and the router into the tasks.
     """
-    if workers < 1:
-        raise ConfigurationError(f"need at least 1 worker, got {workers}")
-    arrival = order if order is not None else CanonicalOrder()
-    root_seed = check_seed("seed", seed)
+    check_count("workers", workers)
+    arrival = config.order if config.order is not None else CanonicalOrder()
     edges = FrozenEdges.from_columns(
         *arrival.apply_columns(*instance.edge_columns())
     )
-    router = ShardRouter(strategy=strategy, workers=workers, seed=root_seed)
+    router = ShardRouter(
+        strategy=config.strategy, workers=workers, seed=config.seed
+    )
     plan = router.route_edges(instance, edges, order_name=arrival.name)
-    shard_seeds, fault_seeds = _draw_shard_seeds(root_seed, workers)
+    shard_seeds, fault_seeds = _draw_shard_seeds(config.seed, workers)
     shape = InstanceShape.of(instance)
     tasks = [
         ShardTask(
             index=index,
-            algorithm=algorithm,
+            algorithm=config.algorithm,
             seed=shard_seeds[index],
             shape=shape,
             edges=plan.shard_edges[index],
             set_order=plan.set_order[index],
-            alpha=alpha,
-            fault_specs=_reseeded_faults(faults, fault_seeds[index]),
+            alpha=config.alpha,
+            fault_specs=_reseeded_faults(config.faults, fault_seeds[index]),
             order_name=arrival.name,
             traced=traced,
         )
@@ -322,176 +427,38 @@ def build_shard_plan_and_tasks(
 def build_shard_tasks(
     instance: SetCoverInstance,
     workers: int,
-    algorithm: str = "kk",
-    strategy: str = "by-set",
-    order: Optional[ArrivalOrder] = None,
-    seed: Optional[int] = 0,
-    alpha: Optional[float] = None,
-    faults: Optional[Sequence[FaultSpec]] = None,
+    *,
     traced: bool = False,
+    **options: Any,
 ) -> List[ShardTask]:
     """Route ``instance`` and return the W self-contained shard tasks.
 
-    Exactly the tasks :func:`run_distributed` would execute — exposed
-    so tests (and remote transports,
-    eventually) can pickle, ship, and replay shard work without the
-    executor.
+    Exactly the tasks :func:`run_distributed` would execute with the
+    same options (:class:`DistributedConfig` fields, by keyword) —
+    exposed so tests (and remote transports, eventually) can pickle,
+    ship, and replay shard work without the executor.
     """
-    _, tasks = build_shard_plan_and_tasks(
-        instance,
-        workers,
-        algorithm=algorithm,
-        strategy=strategy,
-        order=order,
-        seed=seed,
-        alpha=alpha,
-        faults=faults,
-        traced=traced,
-    )
-    return tasks
+    config = DistributedConfig(**options)
+    return build_shard_plan_and_tasks(instance, workers, config, traced)[1]
 
 
 def run_distributed(
-    instance: SetCoverInstance,
-    workers: int,
-    algorithm: str = "kk",
-    strategy: str = "by-set",
-    coordinator: str = "chain",
-    order: Optional[ArrivalOrder] = None,
-    seed: Optional[int] = 0,
-    alpha: Optional[float] = None,
-    max_workers: int = 1,
-    comm_budget: Optional[CommBudget] = None,
-    faults: Optional[Sequence[FaultSpec]] = None,
-    collector: Optional[TraceCollector] = None,
-    threshold: Optional[float] = None,
-    adaptive_threshold: bool = False,
-    comm_log: bool = False,
-    backend: Optional[str] = None,
-    transport: Optional[object] = None,
-    shard_faults: Optional[ShardFaultPlan] = None,
-    min_shards: Optional[int] = None,
-    deadline_steps: Optional[int] = None,
-    max_attempts: int = 3,
-    backoff_steps: int = 1,
+    instance: SetCoverInstance, workers: int, **options: Any
 ) -> DistributedResult:
-    """Run ``algorithm`` over ``instance`` sharded across ``workers``.
+    """Run an algorithm over ``instance`` sharded across ``workers``.
 
-    Parameters
-    ----------
-    workers:
-        Number of simulated shards ``W`` (≥ 1).  This is a *semantic*
-        parameter — it changes the partition and hence the result.
-    max_workers:
-        Real executor parallelism (threads or processes, ≥ 1).  This is
-        an *operational* parameter — it must not, and does not, change
-        the result.
-    order:
-        Arrival order applied to the canonical edge enumeration before
-        routing; defaults to :class:`CanonicalOrder`.
-    comm_budget:
-        Optional hard cap on total merge communication; crossing it
-        raises :class:`~repro.errors.CommBudgetError`.
-    faults:
-        Fault specs applied *per shard* to each shard's edge sequence
-        (each shard re-seeds the specs from its own pre-drawn fault
-        seed, so shards fail independently as real machines would).
-    collector:
-        Attach to record per-shard (``shard[i]``) and merge traces.
-    threshold:
-        Protocol coordinators' (chain, tree) fixed greedy
-        take-threshold override.
-    adaptive_threshold:
-        Re-estimate τ from the forwarded state at every merge step
-        (chain, tree); mutually exclusive with ``threshold``.
-    comm_log:
-        Keep the full per-message log in the comm report (tests only).
-    backend:
-        Execution backend name — ``"serial"``, ``"thread"``, or
-        ``"process"`` (see :mod:`repro.distributed.backends`).  Default
-        ``None`` means ``"thread"``, the historical behaviour.
-        Operational: every backend produces the identical result.
-    transport:
-        Wire transport for merge messages — a registry name
-        (``"inproc"``, ``"loopback"``, ``"socket"``) or a constructed
-        :class:`~repro.distributed.transport.Transport` (tests inject
-        fault-configured loopbacks this way).  Default ``None`` means
-        ``"inproc"``.  Operational: every transport produces the
-        identical cover/certificate/comm report; only the
-        :attr:`DistributedResult.transport` byte accounting differs.
-        The transport is closed before returning.
-    shard_faults:
-        Machine-level fault plan (:class:`~repro.faults.shards.ShardFaultPlan`):
-        crashes and stragglers afflicting specific shards.  Setting any
-        resilience knob routes execution through
-        :func:`~repro.distributed.backends.run_tasks_with_recovery`
-        (retry-with-backoff on a logical clock).
-    min_shards:
-        Quorum policy: the merge proceeds — degraded, with explicit
-        :class:`~repro.faults.resilient.DegradationRecord`s — as long
-        as at least this many shards survive.  Default ``None`` demands
-        all ``workers`` shards, so any abandoned shard raises its typed
-        :class:`~repro.errors.ShardCrashError` /
-        :class:`~repro.errors.ShardTimeoutError`.
-    deadline_steps:
-        Per-attempt deadline on the logical clock; an attempt finishing
-        later times out and is retried, then abandoned.
-    max_attempts:
-        Attempts per shard before abandoning it (retries re-seed via
-        :func:`~repro.analysis.runner.derive_retry_seed`).
-    backoff_steps:
-        Logical steps between a failed attempt and the next.
+    ``workers`` is the number of simulated shards ``W`` (≥ 1).  This is
+    a *semantic* parameter — it changes the partition and hence the
+    result.  Every other option is a :class:`DistributedConfig` field,
+    passed by keyword; an unknown keyword raises :class:`TypeError`.
     """
-    return _run_sharded(
-        instance,
-        workers,
-        algorithm=algorithm,
-        strategy=strategy,
-        coordinator=coordinator,
-        order=order,
-        seed=seed,
-        alpha=alpha,
-        max_workers=max_workers,
-        comm_budget=comm_budget,
-        faults=faults,
-        collector=collector,
-        threshold=threshold,
-        adaptive_threshold=adaptive_threshold,
-        comm_log=comm_log,
-        backend=backend,
-        transport=transport,
-        shard_faults=shard_faults,
-        min_shards=min_shards,
-        deadline_steps=deadline_steps,
-        max_attempts=max_attempts,
-        backoff_steps=backoff_steps,
-    )
+    return _run_sharded(instance, workers, DistributedConfig(**options))
 
 
 def _run_sharded(
     instance: SetCoverInstance,
     workers: int,
-    *,
-    algorithm: str,
-    strategy: str,
-    coordinator: str,
-    order: Optional[ArrivalOrder],
-    seed: Optional[int],
-    alpha: Optional[float],
-    max_workers: int,
-    comm_budget: Optional[CommBudget],
-    faults: Optional[Sequence[FaultSpec]],
-    collector: Optional[TraceCollector],
-    threshold: Optional[float],
-    adaptive_threshold: bool,
-    comm_log: bool,
-    backend: Optional[str],
-    transport: Optional[object],
-    shard_faults: Optional[ShardFaultPlan],
-    min_shards: Optional[int],
-    deadline_steps: Optional[int],
-    max_attempts: int,
-    backoff_steps: int,
+    config: DistributedConfig,
     replay: Optional["_ScheduleReplay"] = None,
 ) -> DistributedResult:
     """The one executor body: validate, run shards, merge, assemble.
@@ -505,48 +472,24 @@ def _run_sharded(
     the surviving outputs in shard-index order.
     """
     check_count("workers", workers)
-    seed = check_seed("seed", seed)
-    check_count("max_workers", max_workers)
-    check_count("max_attempts", max_attempts)
-    check_count("backoff_steps", backoff_steps, minimum=0)
-    if comm_budget is not None and not isinstance(comm_budget, CommBudget):
-        raise InvalidParameterError(
-            "comm_budget", comm_budget, "expected a CommBudget (or None)"
-        )
-    backend_impl = make_backend(backend if backend is not None else "thread")
-    # Construct the merger before any shard work: an unknown coordinator
-    # must fail fast, not after W shards have already run.  The transport
-    # name is validated here too, but the transport itself is built at
-    # merge time so a shard failure cannot leak a bound socket.
-    merger = make_coordinator(
-        coordinator,
-        CoordinatorOptions(
-            threshold=threshold, adaptive_threshold=adaptive_threshold
-        ),
-    )
-    validate_transport(transport)
+    min_shards = config.min_shards
     if min_shards is not None and not 1 <= min_shards <= workers:
         raise InvalidParameterError(
             "min_shards",
             min_shards,
             f"must be between 1 and workers={workers}",
         )
+    backend_impl = config.build_backend()
+    merger = config.build_merger()
+    collector = config.collector
     resilient = replay is not None or (
-        shard_faults is not None
+        config.shard_faults is not None
         or min_shards is not None
-        or deadline_steps is not None
+        or config.deadline_steps is not None
     )
 
     plan, tasks = build_shard_plan_and_tasks(
-        instance,
-        workers,
-        algorithm=algorithm,
-        strategy=strategy,
-        order=order,
-        seed=seed,
-        alpha=alpha,
-        faults=faults,
-        traced=collector is not None,
+        instance, workers, config, traced=collector is not None
     )
     merge_tracer = (
         collector.tracer_for("merge") if collector is not None else NULL_TRACER
@@ -556,16 +499,16 @@ def _run_sharded(
         maybe_envelopes, outcomes = run_tasks_with_recovery(
             backend_impl,
             tasks,
-            max_workers,
-            shard_faults=shard_faults,
-            max_attempts=max_attempts,
-            backoff_steps=backoff_steps,
-            deadline_steps=deadline_steps,
+            config.max_workers,
+            shard_faults=config.shard_faults,
+            max_attempts=config.max_attempts,
+            backoff_steps=config.backoff_steps,
+            deadline_steps=config.deadline_steps,
             tracer=replay.tracer if replay is not None else merge_tracer,
         )
         envelopes = [env for env in maybe_envelopes if env is not None]
     else:
-        envelopes = backend_impl.run_tasks(tasks, max_workers)
+        envelopes = backend_impl.run_tasks(tasks, config.max_workers)
 
     outputs: Dict[int, ShardOutput] = {}
     for envelope in envelopes:
@@ -582,20 +525,20 @@ def _run_sharded(
         required = min_shards if min_shards is not None else workers
         if survivors < required:
             raise lost[0].to_error(
-                deadline_steps=deadline_steps,
+                deadline_steps=config.deadline_steps,
                 context=(
                     f"quorum not met: {survivors}/{workers} shard(s) "
                     f"survived, need {required}"
                 ),
             )
 
-    comm = CommMeter(budget=comm_budget, log_messages=comm_log)
-    transport_impl = resolve_transport(transport)
+    comm = CommMeter(budget=config.comm_budget, log_messages=config.comm_log)
+    transport_impl = resolve_transport(config.transport)
     try:
         with merge_tracer.span(
             SPAN_MERGE,
-            coordinator=coordinator,
-            strategy=strategy,
+            coordinator=config.coordinator,
+            strategy=config.strategy,
             workers=workers,
         ):
             outcome = merger.merge(
@@ -670,11 +613,11 @@ def _run_sharded(
         certificate=dict(outcome.certificate),
         comm=comm_report,
         shards=[out.report for out in shard_outputs],
-        algorithm=algorithm,
-        strategy=strategy,
-        coordinator=coordinator,
+        algorithm=config.algorithm,
+        strategy=config.strategy,
+        coordinator=config.coordinator,
         workers=workers,
-        seed=seed,
+        seed=config.seed,
         order_name=plan.order_name,
         diagnostics=diagnostics,
         outcomes=tuple(outcomes),

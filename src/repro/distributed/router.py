@@ -156,10 +156,6 @@ class ShardPlan:
         """Number of edges across all shards."""
         return sum(len(edges) for edges in self.shard_edges)
 
-    def shard_sizes(self) -> Tuple[int, ...]:
-        """Edge count per shard, by worker index."""
-        return tuple(len(edges) for edges in self.shard_edges)
-
 
 class ShardRouter:
     """Routes an ordered edge sequence to ``workers`` simulated shards."""

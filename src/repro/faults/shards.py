@@ -85,10 +85,6 @@ class ShardFaultPlan:
         """The spec afflicting shard ``index`` (clean by default)."""
         return self._specs.get(index, _CLEAN)
 
-    def faulty_shards(self) -> Tuple[int, ...]:
-        """Indices carrying a non-clean spec, ascending."""
-        return tuple(sorted(self._specs))
-
     def __len__(self) -> int:
         return len(self._specs)
 

@@ -118,9 +118,12 @@ class RandomOrder(ArrivalOrder):
         self._rng = make_rng(seed)
 
     def apply(self, edges: Sequence[Edge]) -> List[Edge]:
-        # Shuffles any sequence directly: the column path shuffles an
-        # index range through here, and layerbench times this method as
-        # the ``orders.apply`` layer.
+        # Shuffles its input directly: the column path shuffles an index
+        # range through here, and layerbench times this method as the
+        # ``orders.apply`` layer.  Edge records are checked like every
+        # other order's (ids must fit in int64); the check draws nothing.
+        if not isinstance(edges, range):
+            pair_columns(edges)
         shuffled = list(edges)
         self._rng.shuffle(shuffled)
         return shuffled

@@ -9,8 +9,8 @@ The builders freeze the ``int64`` columns an arrival order makes of
 :meth:`SetCoverInstance.edge_columns` once, into a :class:`FrozenEdges`
 buffer *shared* across every view of the ordering (``Edge`` records are
 built only for a per-edge consumer): creating a fresh one-pass view is
-O(1), and batch consumers (see :meth:`EdgeStream.iter_chunks` and
-:class:`StreamReader`) slice the buffer instead of stepping a generator.
+O(1), and batch consumers (see :class:`StreamReader`) slice the buffer
+instead of stepping a generator.
 
 Use :func:`stream_of` for the common case, or :class:`ReplayableStream`
 in experiment harnesses where several algorithms must see the *same*
@@ -381,28 +381,6 @@ class EdgeStream:
             if checkpoints and checkpoints[0] < stop:
                 stop = checkpoints[0]
         return start, stop
-
-    def iter_chunks(self, chunk_size: int) -> Iterator[Tuple[Edge, ...]]:
-        """One-pass iteration in chunks of up to ``chunk_size`` edges.
-
-        Each chunk is a tuple slice of the shared frozen buffer — batch
-        consumers (occurrence counting, witness collection) avoid the
-        per-edge generator step entirely.  Subject to the same one-pass
-        discipline as :meth:`__iter__`.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self._start_pass()
-        return self._generate_chunks(chunk_size)
-
-    def _generate_chunks(self, chunk_size: int) -> Iterator[Tuple[Edge, ...]]:
-        edges = self._frozen.edges
-        total = len(edges)
-        while self._position < total:
-            start, stop = self._take_bounds(chunk_size)
-            self._position = stop
-            yield edges[start:stop]
-        self.flush_checkpoints()
 
     def reader(
         self, resume_from: Optional[StreamCheckpoint] = None

@@ -15,6 +15,7 @@ import pytest
 
 from repro.distributed import (
     CommBudget,
+    build_shard_tasks,
     make_coordinator,
     registered_coordinators,
     run_distributed,
@@ -24,6 +25,7 @@ from repro.errors import (
     CommBudgetError,
     ConfigurationError,
     InvalidCoverError,
+    InvalidParameterError,
     ProtocolError,
 )
 from repro.generators.planted import planted_partition_instance
@@ -263,6 +265,11 @@ class TestBudgetsAndFailures:
             run_distributed(instance, workers=0)
         with pytest.raises(ConfigurationError):
             run_distributed(instance, workers=2, max_workers=0)
+
+    @pytest.mark.parametrize("workers", [0, 2.0, True])
+    def test_task_builder_rejects_bad_worker_counts(self, instance, workers):
+        with pytest.raises(InvalidParameterError, match="workers"):
+            build_shard_tasks(instance, workers)
 
 
 class TestFaultsCompose:

@@ -20,12 +20,15 @@ fault-tolerance work:
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from repro.analysis.chaos import run_shard_chaos
+from repro.analysis.chaos import run_shard_chaos, run_shard_chaos_cell
 from repro.analysis.runner import derive_retry_seed
 from repro.distributed import (
     SerialBackend,
+    backends,
     build_shard_tasks,
     run_distributed,
     run_tasks_with_recovery,
@@ -277,6 +280,24 @@ class TestShardChaosGrid:
         assert kinds == set(SHARD_FAULT_KINDS)
         outcomes = report.outcome_counts()
         assert sum(outcomes.values()) == len(report.rows)
+
+    @pytest.mark.parametrize("fault_kind", SHARD_FAULT_KINDS)
+    def test_thread_cell_runs_on_a_pool(self, instance, monkeypatch, fault_kind):
+        # At max_workers=1 the thread backend runs shards serially, which
+        # would make every thread cell a copy of its serial twin.
+        pool_sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(backends, "ThreadPoolExecutor", RecordingPool)
+        cell = run_shard_chaos_cell(
+            instance, "chain", "thread", fault_kind, "sync", seed=5
+        )
+        assert pool_sizes == [4]
+        assert cell.outcome != "violation", cell.detail
 
     def test_render_mentions_every_cell(self, instance):
         report = run_shard_chaos(instance, seed=5, quick=True)

@@ -178,8 +178,7 @@ class TestExplicitOrder:
 
 
 class TestEdgeAdapter:
-    # RandomOrder keeps its own apply, which shuffles records unread.
-    @pytest.mark.parametrize("name", sorted(set(ORDER_REGISTRY) - {"random"}))
+    @pytest.mark.parametrize("name", sorted(ORDER_REGISTRY))
     def test_rejects_ids_outside_int64(self, name):
         with pytest.raises(InvalidStreamError):
             make_order(name, seed=1).apply([Edge(0, 1), Edge(2**63, 0)])
