@@ -31,7 +31,7 @@ cell reproduces in isolation from its row alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.algorithms import make_algorithm, registered_algorithms
 from repro.analysis.tables import render_table
@@ -55,6 +55,57 @@ DEFAULT_ORDERS = ("round-robin", "random")
 DEFAULT_RATES = (0.01, 0.1, 0.5)
 
 
+class _SweepReport:
+    """What both sweeps' reports share: the invariant check and the table.
+
+    A subclass is a dataclass with ``rows`` of cells carrying ``seed``,
+    ``outcome`` and ``detail``; it names its :attr:`invariant` and
+    :attr:`headers` and gives each cell's violation label, table row
+    and the table title.
+    """
+
+    #: The sweep's name in :meth:`assert_invariant`'s message.
+    invariant = ""
+    #: Table columns, in :meth:`_row` order.
+    headers: Tuple[str, ...] = ()
+
+    def violations(self) -> list:
+        """Cells that break the robustness invariant."""
+        return [cell for cell in self.rows if cell.outcome == "violation"]
+
+    def outcome_counts(self) -> dict:
+        counts: dict = {}
+        for cell in self.rows:
+            counts[cell.outcome] = counts.get(cell.outcome, 0) + 1
+        return counts
+
+    def assert_invariant(self) -> None:
+        """Raise ``AssertionError`` listing every violating cell."""
+        bad = self.violations()
+        if bad:
+            lines = [
+                f"  {self._label(c)} (seed={c.seed}): {c.detail}" for c in bad
+            ]
+            raise AssertionError(
+                f"{self.invariant} invariant violated in {len(bad)} cell(s):\n"
+                + "\n".join(lines)
+            )
+
+    def render(self, markdown: bool = False) -> str:
+        summary = ", ".join(
+            f"{k}={v}" for k, v in sorted(self.outcome_counts().items())
+        )
+        return (
+            render_table(
+                list(self.headers),
+                [self._row(c) for c in self.rows],
+                title=self._title(),
+                markdown=markdown,
+            )
+            + f"\noutcomes: {summary}"
+        )
+
+
 @dataclass
 class ChaosCell:
     """Outcome of one (algorithm, fault, rate, order) cell."""
@@ -70,13 +121,9 @@ class ChaosCell:
     cover_size: int = 0
     coverage_fraction: float = 0.0
 
-    @property
-    def is_violation(self) -> bool:
-        return self.outcome == "violation"
-
 
 @dataclass
-class ChaosReport:
+class ChaosReport(_SweepReport):
     """All cells of one chaos sweep, plus invariant checking."""
 
     policy: str
@@ -84,64 +131,37 @@ class ChaosReport:
     instance_label: str
     rows: List[ChaosCell] = field(default_factory=list)
 
-    def violations(self) -> List[ChaosCell]:
-        """Cells that break the robustness invariant."""
-        return [cell for cell in self.rows if cell.is_violation]
+    invariant = "chaos"
+    headers = (
+        "algorithm",
+        "fault",
+        "rate",
+        "order",
+        "outcome",
+        "cover",
+        "coverage",
+        "detail",
+    )
 
-    def outcome_counts(self) -> dict:
-        counts: dict = {}
-        for cell in self.rows:
-            counts[cell.outcome] = counts.get(cell.outcome, 0) + 1
-        return counts
+    def _label(self, c: ChaosCell) -> str:
+        return f"{c.algorithm} × {c.fault_kind}@{c.rate} × {c.order}"
 
-    def assert_invariant(self) -> None:
-        """Raise ``AssertionError`` listing every violating cell."""
-        bad = self.violations()
-        if bad:
-            lines = [
-                f"  {c.algorithm} × {c.fault_kind}@{c.rate} × {c.order} "
-                f"(seed={c.seed}): {c.detail}"
-                for c in bad
-            ]
-            raise AssertionError(
-                f"chaos invariant violated in {len(bad)} cell(s):\n"
-                + "\n".join(lines)
-            )
-
-    def render(self, markdown: bool = False) -> str:
-        headers = [
-            "algorithm",
-            "fault",
-            "rate",
-            "order",
-            "outcome",
-            "cover",
-            "coverage",
-            "detail",
+    def _row(self, c: ChaosCell) -> list:
+        return [
+            c.algorithm,
+            c.fault_kind,
+            c.rate,
+            c.order,
+            c.outcome,
+            c.cover_size,
+            c.coverage_fraction,
+            c.detail[:48],
         ]
-        rows = [
-            [
-                c.algorithm,
-                c.fault_kind,
-                c.rate,
-                c.order,
-                c.outcome,
-                c.cover_size,
-                c.coverage_fraction,
-                c.detail[:48],
-            ]
-            for c in self.rows
-        ]
-        title = (
+
+    def _title(self) -> str:
+        return (
             f"chaos sweep — policy={self.policy}, seed={self.seed}, "
             f"instance={self.instance_label}"
-        )
-        summary = ", ".join(
-            f"{k}={v}" for k, v in sorted(self.outcome_counts().items())
-        )
-        return (
-            render_table(headers, rows, title=title, markdown=markdown)
-            + f"\noutcomes: {summary}"
         )
 
 
@@ -302,13 +322,9 @@ class ShardChaosCell:
     coverage_fraction: float = 0.0
     shards_lost: int = 0
 
-    @property
-    def is_violation(self) -> bool:
-        return self.outcome == "violation"
-
 
 @dataclass
-class ShardChaosReport:
+class ShardChaosReport(_SweepReport):
     """All cells of one shard-fault sweep, plus invariant checking."""
 
     seed: int
@@ -317,66 +333,39 @@ class ShardChaosReport:
     instance_label: str
     rows: List[ShardChaosCell] = field(default_factory=list)
 
-    def violations(self) -> List[ShardChaosCell]:
-        """Cells that break the robustness invariant."""
-        return [cell for cell in self.rows if cell.is_violation]
+    invariant = "shard chaos"
+    headers = (
+        "fault",
+        "coordinator",
+        "backend",
+        "mode",
+        "outcome",
+        "cover",
+        "coverage",
+        "lost",
+        "detail",
+    )
 
-    def outcome_counts(self) -> dict:
-        counts: dict = {}
-        for cell in self.rows:
-            counts[cell.outcome] = counts.get(cell.outcome, 0) + 1
-        return counts
+    def _label(self, c: ShardChaosCell) -> str:
+        return f"{c.fault_kind} × {c.coordinator} × {c.backend} × {c.mode}"
 
-    def assert_invariant(self) -> None:
-        """Raise ``AssertionError`` listing every violating cell."""
-        bad = self.violations()
-        if bad:
-            lines = [
-                f"  {c.fault_kind} × {c.coordinator} × {c.backend} × "
-                f"{c.mode} (seed={c.seed}): {c.detail}"
-                for c in bad
-            ]
-            raise AssertionError(
-                f"shard chaos invariant violated in {len(bad)} cell(s):\n"
-                + "\n".join(lines)
-            )
-
-    def render(self, markdown: bool = False) -> str:
-        headers = [
-            "fault",
-            "coordinator",
-            "backend",
-            "mode",
-            "outcome",
-            "cover",
-            "coverage",
-            "lost",
-            "detail",
+    def _row(self, c: ShardChaosCell) -> list:
+        return [
+            c.fault_kind,
+            c.coordinator,
+            c.backend,
+            c.mode,
+            c.outcome,
+            c.cover_size,
+            c.coverage_fraction,
+            c.shards_lost,
+            c.detail[:48],
         ]
-        rows = [
-            [
-                c.fault_kind,
-                c.coordinator,
-                c.backend,
-                c.mode,
-                c.outcome,
-                c.cover_size,
-                c.coverage_fraction,
-                c.shards_lost,
-                c.detail[:48],
-            ]
-            for c in self.rows
-        ]
-        title = (
+
+    def _title(self) -> str:
+        return (
             f"shard chaos sweep — seed={self.seed}, W={self.workers}, "
             f"min_shards={self.min_shards}, instance={self.instance_label}"
-        )
-        summary = ", ".join(
-            f"{k}={v}" for k, v in sorted(self.outcome_counts().items())
-        )
-        return (
-            render_table(headers, rows, title=title, markdown=markdown)
-            + f"\noutcomes: {summary}"
         )
 
 

@@ -10,12 +10,16 @@ exact solving is out of reach.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Set
 
-from repro.core.solution import StreamingResult, certificate_from_cover
+from repro.core.solution import (
+    StreamingResult,
+    certificate_from_cover,
+    greedy_picks,
+)
 from repro.errors import InfeasibleInstanceError
 from repro.streaming.instance import SetCoverInstance
-from repro.streaming.space import SpaceMeter, words_for_mapping, words_for_set
+from repro.streaming.space import SpaceMeter, words_for_set
 from repro.types import ElementId, SetId
 
 
@@ -30,24 +34,17 @@ def greedy_cover(instance: SetCoverInstance) -> StreamingResult:
     meter.set_component("input", instance.num_edges)
 
     uncovered: Set[ElementId] = set(range(instance.n))
-    remaining: Dict[SetId, Set[ElementId]] = {
-        s: set(instance.set_members(s)) for s in range(instance.m)
-    }
     cover: Set[SetId] = set()
-
-    while uncovered:
-        best_set, best_gain = -1, 0
-        for s, members in remaining.items():
-            gain = len(members & uncovered)
-            if gain > best_gain:
-                best_set, best_gain = s, gain
-        if best_gain == 0:
-            raise InfeasibleInstanceError(
-                f"{len(uncovered)} element(s) cannot be covered by any set"
-            )
-        cover.add(best_set)
-        uncovered -= remaining.pop(best_set)
+    for set_id, _, covered in greedy_picks(
+        {s: instance.set_members(s) for s in range(instance.m)}, uncovered
+    ):
+        cover.add(set_id)
+        uncovered.difference_update(covered)
         meter.set_component("cover", words_for_set(len(cover)))
+    if uncovered:
+        raise InfeasibleInstanceError(
+            f"{len(uncovered)} element(s) cannot be covered by any set"
+        )
 
     certificate = certificate_from_cover(instance, frozenset(cover))
     return StreamingResult(

@@ -32,12 +32,12 @@ is exact either way.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 import numpy as np
 
 from repro.core.base import FirstSetStore, StreamingSetCoverAlgorithm
-from repro.core.solution import StreamingResult
+from repro.core.solution import StreamingResult, greedy_picks
 from repro.errors import ConfigurationError, InfeasibleInstanceError
 from repro.obs import events as obs_events
 from repro.streaming.space import ChargedSet, SpaceBudget, words_for_set
@@ -46,84 +46,6 @@ from repro.types import ElementId, SeedLike, SetId
 
 #: Edges consumed per vectorized batch (see :mod:`repro.core.kk`).
 _CHUNK = 8192
-
-GreedyPick = Tuple[SetId, int, List[ElementId]]
-"""One offline-greedy pick: ``(set_id, gain, covered_elements_sorted)``."""
-
-
-def _greedy_picks(
-    projections: Dict[SetId, Set[ElementId]], uncovered: Set[ElementId]
-) -> Iterator[GreedyPick]:
-    """Yield greedy picks over the stored projections, in pick order.
-
-    The vectorized offline phase: projection entries live in two flat
-    ``int64`` columns (set index, element id) and each pick is one
-    ``bincount`` over the still-uncovered entries plus an ``argmax``.
-    ``argmax`` returns the *first* index achieving the maximum and set
-    indices follow ``projections`` insertion order, so ties break to
-    the earliest-stored set — exactly the scalar dict scan's rule
-    (asserted byte-identical by ``tests/test_core_element_sampling.py``).
-    Entries of covered elements and picked sets are dropped as the loop
-    proceeds, so each round costs O(live entries), not O(m·n).
-    """
-    if not uncovered or not projections:
-        return
-    set_list = list(projections)
-    flat_sets: List[int] = []
-    flat_elems: List[ElementId] = []
-    for index, set_id in enumerate(set_list):
-        members = projections[set_id]
-        flat_sets.extend([index] * len(members))
-        flat_elems.extend(members)
-    set_idx = np.asarray(flat_sets, dtype=np.int64)
-    elems = np.asarray(flat_elems, dtype=np.int64)
-    num_sets = len(set_list)
-    size = int(elems.max()) + 1 if len(elems) else 1
-    uncovered_mask = np.zeros(size, dtype=bool)
-    for element in uncovered:
-        if element < size:
-            uncovered_mask[element] = True
-    while True:
-        keep = uncovered_mask[elems]
-        if not keep.all():
-            elems = elems[keep]
-            set_idx = set_idx[keep]
-        if not len(elems):
-            return
-        gains = np.bincount(set_idx, minlength=num_sets)
-        best = int(np.argmax(gains))
-        best_gain = int(gains[best])
-        if best_gain == 0:
-            return
-        chosen = set_idx == best
-        covered_elements = elems[chosen]
-        uncovered_mask[covered_elements] = False
-        elems = elems[~chosen]
-        set_idx = set_idx[~chosen]
-        yield set_list[best], best_gain, sorted(covered_elements.tolist())
-
-
-def _greedy_picks_reference(
-    projections: Dict[SetId, Set[ElementId]], uncovered: Set[ElementId]
-) -> Iterator[GreedyPick]:
-    """The original O(m·n)-per-pick dict scan, kept as the oracle.
-
-    ``tests/test_core_element_sampling.py`` asserts :func:`_greedy_picks`
-    reproduces this sequence of picks exactly on random inputs.
-    """
-    remaining = {s: set(members) for s, members in projections.items()}
-    live = set(uncovered)
-    while live:
-        best_set, best_gain = -1, 0
-        for s, members in remaining.items():
-            gain = len(members & live)
-            if gain > best_gain:
-                best_set, best_gain = s, gain
-        if best_gain == 0:
-            return
-        covered_elements = sorted(remaining.pop(best_set) & live)
-        live.difference_update(covered_elements)
-        yield best_set, best_gain, covered_elements
 
 
 class ElementSamplingAlgorithm(StreamingSetCoverAlgorithm):
@@ -252,15 +174,14 @@ class ElementSamplingAlgorithm(StreamingSetCoverAlgorithm):
         cover: Set[SetId] = set()
         certificate: Dict[ElementId, SetId] = {}
         self._register_salvage(cover=cover, certificate=certificate)
-        uncovered = set(seen_sampled)
         # Greedy over projections only — Õ(m·n/α) data, no second pass.
         with self._tracer.span(
             obs_events.SPAN_OFFLINE,
             sampled_elements=len(sampled),
             stored_edges=stored_edges,
         ):
-            for best_set, best_gain, covered_now in _greedy_picks(
-                projections, uncovered
+            for best_set, best_gain, covered_now in greedy_picks(
+                projections, seen_sampled
             ):
                 cover.add(best_set)
                 self._trace(
@@ -270,11 +191,10 @@ class ElementSamplingAlgorithm(StreamingSetCoverAlgorithm):
                     gain=best_gain,
                 )
                 for u in covered_now:
-                    uncovered.discard(u)
                     certificate[u] = best_set
                     self._trace_count(obs_events.ELEMENT_COVERED)
                 meter.set_component("cover", words_for_set(len(cover)))
-            greedy_picks = len(cover)
+            picked = len(cover)
 
             # Witness-cache certification: a non-sampled element whose cache
             # intersects the chosen cover costs nothing extra.
@@ -304,7 +224,7 @@ class ElementSamplingAlgorithm(StreamingSetCoverAlgorithm):
                 "sample_probability": p,
                 "sampled_elements": float(len(sampled)),
                 "stored_projection_edges": float(stored_edges),
-                "greedy_picks": float(greedy_picks),
+                "greedy_picks": float(picked),
                 "cached_certifications": float(cached_certifications),
                 "patched_elements": float(patched),
             },

@@ -4,13 +4,27 @@ The paper requires algorithms to output both a cover ``T ⊆ S`` and a
 *cover certificate* ``C : U → T`` naming, for each element, a set in the
 cover that contains it (Section 1).  :class:`StreamingResult` bundles
 both together with the space report and per-run diagnostics, and knows
-how to verify itself against the ground-truth instance.
+how to verify itself against the ground-truth instance.  It also holds
+:func:`greedy_picks`, the one plain offline greedy every offline phase
+and baseline runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, Mapping, Optional, Set
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.errors import InvalidCoverError
 from repro.streaming.instance import SetCoverInstance
@@ -137,3 +151,63 @@ def certificate_from_cover(
             f"uncovered (e.g. {missing[:5]})"
         )
     return certificate
+
+
+GreedyPick = Tuple[SetId, int, List[ElementId]]
+"""One offline-greedy pick: ``(set_id, gain, covered_elements_sorted)``."""
+
+
+def greedy_picks(
+    projections: Mapping[SetId, AbstractSet[ElementId]],
+    uncovered: AbstractSet[ElementId],
+) -> Iterator[GreedyPick]:
+    """Plain offline greedy: yield its picks over ``projections``, in order.
+
+    Each pick is the set covering the most still-``uncovered`` elements;
+    the loop stops once no set adds anything.  Membership entries live
+    in two flat ``int64`` columns (set index, element id) and each pick
+    is one ``bincount`` over the still-uncovered entries plus an
+    ``argmax``.  ``argmax`` returns the *first* index achieving the
+    maximum and set indices follow ``projections`` order, so ties break
+    to the earliest-stored set (callers that want the smallest id pass
+    ids ascending).  Entries of covered elements and picked sets are
+    dropped as the loop proceeds, so each round costs O(live entries),
+    not O(m·n).  Elements are universe ids: the uncovered mask is dense
+    up to the largest member.  ``uncovered`` is read once, before the
+    first pick, so a caller may shrink it as the picks arrive.
+    """
+    if not uncovered or not projections:
+        return
+    set_list = list(projections)
+    flat_sets: List[int] = []
+    flat_elems: List[ElementId] = []
+    for index, set_id in enumerate(set_list):
+        members = projections[set_id]
+        flat_sets.extend([index] * len(members))
+        flat_elems.extend(members)
+    set_idx = np.asarray(flat_sets, dtype=np.int64)
+    elems = np.asarray(flat_elems, dtype=np.int64)
+    num_sets = len(set_list)
+    size = int(elems.max()) + 1 if len(elems) else 1
+    uncovered_mask = np.zeros(size, dtype=bool)
+    for element in uncovered:
+        if element < size:
+            uncovered_mask[element] = True
+    while True:
+        keep = uncovered_mask[elems]
+        if not keep.all():
+            elems = elems[keep]
+            set_idx = set_idx[keep]
+        if not len(elems):
+            return
+        gains = np.bincount(set_idx, minlength=num_sets)
+        best = int(np.argmax(gains))
+        best_gain = int(gains[best])
+        if best_gain == 0:
+            return
+        chosen = set_idx == best
+        covered_elements = elems[chosen]
+        uncovered_mask[covered_elements] = False
+        elems = elems[~chosen]
+        set_idx = set_idx[~chosen]
+        yield set_list[best], best_gain, sorted(covered_elements.tolist())

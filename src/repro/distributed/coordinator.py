@@ -47,7 +47,12 @@ from repro.distributed.chain import (
     chain_merge,
     tournament_merge,
 )
-from repro.distributed.comm import CommMeter, words_for_cover_message
+from repro.core.solution import greedy_picks
+from repro.distributed.comm import (
+    CommMeter,
+    words_for_candidate_message,
+    words_for_cover_message,
+)
 from repro.distributed.transport import (
     Transport,
     candidate_upload_wire,
@@ -223,7 +228,8 @@ class GreedyCoordinator(Coordinator):
     Each shard uploads every set in its cover together with the
     membership it observed (1 word for the id plus 1 per member); the
     coordinator pools candidates — unioning partial views of the same
-    set — and reruns classic greedy.
+    set — and reruns offline greedy
+    (:func:`~repro.core.solution.greedy_picks`) over them.
     """
 
     name = "greedy"
@@ -239,16 +245,14 @@ class GreedyCoordinator(Coordinator):
     ) -> MergeOutcome:
         candidates: Dict[SetId, Set[ElementId]] = {}
         for out in outputs:
-            words = sum(
-                1 + len(out.members_by_set.get(sid, frozenset()))
-                for sid in out.cover
-            )
             delivered = _send(
                 comm,
                 tracer,
                 f"shard[{out.index}]",
                 "coordinator",
-                words,
+                words_for_candidate_message(
+                    [len(out.members_by_set.get(sid, ())) for sid in out.cover]
+                ),
                 transport,
                 "candidates",
                 candidate_upload_wire(out.index, out.cover, out.members_by_set),
@@ -257,40 +261,28 @@ class GreedyCoordinator(Coordinator):
             for sid, members in uploads:
                 candidates.setdefault(sid, set()).update(members)
 
+        # Ascending ids, so a tied gain goes to the smallest set id.
         uncovered: Set[ElementId] = set(range(instance.n))
         cover: List[SetId] = []
         certificate: Dict[ElementId, SetId] = {}
-        rounds = 0
-        while uncovered:
-            best_sid = None
-            best_gain = 0
-            for sid, members in candidates.items():
-                gain = len(members & uncovered)
-                if gain > best_gain or (
-                    gain == best_gain and gain > 0 and (
-                        best_sid is None or sid < best_sid
-                    )
-                ):
-                    best_sid, best_gain = sid, gain
-            if best_sid is None or best_gain == 0:
-                if allow_partial:
-                    break
-                raise InvalidCoverError(
-                    f"greedy merge stalled with {len(uncovered)} element(s) "
-                    "uncovered; shard covers do not jointly cover the universe"
-                )
-            newly = candidates[best_sid] & uncovered
-            for u in newly:
-                certificate[u] = best_sid
-            uncovered -= newly
-            cover.append(best_sid)
-            rounds += 1
+        for sid, _, covered in greedy_picks(
+            {sid: candidates[sid] for sid in sorted(candidates)}, uncovered
+        ):
+            for u in covered:
+                certificate[u] = sid
+            uncovered.difference_update(covered)
+            cover.append(sid)
+        if uncovered and not allow_partial:
+            raise InvalidCoverError(
+                f"greedy merge stalled with {len(uncovered)} element(s) "
+                "uncovered; shard covers do not jointly cover the universe"
+            )
         return MergeOutcome(
             cover=tuple(cover),
             certificate=certificate,
             diagnostics={
                 "candidate_sets": float(len(candidates)),
-                "greedy_rounds": float(rounds),
+                "greedy_rounds": float(len(cover)),
             },
             uncovered=tuple(sorted(uncovered)),
         )

@@ -40,6 +40,7 @@ from typing import (
     Tuple,
 )
 
+from repro.algorithms import registered_algorithms
 from repro.core.solution import verify_certificate
 from repro.distributed.backends import (
     Backend,
@@ -59,7 +60,7 @@ from repro.distributed.coordinator import (
     CoordinatorOptions,
     make_coordinator,
 )
-from repro.distributed.router import ShardPlan, ShardRouter
+from repro.distributed.router import STRATEGIES, ShardPlan, ShardRouter
 from repro.distributed.shmem import ShippingReport
 from repro.distributed.transport import (
     Transport,
@@ -344,6 +345,23 @@ class DistributedConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", check_seed("seed", self.seed))
+        # An unknown name fails here, before the order and the routing run.
+        if self.algorithm not in registered_algorithms():
+            raise InvalidParameterError(
+                "algorithm",
+                self.algorithm,
+                "known algorithms: " + ", ".join(registered_algorithms()),
+            )
+        if self.strategy not in STRATEGIES:
+            raise InvalidParameterError(
+                "strategy",
+                self.strategy,
+                "known strategies: " + ", ".join(STRATEGIES),
+            )
+        if self.order is not None and not isinstance(self.order, ArrivalOrder):
+            raise InvalidParameterError(
+                "order", self.order, "expected an ArrivalOrder (or None)"
+            )
         check_count("max_workers", self.max_workers)
         check_count("max_attempts", self.max_attempts)
         check_count("backoff_steps", self.backoff_steps, minimum=0)

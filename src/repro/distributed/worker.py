@@ -303,35 +303,6 @@ class Worker:
         self.alpha = alpha
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
-    def run(
-        self,
-        instance: SetCoverInstance,
-        edges: EdgesLike,
-        set_order: Sequence[SetId],
-        injection: Optional[InjectionReport] = None,
-    ) -> ShardOutput:
-        """Execute the shard pass and return the global-id output.
-
-        ``set_order`` is the router's deterministic enumeration of the
-        sets this shard is responsible for; sets appearing in the edges
-        but not listed (possible only under fault corruption) are
-        appended in first-appearance order.  Edges referencing ids
-        outside the global instance shape — corrupt-fault debris — are
-        dropped and counted, never crash the worker.
-
-        ``instance`` may be the full :class:`SetCoverInstance` or just
-        its :class:`InstanceShape` — only ``n``, ``m`` and ``name`` are
-        read, which is what lets a pickled shard task travel without
-        the instance.
-        """
-        accumulator = ShardAccumulator(
-            self.index, instance.n, instance.m, base_set_order=set_order
-        )
-        accumulator.feed(edges)
-        return self.run_accumulated(
-            accumulator, instance_name=instance.name or "", injection=injection
-        )
-
     def run_accumulated(
         self,
         accumulator: ShardAccumulator,

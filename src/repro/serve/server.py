@@ -38,6 +38,7 @@ contract as the PR-8 socket transport.
 from __future__ import annotations
 
 import asyncio
+import math
 import numbers
 import threading
 import time
@@ -104,13 +105,16 @@ class ServeConfig:
                 "backend", self.backend,
                 "known backends: " + ", ".join(registered_backends()),
             )
-        if self.max_workers < 1:
+        check_count("max_workers", self.max_workers)
+        timeout = self.drain_timeout
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, numbers.Real)
+            or not math.isfinite(timeout)
+            or timeout <= 0
+        ):
             raise InvalidParameterError(
-                "max_workers", self.max_workers, "need at least 1"
-            )
-        if self.drain_timeout <= 0:
-            raise InvalidParameterError(
-                "drain_timeout", self.drain_timeout, "must be positive"
+                "drain_timeout", timeout, "must be a finite positive number"
             )
 
 

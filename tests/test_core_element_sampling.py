@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.element_sampling import (
-    ElementSamplingAlgorithm,
-    _greedy_picks,
-    _greedy_picks_reference,
-)
+import greedy_reference
+from repro.core.element_sampling import ElementSamplingAlgorithm
+from repro.core.solution import greedy_picks
 from repro.errors import ConfigurationError
 from repro.generators.planted import planted_partition_instance
 from repro.generators.random_instances import fixed_size_instance
@@ -150,43 +148,47 @@ class TestDiagnostics:
 
 
 class TestGreedyPicksEquivalence:
-    """The vectorized offline-greedy must replay the dict-scan oracle.
+    """The vectorized offline greedy must replay the dict-scan oracle.
 
-    Byte-identity includes the tie-break rule (earliest-stored set wins)
-    and the exact pick sequence, not just the final cover — the sampled
-    sub-instance's greedy solution is part of the algorithm's output.
+    :func:`~repro.core.solution.greedy_picks` is the one plain greedy
+    behind this algorithm's offline phase, ``greedy_cover`` and the
+    greedy merge coordinator.  Byte-identity includes the tie-break rule
+    (earliest-stored set wins) and the exact pick sequence, gains and
+    covered lists, not just the final cover.
     """
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_vectorized_matches_reference(self, data):
-        universe = data.draw(st.integers(1, 40), label="universe")
-        num_sets = data.draw(st.integers(0, 12), label="num_sets")
+        # A small element pool makes tied gains and shared members
+        # common; far-out ids exercise the mask sizing.
+        element = st.one_of(st.integers(0, 12), st.integers(0, 10**5))
+        # Arbitrary, unsorted set ids: insertion order is the tie-break,
+        # so ids must not accidentally encode it.
+        set_ids = data.draw(
+            st.lists(st.integers(0, 10**9), unique=True, max_size=14),
+            label="set_ids",
+        )
         projections = {}
-        for index in range(num_sets):
-            members = data.draw(
-                st.sets(st.integers(0, universe - 1), max_size=12),
-                label=f"set_{index}",
-            )
-            # Non-dense, non-sorted set ids: insertion order is the
-            # tie-break, so ids must not accidentally encode it.
-            projections[(index * 7 + 3) % (num_sets * 7 + 1)] = members
+        for set_id in set_ids:
+            if projections and data.draw(st.booleans(), label="copy"):
+                # Identical membership under another id: a certain tie.
+                members = data.draw(
+                    st.sampled_from(list(projections.values())), label="copied"
+                )
+            else:
+                members = data.draw(
+                    st.frozensets(element, max_size=10), label="members"
+                )
+            projections[set_id] = members
         uncovered = data.draw(
-            st.sets(st.integers(0, universe - 1), max_size=30),
-            label="uncovered",
+            st.frozensets(element, max_size=30), label="uncovered"
         )
-        fast = list(
-            _greedy_picks(
-                {s: set(m) for s, m in projections.items()}, set(uncovered)
-            )
-        )
-        reference = list(
-            _greedy_picks_reference(
-                {s: set(m) for s, m in projections.items()}, set(uncovered)
-            )
-        )
+        fast = list(greedy_picks(projections, uncovered))
+        reference = list(greedy_reference.greedy_picks(projections, uncovered))
         assert fast == reference
 
     def test_empty_inputs(self):
-        assert list(_greedy_picks({}, {1, 2})) == []
-        assert list(_greedy_picks({1: {2}}, set())) == []
+        assert list(greedy_picks({}, {1, 2})) == []
+        assert list(greedy_picks({1: {2}}, set())) == []
+        assert list(greedy_picks({1: set(), 2: {3}}, {4})) == []

@@ -32,10 +32,12 @@ from repro.distributed import (
 )
 from repro.distributed.asyncsim import run_distributed_async
 from repro.distributed.backends import execute_shard_task
+from repro.distributed.router import ShardRouter
 from repro.errors import ConfigurationError, InvalidParameterError
 from repro.faults.injectors import FaultSpec
 from repro.generators.planted import planted_partition_instance
 from repro.obs.tracer import TraceCollector
+from repro.streaming.orders import CanonicalOrder
 
 
 @pytest.fixture(scope="module")
@@ -129,12 +131,24 @@ def no_shard_work(monkeypatch):
     monkeypatch.setattr(backends, "execute_shard_task", fail)
 
 
+@pytest.fixture
+def no_routing(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the order or the router ran before argument validation")
+
+    monkeypatch.setattr(CanonicalOrder, "apply_columns", fail)
+    monkeypatch.setattr(ShardRouter, "route_edges", fail)
+
+
 class TestEntryPointValidation:
-    """Regression: both entry points reject a bad budget or count with a
-    typed error before routing.  A plain-int ``comm_budget`` used to run
-    every shard and then crash in the merge with an ``AttributeError``;
-    float and bool counts escaped as bare ``TypeError``s, or were
-    silently accepted, depending on the entry point and backend."""
+    """Regression: both entry points reject a bad budget, count or name
+    with a typed error before routing.  A plain-int ``comm_budget`` used
+    to run every shard and then crash in the merge with an
+    ``AttributeError``; float and bool counts escaped as bare
+    ``TypeError``s, or were silently accepted, depending on the entry
+    point and backend.  An unknown algorithm failed only inside a shard,
+    an unknown strategy only after the full shuffle, and a str order
+    escaped as a bare ``AttributeError``."""
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_plain_int_comm_budget_rejected(self, instance, no_shard_work, entry):
@@ -153,10 +167,15 @@ class TestEntryPointValidation:
             {"max_workers": 2.5},
             {"max_workers": True},
             {"max_workers": 2.5, "backend": "process"},
+            {"algorithm": "no-such-algorithm"},
+            {"strategy": "no-such-strategy"},
+            {"order": "random"},
         ],
         ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
     )
-    def test_bad_counts_rejected(self, instance, no_shard_work, entry, kwargs):
+    def test_bad_counts_rejected(
+        self, instance, no_shard_work, no_routing, entry, kwargs
+    ):
         options = {"workers": 4, "backend": "serial", **kwargs}
         with pytest.raises(InvalidParameterError) as excinfo:
             entry(instance, **options)

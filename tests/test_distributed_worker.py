@@ -6,11 +6,12 @@ import pytest
 
 from repro.algorithms import registered_algorithms
 from repro.distributed.router import ShardRouter
-from repro.distributed.worker import Worker
+from repro.distributed.worker import ShardAccumulator, Worker
 from repro.generators.planted import planted_partition_instance
 from repro.obs.events import SPAN_SHARD
 from repro.obs.tracer import RecordingTracer
 from repro.streaming.orders import CanonicalOrder
+from repro.streaming.stream import FrozenEdges
 from repro.types import Edge
 
 
@@ -26,11 +27,23 @@ def _plan(instance, workers=3, strategy="by-set", seed=5):
     )
 
 
+def run_shard(worker, instance, edges, set_order):
+    """One shard pass: feed the edges in one chunk, then run the shard."""
+    accumulator = ShardAccumulator(
+        worker.index, instance.n, instance.m, base_set_order=set_order
+    )
+    accumulator.feed_columns(*FrozenEdges(edges).columns())
+    return worker.run_accumulated(accumulator, instance_name=instance.name)
+
+
 class TestWorkerRun:
     def test_output_uses_global_ids(self, instance):
         plan = _plan(instance)
-        out = Worker(0, algorithm="first-fit", seed=1).run(
-            instance, plan.shard_edges[0], plan.set_order[0]
+        out = run_shard(
+            Worker(0, algorithm="first-fit", seed=1),
+            instance,
+            plan.shard_edges[0],
+            plan.set_order[0],
         )
         for sid in out.cover:
             assert 0 <= sid < instance.m
@@ -42,8 +55,11 @@ class TestWorkerRun:
 
     def test_members_view_matches_shard_edges(self, instance):
         plan = _plan(instance)
-        out = Worker(1, algorithm="first-fit", seed=1).run(
-            instance, plan.shard_edges[1], plan.set_order[1]
+        out = run_shard(
+            Worker(1, algorithm="first-fit", seed=1),
+            instance,
+            plan.shard_edges[1],
+            plan.set_order[1],
         )
         seen = {}
         for edge in plan.shard_edges[1]:
@@ -53,16 +69,22 @@ class TestWorkerRun:
 
     def test_by_set_view_is_full_membership(self, instance):
         plan = _plan(instance, strategy="by-set")
-        out = Worker(2, algorithm="first-fit", seed=1).run(
-            instance, plan.shard_edges[2], plan.set_order[2]
+        out = run_shard(
+            Worker(2, algorithm="first-fit", seed=1),
+            instance,
+            plan.shard_edges[2],
+            plan.set_order[2],
         )
         for sid in plan.set_order[2]:
             assert out.members_by_set[sid] == instance.set_members(sid)
 
     def test_report_shape(self, instance):
         plan = _plan(instance)
-        out = Worker(0, algorithm="kk", seed=9).run(
-            instance, plan.shard_edges[0], plan.set_order[0]
+        out = run_shard(
+            Worker(0, algorithm="kk", seed=9),
+            instance,
+            plan.shard_edges[0],
+            plan.set_order[0],
         )
         report = out.report
         assert report.index == 0
@@ -77,8 +99,11 @@ class TestWorkerRun:
         # Canonical order is set-grouped and by-set shards preserve it,
         # so even the set-arrival baseline is happy on a shard stream.
         plan = _plan(instance, workers=2)
-        out = Worker(0, algorithm=algorithm, seed=4).run(
-            instance, plan.shard_edges[0], plan.set_order[0]
+        out = run_shard(
+            Worker(0, algorithm=algorithm, seed=4),
+            instance,
+            plan.shard_edges[0],
+            plan.set_order[0],
         )
         # The shard cover must cover every element the shard saw.
         shard_elements = {e[1] for e in plan.shard_edges[0]}
@@ -88,7 +113,7 @@ class TestWorkerRun:
         assert shard_elements <= covered
 
     def test_empty_shard_yields_empty_output(self, instance):
-        out = Worker(3, algorithm="kk", seed=2).run(instance, [], [5, 7])
+        out = run_shard(Worker(3, algorithm="kk", seed=2), instance, [], [5, 7])
         assert out.cover == frozenset()
         assert out.certificate == {}
         assert out.set_order == (5, 7)
@@ -103,8 +128,11 @@ class TestWorkerRun:
             Edge(0, instance.n + 9),
             Edge(-1, 2),
         ]
-        out = Worker(0, algorithm="first-fit", seed=1).run(
-            instance, dirty, plan.set_order[0]
+        out = run_shard(
+            Worker(0, algorithm="first-fit", seed=1),
+            instance,
+            dirty,
+            plan.set_order[0],
         )
         assert out.report.dropped_invalid == 3
         assert out.report.edges == len(plan.shard_edges[0])
@@ -118,8 +146,11 @@ class TestWorkerRun:
         )
         member = min(instance.set_members(foreign))
         dirty = list(plan.shard_edges[0]) + [Edge(foreign, member)]
-        out = Worker(0, algorithm="first-fit", seed=1).run(
-            instance, dirty, plan.set_order[0]
+        out = run_shard(
+            Worker(0, algorithm="first-fit", seed=1),
+            instance,
+            dirty,
+            plan.set_order[0],
         )
         assert out.set_order == tuple(plan.set_order[0]) + (foreign,)
         assert out.members_by_set[foreign] == frozenset({member})
@@ -127,8 +158,11 @@ class TestWorkerRun:
     def test_shard_span_in_trace(self, instance):
         plan = _plan(instance, workers=2)
         tracer = RecordingTracer()
-        Worker(1, algorithm="kk", seed=3, tracer=tracer).run(
-            instance, plan.shard_edges[1], plan.set_order[1]
+        run_shard(
+            Worker(1, algorithm="kk", seed=3, tracer=tracer),
+            instance,
+            plan.shard_edges[1],
+            plan.set_order[1],
         )
         tracer.finish()
         shard_spans = [
@@ -141,11 +175,17 @@ class TestWorkerRun:
 
     def test_deterministic(self, instance):
         plan = _plan(instance)
-        a = Worker(0, algorithm="kk", seed=8).run(
-            instance, plan.shard_edges[0], plan.set_order[0]
+        a = run_shard(
+            Worker(0, algorithm="kk", seed=8),
+            instance,
+            plan.shard_edges[0],
+            plan.set_order[0],
         )
-        b = Worker(0, algorithm="kk", seed=8).run(
-            instance, plan.shard_edges[0], plan.set_order[0]
+        b = run_shard(
+            Worker(0, algorithm="kk", seed=8),
+            instance,
+            plan.shard_edges[0],
+            plan.set_order[0],
         )
         assert a.cover == b.cover
         assert a.certificate == b.certificate

@@ -30,6 +30,7 @@ from repro.distributed.shmem import _LIVE_SEGMENTS
 from repro.distributed.transport import make_codec
 from repro.errors import (
     AdmissionError,
+    InvalidParameterError,
     RemoteServeError,
     TransportError,
 )
@@ -92,6 +93,36 @@ def batch_solve(instance, algorithm="kk", order_name="canonical", seed=0):
     result.verify(instance)
     tracer.finish()
     return result, events_to_jsonl(tracer.events)
+
+
+class TestServeConfig:
+    """Regression: a float or bool ``max_workers`` was accepted and then
+    failed every distribute request; a str ``max_workers`` or
+    ``drain_timeout`` escaped as a bare ``TypeError``; a NaN, infinite or
+    bool ``drain_timeout`` was accepted."""
+
+    @pytest.mark.parametrize(
+        "parameter,value",
+        [
+            ("max_workers", 2.5),
+            ("max_workers", True),
+            ("max_workers", "2"),
+            ("max_workers", 0),
+            ("drain_timeout", "x"),
+            ("drain_timeout", True),
+            ("drain_timeout", float("nan")),
+            ("drain_timeout", float("inf")),
+            ("drain_timeout", 0),
+        ],
+    )
+    def test_bad_values_rejected(self, parameter, value):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            ServeConfig(**{parameter: value})
+        assert excinfo.value.parameter == parameter
+
+    def test_boundary_values_accepted(self):
+        config = ServeConfig(max_workers=1, drain_timeout=0.01)
+        assert (config.max_workers, config.drain_timeout) == (1, 0.01)
 
 
 class TestControlPlane:
