@@ -35,8 +35,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.perfbench import (  # noqa: E402
+    FLOOR_ALGORITHMS,
     SECTIONS,
-    check_kk_floor,
+    check_floor,
     check_regression,
     load_bench_file,
     run_section,
@@ -52,9 +53,9 @@ OPTIONS = {
     "--smoke": "run only the small smoke tier",
     "--check": "compare against committed BENCH_perf.json; exit 1 on >FACTOR "
     "regression (implies --no-write)",
-    "--check-kk-floor": "run the smoke tier's kk cell and exit 1 if its throughput "
-    "falls below the committed scalar seed baseline (CI smoke gate for the "
-    "vectorized kernel; implies --no-write)",
+    "--check-floor": "run the smoke tier's kk and adversarial cells and exit 1 if "
+    "either's throughput falls below its fastest committed scalar seed-baseline "
+    "cell (CI smoke gate for the batched kernels; implies --no-write)",
     "--record-seed-baseline": "store this run's full-tier numbers as the "
     "immutable pre-optimization baseline",
     "--no-write": "do not touch BENCH_perf.json",
@@ -99,10 +100,10 @@ def main(argv=None) -> int:
 
     committed = load_bench_file(BENCH_FILE)
     selected = {name for name in SECTION_FLAGS if getattr(args, name)}
-    write = not (args.no_write or args.check or args.check_kk_floor)
+    write = not (args.no_write or args.check or args.check_floor)
     if args.check:
         selected.add("smoke")
-    if not selected and not args.check_kk_floor:
+    if not selected and not args.check_floor:
         # The bare throughput ladder; at the smoke tier it is a dry run.
         selected = {"smoke"} if args.smoke else {"smoke", "full"}
         write = write and not args.smoke
@@ -144,26 +145,26 @@ def main(argv=None) -> int:
         failures += check_regression(
             results["smoke"], committed.get("smoke", []), factor=args.factor
         )
-    if args.check_kk_floor:
+    if args.check_floor:
         # Two measured runs, best-of per cell: the first pass pays
         # import/cache warmup that a regression gate should not count.
-        warm = run_section("smoke", seed=args.seed, algorithms=["kk"])
+        warm = run_section("smoke", seed=args.seed, algorithms=FLOOR_ALGORITHMS)
         second = run_section(
-            "smoke", seed=args.seed, algorithms=["kk"], progress=progress
+            "smoke", seed=args.seed, algorithms=FLOOR_ALGORITHMS, progress=progress
         )
         best = [
             max(pair, key=lambda row: row["edges_per_sec"])
             for pair in zip(warm, second)
         ]
-        failures += check_kk_floor(best, committed.get("seed_baseline", []))
+        failures += check_floor(best, committed.get("seed_baseline", []))
     for failure in failures:
         print(f"REGRESSION: {failure}")
     if failures:
         return 1
     if args.check:
         print(f"ok: no >{args.factor}x regression against committed smoke numbers")
-    if args.check_kk_floor:
-        print("ok: kk throughput clears the scalar seed-baseline floor")
+    if args.check_floor:
+        print("ok: kk and adversarial throughput clear their scalar seed-baseline floors")
     return 0
 
 

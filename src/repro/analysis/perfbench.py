@@ -605,24 +605,32 @@ def check_regression(
     return failures
 
 
-def check_kk_floor(current: Sequence[dict], seed_baseline: Sequence[dict]) -> List[str]:
-    """Fail if kk throughput falls back to the scalar seed baseline.
+#: Algorithms whose batched kernels must beat their scalar seed baseline.
+FLOOR_ALGORITHMS = ("kk", "adversarial")
 
-    The floor is the *fastest* committed seed-baseline kk cell: after
-    the kernel rework, even the smoke tier must clear what the scalar
+
+def check_floor(current: Sequence[dict], seed_baseline: Sequence[dict]) -> List[str]:
+    """Fail if a batched kernel falls back to its scalar seed baseline.
+
+    Each algorithm of :data:`FLOOR_ALGORITHMS` has its own floor: the
+    *fastest* committed seed-baseline cell of that algorithm.  After the
+    kernel rework even the smoke tier must clear what the scalar
     implementation ever achieved.  Returns failure strings (empty =
-    pass); an absent baseline passes vacuously.
+    pass); an algorithm absent from the baseline passes vacuously.
     """
-    floor = max(
-        (row["edges_per_sec"] for row in seed_baseline if row.get("algorithm") == "kk"),
-        default=0.0,
-    )
+    floors = {
+        name: max(
+            (row["edges_per_sec"] for row in seed_baseline if row.get("algorithm") == name),
+            default=0.0,
+        )
+        for name in FLOOR_ALGORITHMS
+    }
     return [
-        f"{row['config']}/kk: {row['edges_per_sec']:,.0f} edges/s is below the "
-        f"scalar seed-baseline floor of {floor:,.0f} edges/s — the vectorized "
-        "kernel has regressed"
+        f"{row['config']}/{row['algorithm']}: {row['edges_per_sec']:,.0f} edges/s "
+        f"is below the scalar seed-baseline floor of "
+        f"{floors[row['algorithm']]:,.0f} edges/s — the batched kernel has regressed"
         for row in current
-        if row["algorithm"] == "kk" and row["edges_per_sec"] < floor
+        if row["algorithm"] in floors and row["edges_per_sec"] < floors[row["algorithm"]]
     ]
 
 

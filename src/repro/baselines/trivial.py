@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.core.base import FirstSetStore, StreamingSetCoverAlgorithm
+import numpy as np
+
+from repro.core.base import FirstSetStore, StreamingSetCoverAlgorithm, uniforms
 from repro.core.solution import StreamingResult
 from repro.errors import ConfigurationError
 from repro.obs import events as obs_events
@@ -70,9 +72,9 @@ class UniformSampleAlgorithm(StreamingSetCoverAlgorithm):
 
     def _run(self, stream: EdgeStream) -> StreamingResult:
         m = stream.instance.m
-        sampled: Set[SetId] = {
-            s for s in range(m) if self._rng.random() < self.rate
-        }
+        sampled: Set[SetId] = set(
+            np.flatnonzero(uniforms(self._rng, m) < self.rate).tolist()
+        )
         self._meter.set_component("sampled", words_for_set(len(sampled)))
         if self._tracer.enabled:
             for set_id in sorted(sampled):

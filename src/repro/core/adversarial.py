@@ -19,18 +19,33 @@ with *expected* approximation factor O(α·log m) using Õ(m·n/α²) space:
 This is an improvement over the KK-algorithm in the α = Ω̃(√n) regime:
 the KK-algorithm stores a counter per set (Θ(m) words) whereas here the
 level map stays at Õ(m·n/α²) words.
+
+The pass is a batched kernel.  Line 18's coins come from one
+:class:`~repro.core.base.CoinTape` in stream order; each window of a
+chunk masks the edges that flip one (element uncovered, no earlier hit
+by a set of ``⋃ D_i``), and only the promoting draws and the first hits
+are walked in Python, with every charged write per item and in stream
+order.  An inclusion invalidates the window's masks, so the scan
+restarts just past it, as in :mod:`repro.core.kk`.  The per-edge loop
+is kept in ``tests/adversarial_reference.py``; covers, certificates,
+space reports, traces and the RNG state after a run equal its own.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.core.base import FirstSetStore, StreamingSetCoverAlgorithm
+from repro.core.base import (
+    CoinTape,
+    FirstSetStore,
+    StreamingSetCoverAlgorithm,
+    check_alpha,
+    uniforms,
+)
 from repro.core.solution import StreamingResult
-from repro.errors import ConfigurationError
 from repro.obs import events as obs_events
 from repro.streaming.space import ChargedDict, ChargedSet, SpaceBudget, words_for_set
 from repro.streaming.stream import EdgeStream
@@ -38,6 +53,9 @@ from repro.types import ElementId, SeedLike, SetId
 
 #: Edges consumed per vectorized batch (see :mod:`repro.core.kk`).
 _CHUNK = 8192
+
+#: Scan-window size right after an inclusion (see :mod:`repro.core.kk`).
+_RESCAN_WINDOW = 2048
 
 
 class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
@@ -47,8 +65,8 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
     ----------
     alpha:
         Target approximation parameter; the theorem requires
-        ``α ≥ 2√n`` for the space bound (we accept any ``α ≥ 1`` but the
-        guarantee is only the paper's in the stated regime).
+        ``α ≥ 2√n`` for the space bound (we accept any finite ``α ≥ 1``
+        but the guarantee is only the paper's in the stated regime).
     seed, space_budget:
         As in :class:`StreamingSetCoverAlgorithm`.
     """
@@ -62,9 +80,7 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
         space_budget: Optional[SpaceBudget] = None,
     ) -> None:
         super().__init__(seed=seed, space_budget=space_budget)
-        if alpha < 1:
-            raise ConfigurationError(f"alpha must be >= 1, got {alpha}")
-        self.alpha = float(alpha)
+        self.alpha = check_alpha(alpha)
 
     def inclusion_probability(self, level: int, n: int, m: int) -> float:
         """``p_ℓ = α^(2ℓ+1) / (m·nˡ)`` capped at 1 (line 20)."""
@@ -81,12 +97,14 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
         m = stream.instance.m
         meter = self._meter
 
-        # Line 6: sample D0 up-front at rate p0 = alpha/m, one coin per
+        # Line 6: sample D0 up-front at rate p0 = alpha/m, one draw per
         # set id in ascending order (m draws; none when p0 = 1).
         p0 = self.inclusion_probability(0, n, m)
-        d0: Set[SetId] = {
-            set_id for set_id in range(m) if self._rng.random() < p0
-        } if p0 < 1.0 else set(range(m))
+        d0: Set[SetId] = (
+            set(np.flatnonzero(uniforms(self._rng, m) < p0).tolist())
+            if p0 < 1.0
+            else set(range(m))
+        )
         partial_cover: Set[SetId] = ChargedSet(
             meter, "partial-cover", words_per_entry=1, iterable=d0
         )
@@ -104,48 +122,186 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
         promotions = 0
         max_level = 0
         promote_p = 1.0 / self.alpha
+        # At α = 1 every coin of line 18 lands without a draw.
+        promote_draws = promote_p < 1.0
+        # Line 20's p_ℓ, computed once per level reached.
+        level_p: List[float] = [p0]
 
-        # Vectorized pre-filter: an element covered at chunk start stays
-        # covered (nothing in this algorithm shrinks), and covered
-        # elements draw no coins, so bulk-skipping them preserves both
-        # the RNG sequence and every meter charge.
+        # Masks of the state that decides which edges draw: both only
+        # grow, so masks taken at a window's start stay sound until the
+        # window's first inclusion.
         covered_mask = np.zeros(n, dtype=bool)
+        cover_mask = np.zeros(m, dtype=bool)
+        cover_mask[sorted(d0)] = True
+        positions = np.arange(_CHUNK, dtype=np.int64)
+        tracer = self._tracer
+        # The tape's cursor sits at the current window's start; within a
+        # window, ``settled`` draws and ``flips`` coins are spent through
+        # the last edge walked.  Both are brought up to date before every
+        # charged write, so if one raises, the ``finally`` block leaves
+        # the RNG and the COIN_FLIP count where the per-edge loop would.
+        tape = CoinTape(self._rng)
+        settled = flips = 0
+        # The window's draws from its start, and the offsets of those
+        # below 1/α (the promoting ones), in order.
+        draws = np.empty(0, dtype=np.float64)
+        promoting: List[int] = []
+
+        def read_ahead(size: int) -> None:
+            """Hold ``size`` of the window's draws; index the new promoting ones."""
+            nonlocal draws
+            held = len(draws)
+            draws = tape.peek(size)
+            if promote_draws:
+                promoting.extend(
+                    (np.flatnonzero(draws[held:] < promote_p) + held).tolist()
+                )
 
         reader = stream.reader()
-        while reader.remaining:
-            set_ids, elements = reader.take_columns(_CHUNK)
-            first_sets.observe_columns(set_ids, elements)
-            interesting = np.nonzero(~covered_mask[elements])[0]
-            if not len(interesting):
-                continue
-            for set_id, element in zip(
-                set_ids[interesting].tolist(), elements[interesting].tolist()
-            ):
-                if element in covered:
-                    continue
+        try:
+            while reader.remaining:
+                set_ids, elements = reader.take_columns(_CHUNK)
+                first_sets.observe_columns(set_ids, elements)
+                chunk_len = len(elements)
+                pos = 0
+                window = chunk_len
+                while pos < chunk_len:
+                    stop = min(pos + window, chunk_len)
+                    s_window = set_ids[pos:stop]
+                    e_window = elements[pos:stop]
+                    # An edge is alive if its element is uncovered and it
+                    # comes no later than that element's first hit by a
+                    # set of ⋃D: alive edges are exactly the ones that
+                    # flip Coin(1/α) until the window's first inclusion.
+                    alive_positions = np.flatnonzero(~covered_mask[e_window])
+                    if not len(alive_positions):
+                        pos = stop
+                        window = min(window * 4, chunk_len)
+                        continue
+                    s_alive = s_window[alive_positions]
+                    e_alive = e_window[alive_positions]
+                    hit = cover_mask[s_alive]
+                    if hit.any():
+                        hit_at = np.flatnonzero(hit)
+                        first_hit = np.full(n, len(hit), dtype=np.int64)
+                        np.minimum.at(first_hit, e_alive[hit_at], hit_at)
+                        keep = positions[: len(hit)] <= first_hit[e_alive]
+                        alive_positions = alive_positions[keep]
+                        s_alive = s_alive[keep]
+                        e_alive = e_alive[keep]
+                        hit = hit[keep]
+                    alive_count = len(alive_positions)
+                    # An alive edge of a set in ⋃D is its element's first
+                    # hit; the sentinel closes the list.
+                    hits = np.flatnonzero(hit).tolist()
+                    hits.append(alive_count)
+                    next_hit = 0
 
-                if self._coin(promote_p):
-                    level = levels.get(set_id, 0) + 1
-                    levels[set_id] = level
-                    promotions += 1
-                    if level > max_level:
-                        max_level = level
-                    self._trace(
-                        obs_events.LEVEL_PROMOTED, set_id=set_id, level=level
-                    )
-                    if set_id not in partial_cover and self._coin(
-                        self.inclusion_probability(level, n, m)
-                    ):
-                        partial_cover.add(set_id)
-                        self._trace(
-                            obs_events.SET_ADMITTED, set_id=set_id, level=level
-                        )
-
-                if set_id in partial_cover:
-                    covered.add(element)
-                    covered_mask[element] = True
-                    certificate[element] = set_id
-                    self._trace_count(obs_events.ELEMENT_COVERED)
+                    # Draw offsets count from the window's start.  Alive
+                    # edge j's Coin(1/α) is draw j + shift, shift being
+                    # the inclusion draws before it; only the promoting
+                    # draws are walked.
+                    shift = 0
+                    inclusion_coins = 0  # Coin(p_ℓ) calls, drawn or not
+                    draws = draws[:0]
+                    promoting.clear()
+                    if promote_draws:
+                        read_ahead(alive_count + alive_count // 8 + 16)
+                    next_promotion = 0
+                    admitted = False
+                    j = 0
+                    while True:
+                        promoted_at = j
+                        if promote_draws:
+                            # The first promoting draw at or after j's.
+                            while True:
+                                while (
+                                    next_promotion < len(promoting)
+                                    and promoting[next_promotion] < j + shift
+                                ):
+                                    next_promotion += 1
+                                if (
+                                    next_promotion < len(promoting)
+                                    or len(draws) >= alive_count + shift
+                                ):
+                                    break
+                                read_ahead(2 * (alive_count + shift))
+                            promoted_at = (
+                                promoting[next_promotion] - shift
+                                if next_promotion < len(promoting)
+                                else alive_count
+                            )
+                        j = min(promoted_at, hits[next_hit], alive_count)
+                        if j == alive_count:
+                            break
+                        set_id = int(s_alive[j])
+                        element = int(e_alive[j])
+                        is_hit = j == hits[next_hit]
+                        settled = (j + 1 if promote_draws else 0) + shift
+                        flips = j + 1 + inclusion_coins
+                        if j == promoted_at:
+                            level = levels.get(set_id, 0) + 1
+                            levels[set_id] = level
+                            promotions += 1
+                            if level > max_level:
+                                max_level = level
+                            self._trace(
+                                obs_events.LEVEL_PROMOTED, set_id=set_id, level=level
+                            )
+                            if not cover_mask[set_id]:
+                                if level == len(level_p):
+                                    level_p.append(
+                                        self.inclusion_probability(level, n, m)
+                                    )
+                                p = level_p[level]
+                                inclusion_coins += 1
+                                flips += 1
+                                if 0.0 < p < 1.0:
+                                    # The draw right after this edge's
+                                    # Coin(1/α); later draws shift by one.
+                                    if settled == len(draws):
+                                        read_ahead(2 * settled + 16)
+                                    admitted = bool(draws[settled] < p)
+                                    shift += 1
+                                    settled += 1
+                                else:
+                                    admitted = p >= 1.0
+                        if admitted:
+                            partial_cover.add(set_id)
+                            cover_mask[set_id] = True
+                            self._trace(
+                                obs_events.SET_ADMITTED, set_id=set_id, level=level
+                            )
+                        if is_hit or admitted:
+                            covered.add(element)
+                            covered_mask[element] = True
+                            certificate[element] = set_id
+                            self._trace_count(obs_events.ELEMENT_COVERED)
+                        if admitted:
+                            break
+                        if is_hit:
+                            next_hit += 1
+                        j += 1
+                    if admitted:
+                        # The inclusion invalidates the window-start masks;
+                        # rescan just past it with a small window that
+                        # regrows geometrically.
+                        pos += int(alive_positions[j]) + 1
+                        window = _RESCAN_WINDOW
+                    else:
+                        settled = (alive_count if promote_draws else 0) + shift
+                        flips = alive_count + inclusion_coins
+                        pos = stop
+                        window = min(window * 4, chunk_len)
+                    tape.advance(settled)
+                    if flips and tracer.enabled:
+                        tracer.count(obs_events.COIN_FLIP, flips)
+                    settled = flips = 0
+        finally:
+            tape.advance(settled)
+            if flips and tracer.enabled:
+                tracer.count(obs_events.COIN_FLIP, flips)
+            tape.commit()
 
         cover = set(partial_cover)
         patched = first_sets.patch(certificate, cover, n)

@@ -13,13 +13,19 @@ paper relies on it to guarantee feasibility.
 from __future__ import annotations
 
 import math
+import numbers
 import random
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.solution import StreamingResult
-from repro.errors import InvalidCoverError, PartialState, ReproError
+from repro.errors import (
+    ConfigurationError,
+    InvalidCoverError,
+    PartialState,
+    ReproError,
+)
 from repro.obs import events as obs_events
 from repro.obs.tracer import NULL_TRACER, NullTracer, RecordingTracer
 from repro.streaming.space import (
@@ -176,6 +182,116 @@ def _key_array(
     return keys, (keys >= 0) & (keys < universe_size)
 
 
+def uniforms(rng: random.Random, k: int) -> np.ndarray:
+    """``k`` draws of ``rng.random()``, in call order, as a float64 array.
+
+    An exact replay of CPython's ``random()``, which builds each double
+    from two 32-bit Mersenne Twister outputs ``a``, ``b`` as
+    ``((a >> 5)·2²⁶ + (b >> 6)) / 2⁵³``.  ``getrandbits(64·k)`` returns
+    the same ``2k`` outputs, least significant first, so the doubles
+    are equal and ``rng`` is left where ``k`` calls would leave it.
+    Exact for :class:`random.Random` itself only (a subclass may
+    override ``random()``); algorithms reject any other seed object.
+    """
+    if k <= 0:
+        return np.empty(0, dtype=np.float64)
+    words = np.frombuffer(
+        rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4"
+    )
+    high = (words[0::2] >> 5).astype(np.float64)
+    return (high * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+class CoinTape:
+    """One run's ``rng.random()`` draws, read ahead and settled exactly.
+
+    :meth:`peek` shows the next draws past the cursor without consuming
+    them, :meth:`advance` consumes them, and :meth:`commit` leaves
+    ``rng`` exactly where that many ``rng.random()`` calls would.
+    Draws come from :func:`uniforms` in refills of at least
+    :attr:`BLOCK`; consumed draws are dropped at the next refill, so the
+    buffer stays near one window of draws.  Each refill first records
+    the RNG state (``getstate``), and :meth:`commit` rewinds to the last
+    record at or before the cursor and replays the rest with one
+    ``getrandbits``: at most a refill's worth, nothing when every draw
+    was consumed.  Callers commit in a ``finally`` block and keep the
+    cursor current before any step that may raise, so a failed run
+    leaves the RNG where a draw-by-draw loop would have stopped.
+    """
+
+    #: Smallest refill, in draws.
+    BLOCK = 4096
+
+    def __init__(self, rng: random.Random) -> None:
+        self._rng = rng
+        self._buffer = np.empty(0, dtype=np.float64)
+        self._base = 0  # draw index of buffer[0]
+        self._cursor = 0  # draw index of the next unconsumed draw
+        # (draw index, RNG state before that draw), one per refill.
+        self._marks: List[Tuple[int, tuple]] = []
+
+    def peek(self, k: int) -> np.ndarray:
+        """The next ``k`` draws after the cursor, not consumed."""
+        start = self._cursor - self._base
+        if start + k > len(self._buffer):
+            held = self._buffer[start:]
+            self._base = self._cursor
+            self._marks = self._marks[self._last_mark() :]
+            self._marks.append((self._cursor + len(held), self._rng.getstate()))
+            more = uniforms(self._rng, max(k - len(held), self.BLOCK))
+            self._buffer = np.concatenate((held, more))
+            start = 0
+        return self._buffer[start : start + k]
+
+    def advance(self, k: int) -> None:
+        """Consume the next ``k`` draws."""
+        self.peek(k)
+        self._cursor += k
+
+    def commit(self) -> None:
+        """Leave ``rng`` after the consumed draws; start a fresh tape."""
+        if self._cursor < self._base + len(self._buffer):
+            position, state = self._marks[self._last_mark()]
+            self._rng.setstate(state)
+            if self._cursor > position:
+                self._rng.getrandbits(64 * (self._cursor - position))
+        self._buffer = np.empty(0, dtype=np.float64)
+        self._base = self._cursor = 0
+        self._marks = []
+
+    def _last_mark(self) -> int:
+        """Index of the last mark at or before the cursor (0 if none)."""
+        index = 0
+        for i, (position, _) in enumerate(self._marks):
+            if position <= self._cursor:
+                index = i
+        return index
+
+
+def check_probability(probability: float) -> float:
+    """``probability`` itself, or :class:`ValueError` if it is not finite.
+
+    A NaN would fail both boundary tests of a coin and then
+    ``random() < nan`` is silently ``False``, turning a scaling-formula
+    bug into a biased coin.
+    """
+    if not math.isfinite(probability):
+        raise ValueError(f"coin probability must be finite, got {probability!r}")
+    return probability
+
+
+def check_alpha(alpha: float) -> float:
+    """``alpha`` as a float, or :class:`ConfigurationError` unless a finite real ≥ 1."""
+    if (
+        isinstance(alpha, bool)
+        or not isinstance(alpha, numbers.Real)
+        or not math.isfinite(alpha)
+        or alpha < 1
+    ):
+        raise ConfigurationError(f"alpha must be a finite real >= 1, got {alpha!r}")
+    return float(alpha)
+
+
 class StreamingSetCoverAlgorithm:
     """Abstract base for one-pass edge-arrival set-cover algorithms.
 
@@ -194,6 +310,12 @@ class StreamingSetCoverAlgorithm:
         space_budget: Optional[SpaceBudget] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
+        if isinstance(seed, random.Random) and type(seed) is not random.Random:
+            # The batched coins replay random.Random's own generator; a
+            # subclass may override random() or (SystemRandom) keep no state.
+            raise ConfigurationError(
+                f"seed must be a random.Random, not a {type(seed).__name__}"
+            )
         self._seed = seed
         self._space_budget = space_budget
         self._rng: random.Random = make_rng(seed)
@@ -309,14 +431,9 @@ class StreamingSetCoverAlgorithm:
     def _coin(self, probability: float) -> bool:
         """Bernoulli draw — the paper's ``Coin(p)`` primitive.
 
-        Non-finite probabilities raise: a NaN would fail both boundary
-        tests below and then ``random() < nan`` is silently ``False``,
-        turning a scaling-formula bug into a biased coin.
+        Non-finite probabilities raise (see :func:`check_probability`).
         """
-        if not math.isfinite(probability):
-            raise ValueError(
-                f"coin probability must be finite, got {probability!r}"
-            )
+        check_probability(probability)
         if self._tracer.enabled:
             self._tracer.count(obs_events.COIN_FLIP)
         if probability >= 1.0:

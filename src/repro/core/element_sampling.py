@@ -36,7 +36,12 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.core.base import FirstSetStore, StreamingSetCoverAlgorithm
+from repro.core.base import (
+    FirstSetStore,
+    StreamingSetCoverAlgorithm,
+    check_alpha,
+    uniforms,
+)
 from repro.core.solution import StreamingResult, greedy_picks
 from repro.errors import ConfigurationError, InfeasibleInstanceError
 from repro.obs import events as obs_events
@@ -55,7 +60,7 @@ class ElementSamplingAlgorithm(StreamingSetCoverAlgorithm):
     ----------
     alpha:
         Target approximation parameter (the regime of interest is
-        ``α = o(√n)``; any ``α ≥ 1`` is accepted).
+        ``α = o(√n)``; any finite ``α ≥ 1`` is accepted).
     sample_constant:
         The ``C`` in ``p = C·log m/α``; larger C improves quality and
         costs proportionally more space.
@@ -77,8 +82,7 @@ class ElementSamplingAlgorithm(StreamingSetCoverAlgorithm):
         space_budget: Optional[SpaceBudget] = None,
     ) -> None:
         super().__init__(seed=seed, space_budget=space_budget)
-        if alpha < 1:
-            raise ConfigurationError(f"alpha must be >= 1, got {alpha}")
+        alpha = check_alpha(alpha)
         if sample_constant <= 0:
             raise ConfigurationError(
                 f"sample_constant must be positive, got {sample_constant}"
@@ -87,7 +91,7 @@ class ElementSamplingAlgorithm(StreamingSetCoverAlgorithm):
             raise ConfigurationError(
                 f"witness_cache_size must be >= 0, got {witness_cache_size}"
             )
-        self.alpha = float(alpha)
+        self.alpha = alpha
         self.sample_constant = float(sample_constant)
         self.witness_cache_size = witness_cache_size
 
@@ -106,7 +110,7 @@ class ElementSamplingAlgorithm(StreamingSetCoverAlgorithm):
             meter,
             "sampled-universe",
             words_per_entry=1,
-            iterable=(u for u in range(n) if self._rng.random() < p),
+            iterable=np.flatnonzero(uniforms(self._rng, n) < p).tolist(),
         )
 
         projections: Dict[SetId, Set[ElementId]] = {}

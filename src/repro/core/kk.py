@@ -48,7 +48,11 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.core.base import FirstSetStore, StreamingSetCoverAlgorithm
+from repro.core.base import (
+    FirstSetStore,
+    StreamingSetCoverAlgorithm,
+    check_probability,
+)
 from repro.core.scaling import Scaling
 from repro.core.solution import StreamingResult
 from repro.obs import events as obs_events
@@ -162,6 +166,10 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
         max_level_reached = 0
         inclusion_events = 0
         tracer = self._tracer
+        draw = self._rng.random
+        # Level -> inclusion probability, computed (and checked finite)
+        # once per run at the level's first promotion.
+        level_p: Dict[int, float] = {}
 
         reader = stream.reader()
         while reader.remaining:
@@ -224,8 +232,16 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
                         self._trace(
                             obs_events.LEVEL_PROMOTED, set_id=set_id, level=level
                         )
-                        p = scaling.kk_inclusion_probability(level, n, m)
-                        if self._coin(p):
+                        p = level_p.get(level)
+                        if p is None:
+                            p = level_p[level] = check_probability(
+                                scaling.kk_inclusion_probability(level, n, m)
+                            )
+                        # Coin(p), as StreamingSetCoverAlgorithm._coin
+                        # draws it.
+                        if tracer.enabled:
+                            tracer.count(obs_events.COIN_FLIP)
+                        if p >= 1.0 or (p > 0.0 and draw() < p):
                             included_at = j
                             inclusion_probability = p
                             inclusion_level = level

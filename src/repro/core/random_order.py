@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.core.base import FirstSetStore, StreamingSetCoverAlgorithm
+from repro.core.base import FirstSetStore, StreamingSetCoverAlgorithm, uniforms
 from repro.core.scaling import Scaling
 from repro.core.solution import StreamingResult
 from repro.obs import events as obs_events
@@ -193,18 +193,17 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
             window=window,
             mark_count=mark_count,
         ):
-            for set_id in range(m):
-                if self._rng.random() < p0:
-                    sol.add(set_id)
-                    in_sol[set_id] = True
-                    probe.inclusion_positions[set_id] = 0
-                    if tracer.enabled:
-                        tracer.event(
-                            obs_events.SET_ADMITTED,
-                            set_id=set_id,
-                            phase="epoch0",
-                            probability=p0,
-                        )
+            for set_id in np.flatnonzero(uniforms(self._rng, m) < p0).tolist():
+                sol.add(set_id)
+                in_sol[set_id] = True
+                probe.inclusion_positions[set_id] = 0
+                if tracer.enabled:
+                    tracer.event(
+                        obs_events.SET_ADMITTED,
+                        set_id=set_id,
+                        phase="epoch0",
+                        probability=p0,
+                    )
             meter.set_component("sol", words_for_set(len(sol)))
 
             # Degree detection by bincount; the per-element counts (and the
@@ -277,9 +276,9 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
             ):
                 # Line 10: fresh tracked sample at rate q0 = 1/n.
                 q0 = min(1.0, 1.0 / n)
-                tracked: Set[SetId] = {
-                    s for s in range(m) if self._rng.random() < q0
-                }
+                tracked: Set[SetId] = set(
+                    np.flatnonzero(uniforms(self._rng, m) < q0).tolist()
+                )
                 meter.set_component("tracked-sets", words_for_set(len(tracked)))
                 in_tracked.fill(False)
                 for s in tracked:

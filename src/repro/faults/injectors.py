@@ -34,12 +34,12 @@ the :class:`SpaceReport` it would on a clean stream.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.base import uniforms
 from repro.errors import ConfigurationError
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.space import SpaceMeter, SpaceReport
@@ -99,12 +99,6 @@ class InjectionReport:
         return self.declared_length != self.final_length
 
 
-def _coins(rng: random.Random, k: int) -> np.ndarray:
-    """``k`` draws of ``rng.random()``, in call order, as a float column."""
-    draw = rng.random
-    return np.array([draw() for _ in range(k)], dtype=np.float64)
-
-
 def _apply_one(
     set_ids: np.ndarray,
     elements: np.ndarray,
@@ -125,11 +119,11 @@ def _apply_one(
     k = len(set_ids)
     touched = 0
     if spec.kind == "drop":
-        dropped = _coins(rng, k) < rate
+        dropped = uniforms(rng, k) < rate
         touched = int(np.count_nonzero(dropped))
         set_ids, elements = set_ids[~dropped], elements[~dropped]
     elif spec.kind == "duplicate":
-        copies = 1 + (_coins(rng, k) < rate)
+        copies = 1 + (uniforms(rng, k) < rate)
         touched = int(np.count_nonzero(copies == 2))
         set_ids, elements = np.repeat(set_ids, copies), np.repeat(elements, copies)
     elif spec.kind == "corrupt":

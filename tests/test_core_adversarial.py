@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
+from adversarial_reference import ScalarAdversarialAlgorithm
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.adversarial import LowSpaceAdversarialAlgorithm
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.generators.planted import planted_partition_instance
 from repro.generators.random_instances import fixed_size_instance
+from repro.obs.tracer import RecordingTracer
+from repro.streaming.instance import SetCoverInstance
 from repro.streaming.orders import RandomOrder, RoundRobinInterleaveOrder
-from repro.streaming.stream import ReplayableStream, stream_of
+from repro.streaming.space import SpaceBudget
+from repro.streaming.stream import EdgeStream, ReplayableStream, stream_of
 
 
 def run_on(instance, alpha, seed=1, order=None):
@@ -149,3 +156,91 @@ class TestMechanism:
             replayable.fresh()
         )
         assert a.cover == b.cover
+
+
+# -- the scalar oracle ----------------------------------------------------
+
+#: α choices named by their relation to n; α = 1 lands every Coin(1/α)
+#: without a draw.
+ALPHAS = {
+    "1": lambda n: 1.0,
+    "2sqrtn": lambda n: 2 * math.sqrt(n),
+    "n": lambda n: float(n),
+}
+
+
+def _traced_run(cls, instance, edges, alpha, seed, budget_words):
+    """Everything one run leaves behind, as comparable values."""
+    rng = random.Random(seed)
+    budget = SpaceBudget(budget_words, context="oracle") if budget_words else None
+    algorithm = cls(alpha=alpha, seed=rng, space_budget=budget)
+    tracer = RecordingTracer()
+    algorithm.set_tracer(tracer)
+    try:
+        result = algorithm.run(EdgeStream(instance, edges, order_name="oracle"))
+        outcome = (
+            result.cover,
+            list(result.certificate.items()),
+            result.space,
+            result.diagnostics,
+        )
+    except ReproError as error:
+        outcome = (type(error).__name__, str(error), error.partial)
+    tracer.finish()
+    return outcome, tracer.to_jsonl(), rng.getstate()
+
+
+@st.composite
+def streams(draw):
+    """A small instance (feasible or not) and any arrival of its edges.
+
+    The arrival may repeat edges and may stop early, so runs end in a
+    cover, an unpatchable element or, under a budget, a crossing.
+    """
+    n = draw(st.integers(min_value=1, max_value=20))
+    m = draw(st.integers(min_value=1, max_value=25))
+    sets = [
+        draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n))
+        for _ in range(m)
+    ]
+    instance = SetCoverInstance(n, sets, name="oracle")
+    edges = list(instance.edges())
+    edges = draw(st.permutations(edges)) if edges else edges
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    edges = edges + repeats
+    cut = draw(st.integers(min_value=0, max_value=len(edges)))
+    return instance, edges[: len(edges) - cut // 4]
+
+
+class TestScalarOracle:
+    """The tape-driven pass equals the per-edge ``_coin`` loop exactly."""
+
+    @given(
+        case=streams(),
+        alpha=st.sampled_from(sorted(ALPHAS)),
+        seed=st.integers(min_value=0, max_value=2**32),
+        budget_words=st.sampled_from([None, 8, 20, 45, 90]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_streams(self, case, alpha, seed, budget_words):
+        instance, edges = case
+        value = ALPHAS[alpha](instance.n)
+        fast, ref = (
+            _traced_run(cls, instance, edges, value, seed, budget_words)
+            for cls in (LowSpaceAdversarialAlgorithm, ScalarAdversarialAlgorithm)
+        )
+        assert fast == ref
+
+    @pytest.mark.parametrize("budget_words", [None, 300, 1500])
+    @pytest.mark.parametrize("alpha", [*sorted(ALPHAS), "3.7"])
+    def test_streams_spanning_chunks(self, alpha, budget_words):
+        # ~24k edges: three chunks, many rescan windows.
+        instance = fixed_size_instance(300, 1200, set_size=20, seed=8)
+        edges = RandomOrder(seed=2).apply(list(instance.edges()))
+        value = ALPHAS[alpha](instance.n) if alpha in ALPHAS else float(alpha)
+        for seed in (0, 1):
+            fast, ref = (
+                _traced_run(cls, instance, edges, value, seed, budget_words)
+                for cls in (LowSpaceAdversarialAlgorithm, ScalarAdversarialAlgorithm)
+            )
+            assert fast == ref

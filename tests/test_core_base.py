@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.base import FirstSetStore, StreamingSetCoverAlgorithm
+from repro.core.adversarial import LowSpaceAdversarialAlgorithm
+from repro.core.base import (
+    CoinTape,
+    FirstSetStore,
+    StreamingSetCoverAlgorithm,
+    uniforms,
+)
+from repro.core.element_sampling import ElementSamplingAlgorithm
+from repro.core.kk import KKAlgorithm
 from repro.core.solution import StreamingResult
-from repro.errors import InvalidCoverError, SpaceBudgetExceededError
+from repro.errors import (
+    ConfigurationError,
+    InvalidCoverError,
+    SpaceBudgetExceededError,
+)
 from repro.streaming.space import ChargedSet, SpaceBudget, SpaceMeter
 from repro.streaming.stream import stream_of
 
@@ -203,3 +219,143 @@ class TestBaseContract:
         algorithm = StreamingSetCoverAlgorithm(seed=1)
         with pytest.raises(NotImplementedError):
             algorithm.run(stream_of(tiny_instance))
+
+
+# -- exact batched draws ------------------------------------------------
+
+#: Ways to move a generator before the batch: whole doubles, or single
+#: 32-bit words, which leave the twister at an odd word offset.
+ADVANCES = st.lists(st.sampled_from(["random", "word"]), max_size=6)
+
+
+def _seeded(seed: int, advances) -> random.Random:
+    rng = random.Random(seed)
+    for step in advances:
+        if step == "random":
+            rng.random()
+        else:
+            rng.getrandbits(32)
+    return rng
+
+
+class _Boom(Exception):
+    pass
+
+
+class TestUniforms:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        advances=ADVANCES,
+        k=st.integers(min_value=0, max_value=5000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_draws_and_state(self, seed, advances, k):
+        batched = _seeded(seed, advances)
+        scalar = _seeded(seed, advances)
+        draws = uniforms(batched, k)
+        assert draws.dtype == np.float64
+        assert draws.tolist() == [scalar.random() for _ in range(k)]
+        assert batched.getstate() == scalar.getstate()
+
+    def test_negative_count_draws_nothing(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        assert len(uniforms(rng, -1)) == 0
+        assert rng.getstate() == state
+
+
+TAPE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["peek", "advance"]), st.integers(0, 400)),
+        st.tuples(st.sampled_from(["commit", "raise"]), st.just(0)),
+    ),
+    max_size=25,
+)
+
+
+class TestCoinTape:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        advances=ADVANCES,
+        ops=TAPE_OPS,
+        block=st.sampled_from([8, CoinTape.BLOCK]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_program_leaves_rng_after_consumed_draws(
+        self, seed, advances, ops, block
+    ):
+        rng = _seeded(seed, advances)
+        oracle = _seeded(seed, advances)
+        values = [oracle.random() for _ in range(25 * 400)]
+        consumed = 0
+
+        def after(count):
+            expected = _seeded(seed, advances)
+            for _ in range(count):
+                expected.random()
+            return expected.getstate()
+
+        tape = CoinTape(rng)
+        # A small block refills often, so commits land between marks.
+        tape.BLOCK = block
+        try:
+            try:
+                for op, k in ops:
+                    if op == "peek":
+                        assert tape.peek(k).tolist() == values[consumed : consumed + k]
+                    elif op == "advance":
+                        tape.advance(k)
+                        consumed += k
+                    elif op == "commit":
+                        tape.commit()
+                        assert rng.getstate() == after(consumed)
+                    else:
+                        raise _Boom
+            finally:
+                tape.commit()
+        except _Boom:
+            pass
+        assert rng.getstate() == after(consumed)
+
+    def test_untouched_tape_leaves_rng_alone(self):
+        rng = random.Random(5)
+        state = rng.getstate()
+        CoinTape(rng).commit()
+        assert rng.getstate() == state
+
+
+class _OverriddenRandom(random.Random):
+    def random(self):
+        return 0.5
+
+
+class TestConstructionBoundaries:
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), True])
+    @pytest.mark.parametrize(
+        "cls", [LowSpaceAdversarialAlgorithm, ElementSamplingAlgorithm]
+    )
+    def test_rejects_non_finite_or_bool_alpha(self, cls, alpha):
+        with pytest.raises(ConfigurationError, match="alpha"):
+            cls(alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [random.SystemRandom(), _OverriddenRandom(4)],
+        ids=lambda seed: type(seed).__name__,
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda seed: KKAlgorithm(seed=seed),
+            lambda seed: LowSpaceAdversarialAlgorithm(alpha=4, seed=seed),
+            lambda seed: _ConstantAlgorithm(seed=seed),
+        ],
+        ids=["kk", "adversarial", "base"],
+    )
+    def test_rejects_random_subclass_seed(self, build, seed):
+        with pytest.raises(ConfigurationError, match="random.Random"):
+            build(seed)
+
+    def test_accepts_plain_random(self, tiny_instance):
+        rng = random.Random(7)
+        _ConstantAlgorithm(seed=rng).run(stream_of(tiny_instance))

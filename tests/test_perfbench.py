@@ -17,7 +17,7 @@ from repro.analysis import perfbench
 from repro.analysis.perfbench import (
     SECTIONS,
     Section,
-    check_kk_floor,
+    check_floor,
     check_regression,
     load_bench_file,
     run_section,
@@ -174,12 +174,21 @@ class TestGates:
     def test_regression_ignores_uncommitted_cells(self):
         assert check_regression([_row(1.0, config="new")], [_row(1000.0)]) == []
 
-    def test_kk_floor_is_fastest_seed_kk_cell(self):
-        baseline = [_row(1000.0), _row(2000.0, config="large"), _row(9e9, "adversarial")]
-        failures = check_kk_floor([_row(1500.0), _row(1.0, "adversarial")], baseline)
-        assert len(failures) == 1 and "small/kk" in failures[0]
-        assert check_kk_floor([_row(2500.0)], baseline) == []
-        assert check_kk_floor([_row(1.0)], []) == []
+    def test_floor_is_fastest_seed_cell_per_algorithm(self):
+        baseline = [
+            _row(1000.0),
+            _row(2000.0, config="large"),
+            _row(5000.0, "adversarial"),
+            _row(9e9, "random-order"),
+        ]
+        failures = check_floor(
+            [_row(1500.0), _row(4000.0, "adversarial"), _row(1.0, "random-order")],
+            baseline,
+        )
+        assert len(failures) == 2
+        assert "small/kk" in failures[0] and "small/adversarial" in failures[1]
+        assert check_floor([_row(2500.0), _row(6000.0, "adversarial")], baseline) == []
+        assert check_floor([_row(1.0), _row(1.0, "adversarial")], []) == []
 
     def test_speedup_table(self):
         rows = speedup_table([_row(100.0)], [_row(300.0), _row(5.0, config="new")])
@@ -250,6 +259,6 @@ class TestCli:
         assert written["smoke"] == written["full"] == [_row(1e12)]
         assert written["seed_baseline"] == COMMITTED["seed_baseline"]
 
-    def test_kk_floor_gate_runs_kk_twice(self, calls, cli):
-        assert cli.main(["--check-kk-floor"]) == 0
+    def test_floor_gate_runs_the_smoke_cells_twice(self, calls, cli):
+        assert cli.main(["--check-floor"]) == 0
         assert calls == [("smoke", "smoke"), ("smoke", "smoke")]
