@@ -36,6 +36,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.perfbench import (  # noqa: E402
     FLOOR_ALGORITHMS,
+    FLOOR_CONFIG,
     SECTIONS,
     check_floor,
     check_regression,
@@ -53,9 +54,10 @@ OPTIONS = {
     "--smoke": "run only the small smoke tier",
     "--check": "compare against committed BENCH_perf.json; exit 1 on >FACTOR "
     "regression (implies --no-write)",
-    "--check-floor": "run the smoke tier's kk and adversarial cells and exit 1 if "
-    "either's throughput falls below its fastest committed scalar seed-baseline "
-    "cell (CI smoke gate for the batched kernels; implies --no-write)",
+    "--check-floor": "run the full tier's small kk and adversarial cells and exit 1 "
+    "if either's throughput falls below its fastest committed scalar seed-baseline "
+    "cell, measured on that same config (CI gate for the batched kernels; implies "
+    "--no-write)",
     "--record-seed-baseline": "store this run's full-tier numbers as the "
     "immutable pre-optimization baseline",
     "--no-write": "do not touch BENCH_perf.json",
@@ -148,10 +150,9 @@ def main(argv=None) -> int:
     if args.check_floor:
         # Two measured runs, best-of per cell: the first pass pays
         # import/cache warmup that a regression gate should not count.
-        warm = run_section("smoke", seed=args.seed, algorithms=FLOOR_ALGORITHMS)
-        second = run_section(
-            "smoke", seed=args.seed, algorithms=FLOOR_ALGORITHMS, progress=progress
-        )
+        cells = dict(algorithms=FLOOR_ALGORITHMS, configs=(FLOOR_CONFIG,))
+        warm = run_section("full", seed=args.seed, **cells)
+        second = run_section("full", seed=args.seed, progress=progress, **cells)
         best = [
             max(pair, key=lambda row: row["edges_per_sec"])
             for pair in zip(warm, second)

@@ -3,8 +3,8 @@
 Measures end-to-end edges/sec (and peak RSS) of the three core one-pass
 algorithms — KK, random-order (Algorithm 1) and the low-space
 adversarial algorithm (Algorithm 2) — on a ladder of instance sizes,
-plus the sharded executor, the kk kernel, shard shipping, the wire
-transports and the merge critical path.  Results are written to
+plus the sharded executor, the kk kernel, the wire transports and the
+merge critical path.  Results are written to
 ``BENCH_perf.json`` at the repository root so every future PR has a
 trajectory to regress against; CI runs the ``smoke`` tier and fails on a
 >2x edges/sec regression.
@@ -85,13 +85,17 @@ def _rate(edges: int, seconds: float) -> float:
 
 
 def _instances(
-    tier: str, seed: int
+    tier: str, seed: int, configs: Optional[Sequence[str]] = None
 ) -> Iterator[Tuple[str, int, int, SetCoverInstance]]:
-    """``(config, n, m, instance)`` for every config of ``tier``."""
+    """``(config, n, m, instance)`` for every config of ``tier``.
+
+    ``configs`` optionally restricts the tier to the named configs.
+    """
     if tier not in TIERS:
         raise ValueError(f"unknown tier {tier!r}; known: {sorted(TIERS)}")
     for config, n, m, set_size in TIERS[tier]:
-        yield config, n, m, fixed_size_instance(n, m, set_size, seed=seed)
+        if configs is None or config in configs:
+            yield config, n, m, fixed_size_instance(n, m, set_size, seed=seed)
 
 
 def _algorithms(n: int, seed: int) -> Dict[str, Callable[[], StreamingSetCoverAlgorithm]]:
@@ -117,14 +121,18 @@ def _same_run(a, b) -> bool:
 
 
 def bench_throughput(
-    tier: str, seed: int = 0, algorithms: Optional[Sequence[str]] = None
+    tier: str,
+    seed: int = 0,
+    algorithms: Optional[Sequence[str]] = None,
+    configs: Optional[Sequence[str]] = None,
 ) -> Iterator[dict]:
     """The throughput ladder: edges/sec of each core algorithm per config.
 
     ``algorithms`` optionally restricts the cell to a subset of
-    ``{"kk", "random-order", "adversarial"}``.
+    ``{"kk", "random-order", "adversarial"}``, and ``configs`` the
+    ladder to the named configs of ``tier``.
     """
-    for config, n, m, instance in _instances(tier, seed):
+    for config, n, m, instance in _instances(tier, seed, configs):
         replayable = ReplayableStream(instance, RandomOrder(seed=seed))
         for name, factory in _algorithms(n, seed).items():
             if algorithms is not None and name not in algorithms:
@@ -289,53 +297,6 @@ def bench_kk_kernel(tier: str, seed: int = 0) -> Iterator[dict]:
         }
 
 
-def bench_shipping(tier: str, seed: int = 0) -> Iterator[dict]:
-    """Process-backend bytes per task, pickled edges vs shared-memory spans.
-
-    Pickles the exact shard tasks :func:`repro.distributed.run_distributed`
-    would pool out, both ways; no algorithm runs.  The segment itself
-    (``segment_bytes``) is written once and mapped, not serialized per
-    worker.  Without shared memory the ``shm_*`` fields stay 0.
-    """
-    from repro.distributed import build_shard_tasks
-    from repro.distributed.shmem import (
-        measure_shipping,
-        shared_memory_available,
-        ship_tasks,
-    )
-
-    workers = 4
-
-    for config, _, _, instance in _instances(tier, seed):
-        tasks = build_shard_tasks(instance, workers=workers, seed=seed)
-        pickled = measure_shipping(tasks, "pickle")
-        shm = None
-        if shared_memory_available():
-            shipped, segment = ship_tasks(tasks)
-            if segment is not None:
-                try:
-                    shm = measure_shipping(shipped, "shared-memory", segment)
-                finally:
-                    segment.cleanup()
-        shm_total, shm_max, segment_bytes = (
-            (shm.total_task_bytes, shm.max_task_bytes, shm.segment_bytes)
-            if shm is not None
-            else (0, 0, 0)
-        )
-        yield {
-            "config": config,
-            "workers": workers,
-            "stream_length": instance.num_edges,
-            "pickle_total_bytes": pickled.total_task_bytes,
-            "pickle_max_task_bytes": pickled.max_task_bytes,
-            "shm_total_task_bytes": shm_total,
-            "shm_max_task_bytes": shm_max,
-            "segment_bytes": segment_bytes,
-            "reduction_factor": round(pickled.total_task_bytes / max(shm_total, 1), 1),
-            "shared_memory": shm is not None,
-        }
-
-
 def bench_transport(tier: str, seed: int = 0) -> Iterator[dict]:
     """Wire bytes/frames per (transport, coordinator) (asserts inproc parity).
 
@@ -472,7 +433,6 @@ SECTIONS: Dict[str, Section] = {
     "trace_overhead": Section(bench_trace_overhead, recorded=False),
     "distributed": Section(bench_distributed),
     "kk_kernel": Section(bench_kk_kernel),
-    "shipping": Section(bench_shipping),
     "transport": Section(bench_transport),
     "merge": Section(bench_merge),
 }
@@ -545,8 +505,6 @@ def write_bench_file(
             "speedup_vs_serial compares each backend against the serial "
             "backend at the same shard width), 'kk_kernel' the vectorized "
             "kk kernel vs the scalar kk-reference on identical streams, "
-            "'shipping' the process backend's per-task serialized "
-            "bytes under pickled-edges vs shared-memory span shipping, "
             "'transport' the wire layer's measured bytes/frames per "
             "(transport, coordinator) cell with the bytes-per-word "
             "overhead ratio (>= 1 by construction; parity_with_inproc "
@@ -608,22 +566,35 @@ def check_regression(
 #: Algorithms whose batched kernels must beat their scalar seed baseline.
 FLOOR_ALGORITHMS = ("kk", "adversarial")
 
+#: The ``full``-tier config the floor gate measures: the seed baseline's
+#: fastest kk and adversarial cells are both this 9e4-edge config, so
+#: the gate compares like with like.
+FLOOR_CONFIG = "small"
+
+
+def floor_rows(seed_baseline: Sequence[dict]) -> Dict[str, dict]:
+    """The *fastest* seed-baseline row of each :data:`FLOOR_ALGORITHMS` entry.
+
+    An algorithm absent from the baseline has no row.
+    """
+    floors: Dict[str, dict] = {}
+    for name in FLOOR_ALGORITHMS:
+        rows = [row for row in seed_baseline if row.get("algorithm") == name]
+        if rows:
+            floors[name] = max(rows, key=lambda row: row["edges_per_sec"])
+    return floors
+
 
 def check_floor(current: Sequence[dict], seed_baseline: Sequence[dict]) -> List[str]:
     """Fail if a batched kernel falls back to its scalar seed baseline.
 
-    Each algorithm of :data:`FLOOR_ALGORITHMS` has its own floor: the
-    *fastest* committed seed-baseline cell of that algorithm.  After the
-    kernel rework even the smoke tier must clear what the scalar
-    implementation ever achieved.  Returns failure strings (empty =
-    pass); an algorithm absent from the baseline passes vacuously.
+    Each algorithm of :data:`FLOOR_ALGORITHMS` has its own floor: its
+    :func:`floor_rows` cell, the fastest the scalar implementation ever
+    achieved.  Returns failure strings (empty = pass); an algorithm
+    absent from the baseline passes vacuously.
     """
     floors = {
-        name: max(
-            (row["edges_per_sec"] for row in seed_baseline if row.get("algorithm") == name),
-            default=0.0,
-        )
-        for name in FLOOR_ALGORITHMS
+        name: row["edges_per_sec"] for name, row in floor_rows(seed_baseline).items()
     }
     return [
         f"{row['config']}/{row['algorithm']}: {row['edges_per_sec']:,.0f} edges/s "

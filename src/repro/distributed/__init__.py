@@ -71,15 +71,6 @@ from repro.distributed.executor import (
     run_distributed,
     shard_space_reports,
 )
-from repro.distributed.shmem import (
-    EdgeSegment,
-    ShardSpan,
-    ShippingReport,
-    SpanView,
-    measure_shipping,
-    shared_memory_available,
-    ship_tasks,
-)
 from repro.distributed.transport import (
     TRANSPORT_REGISTRY,
     Codec,
@@ -127,7 +118,6 @@ __all__ = [
     "Transport",
     "TransportReport",
     "DeliveryPolicy",
-    "EdgeSegment",
     "InstanceShape",
     "FifoDelivery",
     "FixedDelivery",
@@ -138,19 +128,13 @@ __all__ = [
     "ShardAccumulator",
     "ShardEnvelope",
     "ShardOutcome",
-    "ShardSpan",
     "ShardTask",
-    "ShippingReport",
-    "SpanView",
     "ThreadBackend",
     "build_shard_plan_and_tasks",
     "build_shard_tasks",
     "execute_shard_task",
     "make_backend",
-    "measure_shipping",
     "registered_backends",
-    "shared_memory_available",
-    "ship_tasks",
     "ChainCoordinator",
     "CommBudget",
     "CommMeter",

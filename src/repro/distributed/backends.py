@@ -41,17 +41,9 @@ from repro.faults.injectors import FaultSpec, apply_faults
 from repro.faults.shards import ShardFaultPlan
 from repro.obs.events import SHARD_ABANDONED, SHARD_RETRY
 from repro.obs.tracer import NULL_TRACER, RecordingTracer
-from repro.streaming.stream import EdgesLike, FrozenEdges
+from repro.streaming.stream import FrozenEdges
 from repro.types import SetId
 
-from repro.distributed.shmem import (
-    ShardSpan,
-    ShippingReport,
-    SpanView,
-    measure_shipping,
-    shared_memory_available,
-    ship_tasks,
-)
 from repro.distributed.worker import (
     InstanceShape,
     ShardAccumulator,
@@ -67,31 +59,24 @@ class ShardTask:
     Everything a child process needs travels in the task: the instance
     *shape* (not the instance — workers only validate against ``(n, m)``
     and label their local instance), the shard's ordered edge share (a
-    column-backed :class:`~repro.streaming.stream.FrozenEdges` span of
+    column-backed :class:`~repro.streaming.stream.FrozenEdges` slice of
     the routing plan, which pickles as its two columns), the
     router's set enumeration, the pre-drawn algorithm seed, the
     per-shard reseeded fault plan, and the algorithm *name*, resolved
     against the registry on the executing side.  ``traced`` asks the
     executing side to record a span cell and return it serialized.
-
-    Under shared-memory shipping (:mod:`repro.distributed.shmem`) the
-    edge payload is hoisted out of the pickle: ``edges`` is empty and
-    ``span`` points at the shard's rows inside a shared segment, which
-    the executing side resolves back to edge columns.  Exactly one of
-    the two carries the shard's stream.
     """
 
     index: int
     algorithm: str
     seed: int
     shape: InstanceShape
-    edges: EdgesLike
+    edges: FrozenEdges
     set_order: Tuple[SetId, ...]
     alpha: Optional[float] = None
     fault_specs: Tuple[FaultSpec, ...] = ()
     order_name: str = "canonical"
     traced: bool = False
-    span: Optional[ShardSpan] = None
 
     @property
     def trace_label(self) -> str:
@@ -119,18 +104,14 @@ def execute_shard_task(task: ShardTask) -> ShardEnvelope:
     """Run one shard task to completion; the unit every backend executes.
 
     Module-level (not a method) so :class:`ProcessBackend` can ship it
-    to child processes.  Feeds the shard's edge columns — from the
-    task, or from the shared segment its
-    :class:`~repro.distributed.shmem.ShardSpan` points at — into one
+    to child processes.  Feeds the shard's edge columns into one
     :class:`~repro.distributed.worker.ShardAccumulator`, runs the named
     registry algorithm over the shard, and — when tracing — serializes
     the finished span cell for the parent to adopt.
 
     A fault plan rewrites the columns first
     (:func:`~repro.faults.injectors.apply_faults`); clean and faulted
-    shards alike reach the accumulator as one column pair.  A span view
-    is closed before returning, after every view derived from it is
-    dropped — a child never holds a mapping past its task.
+    shards alike reach the accumulator as one column pair.
     """
     tracer = RecordingTracer() if task.traced else NULL_TRACER
     worker = Worker(
@@ -144,24 +125,12 @@ def execute_shard_task(task: ShardTask) -> ShardEnvelope:
     accumulator = ShardAccumulator(
         task.index, shape.n, shape.m, base_set_order=task.set_order
     )
-    injection = None
-    view = SpanView(task.span) if task.span is not None else None
-    try:
-        edges = (
-            FrozenEdges.from_columns(view.set_ids, view.elements)
-            if view is not None
-            else FrozenEdges(task.edges)
+    edges, injection = task.edges, None
+    if task.fault_specs:
+        edges, _, injection = apply_faults(
+            edges, shape.n, shape.m, task.fault_specs
         )
-        if task.fault_specs:
-            edges, _, injection = apply_faults(
-                edges, shape.n, shape.m, task.fault_specs
-            )
-        accumulator.feed_columns(*edges.columns())
-        # A mapping cannot close while views of it are still referenced.
-        del edges
-    finally:
-        if view is not None:
-            view.close()
+    accumulator.feed_columns(*edges.columns())
     output = worker.run_accumulated(
         accumulator, instance_name=shape.name, injection=injection
     )
@@ -226,50 +195,22 @@ class ProcessBackend(Backend):
     the registry inside the child; traces come back as serialized span
     cells.  With ``max_workers == 1`` the pool would buy nothing, so
     tasks run inline (the result is identical either way — that *is*
-    the contract).
-
-    Where the platform has shared memory the edge payloads do *not*
-    travel in the pickle: they are staged once into a shared-memory
-    segment and each task ships an O(1)
-    :class:`~repro.distributed.shmem.ShardSpan` descriptor instead
-    (:mod:`repro.distributed.shmem`).  Platforms without
-    :mod:`multiprocessing.shared_memory` fall back to the classic
-    pickled-edges path.  ``last_shipping`` records what the most recent
-    pooled dispatch physically serialized — operational metadata the
-    executor copies onto the result.
+    the contract).  A task's edges pickle as their two ``int64``
+    columns (:class:`~repro.streaming.stream.FrozenEdges`), so no
+    ``Edge`` record crosses the boundary.
     """
 
     name = "process"
-
-    def __init__(self) -> None:
-        self.last_shipping: Optional[ShippingReport] = None
 
     def run_tasks(
         self, tasks: Sequence[ShardTask], max_workers: int
     ) -> List[ShardEnvelope]:
         if max_workers == 1 or len(tasks) <= 1:
-            # Inline: nothing crosses a process boundary, nothing ships.
-            self.last_shipping = None
             return _run_serially(tasks)
-        shipped: Sequence[ShardTask] = tasks
-        segment = None
-        mode = "pickle"
-        if shared_memory_available():
-            shipped, segment = ship_tasks(tasks)
-            if segment is not None:
-                mode = "shared-memory"
-        try:
-            self.last_shipping = measure_shipping(shipped, mode, segment)
-            pool_size = min(max_workers, len(shipped))
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                futures = [
-                    pool.submit(execute_shard_task, t) for t in shipped
-                ]
-                return [future.result() for future in futures]
-        finally:
-            # Unlink even when a worker raised — the leak-safety contract.
-            if segment is not None:
-                segment.cleanup()
+        pool_size = min(max_workers, len(tasks))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            futures = [pool.submit(execute_shard_task, t) for t in tasks]
+            return [future.result() for future in futures]
 
 
 #: Public name -> backend class.

@@ -61,7 +61,6 @@ from repro.distributed.coordinator import (
     make_coordinator,
 )
 from repro.distributed.router import STRATEGIES, ShardPlan, ShardRouter
-from repro.distributed.shmem import ShippingReport
 from repro.distributed.transport import (
     Transport,
     TransportReport,
@@ -171,12 +170,9 @@ class DistributedResult:
     degradations: Tuple[DegradationRecord, ...] = ()
     #: Elements the (possibly degraded) merge left uncovered, ascending.
     uncovered: Tuple[ElementId, ...] = ()
-    # Operational metadata: how shard work shipped and what the wire
-    # carried.  Excluded from equality because the contract is exactly
-    # that these must NOT change the result.
-    shipping: Optional[ShippingReport] = field(
-        default=None, compare=False, repr=False
-    )
+    # Operational metadata: what the wire carried.  Excluded from
+    # equality because the contract is exactly that it must NOT change
+    # the result.
     transport: Optional[TransportReport] = field(
         default=None, compare=False, repr=False
     )
@@ -641,7 +637,6 @@ def _run_sharded(
         outcomes=tuple(outcomes),
         degradations=degradations,
         uncovered=tuple(outcome.uncovered),
-        shipping=getattr(backend_impl, "last_shipping", None),
         transport=transport_report,
     )
 

@@ -54,7 +54,7 @@ covers, certificates, and comm reports byte-identical across all three
 transports, while the
 :class:`TransportReport` (attached to
 :attr:`~repro.distributed.executor.DistributedResult.transport`,
-excluded from equality like ``shipping``) records what the
+excluded from equality) records what the
 wire actually carried: per-link bytes, frames, and retransmits.
 """
 
@@ -341,8 +341,7 @@ def handoff_words(payload: Mapping[str, object]) -> int:
 class TransportReport:
     """What one merge's messages physically put on the wire.
 
-    Operational metadata like
-    :class:`~repro.distributed.shmem.ShippingReport`: attached to
+    Operational metadata: attached to
     :attr:`DistributedResult.transport <repro.distributed.executor.DistributedResult>`
     but excluded from result equality — the transport must never change
     what is computed, only measure how it moved.  ``total_bytes`` counts

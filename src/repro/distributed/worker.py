@@ -159,7 +159,7 @@ class ShardAccumulator:
         """Ingest one chunk given as ``int64`` edge columns, in order.
 
         The accumulator keeps its own copy of the clean edges, so the
-        caller may release the columns (a shared-memory view) at once.
+        caller may reuse the columns at once.
         """
         k = len(set_ids)
         self.edges_fed += k

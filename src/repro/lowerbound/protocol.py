@@ -10,8 +10,10 @@ This module provides both directions:
 
 * :class:`OneWayChain` — a generic simulator for hand-written protocols
   (parties are callables ``(incoming_message, party_input) -> Message``)
-  with exact word-level message accounting; used by the deterministic
-  2√(nt) protocol.
+  with exact word-level message accounting.  The deterministic 2√(nt)
+  protocol (:mod:`repro.distributed.chain`) does not run through it:
+  that module cannot import this package, so it keeps its own party
+  loop.
 * :func:`run_partitioned_stream` — drives a *real* streaming algorithm
   over edges partitioned among parties and records the algorithm's live
   state size (its :class:`SpaceMeter` reading) at every party boundary.

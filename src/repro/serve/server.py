@@ -26,8 +26,7 @@ admissions with ``reason="shutting-down"``, let every in-flight request
 finish and answer, then close lingering connections.  New compute
 requests arriving on open connections during the drain are rejected
 with the same typed error.  After :meth:`shutdown` returns no acceptor
-task, worker thread, or shared-memory segment created on behalf of a
-request remains live.
+task or worker thread created on behalf of a request remains live.
 
 A sandbox that forbids binding raises the typed
 :class:`~repro.errors.TransportError` from :meth:`start`, which the

@@ -32,6 +32,7 @@ from repro.core.kk import (
 from repro.errors import SpaceBudgetExceededError
 from repro.generators.planted import planted_partition_instance
 from repro.generators.random_instances import fixed_size_instance
+from repro.obs.events import COIN_FLIP, LEVEL_PROMOTED, SET_ADMITTED
 from repro.obs.tracer import RecordingTracer
 from repro.streaming.orders import RandomOrder, RoundRobinInterleaveOrder
 from repro.streaming.space import SpaceBudget
@@ -140,6 +141,21 @@ class TestTraces:
         _assert_identical(fast, ref)
         assert fast_tracer.to_jsonl() == ref_tracer.to_jsonl()
         assert len(fast_tracer.events) > 0
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_trace_jsonl_identical_when_sets_reach_levels(self, seed):
+        # A small universe makes sets reach KK levels, so the traces
+        # compared hold promotions, admissions and coin counts.
+        instance = fixed_size_instance(40, 600, set_size=6, seed=seed)
+        (fast, fast_tracer), (ref, ref_tracer) = _run_pair(
+            instance, RandomOrder(seed=seed), seed, traced=True
+        )
+        _assert_identical(fast, ref)
+        assert fast_tracer.to_jsonl() == ref_tracer.to_jsonl()
+        kinds = [event.etype for event in fast_tracer.events]
+        assert LEVEL_PROMOTED in kinds
+        assert SET_ADMITTED in kinds
+        assert sum(event.attrs.get(COIN_FLIP, 0) for event in fast_tracer.events) > 0
 
 
 class TestSpaceBudget:

@@ -5,14 +5,18 @@ The backend that runs shard work is operational, exactly like
 algorithm, strategy, coordinator) every backend must produce a
 dataclass-equal :class:`DistributedResult` and a byte-identical merged
 trace JSONL.  These tests pin that contract, the backend registry, the
-typed parameter validation, and the pickle-clean :class:`ShardTask`
-boundary that the process backend depends on.
+typed parameter validation, the pickle-clean :class:`ShardTask`
+boundary that the process backend depends on, and that a pooled
+dispatch leaves no child process or thread behind.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import pickle
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -268,6 +272,15 @@ class TestBackendParity:
         assert result == reference
         result.verify(instance)
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_process_equals_serial_at_full_width(self, instance, workers):
+        kwargs = dict(workers=workers, algorithm="kk", seed=29)
+        serial = run_distributed(instance, backend="serial", **kwargs)
+        process = run_distributed(
+            instance, backend="process", max_workers=workers, **kwargs
+        )
+        assert process == serial
+
     def test_default_backend_is_thread(self, instance):
         explicit = run_distributed(
             instance, workers=2, backend="thread", seed=1
@@ -315,3 +328,37 @@ class TestShardTaskPickle:
         envelope = execute_shard_task(task)
         assert envelope.trace_jsonl is None
         assert envelope.index == 0
+
+
+class TestProcessBackendLeaks:
+    """A pooled dispatch, clean or failing, leaves nothing running."""
+
+    @staticmethod
+    def _assert_nothing_left(threads_before):
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) <= threads_before
+
+    def test_successful_dispatch_leaves_no_child_or_thread(self, instance):
+        tasks = build_shard_tasks(instance, workers=2, algorithm="kk", seed=5)
+        threads_before = set(threading.enumerate())
+        envelopes = ProcessBackend().run_tasks(tasks, max_workers=2)
+        self._assert_nothing_left(threads_before)
+        serial = SerialBackend().run_tasks(tasks, max_workers=1)
+        assert [e.output for e in envelopes] == [e.output for e in serial]
+
+    def test_child_error_keeps_its_type_and_message(self, instance):
+        # The algorithm name resolves only inside the child, so the
+        # child raises; the caller must see that very error.
+        tasks = [
+            dataclasses.replace(task, algorithm="no-such-algorithm")
+            for task in build_shard_tasks(instance, workers=2, seed=0)
+        ]
+        with pytest.raises(ConfigurationError) as inline:
+            execute_shard_task(tasks[0])
+        threads_before = set(threading.enumerate())
+        with pytest.raises(ConfigurationError) as pooled:
+            ProcessBackend().run_tasks(tasks, max_workers=2)
+        self._assert_nothing_left(threads_before)
+        assert type(pooled.value) is type(inline.value)
+        assert str(pooled.value) == str(inline.value)
+        assert "no-such-algorithm" in str(pooled.value)

@@ -97,7 +97,7 @@ def _canonical(value):
     """A JSON-ready, order-independent form of ``value``.
 
     Dataclasses contribute only the fields that take part in equality,
-    so operational metadata (shipping, transport byte reports) stays
+    so operational metadata (transport byte reports) stays
     out, exactly as it stays out of ``DistributedResult.__eq__``.
     Floats are kept as their ``repr`` so no digit is lost.
     """

@@ -1,8 +1,15 @@
-"""Tests for the shard worker: local remap, global map-back, edge cases."""
+"""Tests for the shard worker: local remap, global map-back, edge cases.
+
+Plus the :meth:`ShardAccumulator.feed_columns` fast path, which must
+build byte-identical accumulator state to the scalar :meth:`feed`.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import registered_algorithms
 from repro.distributed.router import ShardRouter
@@ -190,3 +197,29 @@ class TestWorkerRun:
         assert a.cover == b.cover
         assert a.certificate == b.certificate
         assert a.report.space == b.report.space
+
+
+EDGES = st.lists(
+    st.tuples(st.integers(-2, 12), st.integers(-2, 15)), max_size=80
+)
+
+
+class TestFeedColumnsEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=EDGES)
+    def test_matches_scalar_feed(self, pairs):
+        edges = [Edge(s, u) for s, u in pairs]
+        set_ids = np.array([s for s, _ in pairs], dtype=np.int64)
+        elements = np.array([u for _, u in pairs], dtype=np.int64)
+        scalar = ShardAccumulator(0, n=16, m=13)
+        vector = ShardAccumulator(0, n=16, m=13)
+        scalar.feed(edges)
+        # Feed in two chunks to exercise cross-chunk first-appearance.
+        half = len(pairs) // 2
+        vector.feed_columns(set_ids[:half], elements[:half])
+        vector.feed_columns(set_ids[half:], elements[half:])
+        assert vector.edges_fed == scalar.edges_fed
+        assert vector.clean == scalar.clean
+        assert vector.dropped == scalar.dropped
+        assert vector.set_ids == scalar.set_ids
+        assert vector.members_by_set == scalar.members_by_set

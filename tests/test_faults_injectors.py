@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.kk import KKAlgorithm
 from repro.distributed.backends import ShardTask, execute_shard_task
 from repro.distributed.router import ShardRouter
-from repro.distributed.shmem import shared_memory_available, ship_tasks
 from repro.distributed.worker import InstanceShape
 from repro.errors import ConfigurationError, StreamExhaustedError
 from repro.faults import (
@@ -227,11 +228,9 @@ class TestFaultsStayOnColumns:
     def planted(self):
         return planted_partition_instance(80, 30, opt_size=6, seed=11).instance
 
-    @pytest.mark.parametrize("shipping", ["pickled", "span"])
+    @pytest.mark.parametrize("shipping", ["pickled"])
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_faulted_shard_task(self, planted, no_edge_records, kind, shipping):
-        if shipping == "span" and not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
         plan = ShardRouter("hash", workers=2, seed=1).route_edges(
             planted, FrozenEdges.from_columns(*planted.edge_columns())
         )
@@ -246,15 +245,8 @@ class TestFaultsStayOnColumns:
         )
         expected = execute_shard_task(task)
         no_edge_records()
-        segment = None
-        if shipping == "span":
-            (task,), segment = ship_tasks([task])
-            assert segment is not None
-        try:
-            envelope = execute_shard_task(task)
-        finally:
-            if segment is not None:
-                segment.cleanup()
+        # The task crosses the process boundary as a pickle of its columns.
+        envelope = execute_shard_task(pickle.loads(pickle.dumps(task)))
         assert envelope.output == expected.output
         assert list(envelope.output.report.injection.counts) == [kind]
 

@@ -15,10 +15,12 @@ import pytest
 
 from repro.analysis import perfbench
 from repro.analysis.perfbench import (
+    FLOOR_ALGORITHMS,
     SECTIONS,
     Section,
     check_floor,
     check_regression,
+    floor_rows,
     load_bench_file,
     run_section,
     speedup_table,
@@ -139,7 +141,7 @@ class TestBenchFile:
         assert load_bench_file(path) == payload
         assert payload["merge"] == [{"new": 1}]
         assert payload["smoke"] == []
-        for name in ("full", "distributed", "kk_kernel", "shipping", "transport"):
+        for name in ("full", "distributed", "kk_kernel", "transport"):
             assert payload[name] == before[name]
         assert payload["seed_baseline"] == before["seed_baseline"]
         assert payload["schema"] == 5
@@ -231,10 +233,10 @@ class TestCli:
         ]
 
     def test_combined_flags_write_every_recorded_section(self, calls, cli):
-        argv = ["--smoke", "--kk-kernel", "--shipping", "--trace-overhead"]
+        argv = ["--smoke", "--kk-kernel", "--transport", "--trace-overhead"]
         assert cli.main(argv) == 0
         written = load_bench_file(cli.BENCH_FILE)
-        assert written["kk_kernel"] == written["shipping"] == [_row(1e12)]
+        assert written["kk_kernel"] == written["transport"] == [_row(1e12)]
         assert written["merge"] == COMMITTED["merge"]
         assert "trace_overhead" not in written
 
@@ -259,6 +261,25 @@ class TestCli:
         assert written["smoke"] == written["full"] == [_row(1e12)]
         assert written["seed_baseline"] == COMMITTED["seed_baseline"]
 
-    def test_floor_gate_runs_the_smoke_cells_twice(self, calls, cli):
+    def test_floor_gate_runs_the_floor_cells_twice(self, calls, cli):
         assert cli.main(["--check-floor"]) == 0
-        assert calls == [("smoke", "smoke"), ("smoke", "smoke")]
+        assert calls == [("full", "full"), ("full", "full")]
+
+    def test_floor_gate_measures_the_floor_rows_own_cells(self, cli, monkeypatch):
+        # Like for like: every cell the gate measures has the stream
+        # length of the seed-baseline row its floor was taken from.
+        measured = []
+
+        def capture(current, seed_baseline):
+            measured.extend(current)
+            return []
+
+        monkeypatch.setattr(cli, "check_floor", capture)
+        assert cli.main(["--check-floor"]) == 0
+        floors = floor_rows(COMMITTED["seed_baseline"])
+        assert sorted(floors) == sorted(FLOOR_ALGORITHMS)
+        assert sorted(row["algorithm"] for row in measured) == sorted(FLOOR_ALGORITHMS)
+        for row in measured:
+            floor = floors[row["algorithm"]]
+            assert row["stream_length"] == floor["stream_length"]
+            assert row["config"] == floor["config"]

@@ -12,8 +12,8 @@ binding — the PR-8 socket contract).  The three load-bearing claims:
    pool queues FIFO and both requests succeed.
 3. **Graceful shutdown** (the drain contract) — in-flight requests
    finish and answer, queued admissions get a typed shutting-down
-   rejection, the port stops accepting, and no server thread or shared
-   memory segment remains live.
+   rejection, the port stops accepting, and no server thread remains
+   live.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import pytest
 
 from repro.algorithms import make_algorithm
 from repro.distributed import run_distributed
-from repro.distributed.shmem import _LIVE_SEGMENTS
 from repro.distributed.transport import make_codec
 from repro.errors import (
     AdmissionError,
@@ -416,8 +415,6 @@ class TestGracefulShutdown:
         # This server's event-loop thread is joined and gone (other
         # servers in the process keep their own threads).
         assert not handle.thread.is_alive()
-        # No shared-memory segment leaked (PR-7 leak-check contract).
-        assert len(_LIVE_SEGMENTS) == 0
 
     def test_stop_is_idempotent(self, instance):
         registry = InstanceRegistry()
