@@ -57,7 +57,7 @@ from repro.generators.random_instances import fixed_size_instance
 from repro.obs.tracer import RecordingTracer
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.orders import RandomOrder
-from repro.streaming.stream import ReplayableStream
+from repro.streaming.stream import EdgeStream, FrozenEdges, ReplayableStream
 
 #: Benchmark tiers: label -> list of (config_name, n, m, set_size).
 #: Stream length is m * set_size edges (fixed-size sets, all distinct).
@@ -263,19 +263,67 @@ def bench_distributed(
                 }
 
 
+#: The kk kernel section's shard cell per tier: ``(config, n, m,
+#: set_size, workers, passes)``.  A (2500, 400, 20) instance over 16
+#: shards is the ``merge`` workload's shape: each shard's kk pass reads
+#: about 505 edges over 25 local sets, with a few inclusions, so the
+#: cell times the first shard's pass ``passes`` times over.
+SHARD_CELLS: Dict[str, Tuple[str, int, int, int, int, int]] = {
+    "smoke": ("shard", 2500, 400, 20, 16, 20),
+    "full": ("shard", 2500, 400, 20, 16, 400),
+}
+
+
+def _kk_kernel_cells(
+    tier: str, seed: int
+) -> Iterator[Tuple[str, int, int, Callable[[], EdgeStream], int, int]]:
+    """``(config, n, m, fresh_stream, stream_length, passes)`` per cell.
+
+    The tier's ladder, one pass each, then :data:`SHARD_CELLS`' shard:
+    the first shard's stream in dense local ids, as a worker runs it.
+    """
+    from repro.distributed import build_shard_tasks
+    from repro.distributed.worker import InstanceShape, ShardAccumulator
+
+    for config, n, m, instance in _instances(tier, seed):
+        replayable = ReplayableStream(instance, RandomOrder(seed=seed))
+        yield config, n, m, replayable.fresh, replayable.length, 1
+    config, n, m, set_size, workers, passes = SHARD_CELLS[tier]
+    instance = fixed_size_instance(n, m, set_size, seed=seed)
+    task = build_shard_tasks(
+        instance, workers, order=RandomOrder(seed=seed), seed=seed
+    )[0]
+    accumulator = ShardAccumulator(task.index, n, m, base_set_order=task.set_order)
+    accumulator.feed_columns(*task.edges.columns())
+    local = accumulator.localize()
+    shape = InstanceShape(n=len(local.elements), m=len(local.set_ids))
+    edges = FrozenEdges.from_columns(local.local_sets, local.local_elements)
+    yield (
+        config, shape.n, shape.m, lambda: EdgeStream(shape, edges), len(edges), passes
+    )
+
+
+def _per_pass(cls, seed: int, fresh: Callable[[], EdgeStream], passes: int):
+    """``(last result, seconds per pass)`` of ``passes`` back-to-back runs."""
+    start = time.perf_counter()
+    for _ in range(passes):
+        result = cls(seed=seed).run(fresh())
+    return result, (time.perf_counter() - start) / passes
+
+
 def bench_kk_kernel(tier: str, seed: int = 0) -> Iterator[dict]:
     """The vectorized kk kernel vs kk-reference (asserts identical outputs).
 
     Both consume the identical frozen stream with the same seed, so the
-    baseline is like-for-like and the identity assertion is exact.
+    baseline is like-for-like and the identity assertion is exact.  A
+    cell's seconds are per pass: the ladder runs one pass per cell, the
+    merge-shaped shard cell ``passes`` back-to-back passes.
     """
-    for config, n, m, instance in _instances(tier, seed):
-        replayable = ReplayableStream(instance, RandomOrder(seed=seed))
-        edges = replayable.length
-        reference, reference_seconds = timed(
-            KKReferenceAlgorithm(seed=seed).run, replayable.fresh()
+    for config, n, m, fresh, edges, passes in _kk_kernel_cells(tier, seed):
+        reference, reference_seconds = _per_pass(
+            KKReferenceAlgorithm, seed, fresh, passes
         )
-        kernel, kernel_seconds = timed(KKAlgorithm(seed=seed).run, replayable.fresh())
+        kernel, kernel_seconds = _per_pass(KKAlgorithm, seed, fresh, passes)
         assert _same_run(kernel, reference), (
             f"vectorized kk diverged from kk-reference on {config}: the "
             "kernels must be byte-identical"
@@ -285,9 +333,10 @@ def bench_kk_kernel(tier: str, seed: int = 0) -> Iterator[dict]:
             "n": n,
             "m": m,
             "stream_length": edges,
-            "reference_seconds": round(reference_seconds, 4),
+            "passes": passes,
+            "reference_seconds": round(reference_seconds, 6),
             "reference_edges_per_sec": _rate(edges, reference_seconds),
-            "kernel_seconds": round(kernel_seconds, 4),
+            "kernel_seconds": round(kernel_seconds, 6),
             "kernel_edges_per_sec": _rate(edges, kernel_seconds),
             "speedup": round(
                 max(reference_seconds, 1e-9) / max(kernel_seconds, 1e-9), 2
@@ -504,7 +553,10 @@ def write_bench_file(
             "(the fastest of 'repeats' identical runs per cell; "
             "speedup_vs_serial compares each backend against the serial "
             "backend at the same shard width), 'kk_kernel' the vectorized "
-            "kk kernel vs the scalar kk-reference on identical streams, "
+            "kk kernel vs the scalar kk-reference on identical streams "
+            "(seconds per pass; the 'shard' cell is one merge-shaped "
+            "shard stream of ~505 edges over 25 sets, timed over "
+            "'passes' back-to-back passes), "
             "'transport' the wire layer's measured bytes/frames per "
             "(transport, coordinator) cell with the bytes-per-word "
             "overhead ratio (>= 1 by construction; parity_with_inproc "

@@ -135,6 +135,7 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
         cover_mask[sorted(d0)] = True
         positions = np.arange(_CHUNK, dtype=np.int64)
         tracer = self._tracer
+        tracing = tracer.enabled
         # The tape's cursor sits at the current window's start; within a
         # window, ``settled`` draws and ``flips`` coins are spent through
         # the last edge walked.  Both are brought up to date before every
@@ -234,8 +235,8 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
                         j = min(promoted_at, hits[next_hit], alive_count)
                         if j == alive_count:
                             break
-                        set_id = int(s_alive[j])
-                        element = int(e_alive[j])
+                        set_id = s_alive.item(j)
+                        element = e_alive.item(j)
                         is_hit = j == hits[next_hit]
                         settled = (j + 1 if promote_draws else 0) + shift
                         flips = j + 1 + inclusion_coins
@@ -245,10 +246,16 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
                             promotions += 1
                             if level > max_level:
                                 max_level = level
-                            self._trace(
-                                obs_events.LEVEL_PROMOTED, set_id=set_id, level=level
-                            )
-                            if not cover_mask[set_id]:
+                            if tracing:
+                                tracer.event(
+                                    obs_events.LEVEL_PROMOTED,
+                                    set_id=set_id,
+                                    level=level,
+                                )
+                            # An alive edge of a set in ⋃D is its
+                            # element's first hit, and ⋃D grows only at
+                            # the admission that ends the window.
+                            if not is_hit:
                                 if level == len(level_p):
                                     level_p.append(
                                         self.inclusion_probability(level, n, m)
@@ -269,14 +276,18 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
                         if admitted:
                             partial_cover.add(set_id)
                             cover_mask[set_id] = True
-                            self._trace(
-                                obs_events.SET_ADMITTED, set_id=set_id, level=level
-                            )
+                            if tracing:
+                                tracer.event(
+                                    obs_events.SET_ADMITTED,
+                                    set_id=set_id,
+                                    level=level,
+                                )
                         if is_hit or admitted:
                             covered.add(element)
                             covered_mask[element] = True
                             certificate[element] = set_id
-                            self._trace_count(obs_events.ELEMENT_COVERED)
+                            if tracing:
+                                tracer.count(obs_events.ELEMENT_COVERED)
                         if admitted:
                             break
                         if is_hit:
@@ -286,7 +297,7 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
                         # The inclusion invalidates the window-start masks;
                         # rescan just past it with a small window that
                         # regrows geometrically.
-                        pos += int(alive_positions[j]) + 1
+                        pos += alive_positions.item(j) + 1
                         window = _RESCAN_WINDOW
                     else:
                         settled = (alive_count if promote_draws else 0) + shift
@@ -294,12 +305,12 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
                         pos = stop
                         window = min(window * 4, chunk_len)
                     tape.advance(settled)
-                    if flips and tracer.enabled:
+                    if flips and tracing:
                         tracer.count(obs_events.COIN_FLIP, flips)
                     settled = flips = 0
         finally:
             tape.advance(settled)
-            if flips and tracer.enabled:
+            if flips and tracing:
                 tracer.count(obs_events.COIN_FLIP, flips)
             tape.commit()
 

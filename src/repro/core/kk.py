@@ -23,16 +23,22 @@ Two implementations share this contract:
 
 :class:`KKAlgorithm` (registry name ``"kk"``)
     The vectorized kernel.  Degrees live in one ``int64[m]`` array;
-    each chunk of the stream is scanned with numpy column ops
-    (covered-mask prefilter, per-set occurrence ranks via a stable
-    argsort, degree application via ``bincount``) and only the *rare*
-    events — level promotions and set inclusions — drop to Python.
-    Coin draws happen one promotion at a time, in stream order, from
-    the same seeded RNG, so the randomness stream is identical to the
-    scalar's.  An inclusion invalidates the scan's chunk-start masks,
-    so the scan *restarts* just past the inclusion edge with the
-    not-yet-applied suffix state discarded; state mutations before the
-    inclusion point are applied exactly once.
+    each window of the stream is scanned with numpy column ops
+    (uncovered-mask prefilter, one ``bincount`` of the counting edges'
+    sets, degree application from that same count) and only the
+    *rare* events — level promotions and set inclusions — drop to
+    Python.  A set can promote in a window only if its count there
+    reaches its next multiple of the level width, so only that set's
+    edges (about 1 counting edge in 15 on the ``solve`` benchmark
+    stream) get per-set occurrence ranks from a stable argsort; a
+    window without such a set skips ranking and the walk.  The walk
+    reads each window's promotions as plain Python ints (one
+    ``tolist`` per column) and draws the coins one promotion at a
+    time, in stream order, from the same seeded RNG, so the randomness
+    stream is identical to the scalar's.  An inclusion invalidates the window's
+    start masks, so the scan *restarts* just past the inclusion edge
+    with the not-yet-applied suffix state discarded; state mutations
+    before the inclusion point are applied exactly once.
 
 :class:`KKReferenceAlgorithm` (registry name ``"kk-reference"``)
     The original per-edge scalar loop over :class:`ChargedDict` /
@@ -79,18 +85,24 @@ _RESCAN_WINDOW = 512
 
 
 def _occurrence_ranks(
-    values: np.ndarray, value_bound: int = 0
+    values: np.ndarray,
+    value_bound: int = 0,
+    positions: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-position occurrence rank of each value (1-based, stream order).
 
     ``values[i]``'s rank is the number of times that value has appeared
     in ``values[: i + 1]`` — exactly the increment sequence a per-value
     counter would see scanning left to right.  O(k log k) via a stable
-    argsort groupby instead of a Python loop.  When ``value_bound``
-    (an exclusive upper bound on the values, e.g. ``m`` for set ids)
-    fits in 16 bits, the sort key is narrowed to ``uint16`` so numpy
-    takes its radix path — ~8x faster than comparison-sorting ``int64``
-    and identical output, since the narrowing is injective.
+    argsort groupby instead of a Python loop: in sorted order, a value's
+    first position is found with one ``searchsorted``.  When
+    ``value_bound`` (an exclusive upper bound on the values, e.g. ``m``
+    for set ids) fits in 16 bits, the sort key is narrowed to
+    ``uint16`` so numpy takes its radix path — ~8x faster than
+    comparison-sorting ``int64`` and identical output, since the
+    narrowing is injective.  ``positions`` may pass a prebuilt ``int64``
+    ``arange`` at least as long as ``values`` (the kernel's chunk
+    positions), saving one allocation per call.
     """
     k = len(values)
     if not k:
@@ -100,15 +112,11 @@ def _occurrence_ranks(
         if 0 < value_bound <= (1 << 16)
         else values
     )
-    order = np.argsort(sort_key, kind="stable")
+    order = sort_key.argsort(kind="stable")
     sorted_values = values[order]
-    positions = np.arange(k, dtype=np.int64)
-    is_start = np.empty(k, dtype=bool)
-    is_start[0] = True
-    is_start[1:] = sorted_values[1:] != sorted_values[:-1]
-    group_start = np.maximum.accumulate(np.where(is_start, positions, 0))
+    positions = np.arange(k, dtype=np.int64) if positions is None else positions[:k]
     ranks = np.empty(k, dtype=np.int64)
-    ranks[order] = positions - group_start + 1
+    ranks[order] = positions - sorted_values.searchsorted(sorted_values) + 1
     return ranks
 
 
@@ -154,7 +162,7 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
         # here only ever grows, so billing the same counts once per chunk
         # yields the identical peak and breakdown (peak == final state).
         degrees = np.zeros(m, dtype=np.int64)
-        covered_mask = np.zeros(n, dtype=bool)
+        uncovered_mask = np.ones(n, dtype=bool)
         cover_mask = np.zeros(m, dtype=bool)
         cover: Set[SetId] = set()
         certificate: Dict[ElementId, SetId] = {}
@@ -166,6 +174,7 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
         max_level_reached = 0
         inclusion_events = 0
         tracer = self._tracer
+        tracing = tracer.enabled
         draw = self._rng.random
         # Level -> inclusion probability, computed (and checked finite)
         # once per run at the level's first promotion.
@@ -186,8 +195,8 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
                 suffix_len = stop - pos
                 # Window-start masks: an edge whose element is already
                 # covered is a guaranteed no-op for the whole scan.
-                alive = ~covered_mask[e_suffix]
-                if not alive.any():
+                alive = uncovered_mask[e_suffix]
+                if not np.count_nonzero(alive):
                     pos = stop
                     window = min(window * 4, chunk_len)
                     continue
@@ -196,12 +205,10 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
                 # Hits: an included set covers its later elements.  Only
                 # the *first* hit of each element is the witness; later
                 # edges of that element are dead.
-                hit_mask = alive & in_cover
-                counting_mask = alive & ~in_cover
-                hit_positions: Optional[np.ndarray] = None
+                hit_positions = (alive & in_cover).nonzero()[0]
+                counting_mask = alive > in_cover
                 first_hit: Optional[np.ndarray] = None
-                if hit_mask.any():
-                    hit_positions = np.nonzero(hit_mask)[0]
+                if hit_positions.size:
                     first_hit = np.full(n, suffix_len, dtype=np.int64)
                     np.minimum.at(first_hit, e_suffix[hit_positions], hit_positions)
                     # An edge after its element's first hit no longer
@@ -210,45 +217,69 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
                         chunk_positions[:suffix_len] < first_hit[e_suffix]
                     )
 
-                counting_positions = np.nonzero(counting_mask)[0]
+                counting_positions = counting_mask.nonzero()[0]
                 included_at = -1
                 inclusion_probability = 0.0
                 inclusion_level = 0
-                counting_sets: Optional[np.ndarray] = None
+                counts: Optional[np.ndarray] = None
                 if counting_positions.size:
                     counting_sets = s_suffix[counting_positions]
-                    new_degrees = degrees[counting_sets] + _occurrence_ranks(
-                        counting_sets, value_bound=m
-                    )
-                    promotions = np.nonzero(new_degrees % level_width == 0)[0]
-                    # Promotions are rare (≤ one per level_width counting
-                    # edges); walk them in stream order so coin draws
-                    # consume the RNG exactly as the scalar loop does.
-                    for j in promotions.tolist():
-                        set_id = int(counting_sets[j])
-                        level = int(new_degrees[j]) // level_width
-                        if level > max_level_reached:
-                            max_level_reached = level
-                        self._trace(
-                            obs_events.LEVEL_PROMOTED, set_id=set_id, level=level
+                    counts = np.bincount(counting_sets, minlength=m)
+                    base = degrees[counting_sets]
+                    # Candidates: an edge can reach a level only if its
+                    # set's count c in this window reaches the next
+                    # multiple of level_width, c ≥ w − d % w, i.e.
+                    # (d + c) // w > d // w (numpy divides int64 by a
+                    # scalar several times faster than it takes %).
+                    # Every occurrence of a candidate set is a
+                    # candidate, so ranking them alone gives their
+                    # full-window ranks, and the promotions stay in
+                    # stream order.
+                    candidates = (
+                        (base + counts[counting_sets]) // level_width
+                        > base // level_width
+                    ).nonzero()[0]
+                    if candidates.size:
+                        candidate_sets = counting_sets[candidates]
+                        new_degrees = base[candidates] + _occurrence_ranks(
+                            candidate_sets, m, chunk_positions
                         )
-                        p = level_p.get(level)
-                        if p is None:
-                            p = level_p[level] = check_probability(
-                                scaling.kk_inclusion_probability(level, n, m)
-                            )
-                        # Coin(p), as StreamingSetCoverAlgorithm._coin
-                        # draws it.
-                        if tracer.enabled:
-                            tracer.count(obs_events.COIN_FLIP)
-                        if p >= 1.0 or (p > 0.0 and draw() < p):
-                            included_at = j
-                            inclusion_probability = p
-                            inclusion_level = level
-                            break
+                        promoted = (new_degrees % level_width == 0).nonzero()[0]
+                        # Promotions are rare (≤ one per level_width
+                        # counting edges); walk them in stream order so
+                        # coin draws consume the RNG exactly as the
+                        # scalar loop does.
+                        for j, set_id, degree in zip(
+                            candidates[promoted].tolist(),
+                            candidate_sets[promoted].tolist(),
+                            new_degrees[promoted].tolist(),
+                        ):
+                            level = degree // level_width
+                            if level > max_level_reached:
+                                max_level_reached = level
+                            if tracing:
+                                tracer.event(
+                                    obs_events.LEVEL_PROMOTED,
+                                    set_id=set_id,
+                                    level=level,
+                                )
+                            p = level_p.get(level)
+                            if p is None:
+                                p = level_p[level] = check_probability(
+                                    scaling.kk_inclusion_probability(level, n, m)
+                                )
+                            # Coin(p), as StreamingSetCoverAlgorithm._coin
+                            # draws it.
+                            if tracing:
+                                tracer.count(obs_events.COIN_FLIP)
+                            if p >= 1.0 or (p > 0.0 and draw() < p):
+                                included_at = j
+                                inclusion_probability = p
+                                inclusion_level = level
+                                break
 
                 if included_at >= 0:
-                    inclusion_pos = int(counting_positions[included_at])
+                    inclusion_pos = counting_positions.item(included_at)
                     # Apply exactly the state the scalar loop would have
                     # built before this edge: counter increments for the
                     # counting prefix (inclusive) and witnesses for hits
@@ -256,48 +287,49 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
                     degrees += np.bincount(
                         counting_sets[: included_at + 1], minlength=m
                     )
-                    if hit_positions is not None:
+                    if first_hit is not None:
                         covered_count += self._apply_hits(
                             s_suffix,
                             e_suffix,
                             hit_positions,
                             first_hit,
                             inclusion_pos,
-                            covered_mask,
+                            uncovered_mask,
                             certificate,
                             tracer,
                         )
-                    set_id = int(counting_sets[included_at])
-                    element = int(e_suffix[inclusion_pos])
+                    set_id = s_suffix.item(inclusion_pos)
+                    element = e_suffix.item(inclusion_pos)
                     cover.add(set_id)
                     cover_mask[set_id] = True
                     inclusion_events += 1
-                    covered_mask[element] = True
+                    uncovered_mask[element] = False
                     covered_count += 1
                     certificate[element] = set_id
-                    self._trace(
-                        obs_events.SET_ADMITTED,
-                        set_id=set_id,
-                        level=inclusion_level,
-                        probability=inclusion_probability,
-                    )
-                    self._trace_count(obs_events.ELEMENT_COVERED)
+                    if tracing:
+                        tracer.event(
+                            obs_events.SET_ADMITTED,
+                            set_id=set_id,
+                            level=inclusion_level,
+                            probability=inclusion_probability,
+                        )
+                        tracer.count(obs_events.ELEMENT_COVERED)
                     # The inclusion invalidates the window-start masks for
                     # everything after it; rescan just past the inclusion
                     # edge with a small window that regrows geometrically.
                     pos += inclusion_pos + 1
                     window = _RESCAN_WINDOW
                 else:
-                    if counting_sets is not None:
-                        degrees += np.bincount(counting_sets, minlength=m)
-                    if hit_positions is not None:
+                    if counts is not None:
+                        degrees += counts
+                    if first_hit is not None:
                         covered_count += self._apply_hits(
                             s_suffix,
                             e_suffix,
                             hit_positions,
                             first_hit,
                             suffix_len,
-                            covered_mask,
+                            uncovered_mask,
                             certificate,
                             tracer,
                         )
@@ -342,7 +374,7 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
         hit_positions: np.ndarray,
         first_hit: np.ndarray,
         limit: int,
-        covered_mask: np.ndarray,
+        uncovered_mask: np.ndarray,
         certificate: Dict[ElementId, SetId],
         tracer,
     ) -> int:
@@ -359,10 +391,11 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
         ]
         if not chosen.size:
             return 0
-        for position in chosen.tolist():
-            element = int(e_suffix[position])
-            covered_mask[element] = True
-            certificate[element] = int(s_suffix[position])
+        chosen_elements = e_suffix[chosen]
+        uncovered_mask[chosen_elements] = False
+        certificate.update(
+            zip(chosen_elements.tolist(), s_suffix[chosen].tolist())
+        )
         if tracer.enabled:
             tracer.count(obs_events.ELEMENT_COVERED, int(chosen.size))
         return int(chosen.size)

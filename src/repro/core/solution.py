@@ -104,31 +104,55 @@ def verify_certificate(
 
     The one cover check behind every result's ``verify``: the
     certificate is total, every witness is a member of the cover, and
-    every witness contains its element.  Messages start with ``label``.
-    With ``uncovered`` (quorum-degraded runs) totality relaxes to
-    *accounted-for* totality: an element without a witness must appear
-    in ``uncovered`` — a silently missing element still fails.
+    every witness is a set id that contains its element.  Messages start
+    with ``label``.  With ``uncovered`` (quorum-degraded runs) totality
+    relaxes to *accounted-for* totality: an element without a witness
+    must appear in ``uncovered`` — a silently missing element still
+    fails.
+
+    All elements are checked at once with column ops (edge membership
+    via :meth:`SetCoverInstance.edge_mask`); the first failing element,
+    in id order, is then named by the per-element checks below.
     """
-    for u in range(instance.n):
-        if u not in certificate:
-            if uncovered is None:
-                raise InvalidCoverError(f"{label}: element {u} has no witness")
-            if u in uncovered:
-                continue
-            raise InvalidCoverError(
-                f"{label}: element {u} has no witness and is not "
-                "reported uncovered"
-            )
-        witness = certificate[u]
-        if witness not in cover:
-            raise InvalidCoverError(
-                f"{label}: witness {witness} for element {u} is not in "
-                "the reported cover"
-            )
-        if not instance.contains(witness, u):
-            raise InvalidCoverError(
-                f"{label}: set {witness} does not contain element {u}"
-            )
+    n = instance.n
+    elements = np.fromiter(certificate, dtype=np.int64, count=len(certificate))
+    witnesses = np.fromiter(
+        certificate.values(), dtype=np.int64, count=len(certificate)
+    )
+    in_universe = (elements >= 0) & (elements < n)
+    elements, witnesses = elements[in_universe], witnesses[in_universe]
+    passed = np.zeros(n, dtype=bool)
+    if uncovered is not None:
+        reported = np.fromiter(uncovered, dtype=np.int64, count=len(uncovered))
+        passed[reported[(reported >= 0) & (reported < n)]] = True
+    cover_ids = np.fromiter(cover, dtype=np.int64, count=len(cover))
+    cover_mask = np.zeros(instance.m, dtype=bool)
+    cover_mask[cover_ids[(cover_ids >= 0) & (cover_ids < instance.m)]] = True
+    witnessed = instance.edge_mask(witnesses, elements)
+    witnessed[witnessed] = cover_mask[witnesses[witnessed]]
+    passed[elements] = witnessed
+    if passed.all():
+        return
+    u = int(np.argmin(passed))
+    if u not in certificate:
+        if uncovered is None:
+            raise InvalidCoverError(f"{label}: element {u} has no witness")
+        raise InvalidCoverError(
+            f"{label}: element {u} has no witness and is not "
+            "reported uncovered"
+        )
+    witness = certificate[u]
+    if witness not in cover:
+        raise InvalidCoverError(
+            f"{label}: witness {witness} for element {u} is not in "
+            "the reported cover"
+        )
+    if not 0 <= witness < instance.m:
+        raise InvalidCoverError(
+            f"{label}: witness {witness} for element {u} is not a set id "
+            f"in range(0, {instance.m})"
+        )
+    raise InvalidCoverError(f"{label}: set {witness} does not contain element {u}")
 
 
 def certificate_from_cover(

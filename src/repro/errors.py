@@ -9,7 +9,7 @@ user can act on (bad instance, bad stream, exhausted space budget, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,29 @@ class PartialState:
     meter_peak: int = 0
 
 
+def _rebuild_error(cls: type, args: Tuple[object, ...]) -> "ReproError":
+    """An error of type ``cls`` with ``args``, built without ``__init__``."""
+    return cls.__new__(cls, *args)
+
+
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` library.
 
     Instances may carry a :class:`PartialState` snapshot in their
     ``partial`` attribute when raised from inside an algorithm pass;
     it defaults to ``None`` for errors raised outside one.
+
+    Every error pickles as its type, its ``args`` (the formatted
+    message) and its attribute fields.  Unpickling restores them
+    without calling ``__init__``, whose parameters differ per class
+    and would re-format the message, so an error raised in a child
+    process reaches the parent with the same type, message and fields.
     """
 
     partial: Optional[PartialState] = None
+
+    def __reduce__(self):
+        return _rebuild_error, (type(self), self.args), self.__dict__
 
 
 class InvalidInstanceError(ReproError):

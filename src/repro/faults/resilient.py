@@ -285,27 +285,17 @@ def _sanitize(stream: EdgeStream) -> Tuple[EdgeStream, int, bool]:
 
     Returns ``(clean_stream, edges_skipped, length_lied)``.  An edge is
     kept iff its ids are in range and the pair is one of the instance's
-    edges (found in its canonical edge columns, whose ``set * n +
-    element`` keys ascend).  Kept edges stay in arrival order.  The
-    input stream's pass is spent here; the sanitized stream is the only
-    live one-pass view afterwards.
+    edges (:meth:`~repro.streaming.instance.SetCoverInstance.edge_mask`).
+    Kept edges stay in arrival order.  The input stream's pass is spent
+    here; the sanitized stream is the only live one-pass view
+    afterwards.
     """
     instance = stream.instance
-    n, m = instance.n, instance.m
     length_lied = stream.length != stream.actual_length
     frozen = stream.peek_all()
     stream.reader()  # spend the source's single pass
     set_ids, elements = frozen.columns()
-    in_range = np.flatnonzero(
-        (set_ids >= 0) & (set_ids < m) & (elements >= 0) & (elements < n)
-    )
-    keys = set_ids[in_range] * n + elements[in_range]
-    known_sets, known_elements = instance.edge_columns()
-    known = known_sets * n + known_elements
-    slot = np.searchsorted(known, keys)
-    found = slot < len(known)
-    found[found] = known[slot[found]] == keys[found]
-    kept = in_range[found]
+    kept = np.flatnonzero(instance.edge_mask(set_ids, elements))
     skipped = len(set_ids) - len(kept)
     if skipped:
         frozen = FrozenEdges.from_columns(set_ids[kept], elements[kept])

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.solution import StreamingResult, certificate_from_cover
+from repro.core.solution import (
+    StreamingResult,
+    certificate_from_cover,
+    verify_certificate,
+)
 from repro.errors import InvalidCoverError
+from repro.streaming.instance import SetCoverInstance
 from repro.streaming.space import SpaceMeter
 
 
@@ -39,6 +46,87 @@ class TestVerify:
         result = make_result({0, 2}, {0: 2, 1: 0, 2: 2, 3: 2})
         with pytest.raises(InvalidCoverError):
             result.verify(tiny_instance)
+
+    def test_negative_witness_fails(self, tiny_instance):
+        # Set id -1 is not set 2, even though set 2 holds elements 2, 3.
+        result = make_result({0, -1}, {0: 0, 1: 0, 2: -1, 3: -1})
+        with pytest.raises(InvalidCoverError, match="witness -1 for element 2 is not a set id"):
+            result.verify(tiny_instance)
+        assert not result.is_valid(tiny_instance)
+
+    def test_witness_beyond_m_is_an_invalid_cover(self, tiny_instance):
+        result = make_result({0, 2, 7}, {0: 0, 1: 0, 2: 2, 3: 7})
+        with pytest.raises(InvalidCoverError, match="witness 7 for element 3"):
+            result.verify(tiny_instance)
+        assert not result.is_valid(tiny_instance)
+
+
+def _scalar_verify(instance, cover, certificate, label, uncovered=None):
+    """The per-element check, element by element: the message oracle."""
+    for u in range(instance.n):
+        if u not in certificate:
+            if uncovered is None:
+                raise InvalidCoverError(f"{label}: element {u} has no witness")
+            if u in uncovered:
+                continue
+            raise InvalidCoverError(
+                f"{label}: element {u} has no witness and is not "
+                "reported uncovered"
+            )
+        witness = certificate[u]
+        if witness not in cover:
+            raise InvalidCoverError(
+                f"{label}: witness {witness} for element {u} is not in "
+                "the reported cover"
+            )
+        if not 0 <= witness < instance.m:
+            raise InvalidCoverError(
+                f"{label}: witness {witness} for element {u} is not a set id "
+                f"in range(0, {instance.m})"
+            )
+        if not instance.contains(witness, u):
+            raise InvalidCoverError(
+                f"{label}: set {witness} does not contain element {u}"
+            )
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except InvalidCoverError as error:
+        return str(error)
+    return None
+
+
+class TestVerifyMatchesElementByElement:
+    """The column check names the same first failure as the scalar loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 12),
+        m=st.integers(1, 6),
+        relaxed=st.booleans(),
+    )
+    def test_same_outcome(self, data, n, m, relaxed):
+        sets = data.draw(
+            st.lists(st.frozensets(st.integers(0, n - 1)), min_size=m, max_size=m)
+        )
+        instance = SetCoverInstance(n, sets)
+        ids = st.integers(-2, m + 1)
+        certificate = data.draw(
+            st.dictionaries(st.integers(-1, n + 1), ids, max_size=n + 2)
+        )
+        # Mostly honest certificates, so the grid reaches every check.
+        for u in range(n):
+            holders = [s for s in range(m) if u in sets[s]]
+            if holders and data.draw(st.booleans()):
+                certificate[u] = data.draw(st.sampled_from(holders))
+        cover = frozenset(certificate.values()) - data.draw(st.frozensets(ids))
+        cover |= data.draw(st.frozensets(ids))
+        uncovered = data.draw(st.frozensets(st.integers(-1, n))) if relaxed else None
+        args = (instance, cover, certificate, "grid", uncovered)
+        assert _outcome(verify_certificate, *args) == _outcome(_scalar_verify, *args)
 
 
 class TestMetrics:

@@ -362,3 +362,30 @@ class TestProcessBackendLeaks:
         assert type(pooled.value) is type(inline.value)
         assert str(pooled.value) == str(inline.value)
         assert "no-such-algorithm" in str(pooled.value)
+
+    def test_child_error_with_fields_reaches_the_caller_as_itself(
+        self, instance, monkeypatch
+    ):
+        # InvalidParameterError's constructor takes three fields, not a
+        # message; it must still unpickle in the parent rather than
+        # break the pool.
+        tasks = build_shard_tasks(instance, workers=2, seed=0)
+        monkeypatch.setattr(backends, "execute_shard_task", _raise_invalid_parameter)
+        threads_before = set(threading.enumerate())
+        with pytest.raises(InvalidParameterError) as pooled:
+            ProcessBackend().run_tasks(tasks, max_workers=2)
+        self._assert_nothing_left(threads_before)
+        expected = _child_error(tasks[0])
+        assert type(pooled.value) is InvalidParameterError
+        assert str(pooled.value) == str(expected)
+        assert (pooled.value.parameter, pooled.value.value) == ("shard", 0)
+        assert pooled.value.requirement == expected.requirement
+
+
+def _child_error(task) -> InvalidParameterError:
+    return InvalidParameterError("shard", task.index, "raised in the child")
+
+
+def _raise_invalid_parameter(task):
+    """A stand-in shard body; module-level so the pool can pickle it."""
+    raise _child_error(task)

@@ -49,6 +49,7 @@ TRACE_OVERHEAD_KEYS = [
 def tiny_tiers(monkeypatch):
     for tier in ("smoke", "full"):
         monkeypatch.setitem(perfbench.TIERS, tier, [("tiny", 40, 80, 5)])
+        monkeypatch.setitem(perfbench.SHARD_CELLS, tier, ("tiny", 40, 80, 5, 2, 3))
 
 
 def _load_cli():
@@ -76,8 +77,15 @@ class TestSectionRows:
     def test_progress_gets_one_line_per_row(self, tiny_tiers):
         lines = []
         rows = run_section("kk_kernel", "smoke", progress=lines.append)
-        assert len(lines) == len(rows) == 1
-        assert "kk_kernel" in lines[0] and "identical=True" in lines[0]
+        assert len(lines) == len(rows) == 2
+        assert all("kk_kernel" in line and "identical=True" in line for line in lines)
+
+    def test_kk_kernel_times_the_shard_cell_over_its_passes(self, tiny_tiers):
+        ladder, shard = run_section("kk_kernel", "smoke")
+        assert (ladder["passes"], shard["passes"]) == (1, 3)
+        # The shard cell runs one shard of the routed instance, in local ids.
+        assert 0 < shard["stream_length"] < ladder["stream_length"]
+        assert shard["m"] < ladder["m"]
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="unknown tier"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -55,6 +56,14 @@ class TestAccessors:
         with pytest.raises(InvalidInstanceError):
             tiny_instance.set_members(3)
 
+    @pytest.mark.parametrize("set_id", [-1, -3, -4])
+    def test_set_members_rejects_negative_ids(self, tiny_instance, set_id):
+        # A negative id must not index from the end of the family.
+        with pytest.raises(InvalidInstanceError):
+            tiny_instance.set_members(set_id)
+        with pytest.raises(InvalidInstanceError):
+            tiny_instance.contains(set_id, 3)
+
     def test_contains(self, tiny_instance):
         assert tiny_instance.contains(0, 1)
         assert not tiny_instance.contains(0, 2)
@@ -100,6 +109,23 @@ class TestEdges:
         for set_id, element in chain_instance.edges():
             assert chain_instance.contains(set_id, element)
 
+    def test_edge_mask_matches_contains(self, chain_instance):
+        # Every pair over ids one past each end of both ranges, in a
+        # shuffled order: in-range pairs agree with contains, the rest
+        # are not edges.
+        n, m = chain_instance.n, chain_instance.m
+        pairs = [(s, u) for s in range(-1, m + 1) for u in range(-1, n + 1)]
+        np.random.default_rng(0).shuffle(pairs)
+        set_ids = np.array([s for s, _ in pairs], dtype=np.int64)
+        elements = np.array([u for _, u in pairs], dtype=np.int64)
+        mask = chain_instance.edge_mask(set_ids, elements)
+        expected = [
+            0 <= s < m and 0 <= u < n and chain_instance.contains(s, u)
+            for s, u in pairs
+        ]
+        assert mask.tolist() == expected
+        assert chain_instance.edge_mask(set_ids[:0], elements[:0]).size == 0
+
 
 class TestFeasibility:
     def test_feasible_instance_validates(self, tiny_instance):
@@ -143,6 +169,11 @@ class TestCertificates:
     def test_wrong_witness_rejected(self, tiny_instance):
         with pytest.raises(InvalidCoverError):
             tiny_instance.verify_certificate({0: 2, 1: 0, 2: 2, 3: 2})
+
+    @pytest.mark.parametrize("witness", [-1, 3])
+    def test_out_of_range_witness_rejected(self, tiny_instance, witness):
+        with pytest.raises(InvalidCoverError):
+            tiny_instance.verify_certificate({0: 0, 1: 0, 2: 2, 3: witness})
 
 
 class TestDerivedInstances:
