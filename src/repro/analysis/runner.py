@@ -244,10 +244,6 @@ class ExperimentRunner:
             for index in pending:
                 results[index] = run_cell(index)
         else:
-            # Pre-build the shared numpy columns serially: worker threads
-            # then only read the frozen buffers.
-            for index in pending:
-                specs[index][0]._frozen.columns()
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
                 futures = [pool.submit(run_cell, index) for index in pending]
                 for index, future in zip(pending, futures):

@@ -68,11 +68,14 @@ class AmplifiedAlgorithm(StreamingSetCoverAlgorithm):
         inner: List[StreamingSetCoverAlgorithm] = [
             self._factory(self._rng.getrandbits(63)) for _ in range(copies)
         ]
-        # All copies consume the same pass: tee the live stream to
-        # per-copy one-pass views.  Buffering the edges once is a
-        # harness convenience; each copy still sees one pass, and the
-        # *charged* space is the sum of copies' states, not the buffer.
-        edges = list(stream)
+        # All copies consume the same pass: spend the live stream, then
+        # hand each copy its own one-pass view of the shared buffer.
+        # Each copy still sees one pass, and the *charged* space is the
+        # sum of copies' states, not the buffer.
+        edges = stream.peek_all()
+        reader = stream.reader()
+        while len(reader.take_rest_columns()[0]):
+            pass  # a take stops at each checkpoint; fire them all
         results: List[StreamingResult] = []
         for algorithm in inner:
             view = EdgeStream(

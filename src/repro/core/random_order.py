@@ -558,7 +558,14 @@ class StreamLengthOblivious(StreamingSetCoverAlgorithm):
         inner = RandomOrderAlgorithm(
             scaling=self.scaling, seed=self._rng.getrandbits(63)
         )
-        result = _run_with_forced_length(inner, stream, best_guess)
+        result = inner.run(
+            EdgeStream(
+                stream.instance,
+                stream.peek_all(),
+                order_name=stream.order_name,
+                declared_length=best_guess,
+            )
+        )
         # Charge the log-many parallel copies: each copy's state is the
         # same asymptotic size, so total space is (number of guesses) x
         # the chosen copy's peak.
@@ -577,23 +584,3 @@ class StreamLengthOblivious(StreamingSetCoverAlgorithm):
                 "true_length": float(true_n),
             },
         )
-
-
-def _run_with_forced_length(
-    algorithm: RandomOrderAlgorithm, stream: EdgeStream, forced_length: int
-) -> StreamingResult:
-    """Run ``algorithm`` on ``stream``'s edges pretending N == forced_length.
-
-    The forced view adopts ``stream``'s frozen edge buffer directly
-    (O(1), no copy); ``stream`` itself is left untouched.
-    """
-
-    class _ForcedLengthStream(EdgeStream):
-        @property
-        def length(self) -> int:  # type: ignore[override]
-            return forced_length
-
-    forced = _ForcedLengthStream(
-        stream.instance, stream._frozen, order_name=stream.order_name
-    )
-    return algorithm.run(forced)

@@ -40,13 +40,21 @@ Columns = Tuple[np.ndarray, np.ndarray]
 def pair_columns(edges: Sequence[Tuple[int, int]]) -> Columns:
     """``int64`` ``(set_ids, elements)`` columns of ``(set, element)`` pairs.
 
-    Raises :class:`InvalidStreamError` for an id outside ``int64``.
+    Raises :class:`InvalidStreamError` unless every edge is a pair of
+    ints that fit in ``int64``.
     """
-    count = 2 * len(edges)
     try:
-        flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=count)
+        if not set(map(len, edges)) <= {2}:
+            raise InvalidStreamError("every edge must be a (set, element) pair")
+        flat = np.fromiter(
+            map(operator.index, chain.from_iterable(edges)),
+            dtype=np.int64,
+            count=2 * len(edges),
+        )
     except OverflowError as error:
         raise InvalidStreamError("edge ids must fit in int64") from error
+    except (TypeError, ValueError) as error:
+        raise InvalidStreamError(f"edge ids must be ints: {error}") from error
     return tuple(flat.reshape(-1, 2).T.copy())
 
 

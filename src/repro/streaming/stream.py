@@ -7,10 +7,11 @@ loudly in tests instead of silently cheating).
 
 The builders freeze the ``int64`` columns an arrival order makes of
 :meth:`SetCoverInstance.edge_columns` once, into a :class:`FrozenEdges`
-buffer *shared* across every view of the ordering (``Edge`` records are
-built only for a per-edge consumer): creating a fresh one-pass view is
-O(1), and batch consumers (see :class:`StreamReader`) slice the buffer
-instead of stepping a generator.
+buffer *shared* across every view of the ordering: creating a fresh
+one-pass view is O(1).  Every consumer advances through one clamped
+take (:meth:`EdgeStream._take_bounds`): batch consumers (see
+:class:`StreamReader`) get column slices of the buffer, and per-edge
+iteration turns the same slices into ``Edge`` records chunk by chunk.
 
 Use :func:`stream_of` for the common case, or :class:`ReplayableStream`
 in experiment harnesses where several algorithms must see the *same*
@@ -29,36 +30,33 @@ from repro.streaming.instance import SetCoverInstance
 from repro.streaming.orders import ArrivalOrder, CanonicalOrder, pair_columns
 from repro.types import Edge
 
+#: Edges a per-edge iteration converts to records at a time.
+_CHUNK = 4096
+
 EdgesLike = Union["FrozenEdges", Sequence[Edge]]
 
 
 class FrozenEdges:
     """An immutable edge ordering shared by every view of a stream.
 
-    Holds the edges in two representations, each built at most once and
-    shared: a tuple of :class:`~repro.types.Edge` records (the canonical
-    Python form, for per-edge consumers) and a pair of numpy ``int64``
-    columns ``(set_ids, elements)`` for vectorized batch processing.
-    Built from edges, the columns are derived on first request; built
-    from columns (:meth:`from_columns`), the tuple is derived only if a
-    tuple consumer asks for it.  Wrapping an existing
-    :class:`FrozenEdges` or passing the same instance to many streams
-    never copies.
+    Holds the edges as a pair of numpy ``int64`` columns
+    ``(set_ids, elements)``.  Built from ``(set, element)`` records, it
+    converts them once at construction; built from columns
+    (:meth:`from_columns`), it adopts them.  Iterating yields
+    :class:`~repro.types.Edge` records made from the columns on demand
+    (nothing is cached).  Wrapping an existing :class:`FrozenEdges` or
+    passing the same instance to many streams never copies.
     """
 
-    __slots__ = ("_edges", "_set_ids", "_elements")
+    __slots__ = ("_set_ids", "_elements")
 
     def __init__(self, edges: EdgesLike) -> None:
         if isinstance(edges, FrozenEdges):
-            self._edges = edges._edges
-            self._set_ids = edges._set_ids
-            self._elements = edges._elements
+            self._set_ids, self._elements = edges.columns()
             return
-        self._edges: Optional[Tuple[Edge, ...]] = (
-            edges if isinstance(edges, tuple) else tuple(edges)
-        )
-        self._set_ids: Optional[np.ndarray] = None
-        self._elements: Optional[np.ndarray] = None
+        if not isinstance(edges, (list, tuple)):
+            edges = tuple(edges)
+        self._set_ids, self._elements = pair_columns(edges)
 
     @classmethod
     def from_columns(
@@ -71,30 +69,15 @@ class FrozenEdges:
                 f"{len(elements)} elements"
             )
         frozen = cls.__new__(cls)
-        frozen._edges = None
-        frozen._elements = elements
         frozen._set_ids = set_ids
+        frozen._elements = elements
         return frozen
 
-    @property
-    def edges(self) -> Tuple[Edge, ...]:
-        """The full ordered edge tuple (built once, shared, never copied)."""
-        if self._edges is None:
-            self._edges = tuple(
-                map(Edge, self._set_ids.tolist(), self._elements.tolist())
-            )
-        return self._edges
-
     def __len__(self) -> int:
-        if self._edges is None:
-            return len(self._set_ids)
-        return len(self._edges)
+        return len(self._set_ids)
 
     def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edges)
-
-    def __getitem__(self, index):
-        return self.edges[index]
+        return map(Edge, self._set_ids.tolist(), self._elements.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrozenEdges):
@@ -108,7 +91,6 @@ class FrozenEdges:
         return hash(tuple(column.tobytes() for column in self.columns()))
 
     def __reduce__(self):
-        # Pickle the columns only: compact, and never the tuple view.
         return (FrozenEdges.from_columns, self.columns())
 
     def __repr__(self) -> str:
@@ -117,16 +99,9 @@ class FrozenEdges:
     def columns(self) -> Tuple[np.ndarray, np.ndarray]:
         """Numpy ``(set_ids, elements)`` columns of the ordering.
 
-        Built once on first call (O(N)), then shared by every stream
-        view; slices of the returned arrays are numpy views, so chunked
-        consumers never copy edge data.
+        Shared by every stream view; slices of the returned arrays are
+        numpy views, so chunked consumers never copy edge data.
         """
-        if self._set_ids is None:
-            set_ids, elements = pair_columns(self._edges)
-            # Assign _elements before _set_ids: concurrent callers gate on
-            # _set_ids, so both columns must be ready once it is visible.
-            self._elements = elements
-            self._set_ids = set_ids
         return self._set_ids, self._elements
 
 
@@ -177,10 +152,8 @@ class StreamReader:
 
     Obtained from :meth:`EdgeStream.reader`; the stream is marked
     consumed at that point, so the reader is the only way to advance it.
-    ``take(k)`` returns the next ``k`` edges as a tuple slice of the
-    shared buffer (no per-edge generator step), and
-    :meth:`take_columns` returns the matching numpy views for
-    vectorized processing.
+    :meth:`take_columns` returns the next edges as numpy views of the
+    shared buffer's columns, for vectorized processing.
     """
 
     __slots__ = ("_stream", "_frozen")
@@ -208,29 +181,13 @@ class StreamReader:
             declared_length=stream.length,
         )
 
-    def take(self, k: int) -> Tuple[Edge, ...]:
-        """Consume and return up to ``k`` edges.
+    def take_columns(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Consume up to ``k`` edges, returned as numpy column views.
 
         The returned chunk may be shorter than ``k`` at end of stream
         *or* when the stream has a pending checkpoint (takes never cross
         one); callers consuming a fixed quota must loop until the quota
         is filled or the chunk comes back empty.
-        """
-        if k < 0:
-            raise ValueError(f"cannot take {k} edges")
-        stream = self._stream
-        start, stop = stream._take_bounds(k)
-        stream._position = stop
-        return self._frozen.edges[start:stop]
-
-    def take_rest(self) -> Tuple[Edge, ...]:
-        """Consume and return every remaining edge (up to a checkpoint)."""
-        return self.take(len(self._frozen) - self._stream._position)
-
-    def take_columns(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Consume up to ``k`` edges, returned as numpy column views.
-
-        Subject to the same checkpoint clamping as :meth:`take`.
         """
         if k < 0:
             raise ValueError(f"cannot take {k} edges")
@@ -256,8 +213,9 @@ class EdgeStream:
         The ordered edge sequence to present; :func:`stream_of` passes
         the columns an :class:`~repro.streaming.orders.ArrivalOrder`
         makes of ``instance.edge_columns()``.  A :class:`FrozenEdges`
-        (or a plain tuple) is adopted without copying, so replayable
-        harnesses share one buffer across every view.
+        is adopted without copying, so replayable harnesses share one
+        buffer across every view; ``(set, element)`` records are frozen
+        into columns once.
     order_name:
         Label recorded in experiment output.
     declared_length:
@@ -328,21 +286,19 @@ class EdgeStream:
         return self._generate()
 
     def _generate(self) -> Iterator[Edge]:
-        if self._checkpoints:
-            yield from self._generate_with_checkpoints()
-            return
-        for edge in self._frozen.edges:
-            self._position += 1
-            yield edge
-
-    def _generate_with_checkpoints(self) -> Iterator[Edge]:
-        checkpoints = self._checkpoints
-        for edge in self._frozen.edges:
-            while checkpoints and checkpoints[0] == self._position:
-                self._on_checkpoint()
-                checkpoints.pop(0)
-            self._position += 1
-            yield edge
+        # Chunks come through the same clamped take as a batched reader,
+        # and the position advances once per edge, so checkpoints fire
+        # just before the edge at their position is handed out.
+        set_ids, elements = self._frozen.columns()
+        while True:
+            start, stop = self._take_bounds(_CHUNK)
+            if start >= stop:
+                break
+            for edge in map(
+                Edge, set_ids[start:stop].tolist(), elements[start:stop].tolist()
+            ):
+                self._position += 1
+                yield edge
         self.flush_checkpoints()
 
     # -- checkpoint hooks ------------------------------------------------
@@ -406,8 +362,8 @@ class EdgeStream:
 
         Experiment harnesses and tests may inspect the stream; streaming
         algorithms must not (they receive the iterator, not the stream
-        object's internals).  The buffer supports ``len``, iteration and
-        indexing over :class:`~repro.types.Edge`, and its
+        object's internals).  The buffer supports ``len`` and iteration
+        over :class:`~repro.types.Edge`, and its
         :meth:`~FrozenEdges.columns` are read without a copy.
         """
         return self._frozen

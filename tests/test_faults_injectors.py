@@ -86,8 +86,9 @@ class TestApplyFaults:
             edges, n, m, [FaultSpec("duplicate", 1.0, seed=5)]
         )
         assert report.counts["duplicate"] == len(edges)
-        assert len(out) == 2 * len(edges)
-        assert all(out[2 * i] == out[2 * i + 1] for i in range(len(edges)))
+        records = list(out)
+        assert len(records) == 2 * len(edges)
+        assert all(records[2 * i] == records[2 * i + 1] for i in range(len(edges)))
 
     def test_corrupt_produces_only_unknown_ids(self, chain_instance, edges):
         n, m = chain_instance.n, chain_instance.m
@@ -152,7 +153,7 @@ class TestFaultyStream:
 
     def test_one_pass_discipline(self, chain_instance, edges):
         stream = FaultyStream(chain_instance, edges, [FaultSpec("drop", 0.3)])
-        stream.reader().take_rest()
+        stream.reader().take_rest_columns()
         with pytest.raises(StreamExhaustedError):
             stream.reader()
 
@@ -201,11 +202,11 @@ class TestFaultPlan:
 
 @pytest.fixture
 def no_edge_records(monkeypatch):
-    """Fail the test if a ``FrozenEdges`` tuple view is built, or if a
-    buffer is built from anything but columns or another buffer."""
+    """Fail the test if a ``FrozenEdges`` is iterated as records, or if
+    a buffer is built from anything but columns or another buffer."""
 
     def forbidden(self):
-        raise AssertionError("the column path built an Edge tuple")
+        raise AssertionError("the column path built Edge records")
 
     wrap = FrozenEdges.__init__
 
@@ -215,7 +216,7 @@ def no_edge_records(monkeypatch):
         wrap(self, edges)
 
     def patch():
-        monkeypatch.setattr(FrozenEdges, "edges", property(forbidden))
+        monkeypatch.setattr(FrozenEdges, "__iter__", forbidden)
         monkeypatch.setattr(FrozenEdges, "__init__", from_buffer_only)
 
     return patch

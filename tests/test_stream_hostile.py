@@ -12,6 +12,13 @@ from repro.streaming.stream import (
     StreamCheckpoint,
     stream_of,
 )
+from repro.types import Edge
+
+
+def records(columns):
+    """The ``Edge`` records of a ``take_columns`` chunk."""
+    set_ids, elements = columns
+    return tuple(map(Edge, set_ids.tolist(), elements.tolist()))
 
 
 @pytest.fixture
@@ -28,22 +35,23 @@ class TestCheckpointRoundTrip:
     def test_resume_continues_where_left_off(self, chain_instance, frozen, edges):
         first_view = EdgeStream(chain_instance, frozen)
         reader = first_view.reader()
-        consumed = reader.take(3)
+        consumed = records(reader.take_columns(3))
         checkpoint = reader.checkpoint()
         assert consumed == edges[:3]
         assert checkpoint.position == 3
 
         second_view = EdgeStream(chain_instance, frozen)
         resumed = second_view.reader(resume_from=checkpoint)
-        assert resumed.take_rest() == edges[3:]
+        assert records(resumed.take_rest_columns()) == edges[3:]
 
     def test_checkpoint_at_stream_end(self, chain_instance, frozen, edges):
         view = EdgeStream(chain_instance, frozen)
         reader = view.reader()
-        reader.take_rest()
+        reader.take_rest_columns()
         checkpoint = reader.checkpoint()
         fresh = EdgeStream(chain_instance, frozen)
-        assert fresh.reader(resume_from=checkpoint).take_rest() == ()
+        resumed = fresh.reader(resume_from=checkpoint)
+        assert records(resumed.take_rest_columns()) == ()
 
     def test_resume_preserves_one_pass_discipline(
         self, chain_instance, frozen
@@ -61,7 +69,7 @@ class TestCheckpointRoundTrip:
 class TestHostileRestore:
     def test_truncated_buffer_rejected(self, chain_instance, frozen, edges):
         reader = EdgeStream(chain_instance, frozen).reader()
-        reader.take(3)
+        reader.take_columns(3)
         checkpoint = reader.checkpoint()
         truncated = EdgeStream(chain_instance, edges[:-2])
         with pytest.raises(InvalidStreamError, match="truncated or extended"):
@@ -123,7 +131,7 @@ class TestDeclaredLength:
         reader = liar.reader()
         taken = []
         while reader.remaining:
-            chunk = reader.take(4)
+            chunk = records(reader.take_columns(4))
             if not chunk:
                 break
             taken.extend(chunk)

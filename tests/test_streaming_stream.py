@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import cycle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import make_algorithm
-from repro.errors import StreamExhaustedError
+from repro.errors import InvalidStreamError, StreamExhaustedError
 from repro.generators.planted import planted_partition_instance
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.orders import (
@@ -28,13 +32,13 @@ from repro.types import Edge
 
 @pytest.fixture
 def no_edge_records(monkeypatch):
-    """Fail the test if a buffer's tuple view or the instance's
-    :meth:`~SetCoverInstance.edges` is asked for."""
+    """Fail the test if a buffer is iterated as records or the
+    instance's :meth:`~SetCoverInstance.edges` is asked for."""
 
     def forbidden(self):
         raise AssertionError("the column path built Edge records")
 
-    monkeypatch.setattr(FrozenEdges, "edges", property(forbidden))
+    monkeypatch.setattr(FrozenEdges, "__iter__", forbidden)
     monkeypatch.setattr(SetCoverInstance, "edges", forbidden)
 
 
@@ -117,8 +121,8 @@ class TestReplayableStream:
         assert first.peek_all() is second.peek_all()
 
     def test_fresh_views_share_columns(self, chain_instance):
-        # The lazily-built numpy columns are cached on the frozen buffer,
-        # so every view (and every batched reader) reuses one build.
+        # The numpy columns live on the frozen buffer, so every view
+        # (and every batched reader) reads the same arrays.
         replayable = ReplayableStream(chain_instance, RandomOrder(seed=2))
         cols_a = replayable.fresh()._frozen.columns()
         cols_b = replayable.fresh()._frozen.columns()
@@ -197,3 +201,81 @@ class TestBuildersStayOnColumns:
         stream = stream_of(planted, RandomOrder(seed=5))
         result = make_algorithm("kk", planted, seed=6).run(stream)
         assert planted.is_cover(result.cover)
+
+
+class TestFrozenEdgesFromRecords:
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [(2**63, 0)],
+            [(0, 2**63)],
+            [(0, 1.5)],
+            [("0", 1)],
+            [(0, None)],
+            [(0, 1, 2)],
+            [(0,)],
+            [0, 1],
+        ],
+    )
+    def test_bad_records_rejected_at_construction(self, records):
+        with pytest.raises(InvalidStreamError):
+            FrozenEdges(records)
+
+    def test_records_round_trip(self):
+        records = [Edge(3, 1), Edge(0, 2), Edge(3, 0)]
+        frozen = FrozenEdges(records)
+        assert list(frozen) == records
+        assert frozen.columns()[0].tolist() == [3, 0, 3]
+
+
+class _FiringRecorder(EdgeStream):
+    """Records, at every checkpoint firing, the stream position and the
+    number of edges its consumer has been handed."""
+
+    def __init__(self, instance, edges, checkpoints):
+        super().__init__(instance, edges)
+        self._checkpoints = sorted(checkpoints)
+        self.seen = []
+        self.fired = []
+
+    def _on_checkpoint(self):
+        self.fired.append((self._position, len(self.seen)))
+
+
+@st.composite
+def _checkpointed_walks(draw):
+    n = draw(st.integers(0, 30))
+    edges = [Edge(draw(st.integers(0, 5)), draw(st.integers(0, 9))) for _ in range(n)]
+    checkpoints = draw(st.lists(st.integers(0, n), max_size=8))
+    chunks = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+    return edges, checkpoints, chunks
+
+
+class TestOneReadPath:
+    """Per-edge iteration and batched column reads advance through the
+    same clamped take: same edges, same firing positions, same count."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_checkpointed_walks())
+    def test_per_edge_matches_batched(self, walk):
+        edges, checkpoints, chunks = walk
+        instance = SetCoverInstance(10, [range(10)] * 6)
+        per_edge = _FiringRecorder(instance, edges, checkpoints)
+        for edge in per_edge:
+            per_edge.seen.append(edge)
+        per_edge.flush_checkpoints()
+
+        batched = _FiringRecorder(instance, edges, checkpoints)
+        reader = batched.reader()
+        for k in cycle(chunks):
+            set_ids, elements = reader.take_columns(k)
+            if not len(set_ids):
+                break
+            batched.seen.extend(map(Edge, set_ids.tolist(), elements.tolist()))
+        batched.flush_checkpoints()
+
+        assert per_edge.seen == batched.seen == edges
+        assert per_edge.fired == batched.fired
+        assert [position for position, _ in per_edge.fired] == sorted(checkpoints)
+        assert all(position == seen for position, seen in per_edge.fired)
+        assert per_edge.position == batched.position == len(edges)
