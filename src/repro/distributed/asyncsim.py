@@ -48,7 +48,6 @@ from repro.distributed.comm import (
     CommMeter,
     check_link_delays,
     link_label,
-    words_for_cover_message,
 )
 from repro.distributed.executor import (
     DistributedConfig,
@@ -359,7 +358,7 @@ class _ScheduleReplay:
             elif self.coordinator == "tree":
                 dropped = self._tree(survivors, completion, comm)
             else:
-                dropped = self._star(outputs, survivors, completion)
+                dropped = self._star(survivors, completion, comm)
         return {
             "logical_steps": float(scheduler.clock),
             "delivered_messages": float(scheduler.delivered),
@@ -467,22 +466,21 @@ class _ScheduleReplay:
 
     def _star(
         self,
-        outputs: Dict[int, ShardOutput],
         survivors: List[int],
         completion: Dict[int, int],
+        comm: CommMeter,
     ) -> int:
-        # Star topology: every surviving shard posts its envelope
-        # upload, available once the shard finished plus the link
-        # delay.  Deduplicated by shard index, the fully drained inbox
-        # is exactly the sorted survivors the merge consumed, so
-        # duplicate and reordered deliveries cannot change it.
+        # Star topology: every surviving shard posts its upload,
+        # available once the shard finished plus the link delay, sized
+        # by the words the merge metered on its link (a cover message
+        # for union, a candidate message for greedy).  Deduplicated by
+        # shard index, the fully drained inbox is exactly the sorted
+        # survivors the merge consumed, so duplicate and reordered
+        # deliveries cannot change it.
         scheduler = self.scheduler
+        upload_words = dict(comm.report().per_link_words)
         for i in survivors:
-            out = outputs[i]
             src = f"shard[{i}]"
-            words = words_for_cover_message(
-                len(out.cover), len(out.certificate)
-            )
             ready = completion.get(i, 0) + scheduler.link_delay(
                 src, "coordinator"
             )
@@ -491,7 +489,7 @@ class _ScheduleReplay:
                     src,
                     "coordinator",
                     kind="envelope",
-                    words=words,
+                    words=upload_words.get(link_label(src, "coordinator"), 0),
                     payload=i,
                     available_step=ready,
                 )

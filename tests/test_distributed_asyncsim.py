@@ -44,6 +44,8 @@ from repro.errors import (
 )
 from repro.faults.shards import PERMANENT, ShardFaultPlan, ShardFaultSpec
 from repro.generators.planted import planted_partition_instance
+from repro.generators.random_instances import fixed_size_instance
+from repro.obs.events import MESSAGE_DELIVERED
 from repro.obs.tracer import TraceCollector
 
 COORDINATORS = ("union", "greedy", "chain", "tree")
@@ -277,6 +279,32 @@ class TestAsyncDiagnostics:
             tree = self.diag(instance, workers, "tree", adaptive)
             chain = self.diag(instance, workers, "chain", adaptive)
             assert tree["logical_steps"] < chain["logical_steps"]
+
+
+class TestReplayedWords:
+    @pytest.mark.parametrize("coordinator", COORDINATORS)
+    def test_delivered_words_equal_metered_link_words(self, coordinator):
+        # Every replayed message carries the words the merge metered on
+        # its link: a star upload is a cover (union) or candidate
+        # (greedy) message, a hand-off whatever the chain or tree sent.
+        instance = fixed_size_instance(60, 120, 6, seed=3)
+        collector = TraceCollector()
+        result = run_distributed_async(
+            instance,
+            workers=4,
+            coordinator=coordinator,
+            seed=1,
+            backend="serial",
+            collector=collector,
+        )
+        delivered = [
+            event.attrs
+            for event in collector.events_for("async")
+            if event.etype == MESSAGE_DELIVERED
+        ]
+        assert len(delivered) == result.diagnostics["delivered_messages"] > 0
+        for attrs in delivered:
+            assert attrs["words"] == result.comm.per_link_words[attrs["link"]]
 
 
 class TestDuplicateDelivery:
