@@ -239,19 +239,19 @@ EXPECTED_DIGESTS = {
     ),
     ("async", "greedy", "clean"): (
         "cdeac9f2f514646f",
-        "2a2f022f889c4701",
+        "11ad892164330d5b",
     ),
     ("async", "greedy", "crash"): (
         "5c75dd3c1d92467e",
-        "12ed856f009f7089",
+        "711f9968d1f3e3de",
     ),
     ("async", "greedy", "duplicate"): (
         "c019dd409f86a9f5",
-        "383586afe03a8d63",
+        "915098110423c9bc",
     ),
     ("async", "greedy", "straggle"): (
         "e03074c2be0b26a8",
-        "c36a23dea147b41d",
+        "6a0de79d7e218089",
     ),
     ("async", "chain", "clean"): (
         "668dfdc994d604a4",
