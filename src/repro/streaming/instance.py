@@ -14,7 +14,7 @@ generators produce feasible instances by construction.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -235,24 +235,6 @@ class SetCoverInstance:
         """Elements *not* covered by the given sets."""
         covered = self.coverage_of(set_ids)
         return {u for u in range(self._n) if u not in covered}
-
-    def verify_certificate(self, certificate: Mapping[ElementId, SetId]) -> None:
-        """Check a cover certificate ``element -> covering set``.
-
-        Raises :class:`InvalidCoverError` unless every universe
-        element is assigned a set that actually contains it.
-        """
-        from repro.errors import InvalidCoverError
-
-        for u in range(self._n):
-            if u not in certificate:
-                raise InvalidCoverError(f"element {u} has no certificate entry")
-            s = certificate[u]
-            if not (0 <= s < self.m and self.contains(s, u)):
-                raise InvalidCoverError(
-                    f"certificate maps element {u} to set {s}, which does not "
-                    "contain it"
-                )
 
     # -- restriction / derived instances -----------------------------------
 

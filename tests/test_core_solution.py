@@ -149,7 +149,9 @@ class TestMetrics:
 class TestCertificateFromCover:
     def test_builds_total_certificate(self, tiny_instance):
         certificate = certificate_from_cover(tiny_instance, frozenset({0, 2}))
-        tiny_instance.verify_certificate(certificate)
+        verify_certificate(
+            tiny_instance, set(certificate.values()), certificate, "greedy"
+        )
         assert set(certificate) == set(range(4))
 
     def test_witnesses_in_cover(self, tiny_instance):

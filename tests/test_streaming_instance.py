@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.solution import verify_certificate
 from repro.errors import (
     InfeasibleInstanceError,
     InvalidCoverError,
@@ -158,22 +159,31 @@ class TestCovers:
         assert tiny_instance.uncovered_by([0, 1, 2]) == set()
 
 
+def _check_certificate(instance, certificate):
+    """The one certificate check, over the cover the witnesses name."""
+    verify_certificate(instance, set(certificate.values()), certificate, "test")
+
+
 class TestCertificates:
     def test_valid_certificate(self, tiny_instance):
-        tiny_instance.verify_certificate({0: 0, 1: 0, 2: 2, 3: 2})
+        _check_certificate(tiny_instance, {0: 0, 1: 0, 2: 2, 3: 2})
 
     def test_missing_entry_rejected(self, tiny_instance):
-        with pytest.raises(InvalidCoverError):
-            tiny_instance.verify_certificate({0: 0, 1: 0, 2: 2})
+        with pytest.raises(InvalidCoverError, match="element 3 has no witness"):
+            _check_certificate(tiny_instance, {0: 0, 1: 0, 2: 2})
 
     def test_wrong_witness_rejected(self, tiny_instance):
-        with pytest.raises(InvalidCoverError):
-            tiny_instance.verify_certificate({0: 2, 1: 0, 2: 2, 3: 2})
+        with pytest.raises(
+            InvalidCoverError, match="set 2 does not contain element 0"
+        ):
+            _check_certificate(tiny_instance, {0: 2, 1: 0, 2: 2, 3: 2})
 
     @pytest.mark.parametrize("witness", [-1, 3])
     def test_out_of_range_witness_rejected(self, tiny_instance, witness):
-        with pytest.raises(InvalidCoverError):
-            tiny_instance.verify_certificate({0: 0, 1: 0, 2: 2, 3: witness})
+        with pytest.raises(
+            InvalidCoverError, match=f"witness {witness} for element 3 "
+        ):
+            _check_certificate(tiny_instance, {0: 0, 1: 0, 2: 2, 3: witness})
 
 
 class TestDerivedInstances:
