@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the result)",
     )
     distribute_parser.add_argument(
-        "--backend", choices=registered_backends(), default="thread",
+        "--backend", choices=registered_backends(), default="serial",
         help="execution backend for shard work (operational; every "
         "backend prints the identical report)",
     )
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds a queued admission may wait before a typed timeout",
     )
     serve_parser.add_argument(
-        "--backend", choices=registered_backends(), default="thread",
+        "--backend", choices=registered_backends(), default="serial",
         help="execution backend for distribute requests (operational)",
     )
     serve_parser.add_argument(

@@ -304,8 +304,9 @@ class DistributedConfig:
     comm_log: bool = False
     #: Execution backend name — ``"serial"``, ``"thread"``, or
     #: ``"process"`` (see :mod:`repro.distributed.backends`).  ``None``
-    #: means ``"thread"``, the historical behaviour.  Operational: every
-    #: backend produces the identical result.
+    #: means ``"serial"``, which measured no slower than ``"thread"`` at
+    #: every tested width.  Operational: every backend produces the
+    #: identical result.
     backend: Optional[str] = None
     #: Wire transport for merge messages — a registry name
     #: (``"inproc"``, ``"loopback"``, ``"socket"``) or a constructed
@@ -380,7 +381,7 @@ class DistributedConfig:
 
     def build_backend(self) -> Backend:
         """A fresh instance of the configured execution backend."""
-        return make_backend(self.backend if self.backend is not None else "thread")
+        return make_backend(self.backend if self.backend is not None else "serial")
 
     def build_merger(self) -> Coordinator:
         """A fresh instance of the configured coordinator."""

@@ -93,7 +93,7 @@ class ServeConfig:
     max_queue: int = 16
     queue_timeout: Optional[float] = 30.0
     #: Backend/parallelism for distribute requests (operational).
-    backend: str = "thread"
+    backend: str = "serial"
     max_workers: int = 1
     #: Seconds shutdown waits for in-flight requests before force-close.
     drain_timeout: float = 30.0

@@ -80,7 +80,7 @@ class TestParser:
 
     def test_distribute_backend_defaults(self):
         args = build_parser().parse_args(["distribute", "x.txt"])
-        assert args.backend == "thread"
+        assert args.backend == "serial"
 
     def test_distribute_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):

@@ -281,9 +281,9 @@ class TestBackendParity:
         )
         assert process == serial
 
-    def test_default_backend_is_thread(self, instance):
+    def test_default_backend_is_serial(self, instance):
         explicit = run_distributed(
-            instance, workers=2, backend="thread", seed=1
+            instance, workers=2, backend="serial", seed=1
         )
         default = run_distributed(instance, workers=2, seed=1)
         assert default == explicit
