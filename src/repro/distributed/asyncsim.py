@@ -46,6 +46,7 @@ from repro.distributed.backends import ShardOutcome
 from repro.distributed.chain import tournament_rounds
 from repro.distributed.comm import (
     CommMeter,
+    CommReport,
     check_link_delays,
     link_label,
 )
@@ -317,7 +318,7 @@ class _ScheduleReplay:
     surviving shard outputs keyed by shard index, every shard's
     recovery outcome (its completion step is when the shard's first
     message may leave), and the merge's comm meter (whose per-link
-    words size the replayed hand-offs).  Recovery events land on
+    words size the replayed messages).  Recovery events land on
     :attr:`tracer` too, so the ``async`` cell reads as one timeline.
     """
 
@@ -353,12 +354,15 @@ class _ScheduleReplay:
             policy=scheduler.policy.name,
             workers=self.workers,
         ):
+            # Every replayed message carries the words the merge metered
+            # on its link; each link carries one message per merge.
+            report = comm.report()
             if self.coordinator == "chain":
-                dropped = self._chain(survivors, completion, comm)
+                dropped = self._chain(survivors, completion, report)
             elif self.coordinator == "tree":
-                dropped = self._tree(survivors, completion, comm)
+                dropped = self._tree(survivors, completion, report)
             else:
-                dropped = self._star(survivors, completion, comm)
+                dropped = self._star(survivors, completion, report)
         return {
             "logical_steps": float(scheduler.clock),
             "delivered_messages": float(scheduler.delivered),
@@ -374,14 +378,13 @@ class _ScheduleReplay:
         self,
         survivors: List[int],
         completion: Dict[int, int],
-        comm: CommMeter,
+        report: CommReport,
     ) -> int:
         # The chain is inherently sequential: hand-off i+1 can only be
         # posted once hand-off i has landed, and a hand-off leaves shard
         # a no earlier than the shard finished — the clock measures the
         # protocol's O(W) critical path.
         scheduler = self.scheduler
-        hand_words = dict(comm.report().per_link_words)
         seen_hops = set()
         dropped = 0
         for a, b in zip(survivors, survivors[1:]):
@@ -395,7 +398,7 @@ class _ScheduleReplay:
                     src,
                     dst,
                     kind="handoff",
-                    words=hand_words.get(link_label(src, dst), 0),
+                    words=report.link_words(src, dst),
                     payload=a,
                     available_step=ready,
                 )
@@ -410,18 +413,15 @@ class _ScheduleReplay:
         self,
         survivors: List[int],
         completion: Dict[int, int],
-        comm: CommMeter,
+        report: CommReport,
     ) -> int:
         # Tournament topology: hand-offs within a round are independent,
         # so each round is posted as a batch and delivered with
         # :meth:`AsyncScheduler.deliver_available` — the whole round
         # lands on one logical tick (plus its idle-to-availability),
         # which is exactly the Θ(log W) critical path the tree buys over
-        # the chain's Θ(W).  The tree's edges replay from the metered
-        # per-link words — unambiguous because each (src, dst) tree
-        # edge is used exactly once.
+        # the chain's Θ(W).
         scheduler = self.scheduler
-        hand_words = dict(comm.report().per_link_words)
         ready: Dict[int, int] = {i: completion.get(i, 0) for i in survivors}
         seen_edges = set()
         dropped = 0
@@ -446,7 +446,7 @@ class _ScheduleReplay:
                         src,
                         dst,
                         kind="tree-handoff",
-                        words=hand_words.get(link_label(src, dst), 0),
+                        words=report.link_words(src, dst),
                         payload=a,
                         available_step=avail,
                     )
@@ -468,17 +468,15 @@ class _ScheduleReplay:
         self,
         survivors: List[int],
         completion: Dict[int, int],
-        comm: CommMeter,
+        report: CommReport,
     ) -> int:
-        # Star topology: every surviving shard posts its upload,
-        # available once the shard finished plus the link delay, sized
-        # by the words the merge metered on its link (a cover message
-        # for union, a candidate message for greedy).  Deduplicated by
+        # Star topology: every surviving shard posts its upload (a cover
+        # message for union, a candidate message for greedy), available
+        # once the shard finished plus the link delay.  Deduplicated by
         # shard index, the fully drained inbox is exactly the sorted
         # survivors the merge consumed, so duplicate and reordered
         # deliveries cannot change it.
         scheduler = self.scheduler
-        upload_words = dict(comm.report().per_link_words)
         for i in survivors:
             src = f"shard[{i}]"
             ready = completion.get(i, 0) + scheduler.link_delay(
@@ -489,7 +487,7 @@ class _ScheduleReplay:
                     src,
                     "coordinator",
                     kind="envelope",
-                    words=upload_words.get(link_label(src, "coordinator"), 0),
+                    words=report.link_words(src, "coordinator"),
                     payload=i,
                     available_step=ready,
                 )

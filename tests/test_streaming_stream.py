@@ -6,7 +6,7 @@ from itertools import cycle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import make_algorithm
@@ -221,12 +221,6 @@ class TestFrozenEdgesFromRecords:
         with pytest.raises(InvalidStreamError):
             FrozenEdges(records)
 
-    def test_records_round_trip(self):
-        records = [Edge(3, 1), Edge(0, 2), Edge(3, 0)]
-        frozen = FrozenEdges(records)
-        assert list(frozen) == records
-        assert frozen.columns()[0].tolist() == [3, 0, 3]
-
 
 class _FiringRecorder(EdgeStream):
     """Records, at every checkpoint firing, the stream position and the
@@ -257,6 +251,13 @@ class TestOneReadPath:
 
     @settings(max_examples=200, deadline=None)
     @given(_checkpointed_walks())
+    @example(  # checkpoints around the per-edge chunk boundaries
+        (
+            [Edge(k % 6, k % 10) for k in range(9000)],
+            [0, 4095, 4096, 4096, 8192, 9000],
+            [4096, 1],
+        )
+    )
     def test_per_edge_matches_batched(self, walk):
         edges, checkpoints, chunks = walk
         instance = SetCoverInstance(10, [range(10)] * 6)
