@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from collections.abc import Mapping
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -28,14 +29,9 @@ from repro.errors import (
 )
 from repro.obs import events as obs_events
 from repro.obs.tracer import NULL_TRACER, NullTracer, RecordingTracer
-from repro.streaming.space import (
-    ChargedDict,
-    SpaceBudget,
-    SpaceMeter,
-    charges_budget,
-)
+from repro.streaming.space import SpaceBudget, SpaceMeter, charges_budget
 from repro.streaming.stream import EdgeStream
-from repro.types import ElementId, SeedLike, SetId, make_rng
+from repro.types import ElementId, SeedLike, SetId, first_occurrences, make_rng
 
 Tracer = Union[NullTracer, RecordingTracer]
 """Anything honouring the tracer protocol (``enabled``/``span``/``event``/``count``)."""
@@ -44,11 +40,16 @@ Tracer = Union[NullTracer, RecordingTracer]
 class FirstSetStore:
     """Remembers, per element, the first set seen to contain it.
 
-    Mirrors Algorithm 1 line 4 and Algorithm 2 lines 9–10.  Costs Õ(n)
-    space, charged to the given meter under the component name
-    ``"first-set"`` via a :class:`~repro.streaming.space.ChargedDict`
-    (the meter is updated only when new elements are recorded, never per
-    edge, and once per chunk on the columnar path).
+    Mirrors Algorithm 1 line 4 and Algorithm 2 lines 9–10.  The map is
+    an ``int64`` array over the universe (−1 for an element not yet
+    seen) plus the recorded elements in the order they were recorded
+    (what :attr:`mapping` iterates); it costs Õ(n) space,
+    charged as two words per recorded element to the given meter under
+    the component name ``"first-set"``.  The meter is updated only when
+    new elements are recorded, never per edge, and once per chunk on
+    the columnar path.  Without ``universe_size`` the array grows to
+    the largest element observed.  Element ids must be non-negative
+    (the algorithms' runs check their streams first).
     """
 
     COMPONENT = "first-set"
@@ -56,16 +57,39 @@ class FirstSetStore:
     def __init__(
         self, meter: SpaceMeter, universe_size: Optional[int] = None
     ) -> None:
-        self._first: Dict[ElementId, SetId] = ChargedDict(
-            meter, self.COMPONENT, words_per_entry=2, charge_initial=False
-        )
+        self._meter = meter
         self._universe_size = universe_size
-        self._seen: Optional[np.ndarray] = None
+        self._first = np.full(universe_size or 0, -1, dtype=np.int64)
+        self._order = np.empty(universe_size or 0, dtype=np.int64)
+        self._count = 0
+
+    def _reserve(self, size: int) -> np.ndarray:
+        """The first-set array, grown (doubling) to hold ids below ``size``."""
+        first = self._first
+        if size > len(first):
+            grown = np.full(max(size, 2 * len(first)), -1, dtype=np.int64)
+            grown[: len(first)] = first
+            self._first = first = grown
+            order = np.empty(len(grown), dtype=np.int64)
+            order[: self._count] = self._order[: self._count]
+            self._order = order
+        return first
+
+    def _recorded(self, elements: Union[int, np.ndarray], added: int) -> None:
+        """Append ``added`` newly recorded ``elements``; charge two words each."""
+        count = self._count
+        self._order[count : count + added] = elements
+        self._count = count + added
+        self._meter.set_component(self.COMPONENT, 2 * self._count)
 
     def observe(self, set_id: SetId, element: ElementId) -> None:
         """Record ``set_id`` as the witness for ``element`` if it is first."""
-        if element not in self._first:
-            self._first[element] = set_id
+        first = self._first
+        if element >= len(first):
+            first = self._reserve(element + 1)
+        if first[element] < 0:
+            first[element] = set_id
+            self._recorded(element, 1)
 
     def observe_columns(
         self, set_ids: np.ndarray, elements: np.ndarray
@@ -74,59 +98,45 @@ class FirstSetStore:
 
         Equivalent to calling :meth:`observe` for every edge in order,
         but O(chunk) vectorized: once every universe element has been
-        seen this degenerates to a single boolean check per chunk.
+        seen this degenerates to a single count check per chunk.
         """
-        if self._universe_size is not None and len(self._first) == self._universe_size:
+        if self._count == self._universe_size or not len(elements):
             return
-        if self._seen is None:
-            size = (
-                self._universe_size
-                if self._universe_size is not None
-                else int(elements.max()) + 1 if len(elements) else 1
-            )
-            self._seen = np.zeros(size, dtype=bool)
-            for element in self._first:
-                self._seen[element] = True
-        seen = self._seen
-        if len(elements) and int(elements.max()) >= len(seen):
-            grown = np.zeros(int(elements.max()) + 1, dtype=bool)
-            grown[: len(seen)] = seen
-            self._seen = seen = grown
-        new_mask = ~seen[elements]
-        if not new_mask.any():
+        first = self._reserve(int(elements.max()) + 1)
+        fresh = np.flatnonzero(first[elements] < 0)
+        if not len(fresh):
             return
-        new_positions = np.nonzero(new_mask)[0]
-        uniques, first_within = np.unique(
-            elements[new_positions], return_index=True
-        )
-        # One batch write, charged once (per item under a space budget);
-        # ``uniques`` ascend, as per-edge writes would.
-        before = len(self._first)
-        try:
-            self._first.update(
-                zip(uniques.tolist(), set_ids[new_positions[first_within]].tolist())
-            )
-        finally:
-            # A budget error stops the write at its crossing element; the
-            # elements written are a prefix of ``uniques``.
-            seen[uniques[: len(self._first) - before]] = True
+        uniques, within = first_occurrences(elements[fresh], len(first))
+        sets = set_ids[fresh[within]]
+        budget = self._meter.budget
+        if budget is not None:
+            # Per-element writes would stop at the element whose two
+            # words cross the budget, after writing it; ``uniques``
+            # ascend, as those writes would.
+            fit = max(1, (budget.words - self._meter.current_words) // 2 + 1)
+            uniques, sets = uniques[:fit], sets[:fit]
+        first[uniques] = sets
+        self._recorded(uniques, len(uniques))
 
     def get(self, element: ElementId) -> Optional[SetId]:
         """The first set observed to contain ``element``, or ``None``."""
-        return self._first.get(element)
+        first = self._first
+        if 0 <= element < len(first) and first[element] >= 0:
+            return int(first[element])
+        return None
 
     @property
-    def mapping(self) -> Dict[ElementId, SetId]:
-        """The live ``element -> first set`` map (treat as read-only).
+    def mapping(self) -> Mapping[ElementId, SetId]:
+        """A live, read-only ``element -> first set`` view, in recording order.
 
         Exposed so algorithms can register it as salvageable state: if
         a pass dies mid-stream, the first-set witnesses collected so far
         are a legitimate partial certificate.
         """
-        return self._first
+        return _FirstSetView(self)
 
     def __len__(self) -> int:
-        return len(self._first)
+        return self._count
 
     def patch(
         self,
@@ -148,14 +158,12 @@ class FirstSetStore:
         certificate stops at the element whose charge crossed it.
         """
         witnessed = np.zeros(universe_size, dtype=bool)
-        keys, in_range = _key_array(certificate, universe_size)
-        witnessed[keys[in_range]] = True
-        first_of = np.full(universe_size, -1, dtype=np.int64)
-        keys, in_range = _key_array(self._first, universe_size)
-        values = np.fromiter(self._first.values(), dtype=np.int64, count=len(keys))
-        first_of[keys[in_range]] = values[in_range]
+        keys = np.fromiter(certificate.keys(), dtype=np.int64, count=len(certificate))
+        witnessed[keys[(keys >= 0) & (keys < universe_size)]] = True
         missing = np.flatnonzero(~witnessed)
-        firsts = first_of[missing]
+        firsts = np.full(len(missing), -1, dtype=np.int64)
+        known = missing < len(self._first)
+        firsts[known] = self._first[missing[known]]
         unseen = np.flatnonzero(firsts < 0)
         stop = int(unseen[0]) if len(unseen) else len(missing)
         elements, sets = missing[:stop].tolist(), firsts[:stop].tolist()
@@ -174,12 +182,24 @@ class FirstSetStore:
         return stop
 
 
-def _key_array(
-    mapping: Mapping[ElementId, SetId], universe_size: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``mapping``'s keys as an array, and the mask of those in ``[0, universe_size)``."""
-    keys = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
-    return keys, (keys >= 0) & (keys < universe_size)
+class _FirstSetView(Mapping):
+    """The recorded ``element -> first set`` pairs of a :class:`FirstSetStore`."""
+
+    def __init__(self, store: FirstSetStore) -> None:
+        self._store = store
+
+    def __getitem__(self, element: ElementId) -> SetId:
+        first = self._store.get(element)
+        if first is None:
+            raise KeyError(element)
+        return first
+
+    def __iter__(self) -> Iterator[ElementId]:
+        store = self._store
+        return iter(store._order[: store._count].tolist())
+
+    def __len__(self) -> int:
+        return len(self._store)
 
 
 def uniforms(rng: random.Random, k: int) -> np.ndarray:
@@ -351,7 +371,13 @@ class StreamingSetCoverAlgorithm:
         live containers the subclass registered via
         :meth:`_register_salvage`, so ``best_effort`` degradation can
         salvage the work already done instead of discarding the pass.
+
+        An edge whose set or element id lies outside the instance raises
+        :class:`~repro.errors.InvalidStreamError` before the pass starts
+        (the ``skip_bad_edges`` and ``best_effort`` policies drop such
+        edges first).
         """
+        stream.peek_all().check_ids(stream.instance.n, stream.instance.m)
         self._meter = SpaceMeter(budget=self._space_budget)
         self._salvage_cover = None
         self._salvage_certificate = None

@@ -48,7 +48,7 @@ from repro.core.solution import StreamingResult
 from repro.obs import events as obs_events
 from repro.streaming.space import SpaceBudget, words_for_mapping, words_for_set
 from repro.streaming.stream import EdgeStream
-from repro.types import ElementId, SeedLike, SetId
+from repro.types import ElementId, SeedLike, SetId, first_occurrences
 
 
 @dataclass
@@ -225,8 +225,8 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                 # Witnesses: the first Sol-edge of each element marks it.
                 sol_hits = np.nonzero(in_sol[set_ids])[0]
                 if len(sol_hits):
-                    uniques, first_within = np.unique(
-                        elements[sol_hits], return_index=True
+                    uniques, first_within = first_occurrences(
+                        elements[sol_hits], n
                     )
                     for u, hit in zip(
                         uniques.tolist(), sol_hits[first_within].tolist()
@@ -437,7 +437,7 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
         # Sol is frozen here, so the remainder reduces to two vectorized
         # scans: batch first-set observation, then one witness per still
         # uncertified element at its first Sol-edge (stream order — the
-        # unique() index is the first occurrence; the loop only repeats
+        # first_occurrences index is the first one; the loop only repeats
         # when a take stops short at a stream checkpoint).
         with tracer.span(obs_events.SPAN_REMAINDER, start_position=position):
             while reader.remaining:
@@ -445,8 +445,8 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                 first_sets.observe_columns(set_ids, elements)
                 sol_hits = np.nonzero(in_sol[set_ids])[0]
                 if len(sol_hits):
-                    uniques, first_within = np.unique(
-                        elements[sol_hits], return_index=True
+                    uniques, first_within = first_occurrences(
+                        elements[sol_hits], n
                     )
                     for u, hit in zip(
                         uniques.tolist(), sol_hits[first_within].tolist()
@@ -550,11 +550,14 @@ class StreamLengthOblivious(StreamingSetCoverAlgorithm):
         guesses.append(m * n)
 
         best_guess = min(guesses, key=lambda g: abs(math.log(g) - math.log(true_n)))
-        # Honour the one-pass discipline on the outer stream, then hand
-        # the frozen edge buffer (shared, never copied) to the chosen
-        # copy; it runs with N = best_guess — its loop sizing sees the
-        # guess, not the true length.
-        stream.reader()
+        # Walk the outer stream's one pass (a take stops at each
+        # checkpoint, so every one fires), then hand the frozen edge
+        # buffer (shared, never copied) to the chosen copy; it runs with
+        # N = best_guess — its loop sizing sees the guess, not the true
+        # length.
+        reader = stream.reader()
+        while len(reader.take_rest_columns()[0]):
+            pass
         inner = RandomOrderAlgorithm(
             scaling=self.scaling, seed=self._rng.getrandbits(63)
         )

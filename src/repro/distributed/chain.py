@@ -49,12 +49,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Sized, Tuple
+from typing import (
+    Collection,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Sized,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.types import ElementId
+from repro.types import ElementId, first_occurrences
 
 SetKey = Hashable
 #: One party's share: an *ordered* list of ``(key, members)`` pairs.
@@ -73,6 +87,83 @@ StateSnapshot = Tuple[np.ndarray, np.ndarray, Tuple[SetKey, ...]]
 #: witness key id per element (−1 for none), and the chosen key ids in
 #: pick order.
 _State = Tuple[np.ndarray, np.ndarray, List[int]]
+
+
+class SetRows:
+    """An ordered list of sets in CSR form: one party's share.
+
+    Row ``r`` is the set ``keys[r]`` with members
+    ``members[indptr[r]:indptr[r + 1]]``, distinct within the row.  A
+    key may be listed more than once; each listing is a row of its own.
+    A shard's rows (:attr:`~repro.distributed.worker.ShardOutput.rows`)
+    hold ascending ``int64`` members and give every listing of a set
+    its full observed membership.
+    """
+
+    __slots__ = ("keys", "indptr", "members")
+
+    def __init__(
+        self, keys: Sequence[SetKey], indptr: np.ndarray, members: np.ndarray
+    ) -> None:
+        self.keys: Tuple[SetKey, ...] = tuple(keys)
+        self.indptr = indptr
+        self.members = members
+
+    @classmethod
+    def from_pairs(
+        cls, pairs: Iterable[Tuple[SetKey, Collection[ElementId]]]
+    ) -> "SetRows":
+        """Rows of ``(key, members)`` pairs, in order, members as given."""
+        pairs = list(pairs)
+        views = [members for _, members in pairs]
+        indptr = np.zeros(len(views) + 1, dtype=np.int64)
+        np.cumsum([len(view) for view in views], out=indptr[1:])
+        members = np.array(list(itertools.chain.from_iterable(views)))
+        return cls(
+            [key for key, _ in pairs],
+            indptr,
+            members if members.size else np.empty(0, dtype=np.int64),
+        )
+
+    @classmethod
+    def from_mapping(
+        cls,
+        members_by_set: Mapping[SetKey, Iterable[ElementId]],
+        order: Optional[Iterable[SetKey]] = None,
+    ) -> "SetRows":
+        """One row per key of ``order`` (default: the mapping's keys);
+        a key the mapping lacks gets an empty row."""
+        keys = members_by_set if order is None else order
+        return cls.from_pairs(
+            (key, sorted(members_by_set.get(key, ()))) for key in keys
+        )
+
+    def as_mapping(
+        self, keys: Optional[Iterable[SetKey]] = None
+    ) -> Dict[SetKey, FrozenSet[ElementId]]:
+        """Each set's members as a frozenset, for every listed key in
+        row order or only for ``keys`` (empty for a key not listed).  A
+        key listed twice reads its last row."""
+        row_of = {key: r for r, key in enumerate(self.keys)}
+        bounds = self.indptr.tolist()
+        out: Dict[SetKey, FrozenSet[ElementId]] = {}
+        for key in self.keys if keys is None else keys:
+            r = row_of.get(key)
+            out[key] = (
+                frozenset()
+                if r is None
+                else frozenset(self.members[bounds[r] : bounds[r + 1]].tolist())
+            )
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SetRows):
+            return NotImplemented
+        return (
+            self.keys == other.keys
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.members, other.members)
+        )
 
 
 #: One party's sets in CSR form, ``(key_ids, indptr, members, rows)``:
@@ -159,43 +250,36 @@ def adaptive_threshold_for(uncovered: int, remaining_parties: int) -> float:
 
 
 def _shares(
-    n: int, party_sets: Sequence[PartySets]
+    n: int, parties: Sequence[SetRows]
 ) -> Tuple[List[SetKey], List[_Share]]:
-    """Intern the set keys and pack every party's share as CSR.
+    """Intern the set keys and index every party's rows.
 
     Keys get dense ids in first-appearance order (party by party, in
-    enumeration order); returns the keys by id and one :data:`_Share`
-    per party.  Every member must be an int element id in ``0..n-1`` —
+    row order); returns the keys by id and one :data:`_Share` per
+    party.  Every member must be an int element id in ``0..n-1`` —
     checked here, before any party acts, so an out-of-range id can
     neither be certified nor alias another element.
     """
     key_index: Dict[SetKey, int] = {}
-    party_ids = [
-        [key_index.setdefault(key, len(key_index)) for key, _ in share]
-        for share in party_sets
-    ]
-    views = [members for share in party_sets for _, members in share]
-    members = np.array(list(itertools.chain.from_iterable(views)))
-    if members.size and members.dtype.kind not in "iu":
-        raise ProtocolError(
-            f"set members must be int element ids, got {members.dtype} values"
-        )
-    outside = members[(members < 0) | (members >= n)]
-    if outside.size:
-        raise ProtocolError(
-            f"set member {int(outside[0])} is outside the universe 0..{n - 1}"
-        )
-    indptr = np.cumsum([0] + [len(view) for view in views])
     shares: List[_Share] = []
-    for ids in party_ids:
-        bounds, indptr = indptr[: len(ids) + 1], indptr[len(ids) :]
-        local = bounds - bounds[0]
+    for party in parties:
+        members = party.members
+        if members.size and members.dtype.kind not in "iu":
+            raise ProtocolError(
+                f"set members must be int element ids, got {members.dtype} values"
+            )
+        outside = members[(members < 0) | (members >= n)]
+        if outside.size:
+            raise ProtocolError(
+                f"set member {int(outside[0])} is outside the universe 0..{n - 1}"
+            )
+        ids = [key_index.setdefault(key, len(key_index)) for key in party.keys]
         shares.append(
             (
                 np.array(ids, dtype=np.int64),
-                local,
-                members[bounds[0] : bounds[-1]].astype(np.int64),
-                np.repeat(np.arange(len(ids)), np.diff(local)),
+                party.indptr,
+                members.astype(np.int64, copy=False),
+                np.repeat(np.arange(len(ids)), np.diff(party.indptr)),
             )
         )
     return list(key_index), shares
@@ -205,7 +289,7 @@ def _record_witnesses(share: _Share, witnesses: np.ndarray) -> None:
     """Give every element ``share`` holds that has no witness yet the
     first of the party's sets, in enumeration order, that holds it."""
     key_ids, _, members, rows = share
-    elements, first = np.unique(members, return_index=True)
+    elements, first = first_occurrences(members, len(witnesses))
     fresh = witnesses[elements] < 0
     witnesses[elements[fresh]] = key_ids[rows[first[fresh]]]
 
@@ -241,7 +325,7 @@ class _Merge:
     def __init__(
         self,
         n: int,
-        party_sets: Sequence[PartySets],
+        party_sets: Sequence[Union[SetRows, PartySets]],
         threshold: Optional[float],
         adaptive: bool,
         capture_states: bool,
@@ -256,7 +340,13 @@ class _Merge:
             )
         #: The baseline τ: ``√(n/t)`` unless ``threshold`` overrides it.
         self.tau = threshold if threshold is not None else math.sqrt(n / self.t)
-        self.keys, self.shares = _shares(n, party_sets)
+        self.keys, self.shares = _shares(
+            n,
+            [
+                share if isinstance(share, SetRows) else SetRows.from_pairs(share)
+                for share in party_sets
+            ],
+        )
         self.key_values: Optional[np.ndarray] = None
         if capture_states:
             # int64 when every key is an int (the shape the wire packs).
@@ -333,7 +423,7 @@ class _Merge:
 
 def chain_merge(
     n: int,
-    party_sets: Sequence[PartySets],
+    party_sets: Sequence[Union[SetRows, PartySets]],
     threshold: Optional[float] = None,
     partial: bool = False,
     capture_states: bool = False,
@@ -347,7 +437,8 @@ def chain_merge(
         Universe size; elements are ``0..n-1`` and the union of all
         parties' sets must cover them (else :class:`ProtocolError`).
     party_sets:
-        One ordered ``(key, members)`` list per party.  The same key may
+        One ordered ``(key, members)`` list, or one :class:`SetRows`
+        (the same list in CSR form), per party.  The same key may
         appear at several parties (partial views under by-element or
         hash sharding); its membership is the union of the views *held
         by the parties that enumerate it*, each party acting only on its
@@ -420,7 +511,7 @@ def tournament_rounds(
 
 def tournament_merge(
     n: int,
-    party_sets: Sequence[PartySets],
+    party_sets: Sequence[Union[SetRows, PartySets]],
     threshold: Optional[float] = None,
     partial: bool = False,
     capture_states: bool = False,

@@ -245,17 +245,16 @@ class GreedyCoordinator(Coordinator):
     ) -> MergeOutcome:
         candidates: Dict[SetId, Set[ElementId]] = {}
         for out in outputs:
+            views = out.rows.as_mapping(out.cover)
             delivered = _send(
                 comm,
                 tracer,
                 f"shard[{out.index}]",
                 "coordinator",
-                words_for_candidate_message(
-                    [len(out.members_by_set.get(sid, ())) for sid in out.cover]
-                ),
+                words_for_candidate_message([len(views[sid]) for sid in out.cover]),
                 transport,
                 "candidates",
-                candidate_upload_wire(out.index, out.cover, out.members_by_set),
+                candidate_upload_wire(out.index, out.cover, views),
             )
             _, uploads = read_candidate_upload(delivered)
             for sid, members in uploads:
@@ -333,13 +332,9 @@ class _ProtocolCoordinator(Coordinator):
         transport: Transport,
         allow_partial: bool = False,
     ) -> MergeOutcome:
-        party_sets = [
-            [(sid, out.members_by_set.get(sid, ())) for sid in out.set_order]
-            for out in outputs
-        ]
         outcome = self.engine(
             instance.n,
-            party_sets,
+            [out.rows for out in outputs],
             threshold=self.threshold,
             partial=allow_partial,
             capture_states=True,

@@ -41,7 +41,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.stream import EdgesLike, EdgeStream, FrozenEdges
-from repro.types import SeedLike, make_rng
+from repro.types import SeedLike, first_occurrences, make_rng
 
 #: Every routing strategy :class:`ShardRouter` understands.
 STRATEGIES: Tuple[str, ...] = ("by-set", "by-element", "hash")
@@ -180,8 +180,14 @@ class ShardRouter:
         edges: EdgesLike,
         order_name: str = "canonical",
     ) -> ShardPlan:
-        """Partition ``edges`` (an ordering of ``instance``) into shards."""
-        set_ids, elements = FrozenEdges(edges).columns()
+        """Partition ``edges`` (an ordering of ``instance``) into shards.
+
+        An edge outside the instance raises
+        :class:`~repro.errors.InvalidStreamError`.
+        """
+        frozen = FrozenEdges(edges)
+        frozen.check_ids(instance.n, instance.m)
+        set_ids, elements = frozen.columns()
         workers = self.workers
         if self.strategy == "by-set":
             assignment, per_worker = deal_round_robin(
@@ -208,7 +214,8 @@ class ShardRouter:
         spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
         if self.strategy != "by-set":
             set_order = tuple(
-                _first_appearance_sets(set_ids[a:b]) for a, b in spans
+                _first_appearance_sets(set_ids[a:b], instance.m)
+                for a, b in spans
             )
         return ShardPlan(
             strategy=self.strategy,
@@ -242,7 +249,7 @@ class ShardRouter:
         )
 
 
-def _first_appearance_sets(set_ids: np.ndarray) -> Tuple[int, ...]:
-    """The distinct set ids of one shard span, by first appearance."""
-    distinct, first = np.unique(set_ids, return_index=True)
+def _first_appearance_sets(set_ids: np.ndarray, m: int) -> Tuple[int, ...]:
+    """The distinct set ids (in ``range(m)``) of one shard span, by first appearance."""
+    distinct, first = first_occurrences(set_ids, m)
     return tuple(distinct[np.argsort(first)].tolist())

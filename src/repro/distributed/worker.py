@@ -25,6 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms import make_algorithm
+from repro.distributed.chain import SetRows
 from repro.faults.injectors import InjectionReport
 from repro.obs.events import SPAN_SHARD
 from repro.obs.tracer import NULL_TRACER
@@ -75,19 +76,18 @@ class ShardReport:
 class ShardOutput:
     """Everything a shard uploads to (or exposes for) a coordinator.
 
-    ``cover`` and ``certificate`` use *global* ids.  ``members_by_set``
-    is the shard's membership view — for each set the shard is
-    responsible for, the global elements it saw edges for (the full
-    membership under by-set routing, a partial view otherwise).
-    ``set_order`` is the deterministic enumeration order of the shard's
-    sets (the chain merge's party order).
+    ``cover`` and ``certificate`` use *global* ids.  ``rows`` is the
+    shard's membership view in CSR form: one row per set the shard is
+    responsible for, in the deterministic enumeration order of the
+    shard's sets (the chain merge's party order), holding the global
+    elements it saw edges for (the full membership under by-set
+    routing, a partial view otherwise), ascending.
     """
 
     index: int
     cover: FrozenSet[SetId]
     certificate: Dict[ElementId, SetId]
-    members_by_set: Dict[SetId, FrozenSet[ElementId]]
-    set_order: Tuple[SetId, ...]
+    rows: SetRows
     report: ShardReport = field(
         default_factory=lambda: ShardReport(
             index=0,
@@ -99,6 +99,11 @@ class ShardOutput:
             space=SpaceReport(peak_words=0, final_words=0),
         )
     )
+
+    @property
+    def set_order(self) -> Tuple[SetId, ...]:
+        """The shard's sets in party order (one per row)."""
+        return self.rows.keys
 
 
 _EMPTY_SPACE = SpaceReport(peak_words=0, final_words=0)
@@ -113,15 +118,15 @@ class LocalShard:
     order: the base order, then first-appearance stragglers) and
     ``elements[j]`` the global id of local element ``j`` (ascending).
     ``local_sets`` / ``local_elements`` are the clean edges in arrival
-    order, relabelled; ``members_by_set`` maps every global set id in
-    party order to the global elements the shard saw for it.
+    order, relabelled; ``rows`` holds, for every global set id in party
+    order, the global elements the shard saw for it.
     """
 
     set_ids: np.ndarray
     elements: np.ndarray
     local_sets: np.ndarray
     local_elements: np.ndarray
-    members_by_set: Dict[SetId, FrozenSet[ElementId]]
+    rows: SetRows
 
 
 class ShardAccumulator:
@@ -214,11 +219,6 @@ class ShardAccumulator:
         """Global set ids in party order (local set ``i`` is ``set_ids[i]``)."""
         return self.localize().set_ids.tolist()
 
-    @property
-    def members_by_set(self) -> Dict[SetId, FrozenSet[ElementId]]:
-        """The observed membership of every set, in party order."""
-        return self.localize().members_by_set
-
 
 def _localize(
     set_col: np.ndarray,
@@ -234,7 +234,9 @@ def _localize(
     are the ranks of the observed global elements.  Local sets follow
     the party order: a set listed in ``base_set_order`` keeps its
     position there (the last one, if listed twice), and an unlisted set
-    is appended in order of first appearance.
+    is appended in order of first appearance.  The membership rows
+    follow the party order too; every listing of a set gets its full
+    membership.
     """
     base = np.array(base_set_order, dtype=np.int64)
     k = len(set_col)
@@ -244,7 +246,11 @@ def _localize(
             elements=_EMPTY_COLUMN,
             local_sets=_EMPTY_COLUMN,
             local_elements=_EMPTY_COLUMN,
-            members_by_set={s: frozenset() for s in base_set_order},
+            rows=SetRows(
+                base_set_order,
+                np.zeros(len(base) + 1, dtype=np.int64),
+                _EMPTY_COLUMN,
+            ),
         )
     local_of = np.full(m, -1, dtype=np.int64)
     in_range = (base >= 0) & (base < m)
@@ -265,25 +271,46 @@ def _localize(
     observed[elem_col] = True
     elements = np.flatnonzero(observed)
     local_elements = (np.cumsum(observed) - 1)[elem_col]
-
-    # Membership: the clean edges grouped by local set with one argsort;
-    # building each set drops repeated edges.  Through a set, too, because
-    # a frozenset built from a list keeps the table its incremental growth
-    # left (about twice the size), one copied from a set is sized to fit.
-    members = elem_col[np.argsort(local_sets)].tolist()
-    bounds = np.zeros(len(set_ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(local_sets, minlength=len(set_ids)), out=bounds[1:])
-    bounds = bounds.tolist()
-    members_by_set: Dict[SetId, FrozenSet[ElementId]] = {}
-    for i, s in enumerate(set_ids.tolist()):
-        members_by_set[s] = frozenset(set(members[bounds[i] : bounds[i + 1]]))
     return LocalShard(
         set_ids=set_ids,
         elements=elements,
         local_sets=local_sets,
         local_elements=local_elements,
-        members_by_set=members_by_set,
+        rows=_membership_rows(set_ids, local_of, local_sets, elem_col, n),
     )
+
+
+def _membership_rows(
+    set_ids: np.ndarray,
+    local_of: np.ndarray,
+    local_sets: np.ndarray,
+    elem_col: np.ndarray,
+    n: int,
+) -> SetRows:
+    """The membership of every party-order set as CSR rows.
+
+    One sort of the edge codes ``local_set * n + element`` groups the
+    edges by the row their set relabels to, ascending by element within
+    it; dropping repeated codes drops repeated edges.  A set listed
+    twice relabels to its last listing, so each row then gathers the
+    members of the row its set relabels to (itself, unless listed
+    twice; a listed id outside ``range(m)`` has no edges).
+    """
+    codes = np.sort(local_sets * n + elem_col)
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    row_of_code = codes // n
+    counts = np.bincount(row_of_code, minlength=len(set_ids))
+    starts = np.zeros(len(set_ids), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    source = np.arange(len(set_ids))
+    listed = (set_ids >= 0) & (set_ids < len(local_of))
+    source[listed] = local_of[set_ids[listed]]
+    lengths = counts[source]
+    indptr = np.zeros(len(set_ids) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    gather = np.repeat(starts[source] - indptr[:-1], lengths)
+    gather += np.arange(indptr[-1])
+    return SetRows(set_ids.tolist(), indptr, codes[gather] % n)
 
 
 class Worker:
@@ -337,8 +364,7 @@ class Worker:
                 index=self.index,
                 cover=frozenset(),
                 certificate={},
-                members_by_set=local.members_by_set,
-                set_order=tuple(set_ids),
+                rows=local.rows,
                 report=base_report,
             )
 
@@ -384,7 +410,6 @@ class Worker:
             index=self.index,
             cover=cover,
             certificate=certificate,
-            members_by_set=local.members_by_set,
-            set_order=tuple(set_ids),
+            rows=local.rows,
             report=base_report,
         )

@@ -59,9 +59,10 @@ class FrozenEdges:
     passing the same instance to many streams never copies.
     """
 
-    __slots__ = ("_set_ids", "_elements")
+    __slots__ = ("_set_ids", "_elements", "_extremes")
 
     def __init__(self, edges: EdgesLike) -> None:
+        self._extremes: Optional[Tuple[int, int, int, int]] = None
         if isinstance(edges, FrozenEdges):
             self._set_ids, self._elements = edges.columns()
             return
@@ -82,6 +83,7 @@ class FrozenEdges:
         frozen = cls.__new__(cls)
         frozen._set_ids = set_ids
         frozen._elements = elements
+        frozen._extremes = None
         return frozen
 
     def __len__(self) -> int:
@@ -114,6 +116,38 @@ class FrozenEdges:
         numpy views, so chunked consumers never copy edge data.
         """
         return self._set_ids, self._elements
+
+    def check_ids(self, n: int, m: int) -> None:
+        """Raise :class:`InvalidStreamError` unless every edge is in range.
+
+        Set ids must lie in ``range(m)`` and elements in ``range(n)``.
+        The columns' extremes are found once and kept, so the buffer a
+        replayable stream shares is scanned only on its first check.
+        """
+        if self._extremes is None:
+            set_ids, elements = self._set_ids, self._elements
+            self._extremes = (
+                (
+                    int(set_ids.min()),
+                    int(set_ids.max()),
+                    int(elements.min()),
+                    int(elements.max()),
+                )
+                if len(set_ids)
+                else (0, -1, 0, -1)
+            )
+        low_set, high_set, low_element, high_element = self._extremes
+        if low_set >= 0 and high_set < m and low_element >= 0 and high_element < n:
+            return
+        set_ids, elements = self._set_ids, self._elements
+        bad = np.flatnonzero(
+            (set_ids < 0) | (set_ids >= m) | (elements < 0) | (elements >= n)
+        )[0]
+        raise InvalidStreamError(
+            f"edge {int(bad)} ({int(set_ids[bad])}, {int(elements[bad])}) "
+            f"is outside the instance: set ids lie in range({m}) and "
+            f"elements in range({n})"
+        )
 
 
 @dataclass(frozen=True)

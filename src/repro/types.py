@@ -74,3 +74,18 @@ def iter_edges(items: Iterable[Union[Edge, EdgeTuple]]) -> Iterator[Edge]:
     """Yield each item of ``items`` coerced to an :class:`Edge`."""
     for item in items:
         yield as_edge(item)
+
+
+def first_occurrences(values: np.ndarray, bound: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values``, ascending, and where each first occurs.
+
+    The same pair as ``np.unique(values, return_index=True)`` for ids in
+    ``range(bound)``, from one scatter-min over a ``bound``-sized array
+    instead of a sort: O(len(values) + bound).  Every value must lie in
+    ``range(bound)``; a negative one would alias a high id.
+    """
+    k = len(values)
+    first = np.full(bound, k, dtype=np.int64)
+    np.minimum.at(first, values, np.arange(k, dtype=np.int64))
+    distinct = np.flatnonzero(first < k)
+    return distinct, first[distinct]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import make_algorithm, registered_algorithms
 from repro.core.adversarial import LowSpaceAdversarialAlgorithm
 from repro.core.base import (
     CoinTape,
@@ -22,10 +23,12 @@ from repro.core.solution import StreamingResult
 from repro.errors import (
     ConfigurationError,
     InvalidCoverError,
+    InvalidStreamError,
     SpaceBudgetExceededError,
 )
+from repro.streaming.instance import SetCoverInstance
 from repro.streaming.space import ChargedSet, SpaceBudget, SpaceMeter
-from repro.streaming.stream import stream_of
+from repro.streaming.stream import EdgeStream, stream_of
 
 
 class TestFirstSetStore:
@@ -219,6 +222,22 @@ class TestBaseContract:
         algorithm = StreamingSetCoverAlgorithm(seed=1)
         with pytest.raises(NotImplementedError):
             algorithm.run(stream_of(tiny_instance))
+
+
+class TestOutOfRangeEdges:
+    """A run rejects an edge outside its instance before the pass starts."""
+
+    @pytest.mark.parametrize("name", registered_algorithms())
+    @pytest.mark.parametrize(
+        "bad", [(0, -1), (0, 3), (-1, 0), (2, 0)], ids=["u-1", "u3", "s-1", "s2"]
+    )
+    def test_typed_error(self, name, bad):
+        instance = SetCoverInstance(3, [{0, 1, 2}, {0}])
+        edges = list(stream_of(instance).peek_all()) + [bad]
+        stream = EdgeStream(instance, edges)
+        with pytest.raises(InvalidStreamError, match=f"edge {len(edges) - 1} "):
+            make_algorithm(name, instance, seed=1).run(stream)
+        assert not stream.consumed
 
 
 # -- exact batched draws ------------------------------------------------

@@ -11,7 +11,7 @@ exactly what the model does:
   empty), under canonical, random and set-grouped arrival orders, with
   the column entry point of each order equal to its tuple path;
 * for every shard stream, with out-of-range ids, duplicate edges and
-  unlisted sets mixed in, the party order, ``members_by_set``, the
+  unlisted sets mixed in, the party order, the membership rows, the
   dropped-edge count and the local id maps, fed in arbitrary chunks;
 * the vectorized splitmix64 hash equals :func:`edge_hash_worker` on
   arbitrary ``int64`` pairs and seeds up to 2**63 - 1.
@@ -225,8 +225,8 @@ class TestColumnarAccumulator:
                 assert accumulator.set_ids == expected["set_ids"]
                 assert local.set_ids.tolist() == expected["set_ids"]
                 assert local.elements.tolist() == expected["elements"]
-                assert accumulator.members_by_set == expected["members_by_set"]
-                assert list(accumulator.members_by_set) == expected["set_ids"]
+                assert local.rows.as_mapping() == expected["members_by_set"]
+                assert list(local.rows.as_mapping()) == expected["set_ids"]
                 assert (
                     list(
                         zip(
@@ -245,7 +245,7 @@ class TestColumnarAccumulator:
         local = accumulator.localize()
         assert local.set_ids.tolist() == [2, 0, 2, 3]
         assert local.local_sets.tolist() == [2, 1, 3]
-        assert accumulator.members_by_set == {
+        assert local.rows.as_mapping() == {
             2: frozenset({1}),
             0: frozenset({0}),
             3: frozenset({2}),

@@ -242,6 +242,7 @@ class TestBudgetsAndFailures:
         from repro.distributed.comm import CommMeter as Meter
         from repro.distributed.coordinator import GreedyCoordinator
         from repro.distributed.transport import InprocTransport
+        from repro.distributed.chain import SetRows
         from repro.distributed.worker import ShardOutput
         from repro.obs.tracer import NULL_TRACER
 
@@ -251,8 +252,7 @@ class TestBudgetsAndFailures:
                 index=0,
                 cover=frozenset({0}),
                 certificate={0: 0, 1: 0},
-                members_by_set={0: frozenset({0, 1})},  # element 2 unseen
-                set_order=(0,),
+                rows=SetRows.from_mapping({0: {0, 1}}),  # element 2 unseen
             )
         ]
         with pytest.raises(InvalidCoverError):

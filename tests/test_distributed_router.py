@@ -10,7 +10,7 @@ from repro.distributed.router import (
     deal_round_robin,
     edge_hash_worker,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvalidStreamError
 from repro.generators.planted import planted_partition_instance
 from repro.lowerbound.simple_protocol import split_instance_among_parties
 from repro.streaming.orders import RandomOrder
@@ -159,6 +159,13 @@ class TestShardRouter:
         plan = ShardRouter("hash", workers=2, seed=4).route_stream(stream)
         assert plan.total_edges == instance.num_edges
         assert plan.order_name == "canonical"
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("bad", [(-1, 0), (30, 0), (0, -1), (0, 40)])
+    def test_edge_outside_instance_rejected(self, instance, strategy, bad):
+        edges = _ordered_edges(instance) + [bad]
+        with pytest.raises(InvalidStreamError):
+            ShardRouter(strategy, workers=3).route_edges(instance, edges)
 
 
 class TestEdgeHash:

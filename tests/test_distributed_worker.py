@@ -72,7 +72,7 @@ class TestWorkerRun:
         for edge in plan.shard_edges[1]:
             seen.setdefault(edge[0], set()).add(edge[1])
         for sid in plan.set_order[1]:
-            assert out.members_by_set[sid] == frozenset(seen.get(sid, set()))
+            assert out.rows.as_mapping()[sid] == frozenset(seen.get(sid, set()))
 
     def test_by_set_view_is_full_membership(self, instance):
         plan = _plan(instance, strategy="by-set")
@@ -83,7 +83,7 @@ class TestWorkerRun:
             plan.set_order[2],
         )
         for sid in plan.set_order[2]:
-            assert out.members_by_set[sid] == instance.set_members(sid)
+            assert out.rows.as_mapping()[sid] == instance.set_members(sid)
 
     def test_report_shape(self, instance):
         plan = _plan(instance)
@@ -116,7 +116,7 @@ class TestWorkerRun:
         shard_elements = {e[1] for e in plan.shard_edges[0]}
         covered = set()
         for sid in out.cover:
-            covered.update(out.members_by_set.get(sid, frozenset()))
+            covered.update(out.rows.as_mapping().get(sid, frozenset()))
         assert shard_elements <= covered
 
     def test_empty_shard_yields_empty_output(self, instance):
@@ -160,7 +160,7 @@ class TestWorkerRun:
             plan.set_order[0],
         )
         assert out.set_order == tuple(plan.set_order[0]) + (foreign,)
-        assert out.members_by_set[foreign] == frozenset({member})
+        assert out.rows.as_mapping()[foreign] == frozenset({member})
 
     def test_shard_span_in_trace(self, instance):
         plan = _plan(instance, workers=2)
@@ -222,4 +222,4 @@ class TestFeedColumnsEquivalence:
         assert vector.clean == scalar.clean
         assert vector.dropped == scalar.dropped
         assert vector.set_ids == scalar.set_ids
-        assert vector.members_by_set == scalar.members_by_set
+        assert vector.localize().rows == scalar.localize().rows

@@ -29,6 +29,7 @@ import pytest
 
 from repro.baselines.greedy import greedy_cover
 from repro.baselines.store_all import StoreAllAlgorithm
+from repro.distributed.chain import SetRows
 from repro.distributed.comm import CommMeter
 from repro.distributed.coordinator import GreedyCoordinator
 from repro.distributed.transport import InprocTransport
@@ -157,8 +158,7 @@ def _candidate_pool(rng: random.Random, n: int, m: int, shards: int):
                 index=index,
                 cover=cover,
                 certificate={},
-                members_by_set=members,
-                set_order=tuple(sorted(cover)),
+                rows=SetRows.from_mapping(members, sorted(cover)),
             )
         )
     return outputs

@@ -128,3 +128,18 @@ class TestRunPartitionedStream:
         )
         plain = KKAlgorithm(seed=6).run(EdgeStream(instance, edges))
         assert protocol_result.cover == plain.cover
+
+    def test_length_oblivious_walks_the_outer_pass(self):
+        from repro.core.random_order import StreamLengthOblivious
+        from repro.generators.planted import planted_partition_instance
+        from repro.streaming.stream import EdgeStream
+
+        planted = planted_partition_instance(40, 80, opt_size=4, seed=1).instance
+        edges = list(planted.edges())
+        parties = [edges[: len(edges) // 2], edges[len(edges) // 2 :]]
+        protocol_result, messages = run_partitioned_stream(
+            StreamLengthOblivious(seed=1), planted, parties
+        )
+        plain = StreamLengthOblivious(seed=1).run(EdgeStream(planted, edges))
+        assert len(messages) == 1
+        assert protocol_result.cover == plain.cover

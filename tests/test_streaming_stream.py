@@ -222,6 +222,39 @@ class TestFrozenEdgesFromRecords:
             FrozenEdges(records)
 
 
+class _Unscannable(np.ndarray):
+    """A column view whose reductions fail the test."""
+
+    def min(self, *args, **kwargs):
+        raise AssertionError("the buffer was scanned again")
+
+    max = min
+
+
+class TestCheckIds:
+    def test_names_the_first_edge_outside(self):
+        FrozenEdges([(0, 1), (1, 5)]).check_ids(6, 2)
+        frozen = FrozenEdges([(0, 1), (1, 5), (-1, 0)])
+        with pytest.raises(InvalidStreamError, match=r"edge 1 \(1, 5\)"):
+            frozen.check_ids(5, 2)
+        with pytest.raises(InvalidStreamError, match=r"edge 2 \(-1, 0\)"):
+            frozen.check_ids(6, 3)
+
+    def test_extremes_read_once(self):
+        # Later checks of one buffer, against any shape, reuse the
+        # extremes its first check found.
+        frozen = FrozenEdges([(0, 1), (2, 0)])
+        frozen.check_ids(2, 3)
+        frozen._set_ids = frozen._set_ids.view(_Unscannable)
+        frozen._elements = frozen._elements.view(_Unscannable)
+        frozen.check_ids(2, 3)
+        with pytest.raises(InvalidStreamError, match=r"edge 0 \(0, 1\)"):
+            frozen.check_ids(1, 3)
+
+    def test_empty_buffer_fits_any_shape(self):
+        FrozenEdges([]).check_ids(0, 0)
+
+
 class _FiringRecorder(EdgeStream):
     """Records, at every checkpoint firing, the stream position and the
     number of edges its consumer has been handed."""
