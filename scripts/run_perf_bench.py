@@ -63,8 +63,9 @@ OPTIONS = {
     "--no-write": "do not touch BENCH_perf.json",
 }
 
-#: One flag per section the tier does not pin (``--kk-kernel`` selects
-#: ``kk_kernel``); the throughput ladder runs when no flag is given.
+#: One flag per section the tier does not pin (``--trace-overhead``
+#: selects ``trace_overhead``); the throughput ladder runs when no flag
+#: is given.
 SECTION_FLAGS = [name for name, section in SECTIONS.items() if section.tier is None]
 
 

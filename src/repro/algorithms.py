@@ -18,7 +18,7 @@ from repro.baselines.trivial import FirstFitAlgorithm
 from repro.core.adversarial import LowSpaceAdversarialAlgorithm
 from repro.core.base import StreamingSetCoverAlgorithm, Tracer
 from repro.core.element_sampling import ElementSamplingAlgorithm
-from repro.core.kk import KKAlgorithm, KKReferenceAlgorithm
+from repro.core.kk import KKAlgorithm
 from repro.core.random_order import RandomOrderAlgorithm
 from repro.errors import ConfigurationError
 from repro.streaming.instance import SetCoverInstance
@@ -32,10 +32,6 @@ AlgorithmBuilder = Callable[
 
 def _build_kk(instance, seed, alpha):
     return KKAlgorithm(seed=seed)
-
-
-def _build_kk_reference(instance, seed, alpha):
-    return KKReferenceAlgorithm(seed=seed)
 
 
 def _build_adversarial(instance, seed, alpha):
@@ -67,7 +63,6 @@ def _build_store_all(instance, seed, alpha):
 #: Public name -> builder.  Names match the historical CLI choices.
 ALGORITHM_REGISTRY: Dict[str, AlgorithmBuilder] = {
     "kk": _build_kk,
-    "kk-reference": _build_kk_reference,
     "adversarial": _build_adversarial,
     "random-order": _build_random_order,
     "element-sampling": _build_element_sampling,

@@ -29,7 +29,7 @@ from repro.errors import (
 )
 from repro.obs import events as obs_events
 from repro.obs.tracer import NULL_TRACER, NullTracer, RecordingTracer
-from repro.streaming.space import SpaceBudget, SpaceMeter, charges_budget
+from repro.streaming.space import SpaceBudget, SpaceMeter
 from repro.streaming.stream import EdgeStream
 from repro.types import ElementId, SeedLike, SetId, first_occurrences, make_rng
 
@@ -152,10 +152,7 @@ class FirstSetStore:
         in the stream at all (infeasible instance or truncated stream),
         after patching every lower element.  The unwitnessed elements
         come from a mask of the certificate's keys and are written as
-        one batch per container, charged exactly as element-by-element
-        writes would be.  When a container is charged against a space
-        budget the writes interleave element by element instead, so the
-        certificate stops at the element whose charge crossed it.
+        one batch per container.
         """
         witnessed = np.zeros(universe_size, dtype=bool)
         keys = np.fromiter(certificate.keys(), dtype=np.int64, count=len(certificate))
@@ -167,13 +164,8 @@ class FirstSetStore:
         unseen = np.flatnonzero(firsts < 0)
         stop = int(unseen[0]) if len(unseen) else len(missing)
         elements, sets = missing[:stop].tolist(), firsts[:stop].tolist()
-        if charges_budget(certificate) or charges_budget(cover):
-            for element, first in zip(elements, sets):
-                certificate[element] = first
-                cover.add(first)
-        else:
-            certificate.update(zip(elements, sets))
-            cover.update(sets)
+        certificate.update(zip(elements, sets))
+        cover.update(sets)
         if stop < len(missing):
             raise InvalidCoverError(
                 f"element {missing[stop]} never appeared in the stream; "

@@ -19,33 +19,27 @@ output is an Õ(√n)-approximation with high probability.  The counters
 dominate the state: Θ(m) words — this is the space bound Theorem 2
 proves optimal for α = Θ̃(√n) in adversarial order.
 
-Two implementations share this contract:
+The implementation is a vectorized kernel.  Degrees live in one
+``int64[m]`` array; each window of the stream is scanned with numpy
+column ops (uncovered-mask prefilter, one ``bincount`` of the counting
+edges' sets, degree application from that same count) and only the
+*rare* events — level promotions and set inclusions — drop to Python.
+A set can promote in a window only if its count there reaches its next
+multiple of the level width, so only that set's edges (about 1 counting
+edge in 15 on the ``solve`` benchmark stream) get per-set occurrence
+ranks from a stable argsort; a window without such a set skips ranking
+and the walk.  The walk reads each window's promotions as plain Python
+ints (one ``tolist`` per column) and draws the coins one promotion at a
+time, in stream order, from the same seeded RNG, so the randomness
+stream is that of a per-edge loop.  An inclusion invalidates the
+window's start masks, so the scan *restarts* just past the inclusion
+edge with the not-yet-applied suffix state discarded; state mutations
+before the inclusion point are applied exactly once.
 
-:class:`KKAlgorithm` (registry name ``"kk"``)
-    The vectorized kernel.  Degrees live in one ``int64[m]`` array;
-    each window of the stream is scanned with numpy column ops
-    (uncovered-mask prefilter, one ``bincount`` of the counting edges'
-    sets, degree application from that same count) and only the
-    *rare* events — level promotions and set inclusions — drop to
-    Python.  A set can promote in a window only if its count there
-    reaches its next multiple of the level width, so only that set's
-    edges (about 1 counting edge in 15 on the ``solve`` benchmark
-    stream) get per-set occurrence ranks from a stable argsort; a
-    window without such a set skips ranking and the walk.  The walk
-    reads each window's promotions as plain Python ints (one
-    ``tolist`` per column) and draws the coins one promotion at a
-    time, in stream order, from the same seeded RNG, so the randomness
-    stream is identical to the scalar's.  An inclusion invalidates the window's
-    start masks, so the scan *restarts* just past the inclusion edge
-    with the not-yet-applied suffix state discarded; state mutations
-    before the inclusion point are applied exactly once.
-
-:class:`KKReferenceAlgorithm` (registry name ``"kk-reference"``)
-    The original per-edge scalar loop over :class:`ChargedDict` /
-    :class:`ChargedSet` containers, kept as the executable
-    specification.  ``tests/test_core_kk_equivalence.py`` proves the
-    two produce byte-identical covers, certificates, diagnostics,
-    space reports, and traces on instance × order × seed grids.
+The per-edge scalar loop it was vectorized from is the test oracle
+``tests/kk_reference.py``; ``tests/test_core_kk_equivalence.py`` proves
+the two produce byte-identical covers, certificates, diagnostics, space
+reports, and traces on instance × order × seed grids.
 """
 
 from __future__ import annotations
@@ -62,7 +56,7 @@ from repro.core.base import (
 from repro.core.scaling import Scaling
 from repro.core.solution import StreamingResult
 from repro.obs import events as obs_events
-from repro.streaming.space import ChargedDict, ChargedSet, SpaceBudget, words_for_set
+from repro.streaming.space import SpaceBudget, words_for_set
 from repro.streaming.stream import EdgeStream
 from repro.types import ElementId, SeedLike, SetId
 
@@ -125,7 +119,7 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
 
     The vectorized kernel (see the module docstring for the layout and
     the restart-on-inclusion discipline).  Byte-identical in output and
-    trace to :class:`KKReferenceAlgorithm`.
+    trace to the per-edge scalar loop in ``tests/kk_reference.py``.
 
     Parameters
     ----------
@@ -399,105 +393,3 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
         if tracer.enabled:
             tracer.count(obs_events.ELEMENT_COVERED, int(chosen.size))
         return int(chosen.size)
-
-
-class KKReferenceAlgorithm(KKAlgorithm):
-    """The scalar per-edge KK loop — the executable specification.
-
-    Registry name ``"kk-reference"``.  Kept verbatim from before the
-    kernel vectorization so the equivalence suite can assert the fast
-    path reproduces it byte for byte; also the honest baseline the
-    perfbench kk-kernel section measures speedups against.
-    """
-
-    name = "kk-reference"
-
-    def _run(self, stream: EdgeStream) -> StreamingResult:
-        n = stream.instance.n
-        m = stream.instance.m
-        level_width = self.scaling.kk_level_width(n)
-
-        meter = self._meter
-        uncovered_degree: Dict[SetId, int] = ChargedDict(
-            meter, "degree-counters", words_per_entry=2, charge_initial=False
-        )
-        covered: Set[ElementId] = ChargedSet(
-            meter, "covered", words_per_entry=1, charge_initial=False
-        )
-        cover: Set[SetId] = ChargedSet(
-            meter, "cover", words_per_entry=1, charge_initial=False
-        )
-        certificate: Dict[ElementId, SetId] = {}
-        first_sets = FirstSetStore(meter, universe_size=n)
-        self._register_salvage(cover=cover, certificate=certificate)
-
-        # Boolean mirror of `covered` for the vectorized pre-filter;
-        # every component in this algorithm only ever grows, so an edge
-        # whose element was covered at chunk start is a guaranteed no-op
-        # and can be skipped in bulk.
-        covered_mask = np.zeros(n, dtype=bool)
-
-        max_level_reached = 0
-        inclusion_events = 0
-
-        reader = stream.reader()
-        while reader.remaining:
-            set_ids, elements = reader.take_columns(_CHUNK)
-            first_sets.observe_columns(set_ids, elements)
-            interesting = np.nonzero(~covered_mask[elements])[0]
-            if not len(interesting):
-                continue
-            for set_id, element in zip(
-                set_ids[interesting].tolist(), elements[interesting].tolist()
-            ):
-                if element in covered:
-                    continue
-                if set_id in cover:
-                    # An included set covers its elements from inclusion
-                    # onward.
-                    covered.add(element)
-                    covered_mask[element] = True
-                    certificate[element] = set_id
-                    self._trace_count(obs_events.ELEMENT_COVERED)
-                    continue
-
-                degree = uncovered_degree.get(set_id, 0) + 1
-                uncovered_degree[set_id] = degree
-
-                if degree % level_width == 0:
-                    level = degree // level_width
-                    max_level_reached = max(max_level_reached, level)
-                    self._trace(
-                        obs_events.LEVEL_PROMOTED, set_id=set_id, level=level
-                    )
-                    p = self.scaling.kk_inclusion_probability(level, n, m)
-                    if self._coin(p):
-                        cover.add(set_id)
-                        inclusion_events += 1
-                        covered.add(element)
-                        covered_mask[element] = True
-                        certificate[element] = set_id
-                        self._trace(
-                            obs_events.SET_ADMITTED,
-                            set_id=set_id,
-                            level=level,
-                            probability=p,
-                        )
-                        self._trace_count(obs_events.ELEMENT_COVERED)
-
-        patched = first_sets.patch(certificate, cover, n)
-        self._trace(obs_events.PATCH_APPLIED, patched=patched)
-        meter.set_component("cover", words_for_set(len(cover)))
-
-        return StreamingResult(
-            cover=frozenset(cover),
-            certificate=certificate,
-            space=meter.report(),
-            algorithm=self.name,
-            diagnostics={
-                "max_level_reached": float(max_level_reached),
-                "inclusion_events": float(inclusion_events),
-                "patched_elements": float(patched),
-                "level_width": float(level_width),
-            },
-        )

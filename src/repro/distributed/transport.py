@@ -190,7 +190,12 @@ def decode_frame(frame: bytes) -> object:
         )
     if tag != PickleCodec.tag:
         raise TransportError(f"unknown codec tag {tag}")
-    return PickleCodec().decode(body)
+    try:
+        return PickleCodec().decode(body)
+    except Exception as exc:  # noqa: BLE001 — any codec failure is bad wire
+        raise TransportError(
+            f"cannot decode {length}-byte frame body: {exc!r}"
+        ) from exc
 
 
 # -- wire payload schemas ---------------------------------------------------
@@ -648,8 +653,8 @@ class SocketTransport(Transport):
                 _, length = parse_frame_header(header)
                 body = _recv_exactly(conn, length)
                 self._received.put(decode_frame(header + body))
-        except (ConnectionError, OSError):
-            pass
+        except (TransportError, ConnectionError, OSError):
+            pass  # malformed or torn connection; drop it
         finally:
             conn.close()
 

@@ -267,20 +267,6 @@ class SpaceMeter:
         )
 
 
-def charges_budget(container) -> bool:
-    """Whether writes to ``container`` are charged against a space budget.
-
-    True only for a :class:`ChargedSet` / :class:`ChargedDict` whose
-    meter enforces a :class:`SpaceBudget`; such a container inserts a
-    batch item by item, so a caller writing several containers together
-    must interleave its writes to stop where per-item writes would.
-    """
-    return (
-        isinstance(container, (ChargedSet, ChargedDict))
-        and container._meter.budget is not None
-    )
-
-
 class ChargedSet(set):
     """A ``set`` that charges a meter component whenever its size changes.
 

@@ -82,6 +82,13 @@ class TestParser:
         args = build_parser().parse_args(["distribute", "x.txt"])
         assert args.backend == "serial"
 
+    @pytest.mark.parametrize("algorithm", ["quantum", "kk-reference"])
+    def test_solve_unknown_algorithm_rejected(self, algorithm):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["solve", "x.txt", "--algorithm", algorithm]
+            )
+
     def test_distribute_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

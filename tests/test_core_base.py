@@ -27,7 +27,7 @@ from repro.errors import (
     SpaceBudgetExceededError,
 )
 from repro.streaming.instance import SetCoverInstance
-from repro.streaming.space import ChargedSet, SpaceBudget, SpaceMeter
+from repro.streaming.space import SpaceBudget, SpaceMeter
 from repro.streaming.stream import EdgeStream, stream_of
 
 
@@ -145,29 +145,6 @@ class TestFirstSetStoreBatching:
         assert store.patch(certificate, cover, universe_size=1) == 1
         assert certificate[0] == 4 and cover == {4}
 
-    def test_budgeted_cover_stops_certificate_at_crossing(self):
-        # The cover's charge crosses the budget at element 2's set: the
-        # certificate holds elements 0..2, exactly as one-by-one writes.
-        def run(batched):
-            store_meter = SpaceMeter()
-            store = FirstSetStore(store_meter)
-            for element in range(6):
-                store.observe(10 + element, element)
-            meter = SpaceMeter(budget=SpaceBudget(2))
-            cover = ChargedSet(meter, "cover", charge_initial=False)
-            certificate = {}
-            with pytest.raises(SpaceBudgetExceededError) as caught:
-                if batched:
-                    store.patch(certificate, cover, universe_size=6)
-                else:
-                    for element in range(6):
-                        certificate[element] = store.get(element)
-                        cover.add(store.get(element))
-            return certificate, set(cover), caught.value.used, meter.report()
-
-        assert run(batched=True) == run(batched=False)
-        assert list(run(batched=True)[0]) == [0, 1, 2]
-
 
 class _ConstantAlgorithm(StreamingSetCoverAlgorithm):
     """Test double: covers everything with the first set seen per element."""
@@ -222,6 +199,14 @@ class TestBaseContract:
         algorithm = StreamingSetCoverAlgorithm(seed=1)
         with pytest.raises(NotImplementedError):
             algorithm.run(stream_of(tiny_instance))
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", ["no-such-algorithm", "kk-reference"])
+    def test_unknown_name_rejected(self, name):
+        instance = SetCoverInstance(3, [{0, 1, 2}, {0}])
+        with pytest.raises(ConfigurationError, match="unknown algorithm"):
+            make_algorithm(name, instance)
 
 
 class TestOutOfRangeEdges:

@@ -1,9 +1,10 @@
 """Byte-identity of the vectorized KK kernel against its scalar oracle.
 
 ``KKAlgorithm`` (registry name ``"kk"``) was rewritten as a chunked
-numpy kernel; the original per-edge loop is kept verbatim as
-``KKReferenceAlgorithm`` (``"kk-reference"``).  The contract this module
-pins is *byte-identity*, not approximate agreement: for every
+numpy kernel; the original per-edge loop is kept verbatim as the test
+oracle ``KKReferenceAlgorithm`` (``tests/kk_reference.py``).  The
+contract this module pins is *byte-identity*, not approximate
+agreement: for every
 (instance, arrival order, seed) the two must produce identical covers,
 certificates, diagnostics, space reports and trace JSONL — the kernel
 draws its inclusion coins one promotion at a time in stream order from
@@ -26,14 +27,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kk_reference import KKReferenceAlgorithm
 
-from repro.algorithms import make_algorithm, registered_algorithms
-from repro.core.kk import (
-    _CHUNK,
-    KKAlgorithm,
-    KKReferenceAlgorithm,
-    _occurrence_ranks,
-)
+from repro.core.kk import _CHUNK, KKAlgorithm, _occurrence_ranks
 from repro.core.scaling import Scaling
 from repro.errors import SpaceBudgetExceededError
 from repro.generators.planted import planted_partition_instance
@@ -91,16 +87,6 @@ def _assert_identical(fast, ref):
 
 
 class TestRegistry:
-    def test_reference_is_registered(self):
-        assert "kk" in registered_algorithms()
-        assert "kk-reference" in registered_algorithms()
-
-    def test_make_algorithm_builds_reference(self):
-        instance = fixed_size_instance(30, 60, set_size=5, seed=0)
-        algorithm = make_algorithm("kk-reference", instance, seed=0)
-        assert isinstance(algorithm, KKReferenceAlgorithm)
-        assert algorithm.name == "kk-reference"
-
     def test_reference_shares_the_contract(self):
         # Same constructor surface: the reference is a drop-in.
         assert issubclass(KKReferenceAlgorithm, KKAlgorithm)

@@ -172,6 +172,7 @@ class TestEntryPointValidation:
             {"max_workers": True},
             {"max_workers": 2.5, "backend": "process"},
             {"algorithm": "no-such-algorithm"},
+            {"algorithm": "kk-reference"},
             {"strategy": "no-such-strategy"},
             {"order": "random"},
         ],

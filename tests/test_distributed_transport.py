@@ -20,6 +20,10 @@ Five concerns:
 
 from __future__ import annotations
 
+import socket
+import struct
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,6 +51,7 @@ from repro.distributed.chain import state_words
 from repro.distributed.coordinator import _send
 from repro.distributed.executor import resolve_transport, validate_transport
 from repro.distributed.transport import (
+    FRAME_HEADER_SIZE,
     candidate_upload_wire,
     cover_upload_wire,
     handoff_wire,
@@ -77,6 +82,14 @@ def socket_or_skip(**kwargs):
         return SocketTransport(**kwargs)
     except TransportError as exc:
         pytest.skip(f"socket transport unavailable: {exc}")
+
+
+def garbage_body_frame() -> bytes:
+    """A frame whose header is valid but whose pickle body is not."""
+    body = b"\x80\x05garbage"
+    header = bytearray(encode_frame(PickleCodec(), {})[:FRAME_HEADER_SIZE])
+    struct.pack_into(">I", header, FRAME_HEADER_SIZE - 4, len(body))
+    return bytes(header) + body
 
 
 # -- wire format ------------------------------------------------------------
@@ -138,6 +151,11 @@ class TestFraming:
         frame[4] = 99
         with pytest.raises(TransportError, match="codec tag"):
             decode_frame(bytes(frame))
+
+    def test_undecodable_body_rejected(self):
+        with pytest.raises(TransportError, match="cannot decode") as excinfo:
+            decode_frame(garbage_body_frame())
+        assert excinfo.value.__cause__ is not None
 
 
 class TestWireHelpers:
@@ -350,6 +368,37 @@ class TestSocketTransport:
             transport.close()
         with pytest.raises(TransportError, match="closed"):
             transport.send("a", "b", "x", {"k": 3})
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            pytest.param(b"XXXX" + encode_frame(PickleCodec(), {})[4:], id="magic"),
+            pytest.param(garbage_body_frame(), id="body"),
+        ],
+    )
+    def test_malformed_frame_drops_only_its_connection(self, monkeypatch, frame):
+        # Regression: the reader thread died with an uncaught
+        # TransportError (bad magic) or UnpicklingError (bad body).
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        transport = socket_or_skip()
+        try:
+            assert transport.send("a", "b", "x", {"k": 1}) == {"k": 1}
+            before = set(threading.enumerate())
+            with socket.create_connection(
+                (transport.host, transport.port), timeout=5
+            ) as bad:
+                bad.sendall(frame)
+                try:  # the transport hangs up, with a reset if bytes were unread
+                    assert bad.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            for thread in set(threading.enumerate()) - before:
+                thread.join(timeout=5)
+            assert transport.send("a", "b", "x", {"k": 2}) == {"k": 2}
+        finally:
+            transport.close()
+        assert raised == []
 
 
 # -- parity and the satellite property --------------------------------------

@@ -49,7 +49,6 @@ TRACE_OVERHEAD_KEYS = [
 def tiny_tiers(monkeypatch):
     for tier in ("smoke", "full"):
         monkeypatch.setitem(perfbench.TIERS, tier, [("tiny", 40, 80, 5)])
-        monkeypatch.setitem(perfbench.SHARD_CELLS, tier, ("tiny", 40, 80, 5, 2, 3))
 
 
 def _load_cli():
@@ -76,20 +75,16 @@ class TestSectionRows:
 
     def test_progress_gets_one_line_per_row(self, tiny_tiers):
         lines = []
-        rows = run_section("kk_kernel", "smoke", progress=lines.append)
-        assert len(lines) == len(rows) == 2
-        assert all("kk_kernel" in line and "identical=True" in line for line in lines)
-
-    def test_kk_kernel_times_the_shard_cell_over_its_passes(self, tiny_tiers):
-        ladder, shard = run_section("kk_kernel", "smoke")
-        assert (ladder["passes"], shard["passes"]) == (1, 3)
-        # The shard cell runs one shard of the routed instance, in local ids.
-        assert 0 < shard["stream_length"] < ladder["stream_length"]
-        assert shard["m"] < ladder["m"]
+        rows = run_section("trace_overhead", "smoke", progress=lines.append)
+        assert len(lines) == len(rows) == 3
+        assert all(
+            "trace_overhead" in line and "covers_identical=True" in line
+            for line in lines
+        )
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="unknown tier"):
-            run_section("kk_kernel", "huge")
+            run_section("trace_overhead", "huge")
 
     def test_distributed_cell_keeps_fastest_of_identical_repeats(
         self, tiny_tiers, monkeypatch
@@ -149,7 +144,7 @@ class TestBenchFile:
         assert load_bench_file(path) == payload
         assert payload["merge"] == [{"new": 1}]
         assert payload["smoke"] == []
-        for name in ("full", "distributed", "kk_kernel", "transport"):
+        for name in ("full", "distributed", "transport"):
             assert payload[name] == before[name]
         assert payload["seed_baseline"] == before["seed_baseline"]
         assert payload["schema"] == 5
@@ -241,10 +236,10 @@ class TestCli:
         ]
 
     def test_combined_flags_write_every_recorded_section(self, calls, cli):
-        argv = ["--smoke", "--kk-kernel", "--transport", "--trace-overhead"]
+        argv = ["--smoke", "--distributed", "--transport", "--trace-overhead"]
         assert cli.main(argv) == 0
         written = load_bench_file(cli.BENCH_FILE)
-        assert written["kk_kernel"] == written["transport"] == [_row(1e12)]
+        assert written["distributed"] == written["transport"] == [_row(1e12)]
         assert written["merge"] == COMMITTED["merge"]
         assert "trace_overhead" not in written
 

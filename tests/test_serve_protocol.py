@@ -16,6 +16,7 @@ Three concerns:
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import struct
 
@@ -41,6 +42,7 @@ from repro.serve.protocol import (
     error_to_payload,
     ok_response,
     payload_to_error,
+    read_frame_async,
     recv_frame,
     request_payload,
     send_frame,
@@ -109,6 +111,14 @@ class TestErrorRoundTrip:
         assert isinstance(rebuilt, RemoteServeError)
         assert rebuilt.error_type == "ValueError"
         assert "boom" in str(rebuilt)
+
+
+def garbage_body_frame() -> bytes:
+    """A frame whose header is valid but whose pickle body is not."""
+    body = b"\x80\x05garbage"
+    header = bytearray(encode_frame(make_codec(), {})[:FRAME_HEADER_SIZE])
+    struct.pack_into(">I", header, FRAME_HEADER_SIZE - 4, len(body))
+    return bytes(header) + body
 
 
 class TestFraming:
@@ -187,3 +197,23 @@ class TestFraming:
         finally:
             left.close()
             right.close()
+
+    def test_undecodable_body_is_typed(self):
+        left, right = self.pair()
+        try:
+            left.sendall(garbage_body_frame())
+            with pytest.raises(TransportError, match="cannot decode"):
+                recv_frame(right)
+        finally:
+            left.close()
+            right.close()
+
+    def test_undecodable_body_is_typed_async(self):
+        async def read():
+            reader = asyncio.StreamReader()
+            reader.feed_data(garbage_body_frame())
+            reader.feed_eof()
+            return await read_frame_async(reader)
+
+        with pytest.raises(TransportError, match="cannot decode"):
+            asyncio.run(read())

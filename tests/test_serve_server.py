@@ -18,7 +18,9 @@ binding — the PR-8 socket contract).  The three load-bearing claims:
 
 from __future__ import annotations
 
+import logging
 import socket
+import struct
 import threading
 import time
 
@@ -26,7 +28,7 @@ import pytest
 
 from repro.algorithms import make_algorithm
 from repro.distributed import run_distributed
-from repro.distributed.transport import make_codec
+from repro.distributed.transport import FRAME_HEADER_SIZE, encode_frame, make_codec
 from repro.errors import (
     AdmissionError,
     InvalidParameterError,
@@ -160,9 +162,10 @@ class TestControlPlane:
         assert "demo" in str(excinfo.value)  # names the loaded ones
 
     def test_unknown_algorithm_is_typed(self, client):
-        with pytest.raises(RemoteServeError) as excinfo:
-            client.solve("demo", algorithm="quantum")
-        assert excinfo.value.error_type == "InvalidParameterError"
+        for algorithm in ("quantum", "kk-reference"):
+            with pytest.raises(RemoteServeError) as excinfo:
+                client.solve("demo", algorithm=algorithm)
+            assert excinfo.value.error_type == "InvalidParameterError"
 
     @pytest.mark.parametrize(
         "kind, fields, parameter",
@@ -211,6 +214,21 @@ class TestControlPlane:
             send_frame(sock, codec, {"id": 7, "kind": "ping"})
             pong = recv_frame(sock)
             assert pong["id"] == 7 and pong["ok"] is True
+
+    def test_undecodable_frame_drops_only_its_connection(
+        self, handle, client, caplog
+    ):
+        # Regression: the UnpicklingError escaped the connection handler
+        # and asyncio logged "Unhandled exception in client_connected_cb".
+        body = b"\x80\x05garbage"
+        header = bytearray(encode_frame(make_codec(), {})[:FRAME_HEADER_SIZE])
+        struct.pack_into(">I", header, FRAME_HEADER_SIZE - 4, len(body))
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection((handle.host, handle.port), 10) as sock:
+                sock.sendall(bytes(header) + body)
+                assert sock.recv(1) == b""  # the server hung up
+            assert client.ping()["server"] == "repro-serve"
+        assert not caplog.records
 
     def test_stats_counters_accumulate(self, client):
         before = client.stats()["counters"].get("solve", 0)

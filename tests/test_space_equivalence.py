@@ -27,11 +27,12 @@ from typing import Dict, Optional
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kk_reference import KKReferenceAlgorithm
 
 from repro.baselines.trivial import FirstFitAlgorithm
 from repro.core.adversarial import LowSpaceAdversarialAlgorithm
 from repro.core.element_sampling import ElementSamplingAlgorithm
-from repro.core.kk import KKAlgorithm, KKReferenceAlgorithm
+from repro.core.kk import KKAlgorithm
 from repro.core.random_order import RandomOrderAlgorithm
 from repro.errors import ReproError, SpaceBudgetExceededError
 from repro.generators.planted import planted_partition_instance
@@ -435,7 +436,8 @@ class TestEveryMutatorCharges:
 # -- characterization grid: the first-set store under budgets ------------
 
 #: Registry name -> constructor with the registry's shape defaults and a
-#: space budget (the registry builders take no budget).
+#: space budget (the registry builders take no budget); ``kk-reference``
+#: is the scalar kk oracle of ``tests/kk_reference.py``.
 GRID_ALGORITHMS = {
     "kk": lambda inst, seed, budget: KKAlgorithm(seed=seed, space_budget=budget),
     "kk-reference": lambda inst, seed, budget: KKReferenceAlgorithm(
