@@ -3,10 +3,11 @@
 Measures end-to-end edges/sec (and peak RSS) of the three core one-pass
 algorithms — KK, random-order (Algorithm 1) and the low-space
 adversarial algorithm (Algorithm 2) — on a ladder of instance sizes,
-plus the sharded executor, the wire transports and the merge critical
-path.  Results are written to ``BENCH_perf.json`` at the repository
-root so every future PR has a trajectory to regress against; CI runs
-the ``smoke`` tier and fails on a >2x edges/sec regression.
+plus the sharded executor, the wire transports, the merge critical
+path and the random arrival order's shuffle.  Results are written to
+``BENCH_perf.json`` at the repository root so every future PR has a
+trajectory to regress against; CI runs the ``smoke`` tier and fails on
+a >2x edges/sec regression.
 
 Two tiers:
 
@@ -20,7 +21,7 @@ name to its generator and says whether the file records it;
 :func:`run_section` runs one section, and :func:`write_bench_file`
 replaces exactly the sections it is given.  Sections that check a
 correctness contract (backend parity, transport parity, merge
-verification, tracing transparency) raise
+verification, tracing transparency, the shuffle replay) raise
 ``AssertionError`` rather than yield a row that would contradict it.
 
 Use :func:`run_section` programmatically or ``scripts/run_perf_bench.py``
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import platform
+import random
 import resource
 import time
 from pathlib import Path
@@ -47,6 +49,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from repro.core.adversarial import LowSpaceAdversarialAlgorithm
 from repro.core.base import StreamingSetCoverAlgorithm
@@ -380,6 +384,67 @@ def bench_merge(
                     )
 
 
+#: Stream lengths the ``orders`` section shuffles, per tier: the
+#: ``distribute`` benchmark instance's 1e4 edges and the ``solve``
+#: stream's 6e5.
+ORDER_SIZES: Dict[str, List[Tuple[str, int]]] = {
+    "smoke": [("1e4", 10_000)],
+    "full": [("1e4", 10_000), ("6e5", 600_000)],
+}
+
+#: Timed runs of each side per ``orders`` cell; the row records the fastest.
+ORDER_REPEATS = 7
+
+
+def _stdlib_random_order(
+    seed: int, set_ids: np.ndarray, elements: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The random order through ``random.Random.shuffle`` and one gather."""
+    positions = list(range(len(set_ids)))
+    random.Random(seed).shuffle(positions)
+    index = np.fromiter(positions, dtype=np.int64, count=len(positions))
+    return set_ids[index], elements[index]
+
+
+def bench_orders(tier: str, seed: int = 0) -> Iterator[dict]:
+    """RandomOrder against the stdlib shuffle it replays (asserts equal columns).
+
+    Each cell orders ``edges`` int64 edge columns with
+    :meth:`RandomOrder.apply_columns` and with a reference that shuffles
+    the positions with ``random.Random.shuffle``, alternating the two
+    :data:`ORDER_REPEATS` times from the same seed; any difference in
+    either column raises.  The row records the fastest run of each side.
+    """
+    if tier not in ORDER_SIZES:
+        raise ValueError(f"unknown tier {tier!r}; known: {sorted(ORDER_SIZES)}")
+    for config, edges in ORDER_SIZES[tier]:
+        set_ids = np.arange(edges, dtype=np.int64) // 8
+        elements = np.arange(edges, dtype=np.int64) % 1000
+        stdlib_runs, order_runs = [], []
+        for _ in range(ORDER_REPEATS):
+            expected, seconds = timed(_stdlib_random_order, seed, set_ids, elements)
+            stdlib_runs.append(seconds)
+            ordered, seconds = timed(
+                RandomOrder(seed=seed).apply_columns, set_ids, elements
+            )
+            order_runs.append(seconds)
+            for got, want in zip(ordered, expected):
+                assert np.array_equal(got, want), (
+                    f"RandomOrder diverged from random.Random.shuffle at "
+                    f"{config}: the replay must be exact"
+                )
+        stdlib_seconds, order_seconds = min(stdlib_runs), min(order_runs)
+        yield {
+            "config": config,
+            "edges": edges,
+            "repeats": ORDER_REPEATS,
+            "stdlib_ms": round(stdlib_seconds * 1e3, 3),
+            "apply_columns_ms": round(order_seconds * 1e3, 3),
+            "speedup": round(stdlib_seconds / max(order_seconds, 1e-9), 3),
+            "columns_identical": True,
+        }
+
+
 class Section(NamedTuple):
     """One benchmark section: its row generator and where its rows go."""
 
@@ -399,6 +464,7 @@ SECTIONS: Dict[str, Section] = {
     "distributed": Section(bench_distributed),
     "transport": Section(bench_transport),
     "merge": Section(bench_merge),
+    "orders": Section(bench_orders),
 }
 
 
@@ -472,11 +538,15 @@ def write_bench_file(
             "(transport, coordinator) cell with the bytes-per-word "
             "overhead ratio (>= 1 by construction; parity_with_inproc "
             "certifies identical covers/comm reports across transports), "
-            "and 'merge' the async-clock critical path of chain vs "
+            "'merge' the async-clock critical path of chain vs "
             "tournament merge under fixed vs adaptive tau (tree "
             "logical_steps grow as Theta(log W) vs the chain's Theta(W); "
             "every cell is verified and sync/async cover parity is "
-            "asserted before the numbers are recorded). "
+            "asserted before the numbers are recorded), "
+            "and 'orders' the random arrival order's apply_columns "
+            "against the random.Random.shuffle it replays, fastest of "
+            "'repeats' alternating runs per stream length "
+            "(columns_identical certifies equal columns in every run). "
             "Caveat: numbers committed from a single-core container "
             "cannot show process-backend speedup; the CI artifact carries "
             "the multi-core measurement."

@@ -41,7 +41,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.stream import EdgesLike, EdgeStream, FrozenEdges
-from repro.types import SeedLike, first_occurrences, make_rng
+from repro.types import SeedLike, first_occurrences, make_rng, shuffle
 
 #: Every routing strategy :class:`ShardRouter` understands.
 STRATEGIES: Tuple[str, ...] = ("by-set", "by-element", "hash")
@@ -112,7 +112,7 @@ def deal_round_robin(
         raise ConfigurationError(f"num_items must be >= 0, got {num_items}")
     rng = make_rng(seed)
     order = list(range(num_items))
-    rng.shuffle(order)
+    shuffle(rng, order)
     assignment = [0] * num_items
     per_worker: List[List[int]] = [[] for _ in range(workers)]
     for position, item in enumerate(order):

@@ -69,7 +69,17 @@ import socket as socket_module
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 import numpy as np
 
@@ -558,6 +568,18 @@ class LoopbackTransport(Transport):
         }
 
 
+#: A TCP endpoint as ``getsockname`` and ``accept`` report it.
+Address = Tuple[str, int]
+
+
+class _Client(NamedTuple):
+    """One link's connection, its local address and its reply inbox."""
+
+    socket: socket_module.socket
+    address: Address
+    inbox: "queue.Queue[object]"
+
+
 def _recv_exactly(conn: socket_module.socket, count: int) -> bytes:
     """Read exactly ``count`` bytes or raise ``ConnectionError``."""
     chunks: List[bytes] = []
@@ -579,7 +601,11 @@ class SocketTransport(Transport):
     :class:`~repro.errors.TransportError` callers can treat as a
     skip); one cached client connection per link; a background
     acceptor thread spawns a reader per connection that decodes frames
-    and hands them back through a queue.  Sends are serialized under a
+    and hands them back through the inbox of the client connection
+    that sent them, so a reply always answers its own send.  A
+    connection from any peer that is not one of this transport's
+    clients is closed at its first frame header, before its body is
+    read or decoded.  Sends are serialized under a
     lock — coordinator merges are sequential, and the lock keeps the
     request/response pairing trivially correct if they ever are not.
     A send that hits a connection error reconnects and retransmits up
@@ -610,8 +636,9 @@ class SocketTransport(Transport):
         self.timeout = timeout
         self.max_retries = max_retries
         self._closed = False
-        self._clients: Dict[str, socket_module.socket] = {}
-        self._received: "queue.Queue[object]" = queue.Queue()
+        self._clients: Dict[str, _Client] = {}
+        #: Client local address -> the inbox its connection's frames go to.
+        self._inboxes: Dict[Address, "queue.Queue[object]"] = {}
         self._lock = threading.Lock()
         try:
             server = socket_module.socket(
@@ -635,24 +662,29 @@ class SocketTransport(Transport):
     def _accept_loop(self) -> None:
         while not self._closed:
             try:
-                conn, _ = self._server.accept()
+                conn, peer = self._server.accept()
             except OSError:
                 return  # closed
             reader = threading.Thread(
                 target=self._read_loop,
-                args=(conn,),
+                args=(conn, peer),
                 name="repro-transport-read",
                 daemon=True,
             )
             reader.start()
 
-    def _read_loop(self, conn: socket_module.socket) -> None:
+    def _read_loop(self, conn: socket_module.socket, peer: Address) -> None:
         try:
             while True:
                 header = _recv_exactly(conn, FRAME_HEADER_SIZE)
+                # A client registers its inbox before its first send, so
+                # a frame from an unregistered peer is a stranger's.
+                inbox = self._inboxes.get(peer)
+                if inbox is None:
+                    return
                 _, length = parse_frame_header(header)
                 body = _recv_exactly(conn, length)
-                self._received.put(decode_frame(header + body))
+                inbox.put(decode_frame(header + body))
         except (TransportError, ConnectionError, OSError):
             pass  # malformed or torn connection; drop it
         finally:
@@ -660,12 +692,14 @@ class SocketTransport(Transport):
 
     # -- send side -------------------------------------------------------
 
-    def _client_for(self, link: str) -> socket_module.socket:
+    def _client_for(self, link: str) -> _Client:
         client = self._clients.get(link)
         if client is None:
-            client = socket_module.create_connection(
+            connection = socket_module.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
+            client = _Client(connection, connection.getsockname(), queue.Queue())
+            self._inboxes[client.address] = client.inbox
             self._clients[link] = client
         return client
 
@@ -678,13 +712,14 @@ class SocketTransport(Transport):
             for attempt in range(self.max_retries + 1):
                 try:
                     client = self._client_for(link)
-                    client.sendall(frame)
+                    client.socket.sendall(frame)
                     self._record(link, len(frame), retransmit=attempt > 0)
-                    return self._received.get(timeout=self.timeout)
+                    return client.inbox.get(timeout=self.timeout)
                 except (ConnectionError, OSError, queue.Empty):
                     stale = self._clients.pop(link, None)
                     if stale is not None:
-                        stale.close()
+                        self._inboxes.pop(stale.address, None)
+                        stale.socket.close()
         raise TransportPartitionError(link, self.max_retries + 1)
 
     def _diagnostics(self) -> Dict[str, float]:
@@ -696,10 +731,11 @@ class SocketTransport(Transport):
         self._closed = True
         for client in self._clients.values():
             try:
-                client.close()
+                client.socket.close()
             except OSError:  # pragma: no cover - best-effort teardown
                 pass
         self._clients.clear()
+        self._inboxes.clear()
         try:
             self._server.close()
         except OSError:  # pragma: no cover - best-effort teardown

@@ -44,7 +44,7 @@ from repro.errors import ConfigurationError
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.space import SpaceMeter, SpaceReport
 from repro.streaming.stream import EdgesLike, EdgeStream, FrozenEdges
-from repro.types import SeedLike, make_rng
+from repro.types import SeedLike, make_rng, shuffle
 
 #: Every fault kind :func:`apply_faults` understands, in canonical order.
 FAULT_KINDS: Tuple[str, ...] = (
@@ -149,13 +149,13 @@ def _apply_one(
         touched = k - keep
         set_ids, elements = set_ids[:keep], elements[:keep]
     elif spec.kind == "reorder":
-        # random.shuffle's draws depend only on the list's length, so
+        # A shuffle's draws depend only on the list's length, so
         # shuffling positions yields the order shuffling edges would.
         window = max(2, int(rate * k))
         order: List[int] = []
         for start in range(0, k, window):
             chunk = list(range(start, min(start + window, k)))
-            rng.shuffle(chunk)
+            shuffle(rng, chunk)
             order.extend(chunk)
         touched = k
         positions = np.array(order, dtype=np.int64)

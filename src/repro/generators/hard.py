@@ -15,7 +15,7 @@ from typing import List, Set, Tuple
 from repro.errors import ConfigurationError
 from repro.lowerbound.family import PartitionedFamily, build_family
 from repro.streaming.instance import SetCoverInstance
-from repro.types import SeedLike, make_rng
+from repro.types import SeedLike, make_rng, shuffle
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def needle_in_haystack(
     sets.append(complement)
 
     order = list(range(len(sets)))
-    rng.shuffle(order)
+    shuffle(rng, order)
     shuffled = [sets[i] for i in order]
     needle_id = order.index(0)
     complement_id = order.index(len(sets) - 1)

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.streaming.instance import SetCoverInstance
-from repro.types import SeedLike, make_rng
+from repro.types import SeedLike, make_rng, shuffle
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def planted_partition_instance(
     rng = make_rng(seed)
 
     elements = list(range(n))
-    rng.shuffle(elements)
+    shuffle(rng, elements)
     block_size = math.ceil(n / opt_size)
     blocks: List[Set[int]] = [
         set(elements[start : start + block_size])
@@ -101,7 +101,7 @@ def planted_partition_instance(
 
     all_sets: List[Set[int]] = blocks + decoys
     order = list(range(m))
-    rng.shuffle(order)
+    shuffle(rng, order)
     shuffled = [all_sets[i] for i in order]
     planted_ids = tuple(sorted(order.index(i) for i in range(opt_size)))
 
@@ -150,7 +150,7 @@ def disjoint_blocks_with_noise(
 
     all_sets = [set(block) for block in blocks] + decoys
     order = list(range(len(all_sets)))
-    rng.shuffle(order)
+    shuffle(rng, order)
     shuffled = [all_sets[i] for i in order]
     planted_ids = tuple(sorted(order.index(i) for i in range(opt_size)))
     instance = SetCoverInstance(

@@ -19,7 +19,7 @@ from typing import List, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.streaming.instance import SetCoverInstance
-from repro.types import SeedLike, make_rng
+from repro.types import SeedLike, make_rng, shuffle
 
 
 def uniform_instance(
@@ -124,7 +124,7 @@ def two_tier_instance(
         sets.append(set(rng.sample(universe, small_size)))
     for _ in range(num_big):
         sets.append(set(rng.sample(universe, big_size)))
-    rng.shuffle(sets)
+    shuffle(rng, sets)
     _ensure_feasible(sets, n, rng)
     return SetCoverInstance(
         n,

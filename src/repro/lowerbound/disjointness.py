@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.types import SeedLike, make_rng
+from repro.types import SeedLike, make_rng, shuffle
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def disjoint_instance(
     _validate(m, t, set_size, need=t * set_size)
     rng = make_rng(seed)
     ground = list(range(m))
-    rng.shuffle(ground)
+    shuffle(rng, ground)
     sets: List[FrozenSet[int]] = []
     for p in range(t):
         chunk = ground[p * set_size : (p + 1) * set_size]
@@ -92,7 +92,7 @@ def intersecting_instance(
     _validate(m, t, set_size, need=t * (set_size - 1) + 1)
     rng = make_rng(seed)
     ground = list(range(m))
-    rng.shuffle(ground)
+    shuffle(rng, ground)
     shared = ground[0]
     rest = ground[1:]
     sets: List[FrozenSet[int]] = []

@@ -36,7 +36,7 @@ from repro.lowerbound.disjointness import DisjointnessInstance
 from repro.lowerbound.family import PartitionedFamily, theoretical_opt_disjoint
 from repro.lowerbound.protocol import run_partitioned_stream
 from repro.streaming.instance import SetCoverInstance
-from repro.types import Edge, SeedLike, make_rng
+from repro.types import Edge, SeedLike, make_rng, shuffle
 
 AlgorithmFactory = Callable[[int], StreamingSetCoverAlgorithm]
 """Builds a fresh algorithm from a seed; each parallel run gets the same
@@ -127,7 +127,7 @@ class DisjointnessReduction:
             for b in sorted(s_p):
                 for u in sorted(self.family.parts[b][p]):
                     edges.append(Edge(b, u))
-            rng.shuffle(edges)
+            shuffle(rng, edges)
             out.append(edges)
         return out
 

@@ -16,9 +16,11 @@ The paper contrasts three stream orders:
 Every policy reorders the ``int64`` edge columns of the canonical
 enumeration (:meth:`SetCoverInstance.edge_columns`) in
 :meth:`ArrivalOrder.apply_columns`, with an explicit seed where
-randomness is involved.  Its shuffles shuffle lists of edge positions:
-a shuffle's draws depend only on the list's length, so they draw
-exactly what shuffling the edges themselves would.  :meth:`ArrivalOrder.apply`
+randomness is involved.  Its shuffles shuffle lists of edge positions
+with :func:`repro.types.shuffle`, which draws exactly what
+``random.Random.shuffle`` does: a shuffle's draws depend only on the
+list's length, so they draw exactly what shuffling the edges
+themselves would.  :meth:`ArrivalOrder.apply`
 maps a list of :class:`Edge` records through the same columns.
 """
 
@@ -32,7 +34,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import InvalidStreamError
-from repro.types import Edge, SeedLike, make_rng
+from repro.types import Edge, SeedLike, make_rng, shuffle
 
 Columns = Tuple[np.ndarray, np.ndarray]
 
@@ -133,7 +135,7 @@ class RandomOrder(ArrivalOrder):
         if not isinstance(edges, range):
             pair_columns(edges)
         shuffled = list(edges)
-        self._rng.shuffle(shuffled)
+        shuffle(self._rng, shuffled)
         return shuffled
 
     def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
@@ -155,9 +157,9 @@ class SetGroupedOrder(ArrivalOrder):
 
     def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
         groups = _group_positions(set_ids, first_appearance=True)
-        self._rng.shuffle(groups)
+        shuffle(self._rng, groups)
         for group in groups:
-            self._rng.shuffle(group)
+            shuffle(self._rng, group)
         return _gather(set_ids, elements, chain.from_iterable(groups))
 
 
@@ -179,8 +181,8 @@ class RoundRobinInterleaveOrder(ArrivalOrder):
     def apply_columns(self, set_ids: np.ndarray, elements: np.ndarray) -> Columns:
         queues = _group_positions(set_ids, first_appearance=False)
         for queue in queues:
-            self._rng.shuffle(queue)
-        self._rng.shuffle(queues)
+            shuffle(self._rng, queue)
+        shuffle(self._rng, queues)
         # The deal pops each queue from its end, one edge per queue per
         # round, visiting the queues in order: an edge is dealt in the
         # round equal to its distance from the end of its queue.
@@ -210,7 +212,7 @@ class LargeSetsLastOrder(ArrivalOrder):
         groups = _group_positions(set_ids, first_appearance=False)
         groups.sort(key=len)  # stable: equal sizes stay in ascending id order
         for group in groups:
-            self._rng.shuffle(group)
+            shuffle(self._rng, group)
         return _gather(set_ids, elements, chain.from_iterable(groups))
 
 
@@ -254,7 +256,7 @@ class LocallyShuffledOrder(ArrivalOrder):
         positions = list(range(k))
         windows = [positions[start : start + window] for start in range(0, k, window)]
         for chunk in windows:
-            self._rng.shuffle(chunk)
+            shuffle(self._rng, chunk)
         return _gather(*base, chain.from_iterable(windows))
 
 

@@ -15,7 +15,15 @@ pattern-matching in user code and tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple, Union
+from typing import (
+    Iterable,
+    Iterator,
+    MutableSequence,
+    NamedTuple,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import random
 
@@ -49,6 +57,37 @@ def make_rng(seed: SeedLike = None) -> random.Random:
     if isinstance(seed, np.random.Generator):
         return random.Random(int(seed.integers(0, 2**63)))
     return random.Random(seed)
+
+
+def shuffle(rng: random.Random, items: MutableSequence) -> None:
+    """Shuffle ``items`` in place exactly as :meth:`random.Random.shuffle` does.
+
+    CPython's ``shuffle`` swaps ``items[i]`` with ``items[j]`` for ``i``
+    from ``len(items) - 1`` down to 1, drawing ``j`` by rejection:
+    ``getrandbits(k)`` with ``k = (i + 1).bit_length()`` until the draw
+    is at most ``i`` (``_randbelow_with_getrandbits``, the same in
+    CPython 3.9 through 3.13).  This loop makes the same
+    ``getrandbits`` calls in the same order, so the permutation and
+    ``rng``'s final state are the stdlib's; it only skips the Python
+    call per draw, walking ``i`` in bands of equal ``k``.  Exact for
+    :class:`random.Random` itself only: any other ``rng`` (a subclass
+    may override ``random()`` or ``getrandbits()``) shuffles with its
+    own ``shuffle``.
+    """
+    if type(rng) is not random.Random:
+        rng.shuffle(items)
+        return
+    getrandbits = rng.getrandbits
+    top = len(items) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the smallest i drawing k bits
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            items[i], items[j] = items[j], items[i]
+        top = low - 1
 
 
 def make_numpy_rng(seed: SeedLike = None) -> np.random.Generator:

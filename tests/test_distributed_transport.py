@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import socket
 import struct
+import sys
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.distributed.transport as transport_module
 from repro.distributed import (
     TRANSPORT_REGISTRY,
     CommBudget,
@@ -399,6 +401,70 @@ class TestSocketTransport:
         finally:
             transport.close()
         assert raised == []
+
+    def test_stranger_frame_never_answers_a_send(self, monkeypatch):
+        # Regression: every accepted connection fed one queue, so a frame
+        # from any local client became the reply to the next send, and
+        # each later send returned the previous one's payload.
+        raised, decoded = [], []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        real_decode = transport_module.decode_frame
+
+        def counted_decode(frame):
+            decoded.append(frame)
+            return real_decode(frame)
+
+        monkeypatch.setattr(transport_module, "decode_frame", counted_decode)
+        transport = socket_or_skip()
+        try:
+            before = set(threading.enumerate())
+            with socket.create_connection(
+                (transport.host, transport.port), timeout=5
+            ) as stranger:
+                stranger.sendall(encode_frame(make_codec(), {"forged": 1}))
+                assert transport.send("a", "b", "x", {"k": 1}) == {"k": 1}
+                assert transport.send("a", "b", "x", {"k": 2}) == {"k": 2}
+                try:  # hung up at the header, with a reset if bytes were unread
+                    assert stranger.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            for thread in set(threading.enumerate()) - before:
+                if thread.name == "repro-transport-read":
+                    thread.join(timeout=5)
+            # Only the transport's own two frames were ever decoded.
+            assert len(decoded) == 2
+        finally:
+            transport.close()
+        assert raised == []
+
+    def test_concurrent_senders_each_get_their_own_reply(self):
+        transport = socket_or_skip()
+        replies = {sender: [] for sender in range(6)}
+
+        def send_many(sender):
+            for index in range(20):
+                payload = {"sender": sender, "index": index}
+                replies[sender].append(
+                    transport.send(f"w{sender}", f"w{sender + 1}", "x", payload)
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=send_many, args=(sender,))
+                for sender in replies
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            transport.close()
+        for sender, got in replies.items():
+            assert got == [{"sender": sender, "index": i} for i in range(20)]
 
 
 # -- parity and the satellite property --------------------------------------

@@ -49,6 +49,7 @@ TRACE_OVERHEAD_KEYS = [
 def tiny_tiers(monkeypatch):
     for tier in ("smoke", "full"):
         monkeypatch.setitem(perfbench.TIERS, tier, [("tiny", 40, 80, 5)])
+        monkeypatch.setitem(perfbench.ORDER_SIZES, tier, [("tiny", 300)])
 
 
 def _load_cli():
@@ -121,6 +122,19 @@ class TestSectionRows:
         monkeypatch.setattr(repro.distributed, "run_distributed", drifting)
         with pytest.raises(AssertionError, match="repeated 'serial' runs diverged"):
             run_section("distributed", "smoke", workers_grid=(1,))
+
+    def test_orders_section_raises_on_a_diverging_order(self, tiny_tiers, monkeypatch):
+        rows = run_section("orders", "smoke")
+        assert [row["edges"] for row in rows] == [300]
+        assert rows[0]["repeats"] == perfbench.ORDER_REPEATS
+        assert rows[0]["columns_identical"] is True
+
+        def reversed_order(self, set_ids, elements):
+            return set_ids[::-1], elements[::-1]
+
+        monkeypatch.setattr(perfbench.RandomOrder, "apply_columns", reversed_order)
+        with pytest.raises(AssertionError, match="diverged from random.Random.shuffle"):
+            run_section("orders", "smoke")
 
     def test_ladder_sections_pin_their_tier(self, tiny_tiers, monkeypatch):
         monkeypatch.setitem(perfbench.TIERS, "full", [("other", 40, 80, 5)])
