@@ -88,7 +88,7 @@ class AmplifiedAlgorithm(StreamingSetCoverAlgorithm):
         self._meter.set_component("parallel-copies", total_peak)
         return StreamingResult(
             cover=best.cover,
-            certificate=dict(best.certificate),
+            certificate=best.certificate,
             space=self._meter.report(),
             algorithm=f"{self.name}({best.algorithm} x{copies})",
             diagnostics={

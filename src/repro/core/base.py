@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core.solution import StreamingResult
+from repro.core.solution import CertificateBuilder, StreamingResult
 from repro.errors import (
     ConfigurationError,
     InvalidCoverError,
@@ -140,7 +140,7 @@ class FirstSetStore:
 
     def patch(
         self,
-        certificate: Dict[ElementId, SetId],
+        certificate: Union[Dict[ElementId, SetId], CertificateBuilder],
         cover: Set[SetId],
         universe_size: int,
     ) -> int:
@@ -151,21 +151,29 @@ class FirstSetStore:
         Raises :class:`InvalidCoverError` if some element was never seen
         in the stream at all (infeasible instance or truncated stream),
         after patching every lower element.  The unwitnessed elements
-        come from a mask of the certificate's keys and are written as
-        one batch per container.
+        come from a mask of the certificate's keys (a builder's element
+        column holds universe ids only) and are written as one batch per
+        container: a dict takes the pairs, a :class:`CertificateBuilder`
+        the two columns.
         """
         witnessed = np.zeros(universe_size, dtype=bool)
-        keys = np.fromiter(certificate.keys(), dtype=np.int64, count=len(certificate))
-        witnessed[keys[(keys >= 0) & (keys < universe_size)]] = True
+        if isinstance(certificate, CertificateBuilder):
+            witnessed[certificate.elements] = True
+        else:
+            keys = np.fromiter(
+                certificate.keys(), dtype=np.int64, count=len(certificate)
+            )
+            witnessed[keys[(keys >= 0) & (keys < universe_size)]] = True
         missing = np.flatnonzero(~witnessed)
-        firsts = np.full(len(missing), -1, dtype=np.int64)
-        known = missing < len(self._first)
-        firsts[known] = self._first[missing[known]]
+        firsts = self._reserve(universe_size)[missing]
         unseen = np.flatnonzero(firsts < 0)
         stop = int(unseen[0]) if len(unseen) else len(missing)
-        elements, sets = missing[:stop].tolist(), firsts[:stop].tolist()
-        certificate.update(zip(elements, sets))
-        cover.update(sets)
+        sets = firsts[:stop]
+        if isinstance(certificate, CertificateBuilder):
+            certificate.extend(missing[:stop], sets)
+        else:
+            certificate.update(zip(missing[:stop].tolist(), sets.tolist()))
+        cover.update(sets.tolist())
         if stop < len(missing):
             raise InvalidCoverError(
                 f"element {missing[stop]} never appeared in the stream; "
@@ -333,7 +341,9 @@ class StreamingSetCoverAlgorithm:
         self._rng: random.Random = make_rng(seed)
         self._meter = SpaceMeter(budget=space_budget)
         self._salvage_cover: Optional[Iterable[SetId]] = None
-        self._salvage_certificate: Optional[Mapping[ElementId, SetId]] = None
+        self._salvage_certificate: Optional[
+            Union[Mapping[ElementId, SetId], CertificateBuilder]
+        ] = None
         self._tracer: Tracer = tracer if tracer is not None else NULL_TRACER
 
     @property
@@ -383,7 +393,12 @@ class StreamingSetCoverAlgorithm:
                 result = self._run(stream)
             except ReproError as error:
                 if error.partial is None:
-                    certificate = dict(self._salvage_certificate or {})
+                    salvaged = self._salvage_certificate
+                    certificate = (
+                        salvaged.build()
+                        if isinstance(salvaged, CertificateBuilder)
+                        else dict(salvaged or {})
+                    )
                     # With no explicit cover container, the witnesses named
                     # by the certificate are the best available cover.
                     cover = (
@@ -432,14 +447,19 @@ class StreamingSetCoverAlgorithm:
     def _register_salvage(
         self,
         cover: Optional[Iterable[SetId]] = None,
-        certificate: Optional[Mapping[ElementId, SetId]] = None,
+        certificate: Optional[
+            Union[Mapping[ElementId, SetId], CertificateBuilder]
+        ] = None,
     ) -> None:
         """Register live containers to snapshot if the pass fails.
 
         Subclasses call this once their cover / certificate containers
         exist (and may call again when a later phase replaces them).
         The references stay live — at failure time :meth:`run` copies
-        whatever they hold into the error's :class:`PartialState`.
+        whatever they hold into the error's :class:`PartialState` (a
+        :class:`CertificateBuilder` by building its
+        :class:`~repro.core.solution.Certificate`: the failed pass
+        writes it no more).
         """
         if cover is not None:
             self._salvage_cover = cover

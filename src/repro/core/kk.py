@@ -34,7 +34,10 @@ time, in stream order, from the same seeded RNG, so the randomness
 stream is that of a per-edge loop.  An inclusion invalidates the
 window's start masks, so the scan *restarts* just past the inclusion
 edge with the not-yet-applied suffix state discarded; state mutations
-before the inclusion point are applied exactly once.
+before the inclusion point are applied exactly once.  Witnesses go
+into a :class:`~repro.core.solution.CertificateBuilder` (two
+preallocated ``int64[n]`` columns and a cursor), and the run returns
+its :class:`~repro.core.solution.Certificate`.
 
 The per-edge scalar loop it was vectorized from is the test oracle
 ``tests/kk_reference.py``; ``tests/test_core_kk_equivalence.py`` proves
@@ -54,11 +57,11 @@ from repro.core.base import (
     check_probability,
 )
 from repro.core.scaling import Scaling
-from repro.core.solution import StreamingResult
+from repro.core.solution import CertificateBuilder, StreamingResult
 from repro.obs import events as obs_events
 from repro.streaming.space import SpaceBudget, words_for_set
 from repro.streaming.stream import EdgeStream
-from repro.types import ElementId, SeedLike, SetId
+from repro.types import SeedLike, SetId
 
 #: Edges consumed per vectorized batch; large enough to amortize numpy
 #: per-call overhead, small enough that the post-inclusion rescan of a
@@ -159,7 +162,7 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
         uncovered_mask = np.ones(n, dtype=bool)
         cover_mask = np.zeros(m, dtype=bool)
         cover: Set[SetId] = set()
-        certificate: Dict[ElementId, SetId] = {}
+        certificate = CertificateBuilder(n)
         first_sets = FirstSetStore(meter, universe_size=n)
         self._register_salvage(cover=cover, certificate=certificate)
 
@@ -299,7 +302,7 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
                     inclusion_events += 1
                     uncovered_mask[element] = False
                     covered_count += 1
-                    certificate[element] = set_id
+                    certificate.add(element, set_id)
                     if tracing:
                         tracer.event(
                             obs_events.SET_ADMITTED,
@@ -350,7 +353,7 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
 
         return StreamingResult(
             cover=frozenset(cover),
-            certificate=certificate,
+            certificate=certificate.build(),
             space=meter.report(),
             algorithm=self.name,
             diagnostics={
@@ -369,7 +372,7 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
         first_hit: np.ndarray,
         limit: int,
         uncovered_mask: np.ndarray,
-        certificate: Dict[ElementId, SetId],
+        certificate: CertificateBuilder,
         tracer,
     ) -> int:
         """Commit first-hit witnesses at suffix positions ``< limit``.
@@ -387,9 +390,7 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
             return 0
         chosen_elements = e_suffix[chosen]
         uncovered_mask[chosen_elements] = False
-        certificate.update(
-            zip(chosen_elements.tolist(), s_suffix[chosen].tolist())
-        )
+        certificate.extend(chosen_elements, s_suffix[chosen])
         if tracer.enabled:
             tracer.count(obs_events.ELEMENT_COVERED, int(chosen.size))
         return int(chosen.size)

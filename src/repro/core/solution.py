@@ -4,13 +4,17 @@ The paper requires algorithms to output both a cover ``T ⊆ S`` and a
 *cover certificate* ``C : U → T`` naming, for each element, a set in the
 cover that contains it (Section 1).  :class:`StreamingResult` bundles
 both together with the space report and per-run diagnostics, and knows
-how to verify itself against the ground-truth instance.  It also holds
+how to verify itself against the ground-truth instance.
+:class:`Certificate` is the certificate as two ``int64`` columns, written
+by :class:`CertificateBuilder` and read column-wise by every consumer
+that does not look up single elements.  The module also holds
 :func:`greedy_picks`, the one plain offline greedy every offline phase
 and baseline runs.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
@@ -18,7 +22,6 @@ from typing import (
     FrozenSet,
     Iterator,
     List,
-    Mapping,
     Optional,
     Set,
     Tuple,
@@ -32,6 +35,179 @@ from repro.streaming.space import SpaceReport
 from repro.types import ElementId, SetId
 
 
+class Certificate(Mapping):
+    """An immutable ``element -> witness`` map held as two ``int64`` columns.
+
+    ``columns()`` returns the distinct elements in insertion order and
+    their witnesses, both read-only.  Iteration, ``len``, :meth:`items`,
+    :meth:`values`, equality and pickling read the columns and never
+    build a dict; a key lookup (``[]``, ``in``, ``get``) builds one index
+    dict on first use (:meth:`_lookup`).  Equal to any mapping, from
+    either side, with the same pairs, in any order, as a dict is.  The
+    constructor takes ownership of its arrays: the caller must not write
+    them afterwards, and the elements must be distinct.
+    """
+
+    __slots__ = ("_elements", "_witnesses", "_index")
+
+    def __init__(self, elements: object, witnesses: object) -> None:
+        elements = np.asarray(elements, dtype=np.int64).view()
+        witnesses = np.asarray(witnesses, dtype=np.int64).view()
+        if elements.ndim != 1 or elements.shape != witnesses.shape:
+            raise ValueError(
+                "certificate columns must be two 1-d arrays of one length, "
+                f"got shapes {elements.shape} and {witnesses.shape}"
+            )
+        elements.setflags(write=False)
+        witnesses.setflags(write=False)
+        self._elements = elements
+        self._witnesses = witnesses
+        self._index: Optional[Dict[ElementId, SetId]] = None
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(elements, witnesses)``: read-only ``int64`` columns."""
+        return self._elements, self._witnesses
+
+    def _lookup(self) -> Dict[ElementId, SetId]:
+        """The ``element -> witness`` dict behind key lookups, built once."""
+        if self._index is None:
+            self._index = dict(
+                zip(self._elements.tolist(), self._witnesses.tolist())
+            )
+        return self._index
+
+    def __getitem__(self, element: ElementId) -> SetId:
+        return self._lookup()[element]
+
+    def __iter__(self) -> Iterator[ElementId]:
+        return iter(self._elements.tolist())
+
+    def __len__(self) -> int:
+        return len(self._elements)
+
+    def items(self) -> "_CertificateItems":
+        return _CertificateItems(self)
+
+    def values(self) -> "_CertificateValues":
+        return _CertificateValues(self)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Certificate):
+            if len(self) != len(other):
+                return False
+            (mine, my_sets), (theirs, their_sets) = self.columns(), other.columns()
+            if not np.array_equal(mine, theirs):
+                a, b = np.argsort(mine), np.argsort(theirs)
+                mine, my_sets = mine[a], my_sets[a]
+                theirs, their_sets = theirs[b], their_sets[b]
+                if not np.array_equal(mine, theirs):
+                    return False
+            return bool(np.array_equal(my_sets, their_sets))
+        if isinstance(other, Mapping):
+            if len(self) != len(other):
+                return False
+            missing = object()
+            return all(other.get(u, missing) == s for u, s in self.items())
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return Certificate, (self._elements, self._witnesses)
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{u}: {s}" for u, s in self.items())
+        return f"Certificate({{{pairs}}})"
+
+
+class _CertificateItems(ItemsView):
+    """A :class:`Certificate`'s pairs, zipped from its columns."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Tuple[ElementId, SetId]]:
+        elements, witnesses = self._mapping.columns()
+        return zip(elements.tolist(), witnesses.tolist())
+
+
+class _CertificateValues(ValuesView):
+    """A :class:`Certificate`'s witnesses, in element insertion order."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[SetId]:
+        return iter(self._mapping.columns()[1].tolist())
+
+
+class CertificateBuilder:
+    """Writes a :class:`Certificate`: two preallocated ``int64`` columns
+    and a cursor, so adding a witness allocates nothing.
+
+    ``capacity`` bounds the entries (a universe size: each element is
+    witnessed once).  :meth:`build` hands the filled prefix to a
+    :class:`Certificate` without copying; the builder must not be
+    written afterwards.
+    """
+
+    __slots__ = ("_elements", "_witnesses", "_count")
+
+    def __init__(self, capacity: int) -> None:
+        self._elements = np.empty(capacity, dtype=np.int64)
+        self._witnesses = np.empty(capacity, dtype=np.int64)
+        self._count = 0
+
+    def add(self, element: ElementId, witness: SetId) -> None:
+        """Witness ``element`` (not yet witnessed) by ``witness``."""
+        count = self._count
+        self._elements[count] = element
+        self._witnesses[count] = witness
+        self._count = count + 1
+
+    def extend(self, elements: np.ndarray, witnesses: np.ndarray) -> None:
+        """Witness each of ``elements`` (distinct, none yet witnessed)."""
+        count = self._count
+        end = count + len(elements)
+        self._elements[count:end] = elements
+        self._witnesses[count:end] = witnesses
+        self._count = end
+
+    @property
+    def elements(self) -> np.ndarray:
+        """The elements witnessed so far, in the order they were added."""
+        return self._elements[: self._count]
+
+    def __len__(self) -> int:
+        return self._count
+
+    def build(self) -> Certificate:
+        """The certificate written so far."""
+        count = self._count
+        return Certificate(self._elements[:count], self._witnesses[:count])
+
+
+def witness_columns(
+    certificate: Mapping, by_element: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``certificate`` as ``(elements, witnesses)`` ``int64`` columns.
+
+    In iteration order, or ascending by element with ``by_element``.  A
+    :class:`Certificate` hands over its own columns; any other mapping
+    of ints is read once per column.
+    """
+    if isinstance(certificate, Certificate):
+        elements, witnesses = certificate.columns()
+    else:
+        count = len(certificate)
+        elements = np.fromiter(certificate, dtype=np.int64, count=count)
+        witnesses = np.fromiter(
+            certificate.values(), dtype=np.int64, count=count
+        )
+    if by_element:
+        order = np.argsort(elements, kind="stable")
+        elements, witnesses = elements[order], witnesses[order]
+    return elements, witnesses
+
+
 @dataclass
 class StreamingResult:
     """Output of one streaming-algorithm run.
@@ -41,7 +217,8 @@ class StreamingResult:
     cover:
         Ids of the sets forming the output cover.
     certificate:
-        ``element -> set`` witness map; every universe element must be
+        ``element -> set`` witness map (a dict, or a read-only
+        :class:`Certificate` from kk); every universe element must be
         mapped to a cover set containing it for :meth:`verify` to pass.
     space:
         Peak/final space report from the run's :class:`SpaceMeter`.
@@ -53,7 +230,7 @@ class StreamingResult:
     """
 
     cover: FrozenSet[SetId]
-    certificate: Dict[ElementId, SetId]
+    certificate: Mapping[ElementId, SetId]
     space: SpaceReport
     algorithm: str = ""
     diagnostics: Dict[str, float] = field(default_factory=dict)
@@ -115,10 +292,7 @@ def verify_certificate(
     in id order, is then named by the per-element checks below.
     """
     n = instance.n
-    elements = np.fromiter(certificate, dtype=np.int64, count=len(certificate))
-    witnesses = np.fromiter(
-        certificate.values(), dtype=np.int64, count=len(certificate)
-    )
+    elements, witnesses = witness_columns(certificate)
     in_universe = (elements >= 0) & (elements < n)
     elements, witnesses = elements[in_universe], witnesses[in_universe]
     passed = np.zeros(n, dtype=bool)

@@ -67,6 +67,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.solution import Certificate
 from repro.errors import ConfigurationError, ProtocolError
 from repro.types import ElementId, first_occurrences
 
@@ -186,7 +187,7 @@ class ProtocolOutcome:
     """
 
     cover: List[SetKey]
-    certificate: Dict[ElementId, SetKey]
+    certificate: Mapping[ElementId, SetKey]
     message_words: List[int]
     #: The protocol baseline τ = √(n/t), or the explicit override —
     #: always finite; the per-step values are in :attr:`thresholds`.
@@ -387,7 +388,9 @@ class _Merge:
         with none is held by no party, an error unless ``partial``.  The
         picks are deduplicated in pick order; the certificate maps each
         element, ascending, to the first cover key whose view (the union
-        over parties) holds it.  ``fields`` are the schedule fields.
+        over parties) holds it: a :class:`~repro.core.solution.Certificate`
+        of the two columns when every cover key is an int, else a dict.
+        ``fields`` are the schedule fields.
         """
         uncovered, witnesses, chosen = state
         residue = np.flatnonzero(uncovered)
@@ -406,12 +409,19 @@ class _Merge:
             np.minimum.at(best, members, rank[key_ids[rows]])
         certified = np.flatnonzero(best < len(cover_ids))
         cover = [self.keys[i] for i in cover_ids]
-        ranks = best[certified].tolist()
+        ranks = best[certified]
+        certificate: Mapping[ElementId, SetKey]
+        if all(isinstance(key, (int, np.integer)) for key in cover):
+            certificate = Certificate(
+                certified, np.array(cover, dtype=np.int64)[ranks]
+            )
+        else:
+            certificate = dict(
+                zip(certified.tolist(), [cover[r] for r in ranks.tolist()])
+            )
         return ProtocolOutcome(
             cover=cover,
-            certificate={
-                u: cover[r] for u, r in zip(certified.tolist(), ranks)
-            },
+            certificate=certificate,
             message_words=self.message_words,
             threshold=self.tau,
             thresholds=tuple(self.thresholds),

@@ -39,7 +39,19 @@ quality, and merge latency:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+)
+
+import numpy as np
 
 from repro.distributed.chain import (
     ProtocolOutcome,
@@ -47,7 +59,7 @@ from repro.distributed.chain import (
     chain_merge,
     tournament_merge,
 )
-from repro.core.solution import greedy_picks
+from repro.core.solution import Certificate, greedy_picks
 from repro.distributed.comm import (
     CommMeter,
     words_for_candidate_message,
@@ -72,7 +84,7 @@ from repro.errors import (
 )
 from repro.obs.events import MESSAGE_SENT
 from repro.streaming.instance import SetCoverInstance
-from repro.types import ElementId, SetId
+from repro.types import ElementId, SetId, first_occurrences
 
 
 @dataclass
@@ -86,7 +98,7 @@ class MergeOutcome:
     """
 
     cover: Tuple[SetId, ...]
-    certificate: Dict[ElementId, SetId]
+    certificate: Mapping[ElementId, SetId]
     diagnostics: Dict[str, float] = field(default_factory=dict)
     uncovered: Tuple[ElementId, ...] = ()
 
@@ -175,6 +187,25 @@ class Coordinator:
         raise NotImplementedError
 
 
+def _first_witnesses(
+    n: int, elements: Sequence[np.ndarray], witnesses: Sequence[np.ndarray]
+) -> Certificate:
+    """The union of shard certificate columns, the first shard winning.
+
+    Each element keeps the witness of its first occurrence across the
+    concatenated columns and the pairs stay in first-occurrence order:
+    the dict that ``setdefault`` over the shards in order would build.
+    Elements are non-negative ids; ``n`` is the universe size.
+    """
+    if not elements:
+        return Certificate([], [])
+    flat = np.concatenate(elements)
+    bound = max(n, int(flat.max()) + 1) if len(flat) else n
+    distinct, first = first_occurrences(flat, bound)
+    order = np.argsort(first, kind="stable")
+    return Certificate(distinct[order], np.concatenate(witnesses)[first[order]])
+
+
 class UnionCoordinator(Coordinator):
     """Union of shard covers; certificates merged deterministically."""
 
@@ -190,7 +221,8 @@ class UnionCoordinator(Coordinator):
         allow_partial: bool = False,
     ) -> MergeOutcome:
         cover: Set[SetId] = set()
-        certificate: Dict[ElementId, SetId] = {}
+        elements: List[np.ndarray] = []
+        witnesses: List[np.ndarray] = []
         for out in outputs:
             delivered = _send(
                 comm,
@@ -202,13 +234,16 @@ class UnionCoordinator(Coordinator):
                 "cover",
                 cover_upload_wire(out.index, out.cover, out.certificate),
             )
-            _, shard_cover, witness_pairs = read_cover_upload(delivered)
+            _, shard_cover, shard_certificate = read_cover_upload(delivered)
             cover.update(shard_cover)
-            for u, s in witness_pairs:
-                certificate.setdefault(u, s)
-        uncovered = tuple(
-            u for u in range(instance.n) if u not in certificate
-        )
+            shard_elements, shard_witnesses = shard_certificate.columns()
+            elements.append(shard_elements)
+            witnesses.append(shard_witnesses)
+        certificate = _first_witnesses(instance.n, elements, witnesses)
+        covered = np.zeros(instance.n, dtype=bool)
+        certified = certificate.columns()[0]
+        covered[certified[certified < instance.n]] = True
+        uncovered = tuple(np.flatnonzero(~covered).tolist())
         if uncovered and not allow_partial:
             raise InvalidCoverError(
                 f"union merge leaves {len(uncovered)} element(s) uncovered; "
@@ -380,7 +415,7 @@ class _ProtocolCoordinator(Coordinator):
                 diagnostics[f"round_max_words_{r}"] = float(words)
         return MergeOutcome(
             cover=tuple(outcome.cover),
-            certificate=dict(outcome.certificate),
+            certificate=outcome.certificate,
             diagnostics=diagnostics,
             uncovered=outcome.uncovered,
         )

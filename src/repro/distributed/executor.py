@@ -35,6 +35,7 @@ from typing import (
     Dict,
     FrozenSet,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -151,7 +152,7 @@ class DistributedResult:
     """Outcome of one distributed run: cover, shard reports, comm report."""
 
     cover: FrozenSet[SetId]
-    certificate: Dict[ElementId, SetId]
+    certificate: Mapping[ElementId, SetId]
     comm: CommReport
     shards: List[ShardReport]
     algorithm: str = ""
@@ -625,7 +626,7 @@ def _run_sharded(
     diagnostics.update(schedule)
     return DistributedResult(
         cover=frozenset(outcome.cover),
-        certificate=dict(outcome.certificate),
+        certificate=outcome.certificate,
         comm=comm_report,
         shards=[out.report for out in shard_outputs],
         algorithm=config.algorithm,

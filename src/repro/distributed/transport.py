@@ -77,12 +77,14 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Type,
 )
 
 import numpy as np
 
+from repro.core.solution import Certificate, witness_columns
 from repro.distributed.comm import check_count, check_link_delays, link_label
 from repro.errors import (
     InvalidParameterError,
@@ -129,15 +131,26 @@ def pack_words(values: Iterable[object]) -> bytes:
     return np.asarray(values, dtype=">i8").tobytes()
 
 
-def unpack_words(data: bytes) -> List[int]:
-    """Inverse of :func:`pack_words`."""
+def _word_count(data: bytes) -> int:
+    """The words in a packed field; :class:`TransportError` on a torn one."""
     count, remainder = divmod(len(data), WORD_BYTES)
     if remainder:
         raise TransportError(
             f"packed word field of {len(data)} bytes is not a multiple of "
             f"{WORD_BYTES}"
         )
-    return list(struct.unpack(f"!{count}q", data))
+    return count
+
+
+def unpack_words(data: bytes) -> List[int]:
+    """Inverse of :func:`pack_words`."""
+    return list(struct.unpack(f"!{_word_count(data)}q", data))
+
+
+def _unpack_column(data: bytes) -> np.ndarray:
+    """Inverse of :func:`pack_words`, flat, as a native ``int64`` array."""
+    _word_count(data)
+    return np.frombuffer(data, dtype=">i8").astype(np.int64)
 
 
 # -- codecs -----------------------------------------------------------------
@@ -222,25 +235,30 @@ def cover_upload_wire(
     cover: Iterable[int],
     certificate: Mapping[int, int],
 ) -> Dict[str, object]:
-    """A shard's (cover, certificate) upload — the union merge's input."""
+    """A shard's (cover, certificate) upload — the union merge's input.
+
+    The certificate travels as its ``(element, witness)`` rows ascending
+    by element, packed from its columns.
+    """
     return {
         "kind": "cover",
         "index": index,
         "cover": pack_words(sorted(cover)),
-        "certificate": pack_words(sorted(certificate.items())),
+        "certificate": pack_words(
+            np.column_stack(witness_columns(certificate, by_element=True))
+        ),
     }
 
 
 def read_cover_upload(
     payload: Mapping[str, object]
-) -> Tuple[int, List[int], List[Tuple[int, int]]]:
-    """``(index, cover ids, sorted (element, witness) pairs)``."""
-    flat = unpack_words(payload["certificate"])  # type: ignore[arg-type]
-    pairs = list(zip(flat[0::2], flat[1::2]))
+) -> Tuple[int, List[int], Certificate]:
+    """``(index, cover ids, certificate ascending by element)``."""
+    flat = _unpack_column(payload["certificate"])  # type: ignore[arg-type]
     return (
         int(payload["index"]),  # type: ignore[arg-type]
         unpack_words(payload["cover"]),  # type: ignore[arg-type]
-        pairs,
+        Certificate(flat[0::2], flat[1::2]),
     )
 
 
@@ -611,7 +629,10 @@ class SocketTransport(Transport):
     A send that hits a connection error reconnects and retransmits up
     to ``max_retries`` extra times.  ``max_retries`` must be a non-bool
     int ``>= 0`` and ``timeout`` a finite non-bool real ``> 0``; both
-    are checked before the listener binds.
+    are checked before the listener binds.  :meth:`close` leaves no
+    thread or socket behind: it shuts every accepted connection (its
+    peer reads end-of-stream), wakes the acceptor with one connection of
+    its own, and joins the acceptor and every reader within ``timeout``.
     """
 
     name = "socket"
@@ -640,6 +661,11 @@ class SocketTransport(Transport):
         #: Client local address -> the inbox its connection's frames go to.
         self._inboxes: Dict[Address, "queue.Queue[object]"] = {}
         self._lock = threading.Lock()
+        #: Guards ``_closed`` against the acceptor and the two lists
+        #: below: accepted connections, and the reader threads serving them.
+        self._accept_lock = threading.Lock()
+        self._accepted: Set[socket_module.socket] = set()
+        self._readers: List[threading.Thread] = []
         try:
             server = socket_module.socket(
                 socket_module.AF_INET, socket_module.SOCK_STREAM
@@ -660,18 +686,25 @@ class SocketTransport(Transport):
     # -- receive side ----------------------------------------------------
 
     def _accept_loop(self) -> None:
-        while not self._closed:
+        while True:
             try:
                 conn, peer = self._server.accept()
             except OSError:
                 return  # closed
-            reader = threading.Thread(
-                target=self._read_loop,
-                args=(conn, peer),
-                name="repro-transport-read",
-                daemon=True,
-            )
-            reader.start()
+            with self._accept_lock:
+                if self._closed:
+                    conn.close()  # close()'s wake-up call, or a late peer
+                    return
+                self._accepted.add(conn)
+                self._readers = [t for t in self._readers if t.is_alive()]
+                reader = threading.Thread(
+                    target=self._read_loop,
+                    args=(conn, peer),
+                    name="repro-transport-read",
+                    daemon=True,
+                )
+                self._readers.append(reader)
+                reader.start()
 
     def _read_loop(self, conn: socket_module.socket, peer: Address) -> None:
         try:
@@ -688,6 +721,8 @@ class SocketTransport(Transport):
         except (TransportError, ConnectionError, OSError):
             pass  # malformed or torn connection; drop it
         finally:
+            with self._accept_lock:
+                self._accepted.discard(conn)
             conn.close()
 
     # -- send side -------------------------------------------------------
@@ -726,9 +761,12 @@ class SocketTransport(Transport):
         return {"port": float(self.port)}
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        with self._accept_lock:
+            if self._closed:
+                return
+            self._closed = True
+            accepted = list(self._accepted)
+            readers = list(self._readers)
         for client in self._clients.values():
             try:
                 client.socket.close()
@@ -736,10 +774,29 @@ class SocketTransport(Transport):
                 pass
         self._clients.clear()
         self._inboxes.clear()
+        # Closing the listener does not wake a thread blocked in
+        # accept(); a connection does, and the acceptor, seeing the
+        # transport closed, drops it and exits.
+        try:
+            socket_module.create_connection(
+                (self.host, self.port), timeout=self.timeout
+            ).close()
+        except OSError:  # pragma: no cover - the acceptor already left
+            pass
+        self._acceptor.join(self.timeout)
         try:
             self._server.close()
         except OSError:  # pragma: no cover - best-effort teardown
             pass
+        # Shutting a connection down wakes its reader's recv() and
+        # sends the peer end-of-stream; the reader then closes it.
+        for conn in accepted:
+            try:
+                conn.shutdown(socket_module.SHUT_RDWR)
+            except OSError:  # already closed by its reader
+                pass
+        for reader in readers:
+            reader.join(self.timeout)
 
 
 #: Public name -> transport class.

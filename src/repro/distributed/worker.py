@@ -20,11 +20,12 @@ contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.algorithms import make_algorithm
+from repro.core.solution import Certificate, witness_columns
 from repro.distributed.chain import SetRows
 from repro.faults.injectors import InjectionReport
 from repro.obs.events import SPAN_SHARD
@@ -76,7 +77,9 @@ class ShardReport:
 class ShardOutput:
     """Everything a shard uploads to (or exposes for) a coordinator.
 
-    ``cover`` and ``certificate`` use *global* ids.  ``rows`` is the
+    ``cover`` and ``certificate`` use *global* ids; the certificate is
+    the algorithm's, relabelled by two gathers (a
+    :class:`~repro.core.solution.Certificate`).  ``rows`` is the
     shard's membership view in CSR form: one row per set the shard is
     responsible for, in the deterministic enumeration order of the
     shard's sets (the chain merge's party order), holding the global
@@ -86,7 +89,7 @@ class ShardOutput:
 
     index: int
     cover: FrozenSet[SetId]
-    certificate: Dict[ElementId, SetId]
+    certificate: Mapping[ElementId, SetId]
     rows: SetRows
     report: ShardReport = field(
         default_factory=lambda: ShardReport(
@@ -108,6 +111,7 @@ class ShardOutput:
 
 _EMPTY_SPACE = SpaceReport(peak_words=0, final_words=0)
 _EMPTY_COLUMN = np.empty(0, dtype=np.int64)
+_EMPTY_CERTIFICATE = Certificate(_EMPTY_COLUMN, _EMPTY_COLUMN)
 
 
 @dataclass(frozen=True)
@@ -363,7 +367,7 @@ class Worker:
             return ShardOutput(
                 index=self.index,
                 cover=frozenset(),
-                certificate={},
+                certificate=_EMPTY_CERTIFICATE,
                 rows=local.rows,
                 report=base_report,
             )
@@ -398,11 +402,11 @@ class Worker:
                 )
             )
 
-        elements = local.elements.tolist()
         cover = frozenset(set_ids[s] for s in result.cover)
-        certificate = {
-            elements[u]: set_ids[s] for u, s in result.certificate.items()
-        }
+        elements, witnesses = witness_columns(result.certificate)
+        certificate = Certificate(
+            local.elements[elements], local.set_ids[witnesses]
+        )
         base_report.cover_size = len(cover)
         base_report.certificate_size = len(certificate)
         base_report.space = result.space

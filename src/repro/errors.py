@@ -9,7 +9,7 @@ user can act on (bad instance, bad stream, exhausted space budget, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Mapping, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -20,11 +20,14 @@ class PartialState:
     instances that escape :meth:`StreamingSetCoverAlgorithm.run`, so a
     ``best_effort`` degradation policy can emit a *partial* cover
     instead of discarding the whole pass.  All fields are copies taken
-    at failure time; mutating them cannot affect the failed run.
+    at failure time; mutating them cannot affect the failed run.  The
+    certificate is a dict, or a read-only
+    :class:`~repro.core.solution.Certificate` for an algorithm that
+    writes its witnesses into columns (KK).
     """
 
     cover: FrozenSet[int] = frozenset()
-    certificate: Dict[int, int] = field(default_factory=dict)
+    certificate: Mapping[int, int] = field(default_factory=dict)
     edges_consumed: int = 0
     meter_peak: int = 0
 

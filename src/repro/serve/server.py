@@ -42,9 +42,10 @@ import numbers
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Mapping, Optional, Set, Tuple
 
 from repro.algorithms import make_algorithm, registered_algorithms
+from repro.core.solution import witness_columns
 from repro.distributed.backends import registered_backends
 from repro.distributed.comm import check_count, make_comm_budget
 from repro.distributed.coordinator import registered_coordinators
@@ -78,6 +79,18 @@ from repro._version import __version__
 #: Upper bound on the test/ops ``delay_ms`` solve knob — it exists to
 #: make drain and queueing behaviour observable, not to sleep servers.
 MAX_DELAY_MS = 5_000
+
+
+def certificate_pairs(
+    certificate: Mapping[int, int],
+) -> Tuple[Tuple[int, int], ...]:
+    """A response's ``certificate``: ``(element, witness)`` pairs by element.
+
+    Ordered from the certificate's columns; the same tuple as
+    ``tuple(sorted(certificate.items()))``.
+    """
+    elements, witnesses = witness_columns(certificate, by_element=True)
+    return tuple(zip(elements.tolist(), witnesses.tolist()))
 
 
 @dataclass
@@ -437,8 +450,8 @@ class SetCoverServer:
                         "cover_size": (
                             len(result.cover) if result is not None else 0
                         ),
-                        "certificate": tuple(
-                            sorted(result.certificate.items())
+                        "certificate": (
+                            certificate_pairs(result.certificate)
                             if result is not None
                             else ()
                         ),
@@ -457,7 +470,7 @@ class SetCoverServer:
                         "degraded": False,
                         "cover": tuple(sorted(result.cover)),
                         "cover_size": len(result.cover),
-                        "certificate": tuple(sorted(result.certificate.items())),
+                        "certificate": certificate_pairs(result.certificate),
                         "peak_words": result.space.peak_words,
                         "valid": True,
                     }
@@ -566,7 +579,7 @@ class SetCoverServer:
                 "degraded": False,
                 "cover": tuple(sorted(result.cover)),
                 "cover_size": result.cover_size,
-                "certificate": tuple(sorted(result.certificate.items())),
+                "certificate": certificate_pairs(result.certificate),
                 "total_comm_words": result.total_comm_words,
                 "max_message_words": result.max_message_words,
                 "messages": result.comm.num_messages,

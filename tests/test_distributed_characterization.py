@@ -47,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections.abc import Mapping
 
 import pytest
 
@@ -99,6 +100,8 @@ def _canonical(value):
     Dataclasses contribute only the fields that take part in equality,
     so operational metadata (transport byte reports) stays
     out, exactly as it stays out of ``DistributedResult.__eq__``.
+    Every mapping (a dict or a column-backed ``Certificate``) is its
+    sorted items.
     Floats are kept as their ``repr`` so no digit is lost.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -107,7 +110,7 @@ def _canonical(value):
             for f in dataclasses.fields(value)
             if f.compare
         }
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         items = [(_canonical(k), _canonical(v)) for k, v in value.items()]
         return sorted(items, key=lambda kv: json.dumps(kv[0], sort_keys=True))
     if isinstance(value, (set, frozenset)):

@@ -163,10 +163,10 @@ class TestFraming:
 class TestWireHelpers:
     def test_cover_upload_round_trip(self):
         payload = cover_upload_wire(3, {9, 2, 5}, {0: 2, 4: 9, 1: 5})
-        index, cover, pairs = read_cover_upload(payload)
+        index, cover, certificate = read_cover_upload(payload)
         assert index == 3
         assert cover == [2, 5, 9]
-        assert pairs == [(0, 2), (1, 5), (4, 9)]
+        assert list(certificate.items()) == [(0, 2), (1, 5), (4, 9)]
 
     def test_candidate_upload_round_trip(self):
         payload = candidate_upload_wire(
@@ -465,6 +465,31 @@ class TestSocketTransport:
             transport.close()
         for sender, got in replies.items():
             assert got == [{"sender": sender, "index": i} for i in range(20)]
+
+    def test_close_leaves_no_thread_or_open_peer(self, monkeypatch):
+        # Regression: close() closed neither the connections it had
+        # accepted nor woke the acceptor blocked in accept(), so the
+        # acceptor, the silent peer's reader and the peer's socket all
+        # outlived the transport.
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        before = set(threading.enumerate())
+        transport = socket_or_skip()
+        with socket.create_connection(
+            (transport.host, transport.port), timeout=5
+        ) as peer:
+            try:
+                assert transport.send("a", "b", "x", {"k": 1}) == {"k": 1}
+            finally:
+                transport.close()
+            left = [
+                thread
+                for thread in set(threading.enumerate()) - before
+                if thread.name.startswith("repro-transport-")
+            ]
+            assert left == []
+            assert peer.recv(1) == b""
+        assert raised == []
 
 
 # -- parity and the satellite property --------------------------------------
