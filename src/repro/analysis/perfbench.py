@@ -4,7 +4,7 @@ Measures end-to-end edges/sec (and peak RSS) of the three core one-pass
 algorithms — KK, random-order (Algorithm 1) and the low-space
 adversarial algorithm (Algorithm 2) — on a ladder of instance sizes,
 plus the sharded executor, the wire transports, the merge critical
-path and the random arrival order's shuffle.  Results are written to
+path, the random arrival order's shuffle and instance construction.  Results are written to
 ``BENCH_perf.json`` at the repository root so every future PR has a
 trajectory to regress against; CI runs the ``smoke`` tier and fails on
 a >2x edges/sec regression.
@@ -21,7 +21,8 @@ name to its generator and says whether the file records it;
 :func:`run_section` runs one section, and :func:`write_bench_file`
 replaces exactly the sections it is given.  Sections that check a
 correctness contract (backend parity, transport parity, merge
-verification, tracing transparency, the shuffle replay) raise
+verification, tracing transparency, the shuffle replay, equal rebuilt
+instances) raise
 ``AssertionError`` rather than yield a row that would contradict it.
 
 Use :func:`run_section` programmatically or ``scripts/run_perf_bench.py``
@@ -36,6 +37,7 @@ import platform
 import random
 import resource
 import time
+from collections import defaultdict
 from pathlib import Path
 from typing import (
     Any,
@@ -52,13 +54,14 @@ from typing import (
 
 import numpy as np
 
+from repro.baselines.greedy import greedy_cover
 from repro.core.adversarial import LowSpaceAdversarialAlgorithm
 from repro.core.base import StreamingSetCoverAlgorithm
 from repro.core.kk import KKAlgorithm
 from repro.core.random_order import RandomOrderAlgorithm
 from repro.generators.random_instances import fixed_size_instance
 from repro.obs.tracer import RecordingTracer
-from repro.streaming.instance import SetCoverInstance
+from repro.streaming.instance import SetCoverInstance, instance_from_edges
 from repro.streaming.orders import RandomOrder
 from repro.streaming.stream import ReplayableStream
 
@@ -445,6 +448,60 @@ def bench_orders(tier: str, seed: int = 0) -> Iterator[dict]:
         }
 
 
+#: ``(config, n, m, set_size)`` per tier for the ``instance`` section; the
+#: full tier is the ``solve`` benchmark's 6e5-edge instance.
+INSTANCE_SHAPES: Dict[str, List[Tuple[str, int, int, int]]] = {
+    "smoke": [("3e4", 200, 1500, 20)],
+    "full": [("6e5", 1000, 12000, 50)],
+}
+
+#: Timed runs of each step per ``instance`` cell; the row records the fastest.
+INSTANCE_REPEATS = 5
+
+
+def bench_instance(tier: str, seed: int = 0) -> Iterator[dict]:
+    """Instance construction and greedy_cover (asserts equal rebuilt instances).
+
+    Each cell times ``fixed_size_instance``, the constructor from the
+    instance's ``frozenset`` sets, the first ``edge_columns()`` call on
+    that new instance, ``instance_from_edges`` from ``(set, element)``
+    tuples and ``greedy_cover``, :data:`INSTANCE_REPEATS` times each.
+    A rebuilt instance or column that differs, or a greedy cover that
+    does not repeat, raises.
+    """
+    if tier not in INSTANCE_SHAPES:
+        raise ValueError(f"unknown tier {tier!r}; known: {sorted(INSTANCE_SHAPES)}")
+    for config, n, m, set_size in INSTANCE_SHAPES[tier]:
+        runs: Dict[str, List[float]] = defaultdict(list)
+
+        def step(key: str, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+            result, seconds = timed(fn, *args, **kwargs)
+            runs[key].append(seconds)
+            return result
+
+        covers = set()
+        for _ in range(INSTANCE_REPEATS):
+            instance = step("generate_ms", fixed_size_instance, n, m, set_size, seed=seed)
+            sets = [instance.set_members(s) for s in range(m)]
+            from_sets = step("from_sets_ms", SetCoverInstance, n, sets)
+            columns = step("edge_columns_ms", from_sets.edge_columns)
+            edges = list(zip(*(column.tolist() for column in instance.edge_columns())))
+            from_edges = step("from_edges_ms", instance_from_edges, n, m, edges)
+            covers.add(step("greedy_cover_ms", greedy_cover, instance).cover)
+            assert from_sets == instance == from_edges and all(
+                np.array_equal(got, want)
+                for got, want in zip(columns, instance.edge_columns())
+            ), f"rebuilt instances diverged from the generated one at {config}"
+        assert len(covers) == 1, f"repeated greedy covers diverged at {config}"
+        yield {
+            "config": config,
+            "edges": instance.num_edges,
+            "repeats": INSTANCE_REPEATS,
+            **{key: round(min(seconds) * 1e3, 3) for key, seconds in runs.items()},
+            "instances_identical": True,
+        }
+
+
 class Section(NamedTuple):
     """One benchmark section: its row generator and where its rows go."""
 
@@ -465,6 +522,7 @@ SECTIONS: Dict[str, Section] = {
     "transport": Section(bench_transport),
     "merge": Section(bench_merge),
     "orders": Section(bench_orders),
+    "instance": Section(bench_instance),
 }
 
 
@@ -543,10 +601,15 @@ def write_bench_file(
             "logical_steps grow as Theta(log W) vs the chain's Theta(W); "
             "every cell is verified and sync/async cover parity is "
             "asserted before the numbers are recorded), "
-            "and 'orders' the random arrival order's apply_columns "
+            "'orders' the random arrival order's apply_columns "
             "against the random.Random.shuffle it replays, fastest of "
             "'repeats' alternating runs per stream length "
-            "(columns_identical certifies equal columns in every run). "
+            "(columns_identical certifies equal columns in every run), "
+            "and 'instance' the solve-shape instance's construction "
+            "(generator, constructor from sets, instance_from_edges from "
+            "tuples), first edge_columns() call and greedy_cover, fastest "
+            "of 'repeats' runs per step (instances_identical certifies "
+            "equal rebuilt instances). "
             "Caveat: numbers committed from a single-core container "
             "cannot show process-backend speedup; the CI artifact carries "
             "the multi-core measurement."

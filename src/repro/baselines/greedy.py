@@ -12,15 +12,17 @@ from __future__ import annotations
 
 from typing import Set
 
+import numpy as np
+
 from repro.core.solution import (
     StreamingResult,
     certificate_from_cover,
-    greedy_picks,
+    greedy_column_picks,
 )
 from repro.errors import InfeasibleInstanceError
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.space import SpaceMeter, words_for_set
-from repro.types import ElementId, SetId
+from repro.types import SetId
 
 
 def greedy_cover(instance: SetCoverInstance) -> StreamingResult:
@@ -33,17 +35,15 @@ def greedy_cover(instance: SetCoverInstance) -> StreamingResult:
     meter = SpaceMeter()
     meter.set_component("input", instance.num_edges)
 
-    uncovered: Set[ElementId] = set(range(instance.n))
+    set_ids, elements = instance.edge_columns()
+    uncovered = np.ones(instance.n, dtype=bool)
     cover: Set[SetId] = set()
-    for set_id, _, covered in greedy_picks(
-        {s: instance.set_members(s) for s in range(instance.m)}, uncovered
-    ):
+    for set_id, _, _ in greedy_column_picks(set_ids, elements, instance.m, uncovered):
         cover.add(set_id)
-        uncovered.difference_update(covered)
         meter.set_component("cover", words_for_set(len(cover)))
-    if uncovered:
+    if uncovered.any():
         raise InfeasibleInstanceError(
-            f"{len(uncovered)} element(s) cannot be covered by any set"
+            f"{np.count_nonzero(uncovered)} element(s) cannot be covered by any set"
         )
 
     certificate = certificate_from_cover(instance, frozenset(cover))

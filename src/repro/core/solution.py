@@ -8,8 +8,9 @@ how to verify itself against the ground-truth instance.
 :class:`Certificate` is the certificate as two ``int64`` columns, written
 by :class:`CertificateBuilder` and read column-wise by every consumer
 that does not look up single elements.  The module also holds
-:func:`greedy_picks`, the one plain offline greedy every offline phase
-and baseline runs.
+:func:`greedy_column_picks`, the one plain offline greedy every offline
+phase and baseline runs, with :func:`greedy_picks` as its front for
+``set id -> members`` mappings.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import InvalidCoverError
+from repro.errors import InvalidCoverError, InvalidInstanceError
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.space import SpaceReport
-from repro.types import ElementId, SetId
+from repro.types import ElementId, SetId, first_occurrences
 
 
 class Certificate(Mapping):
@@ -332,23 +333,31 @@ def verify_certificate(
 def certificate_from_cover(
     instance: SetCoverInstance, cover: FrozenSet[SetId]
 ) -> Dict[ElementId, SetId]:
-    """Build a certificate for ``cover`` by scanning the instance.
+    """Build a certificate for ``cover`` from the instance's edge columns.
 
-    Intended for *offline* baselines (greedy et al.) where building the
-    witness map after the fact is legitimate; streaming algorithms must
-    construct certificates during their pass.
+    Each element's witness is the smallest cover set holding it (its
+    first row in the cover's mask over the columns), and the items
+    follow ascending ``(set, element)`` order.  Intended for *offline*
+    baselines (greedy et al.) where building the witness map after the
+    fact is legitimate; streaming algorithms must construct certificates
+    during their pass.
     """
-    certificate: Dict[ElementId, SetId] = {}
-    for set_id in sorted(cover):
-        for element in instance.set_members(set_id):
-            certificate.setdefault(element, set_id)
-    missing = [u for u in range(instance.n) if u not in certificate]
-    if missing:
+    ids = np.fromiter(cover, dtype=np.int64, count=len(cover))
+    if len(ids) and not 0 <= ids.min() <= ids.max() < instance.m:
+        raise InvalidInstanceError(f"cover has a set id outside range(0, {instance.m})")
+    chosen = np.zeros(instance.m, dtype=bool)
+    chosen[ids] = True
+    set_ids, elements = instance.edge_columns()
+    rows = np.flatnonzero(chosen[set_ids])
+    covered, first = first_occurrences(elements[rows], instance.n)
+    if len(covered) < instance.n:
+        missing = np.setdiff1d(np.arange(instance.n), covered)
         raise InvalidCoverError(
             f"cover of size {len(cover)} leaves {len(missing)} element(s) "
-            f"uncovered (e.g. {missing[:5]})"
+            f"uncovered (e.g. {missing[:5].tolist()})"
         )
-    return certificate
+    rows = rows[np.sort(first)]
+    return dict(zip(elements[rows].tolist(), set_ids[rows].tolist()))
 
 
 GreedyPick = Tuple[SetId, int, List[ElementId]]
@@ -361,18 +370,14 @@ def greedy_picks(
 ) -> Iterator[GreedyPick]:
     """Plain offline greedy: yield its picks over ``projections``, in order.
 
-    Each pick is the set covering the most still-``uncovered`` elements;
-    the loop stops once no set adds anything.  Membership entries live
-    in two flat ``int64`` columns (set index, element id) and each pick
-    is one ``bincount`` over the still-uncovered entries plus an
-    ``argmax``.  ``argmax`` returns the *first* index achieving the
-    maximum and set indices follow ``projections`` order, so ties break
-    to the earliest-stored set (callers that want the smallest id pass
-    ids ascending).  Entries of covered elements and picked sets are
-    dropped as the loop proceeds, so each round costs O(live entries),
-    not O(m·n).  Elements are universe ids: the uncovered mask is dense
-    up to the largest member.  ``uncovered`` is read once, before the
-    first pick, so a caller may shrink it as the picks arrive.
+    The front for ``set id -> members`` mappings: it flattens them into
+    two ``int64`` columns (set index, element id) in mapping order and
+    runs :func:`greedy_column_picks`.  Set indices follow
+    ``projections`` order, so ties break to the earliest-stored set
+    (callers that want the smallest id pass ids ascending).  Elements
+    are universe ids: the uncovered mask is dense up to the largest
+    member.  ``uncovered`` is read once, before the first pick, so a
+    caller may shrink it as the picks arrive.
     """
     if not uncovered or not projections:
         return
@@ -383,29 +388,50 @@ def greedy_picks(
         members = projections[set_id]
         flat_sets.extend([index] * len(members))
         flat_elems.extend(members)
-    set_idx = np.asarray(flat_sets, dtype=np.int64)
     elems = np.asarray(flat_elems, dtype=np.int64)
-    num_sets = len(set_list)
     size = int(elems.max()) + 1 if len(elems) else 1
     uncovered_mask = np.zeros(size, dtype=bool)
     for element in uncovered:
         if element < size:
             uncovered_mask[element] = True
+    picks = greedy_column_picks(
+        np.asarray(flat_sets, dtype=np.int64), elems, len(set_list), uncovered_mask
+    )
+    for index, gain, covered in picks:
+        yield set_list[index], gain, covered
+
+
+def greedy_column_picks(
+    set_index: np.ndarray,
+    elements: np.ndarray,
+    num_sets: int,
+    uncovered: np.ndarray,
+) -> Iterator[GreedyPick]:
+    """Offline greedy on membership columns: yield ``(index, gain, covered)``.
+
+    Set ``set_index[i]`` (in ``range(num_sets)``) holds ``elements[i]``;
+    the columns are only read.  ``uncovered`` is a boolean mask over
+    element ids that the loop owns and clears as it covers.  Each pick
+    is one ``bincount`` over the live entries plus an ``argmax``, whose
+    first maximum breaks ties to the smallest index; entries of covered
+    elements and picked sets are dropped as the loop goes, so a round
+    costs O(live entries).  The loop stops once no set adds anything.
+    """
     while True:
-        keep = uncovered_mask[elems]
+        keep = uncovered[elements]
         if not keep.all():
-            elems = elems[keep]
-            set_idx = set_idx[keep]
-        if not len(elems):
+            elements = elements[keep]
+            set_index = set_index[keep]
+        if not len(elements):
             return
-        gains = np.bincount(set_idx, minlength=num_sets)
+        gains = np.bincount(set_index, minlength=num_sets)
         best = int(np.argmax(gains))
         best_gain = int(gains[best])
         if best_gain == 0:
             return
-        chosen = set_idx == best
-        covered_elements = elems[chosen]
-        uncovered_mask[covered_elements] = False
-        elems = elems[~chosen]
-        set_idx = set_idx[~chosen]
-        yield set_list[best], best_gain, sorted(covered_elements.tolist())
+        chosen = set_index == best
+        covered_elements = elements[chosen]
+        uncovered[covered_elements] = False
+        elements = elements[~chosen]
+        set_index = set_index[~chosen]
+        yield best, best_gain, sorted(covered_elements.tolist())

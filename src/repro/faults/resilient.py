@@ -42,7 +42,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.base import StreamingSetCoverAlgorithm
-from repro.core.solution import StreamingResult
+from repro.core.solution import StreamingResult, witness_columns
 from repro.errors import ConfigurationError, PartialState, ReproError
 from repro.obs import events as obs_events
 from repro.streaming.space import SpaceReport
@@ -241,11 +241,14 @@ class ResilientAlgorithm:
         )
         covered = instance.coverage_of(safe_cover)
         coverage_fraction = len(covered) / n if n else 1.0
-        safe_certificate = {
-            u: s
-            for u, s in partial.certificate.items()
-            if 0 <= u < n and s in safe_cover and instance.contains(s, u)
-        }
+        elements, witnesses = witness_columns(partial.certificate)
+        kept = instance.edge_mask(witnesses, elements)
+        in_cover = np.zeros(instance.m, dtype=bool)
+        in_cover[list(safe_cover)] = True
+        kept[kept] = in_cover[witnesses[kept]]
+        safe_certificate = dict(
+            zip(elements[kept].tolist(), witnesses[kept].tolist())
+        )
         degradation = DegradationRecord(
             policy=self.policy,
             relaxed_invariant="+".join(repairs + ["complete-cover"]),

@@ -13,6 +13,7 @@ library has no graph dependency.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.errors import InvalidInstanceError
@@ -22,15 +23,14 @@ from repro.types import ElementId, SetId
 
 def to_biadjacency(instance: SetCoverInstance) -> List[Set[ElementId]]:
     """Adjacency of the left (set) side: ``adj[s]`` = elements of set s."""
-    return [set(instance.set_members(s)) for s in range(instance.m)]
+    return [set(members) for members in instance.sets()]
 
 
 def element_adjacency(instance: SetCoverInstance) -> List[Set[SetId]]:
     """Adjacency of the right (element) side: ``adj[u]`` = sets containing u."""
     adj: List[Set[SetId]] = [set() for _ in range(instance.n)]
-    for s in range(instance.m):
-        for u in instance.set_members(s):
-            adj[u].add(s)
+    for s, u in instance.edges():
+        adj[u].add(s)
     return adj
 
 
@@ -45,11 +45,7 @@ def to_networkx(instance: SetCoverInstance):
     graph = nx.Graph()
     graph.add_nodes_from((("S", s) for s in range(instance.m)), bipartite=0)
     graph.add_nodes_from((("U", u) for u in range(instance.n)), bipartite=1)
-    graph.add_edges_from(
-        (("S", s), ("U", u))
-        for s in range(instance.m)
-        for u in instance.set_members(s)
-    )
+    graph.add_edges_from((("S", s), ("U", u)) for s, u in instance.edges())
     return graph
 
 
@@ -110,16 +106,9 @@ def degree_histogram(instance: SetCoverInstance) -> Dict[int, int]:
     of Algorithm 1 detects and marks; this helper supports tests and
     diagnostics around that mechanism.
     """
-    hist: Dict[int, int] = {}
-    for degree in instance.element_degrees():
-        hist[degree] = hist.get(degree, 0) + 1
-    return hist
+    return dict(Counter(instance.element_degrees()))
 
 
 def set_size_histogram(instance: SetCoverInstance) -> Dict[int, int]:
     """Histogram ``size -> count`` over set sizes."""
-    hist: Dict[int, int] = {}
-    for s in range(instance.m):
-        size = instance.set_size(s)
-        hist[size] = hist.get(size, 0) + 1
-    return hist
+    return dict(Counter(map(instance.set_size, range(instance.m))))

@@ -50,6 +50,7 @@ def tiny_tiers(monkeypatch):
     for tier in ("smoke", "full"):
         monkeypatch.setitem(perfbench.TIERS, tier, [("tiny", 40, 80, 5)])
         monkeypatch.setitem(perfbench.ORDER_SIZES, tier, [("tiny", 300)])
+        monkeypatch.setitem(perfbench.INSTANCE_SHAPES, tier, [("tiny", 40, 80, 5)])
 
 
 def _load_cli():
@@ -135,6 +136,23 @@ class TestSectionRows:
         monkeypatch.setattr(perfbench.RandomOrder, "apply_columns", reversed_order)
         with pytest.raises(AssertionError, match="diverged from random.Random.shuffle"):
             run_section("orders", "smoke")
+
+    def test_instance_section_raises_on_a_diverging_rebuild(
+        self, tiny_tiers, monkeypatch
+    ):
+        rows = run_section("instance", "smoke")
+        assert [row["edges"] for row in rows] == [400]
+        assert rows[0]["repeats"] == perfbench.INSTANCE_REPEATS
+        assert rows[0]["instances_identical"] is True
+
+        real = perfbench.instance_from_edges
+
+        def dropping(n, m, edges, name=""):
+            return real(n, m, edges[1:], name=name)
+
+        monkeypatch.setattr(perfbench, "instance_from_edges", dropping)
+        with pytest.raises(AssertionError, match="rebuilt instances diverged"):
+            run_section("instance", "smoke")
 
     def test_ladder_sections_pin_their_tier(self, tiny_tiers, monkeypatch):
         monkeypatch.setitem(perfbench.TIERS, "full", [("other", 40, 80, 5)])

@@ -239,3 +239,97 @@ class TestInstanceFromEdges:
     def test_duplicate_edges_collapse(self):
         instance = instance_from_edges(2, 1, [(0, 0), (0, 0), (0, 1)])
         assert instance.num_edges == 2
+
+
+class TestNonIntegralIds:
+    """Every id must be a Python or numpy integer; anything else is typed."""
+
+    @pytest.mark.parametrize(
+        "element", [1.5, 2.0, np.float64(1.0), "3", None, float("nan"), b"1"]
+    )
+    def test_constructor_rejects_element(self, element):
+        with pytest.raises(InvalidInstanceError, match="is not an integer"):
+            SetCoverInstance(5, [[element, 0]])
+
+    def test_constructor_rejects_a_string_set(self):
+        # A string iterates as characters, which are not ids.
+        with pytest.raises(InvalidInstanceError, match="is not an integer"):
+            SetCoverInstance(5, ["12"])
+
+    @pytest.mark.parametrize("set_id", [0.5, 1.0, "0", None])
+    def test_edges_reject_set_id(self, set_id):
+        with pytest.raises(InvalidInstanceError, match="is not an integer"):
+            instance_from_edges(5, 2, [(0, 1), (set_id, 0)])
+
+    @pytest.mark.parametrize("element", [0.5, "0", None])
+    def test_edges_reject_element(self, element):
+        with pytest.raises(InvalidInstanceError, match="is not an integer"):
+            instance_from_edges(5, 2, [(0, element)])
+
+    @pytest.mark.parametrize("n", [2.0, "3", None])
+    def test_rejects_non_integral_universe(self, n):
+        with pytest.raises(InvalidInstanceError, match="must be an integer"):
+            SetCoverInstance(n, [[0]])
+
+    def test_negative_set_id_names_the_range(self):
+        with pytest.raises(
+            InvalidInstanceError, match=r"set id -1 out of range\(0, 2\)"
+        ):
+            instance_from_edges(5, 2, [(-1, 0)])
+
+    @pytest.mark.parametrize("edge", [(0,), (0, 1, 2)])
+    def test_edges_must_be_pairs(self, edge):
+        with pytest.raises(InvalidInstanceError, match="pair"):
+            instance_from_edges(5, 2, [(0, 1), edge])
+
+    def test_shape_beyond_int64_keys(self):
+        # The largest key, (m - 1) * n + n - 1, must fit in int64.
+        with pytest.raises(InvalidInstanceError, match="int64"):
+            SetCoverInstance(2**62, [[0], [2**62 - 1]])
+        widest = SetCoverInstance(2**62, [[2**62 - 1]])
+        assert widest.contains(0, 2**62 - 1)
+
+
+class TestColumnStore:
+    def test_edge_columns_are_stored(self, chain_instance):
+        first = chain_instance.edge_columns()
+        second = chain_instance.edge_columns()
+        assert all(a is b for a, b in zip(first, second))
+        assert not any(column.flags.writeable for column in first)
+
+    def test_sets_view_reads_slices(self, tiny_instance):
+        view = tiny_instance.sets()
+        assert list(view) == [{0, 1}, {1, 2}, {2, 3}]
+        assert view[-1] == frozenset({2, 3})
+        assert view[1:] == (frozenset({1, 2}), frozenset({2, 3}))
+        assert all(isinstance(members, frozenset) for members in view)
+        with pytest.raises(IndexError):
+            view[3]
+
+    def test_contains_out_of_universe_is_false(self, tiny_instance):
+        assert not tiny_instance.contains(0, 4)
+        assert not tiny_instance.contains(0, -1)
+        assert not tiny_instance.contains(0, 2**70)
+
+    def test_readers_agree_with_members(self):
+        instance = SetCoverInstance(6, [[5, 1, 1], [], [0, 5, 3], [2]])
+        degrees = instance.element_degrees()
+        for u in range(instance.n):
+            holders = {s for s in range(instance.m) if u in instance.set_members(s)}
+            assert instance.covering_sets(u) == holders
+            assert degrees[u] == instance.element_degree(u) == len(holders)
+        assert instance.coverage_of([0, 3]) == {1, 2, 5}
+        assert instance.uncovered_by([0, 3]) == {0, 3, 4}
+        with pytest.raises(InfeasibleInstanceError, match=r"1 element\(s\)"):
+            instance.validate()
+
+    def test_equality_ignores_name_and_input_order(self):
+        a = SetCoverInstance(3, [[2, 0], [1]], name="a")
+        b = instance_from_edges(3, 2, [(1, 1), (0, 0), (0, 2)], name="b")
+        assert a == b and hash(a) == hash(b)
+        assert a != SetCoverInstance(3, [[2, 0], [1], []])
+
+    def test_pickle_round_trip(self, chain_instance):
+        import pickle
+
+        assert pickle.loads(pickle.dumps(chain_instance)) == chain_instance
