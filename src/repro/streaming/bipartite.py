@@ -13,7 +13,6 @@ library has no graph dependency.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.errors import InvalidInstanceError
@@ -23,7 +22,7 @@ from repro.types import ElementId, SetId
 
 def to_biadjacency(instance: SetCoverInstance) -> List[Set[ElementId]]:
     """Adjacency of the left (set) side: ``adj[s]`` = elements of set s."""
-    return [set(members) for members in instance.sets()]
+    return [set(instance.set_members(s)) for s in range(instance.m)]
 
 
 def element_adjacency(instance: SetCoverInstance) -> List[Set[SetId]]:
@@ -106,9 +105,16 @@ def degree_histogram(instance: SetCoverInstance) -> Dict[int, int]:
     of Algorithm 1 detects and marks; this helper supports tests and
     diagnostics around that mechanism.
     """
-    return dict(Counter(instance.element_degrees()))
+    hist: Dict[int, int] = {}
+    for degree in instance.element_degrees():
+        hist[degree] = hist.get(degree, 0) + 1
+    return hist
 
 
 def set_size_histogram(instance: SetCoverInstance) -> Dict[int, int]:
     """Histogram ``size -> count`` over set sizes."""
-    return dict(Counter(map(instance.set_size, range(instance.m))))
+    hist: Dict[int, int] = {}
+    for s in range(instance.m):
+        size = instance.set_size(s)
+        hist[size] = hist.get(size, 0) + 1
+    return hist

@@ -102,15 +102,25 @@ class SetCoverInstance:
         keys.sort()
         if len(keys):
             keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        self._set_ids = keys // n
-        self._members = keys - self._set_ids * n
-        self._indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self._set_ids, minlength=m), out=self._indptr[1:])
-        self._edge_keys = keys
-        for column in (self._indptr, self._set_ids, self._members, keys):
+        set_column = keys // n
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(set_column, minlength=m), out=indptr[1:])
+        self.__setstate__(
+            {
+                "_n": n,
+                "_indptr": indptr,
+                "_set_ids": set_column,
+                "_members": keys - set_column * n,
+                "_edge_keys": keys,
+                "name": name,
+            }
+        )
+
+    def __setstate__(self, state: dict) -> None:
+        """Install ``state``, as built or unpickled, with read-only columns."""
+        self.__dict__.update(state)
+        for column in (self._indptr, self._set_ids, self._members, self._edge_keys):
             column.flags.writeable = False
-        self._n = n
-        self.name = name
 
     # -- basic shape -----------------------------------------------------
 

@@ -332,4 +332,6 @@ class TestColumnStore:
     def test_pickle_round_trip(self, chain_instance):
         import pickle
 
-        assert pickle.loads(pickle.dumps(chain_instance)) == chain_instance
+        restored = pickle.loads(pickle.dumps(chain_instance))
+        assert restored == chain_instance
+        assert not any(column.flags.writeable for column in restored.edge_columns())
