@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+import numpy as np
+
 from repro.core.solution import StreamingResult, certificate_from_cover
 from repro.errors import ConfigurationError, InvalidCoverError
 from repro.multipass.base import MultiPassSetCoverAlgorithm
@@ -67,10 +69,15 @@ class FractionalCover:
         )
 
     def min_coverage(self, instance) -> float:
-        """The least-covered element's fractional coverage."""
-        return min(
-            self.coverage_of(instance, u) for u in range(instance.n)
-        )
+        """The least-covered element's fractional coverage.
+
+        Adds each weight to its set's members in ``weights`` order, the
+        order in which :meth:`coverage_of` sums an element's weights.
+        """
+        coverage = np.zeros(instance.n)
+        for set_id, x in self.weights.items():
+            coverage[list(instance.set_members(set_id))] += x
+        return float(coverage.min())
 
     def scaled_to_feasible(self, instance) -> "FractionalCover":
         """Scale ``x`` so every element reaches coverage ≥ 1."""

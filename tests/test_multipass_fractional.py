@@ -34,6 +34,21 @@ class TestFractionalCover:
         # element 0 only in set 0 -> coverage 1.
         assert cover.min_coverage(tiny_instance) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_min_coverage_matches_per_element_sums(self, seed):
+        # The per-element coverage_of loop is the reference.
+        import random
+
+        from repro.generators import fixed_size_instance
+
+        instance = fixed_size_instance(60, 90, set_size=7, seed=seed)
+        rng = random.Random(seed)
+        cover = FractionalCover(
+            {s: rng.random() for s in rng.sample(range(90), 40)}
+        )
+        expected = min(cover.coverage_of(instance, u) for u in range(instance.n))
+        assert cover.min_coverage(instance) == pytest.approx(expected, rel=1e-12)
+
     def test_scaling_to_feasible(self, tiny_instance):
         cover = FractionalCover({0: 0.5, 2: 0.5})
         scaled = cover.scaled_to_feasible(tiny_instance)
