@@ -19,6 +19,12 @@ BENCH_perf.json (unless --no-write or a gate flag is given)::
 
     PYTHONPATH=src python scripts/run_perf_bench.py --smoke --distributed --transport --merge
 
+Time instance construction at the ``solve`` shape (the generator, the
+constructor, ``instance_from_edges``, the first ``edge_columns()`` call
+and ``greedy_cover``) and update its section::
+
+    PYTHONPATH=src python scripts/run_perf_bench.py --instance
+
 Record the current code as the "seed baseline" (done once, before the
 hot-path optimization, so the speedup trajectory stays in the file)::
 

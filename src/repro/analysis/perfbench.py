@@ -4,10 +4,10 @@ Measures end-to-end edges/sec (and peak RSS) of the three core one-pass
 algorithms — KK, random-order (Algorithm 1) and the low-space
 adversarial algorithm (Algorithm 2) — on a ladder of instance sizes,
 plus the sharded executor, the wire transports, the merge critical
-path, the random arrival order's shuffle and instance construction.  Results are written to
-``BENCH_perf.json`` at the repository root so every future PR has a
-trajectory to regress against; CI runs the ``smoke`` tier and fails on
-a >2x edges/sec regression.
+path, the random arrival order's shuffle and instance construction.
+Results are written to ``BENCH_perf.json`` at the repository root so
+every future PR has a trajectory to regress against; CI runs the
+``smoke`` tier and fails on a >2x edges/sec regression.
 
 Two tiers:
 
@@ -22,8 +22,8 @@ name to its generator and says whether the file records it;
 replaces exactly the sections it is given.  Sections that check a
 correctness contract (backend parity, transport parity, merge
 verification, tracing transparency, the shuffle replay, equal rebuilt
-instances) raise
-``AssertionError`` rather than yield a row that would contradict it.
+instances) raise ``AssertionError`` rather than yield a row that would
+contradict it.
 
 Use :func:`run_section` programmatically or ``scripts/run_perf_bench.py``
 from the command line.
@@ -481,7 +481,9 @@ def bench_instance(tier: str, seed: int = 0) -> Iterator[dict]:
 
         covers = set()
         for _ in range(INSTANCE_REPEATS):
-            instance = step("generate_ms", fixed_size_instance, n, m, set_size, seed=seed)
+            instance = step(
+                "generate_ms", fixed_size_instance, n, m, set_size, seed=seed
+            )
             sets = [instance.set_members(s) for s in range(m)]
             from_sets = step("from_sets_ms", SetCoverInstance, n, sets)
             columns = step("edge_columns_ms", from_sets.edge_columns)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -37,10 +38,6 @@ class TestFractionalCover:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_min_coverage_matches_per_element_sums(self, seed):
         # The per-element coverage_of loop is the reference.
-        import random
-
-        from repro.generators import fixed_size_instance
-
         instance = fixed_size_instance(60, 90, set_size=7, seed=seed)
         rng = random.Random(seed)
         cover = FractionalCover(
