@@ -86,10 +86,10 @@ class SetCoverInstance:
     ) -> None:
         """The one column builder: check every id, sort the keys, drop repeats."""
         try:
-            n = operator.index(n)
+            n, m = operator.index(n), operator.index(m)
         except TypeError:
             raise InvalidInstanceError(
-                f"universe size must be an integer, got {n!r}"
+                f"n and m must be integers, got n={n!r}, m={m!r}"
             ) from None
         if n <= 0:
             raise InvalidInstanceError(f"universe size must be positive, got {n}")

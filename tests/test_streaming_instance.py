@@ -267,9 +267,16 @@ class TestNonIntegralIds:
             instance_from_edges(5, 2, [(0, element)])
 
     @pytest.mark.parametrize("n", [2.0, "3", None])
-    def test_rejects_non_integral_universe(self, n):
-        with pytest.raises(InvalidInstanceError, match="must be an integer"):
+    def test_rejects_non_integral_shape(self, n):
+        with pytest.raises(InvalidInstanceError, match="must be integers"):
             SetCoverInstance(n, [[0]])
+        with pytest.raises(InvalidInstanceError, match="must be integers"):
+            instance_from_edges(3, n, [(0, 0)])
+
+    def test_numpy_shape_keys_do_not_wrap(self):
+        # A numpy m must not make n * m wrap past the int64 check.
+        with pytest.raises(InvalidInstanceError, match="int64"):
+            instance_from_edges(2**62, np.int64(3), [(0, 0)])
 
     def test_negative_set_id_names_the_range(self):
         with pytest.raises(
