@@ -44,9 +44,7 @@ def exact_opt(
         The optimal size and one optimal cover.
     """
     instance.validate()
-    covering: List[FrozenSet[SetId]] = [
-        instance.covering_sets(u) for u in range(instance.n)
-    ]
+    covering = instance.covering_sets_by_element()
     members: List[FrozenSet[ElementId]] = [
         instance.set_members(s) for s in range(instance.m)
     ]
@@ -109,8 +107,9 @@ def opt_lower_bound(instance: SetCoverInstance) -> int:
     # Scan elements by ascending degree so low-degree elements (which
     # constrain the dual most) are picked first.
     degrees = instance.element_degrees()
+    covering_sets = instance.covering_sets_by_element()
     for u in sorted(range(instance.n), key=lambda u: degrees[u]):
-        covering = instance.covering_sets(u)
+        covering = covering_sets[u]
         if not covering:
             raise InfeasibleInstanceError(f"element {u} is in no set")
         if covering.isdisjoint(used_sets):

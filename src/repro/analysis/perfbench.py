@@ -4,10 +4,11 @@ Measures end-to-end edges/sec (and peak RSS) of the three core one-pass
 algorithms — KK, random-order (Algorithm 1) and the low-space
 adversarial algorithm (Algorithm 2) — on a ladder of instance sizes,
 plus the sharded executor, the wire transports, the merge critical
-path, the random arrival order's shuffle and instance construction.
-Results are written to ``BENCH_perf.json`` at the repository root so
-every future PR has a trajectory to regress against; CI runs the
-``smoke`` tier and fails on a >2x edges/sec regression.
+path, the random arrival order's shuffle, instance construction and
+the coin tape's draws.  Results are written to ``BENCH_perf.json`` at
+the repository root so every future PR has a trajectory to regress
+against; CI runs the ``smoke`` tier and fails on a >2x edges/sec
+regression.
 
 Two tiers:
 
@@ -22,8 +23,8 @@ name to its generator and says whether the file records it;
 replaces exactly the sections it is given.  Sections that check a
 correctness contract (backend parity, transport parity, merge
 verification, tracing transparency, the shuffle replay, equal rebuilt
-instances) raise ``AssertionError`` rather than yield a row that would
-contradict it.
+instances, the coin tape's draws) raise ``AssertionError`` rather than
+yield a row that would contradict it.
 
 Use :func:`run_section` programmatically or ``scripts/run_perf_bench.py``
 from the command line.
@@ -56,7 +57,7 @@ import numpy as np
 
 from repro.baselines.greedy import greedy_cover
 from repro.core.adversarial import LowSpaceAdversarialAlgorithm
-from repro.core.base import StreamingSetCoverAlgorithm
+from repro.core.base import CoinTape, StreamingSetCoverAlgorithm, uniforms
 from repro.core.kk import KKAlgorithm
 from repro.core.random_order import RandomOrderAlgorithm
 from repro.generators.random_instances import fixed_size_instance
@@ -448,6 +449,78 @@ def bench_orders(tier: str, seed: int = 0) -> Iterator[dict]:
         }
 
 
+#: Draw counts the ``coins`` section takes, per tier: one refill, which
+#: stays on ``uniforms``, and about the ~1.5e5 ``Coin(1/α)`` draws of
+#: Algorithm 2's pass over the ``solve`` stream.
+COIN_SIZES: Dict[str, List[Tuple[str, int]]] = {
+    "smoke": [("4096", 4096), ("1.5e5", 150_000)],
+    "full": [("4096", 4096), ("1.5e5", 150_000)],
+}
+
+#: Timed runs of each side per ``coins`` cell; the row records the fastest.
+COIN_REPEATS = 7
+
+
+def _coins_from_uniforms(rng: random.Random, draws: int) -> np.ndarray:
+    """``draws`` doubles in tape-sized refills, every one from :func:`uniforms`."""
+    block = CoinTape.BLOCK
+    return np.concatenate(
+        [uniforms(rng, min(block, draws - start)) for start in range(0, draws, block)]
+    )
+
+
+def _coins_from_tape(rng: random.Random, draws: int) -> np.ndarray:
+    """``draws`` doubles read, consumed and committed through a :class:`CoinTape`."""
+    tape = CoinTape(rng)
+    block = CoinTape.BLOCK
+    refills = []
+    for start in range(0, draws, block):
+        k = min(block, draws - start)
+        refills.append(tape.peek(k))
+        tape.advance(k)
+    tape.commit()
+    return np.concatenate(refills)
+
+
+def bench_coins(tier: str, seed: int = 0) -> Iterator[dict]:
+    """CoinTape draws against uniforms() alone (asserts equal doubles and state).
+
+    Each cell takes ``draws`` doubles in :attr:`CoinTape.BLOCK` refills
+    from a ``random.Random(seed)``, once through :func:`uniforms` for
+    every refill (the tape before its mirror) and once through a
+    :class:`CoinTape`, whose refills after the first come from its
+    numpy mirror, alternating the two :data:`COIN_REPEATS` times.  Any
+    difference in the doubles or in the final ``getstate()`` raises.
+    The row records the fastest run of each side.
+    """
+    if tier not in COIN_SIZES:
+        raise ValueError(f"unknown tier {tier!r}; known: {sorted(COIN_SIZES)}")
+    for config, draws in COIN_SIZES[tier]:
+        uniform_runs, tape_runs = [], []
+        for _ in range(COIN_REPEATS):
+            expected_rng, rng = random.Random(seed), random.Random(seed)
+            expected, seconds = timed(_coins_from_uniforms, expected_rng, draws)
+            uniform_runs.append(seconds)
+            got, seconds = timed(_coins_from_tape, rng, draws)
+            tape_runs.append(seconds)
+            assert np.array_equal(got, expected) and (
+                rng.getstate() == expected_rng.getstate()
+            ), (
+                f"CoinTape diverged from uniforms() at {config}: "
+                "the mirror must be exact"
+            )
+        uniform_seconds, tape_seconds = min(uniform_runs), min(tape_runs)
+        yield {
+            "config": config,
+            "draws": draws,
+            "repeats": COIN_REPEATS,
+            "uniforms_ms": round(uniform_seconds * 1e3, 3),
+            "tape_ms": round(tape_seconds * 1e3, 3),
+            "speedup": round(uniform_seconds / max(tape_seconds, 1e-9), 3),
+            "draws_identical": True,
+        }
+
+
 #: ``(config, n, m, set_size)`` per tier for the ``instance`` section; the
 #: full tier is the ``solve`` benchmark's 6e5-edge instance.
 INSTANCE_SHAPES: Dict[str, List[Tuple[str, int, int, int]]] = {
@@ -525,6 +598,7 @@ SECTIONS: Dict[str, Section] = {
     "merge": Section(bench_merge),
     "orders": Section(bench_orders),
     "instance": Section(bench_instance),
+    "coins": Section(bench_coins),
 }
 
 
@@ -607,11 +681,15 @@ def write_bench_file(
             "against the random.Random.shuffle it replays, fastest of "
             "'repeats' alternating runs per stream length "
             "(columns_identical certifies equal columns in every run), "
-            "and 'instance' the solve-shape instance's construction "
+            "'instance' the solve-shape instance's construction "
             "(generator, constructor from sets, instance_from_edges from "
             "tuples), first edge_columns() call and greedy_cover, fastest "
             "of 'repeats' runs per step (instances_identical certifies "
-            "equal rebuilt instances). "
+            "equal rebuilt instances), "
+            "and 'coins' CoinTape's draws against uniforms() for every "
+            "refill, fastest of 'repeats' alternating runs per draw count "
+            "(draws_identical certifies equal doubles and final RNG "
+            "state). "
             "Caveat: numbers committed from a single-core container "
             "cannot show process-backend speedup; the CI artifact carries "
             "the multi-core measurement."

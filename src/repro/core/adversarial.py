@@ -47,14 +47,20 @@ from repro.core.base import (
 )
 from repro.core.solution import StreamingResult
 from repro.obs import events as obs_events
-from repro.streaming.space import ChargedDict, ChargedSet, SpaceBudget, words_for_set
+from repro.streaming.space import (
+    ChargedSet,
+    SpaceBudget,
+    settle_charges,
+    words_for_set,
+)
 from repro.streaming.stream import EdgeStream
 from repro.types import ElementId, SeedLike, SetId
 
 #: Edges consumed per vectorized batch (see :mod:`repro.core.kk`).
 _CHUNK = 8192
 
-#: Scan-window size right after an inclusion (see :mod:`repro.core.kk`).
+#: Scan-window size right after an inclusion; it regrows ×4 per
+#: inclusion-free window.
 _RESCAN_WINDOW = 2048
 
 
@@ -109,12 +115,21 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
             meter, "partial-cover", words_per_entry=1, iterable=d0
         )
 
-        levels: Dict[SetId, int] = ChargedDict(
-            meter, "levels", words_per_entry=2, charge_initial=False
-        )
-        covered: Set[ElementId] = ChargedSet(
-            meter, "covered", words_per_entry=1, charge_initial=False
-        )
+        # ``levels`` (two words a set) and ``covered`` (one an element)
+        # grow one item at a time; their charges are deferred and
+        # settled exactly (``settle_charges``) before every other meter
+        # access, with ``pending`` words grown since the last settle.
+        levels: Dict[SetId, int] = {}
+        covered: Set[ElementId] = set()
+        budgeted = meter.budget is not None
+        pending = 0
+
+        def settle() -> None:
+            nonlocal pending
+            settle_charges(
+                meter, (("levels", 2 * len(levels)), ("covered", len(covered)))
+            )
+            pending = 0
         certificate: Dict[ElementId, SetId] = {}
         first_sets = FirstSetStore(meter, universe_size=n)
         self._register_salvage(cover=partial_cover, certificate=certificate)
@@ -161,6 +176,7 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
         reader = stream.reader()
         try:
             while reader.remaining:
+                settle()
                 set_ids, elements = reader.take_columns(_CHUNK)
                 first_sets.observe_columns(set_ids, elements)
                 chunk_len = len(elements)
@@ -242,7 +258,17 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
                         flips = j + 1 + inclusion_coins
                         if j == promoted_at:
                             level = levels.get(set_id, 0) + 1
-                            levels[set_id] = level
+                            if level > 1:
+                                levels[set_id] = level
+                            elif not levels or (
+                                budgeted and pending + 2 > meter.headroom
+                            ):
+                                settle()
+                                levels[set_id] = level
+                                settle()
+                            else:
+                                levels[set_id] = level
+                                pending += 2
                             promotions += 1
                             if level > max_level:
                                 max_level = level
@@ -274,6 +300,7 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
                                 else:
                                     admitted = p >= 1.0
                         if admitted:
+                            settle()
                             partial_cover.add(set_id)
                             cover_mask[set_id] = True
                             if tracing:
@@ -283,7 +310,15 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
                                     level=level,
                                 )
                         if is_hit or admitted:
-                            covered.add(element)
+                            if not covered or (
+                                budgeted and pending + 1 > meter.headroom
+                            ):
+                                settle()
+                                covered.add(element)
+                                settle()
+                            else:
+                                covered.add(element)
+                                pending += 1
                             covered_mask[element] = True
                             certificate[element] = set_id
                             if tracing:
@@ -313,6 +348,7 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
             if flips and tracing:
                 tracer.count(obs_events.COIN_FLIP, flips)
             tape.commit()
+        settle()
 
         cover = set(partial_cover)
         patched = first_sets.patch(certificate, cover, n)

@@ -33,8 +33,9 @@ ints (one ``tolist`` per column) and draws the coins one promotion at a
 time, in stream order, from the same seeded RNG, so the randomness
 stream is that of a per-edge loop.  An inclusion invalidates the
 window's start masks, so the scan *restarts* just past the inclusion
-edge with the not-yet-applied suffix state discarded; state mutations
-before the inclusion point are applied exactly once.  Witnesses go
+edge with the not-yet-applied suffix state discarded, in a window sized
+to the expected gap to the next inclusion; state mutations before the
+inclusion point are applied exactly once.  Witnesses go
 into a :class:`~repro.core.solution.CertificateBuilder` (two
 preallocated ``int64[n]`` columns and a cursor), and the run returns
 its :class:`~repro.core.solution.Certificate`.
@@ -68,17 +69,21 @@ from repro.types import SeedLike, SetId
 #: chunk suffix stays cheap relative to the chunk itself.
 _CHUNK = 16384
 
-#: Scan-window size right after an inclusion.  An inclusion invalidates
-#: the masks for everything scanned past it, so work beyond the
-#: inclusion point is discarded; on inclusion-dense streams a full-chunk
-#: rescan per inclusion would go quadratic.  The window restarts small
-#: and grows geometrically (×4 per inclusion-free window) back to the
-#: chunk size, bounding discarded work per inclusion to O(window) while
-#: keeping long inclusion-free stretches fully vectorized.  Window
+#: Smallest scan window.  An inclusion invalidates the masks for
+#: everything scanned past it, so work beyond the inclusion point is
+#: discarded; on inclusion-dense streams a full-chunk rescan per
+#: inclusion would go quadratic.  After an inclusion the next window is
+#: sized to the expected gap to the next one, ``1.5 / (p·ρ)`` edges for
+#: the inclusion probability ``p`` at the level just reached and the
+#: promotion rate ``ρ`` (promotions per edge) since the previous
+#: inclusion, floored here and capped at ``_CHUNK``; an inclusion-free
+#: window doubles.  The rate is taken over the last gap, not the whole
+#: run, because promotions start only once degrees reach the level
+#: width and then come at several times their run-long rate.  Window
 #: boundaries are semantically identical to chunk boundaries — the
 #: masks are recomputed from monotone state — so the partition does not
 #: affect the output.
-_RESCAN_WINDOW = 512
+_MIN_WINDOW = 64
 
 
 def _occurrence_ranks(
@@ -176,6 +181,12 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
         # Level -> inclusion probability, computed (and checked finite)
         # once per run at the level's first promotion.
         level_p: Dict[int, float] = {}
+        # The scan window, carried across chunks, and what sizes it
+        # after an inclusion: the promotions walked and the edges
+        # applied since the previous one.
+        window = _CHUNK
+        promotions = 0
+        applied = 0
 
         reader = stream.reader()
         while reader.remaining:
@@ -184,7 +195,6 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
             chunk_len = len(elements)
             chunk_positions = np.arange(chunk_len, dtype=np.int64)
             pos = 0
-            window = chunk_len
             while pos < chunk_len:
                 stop = min(pos + window, chunk_len)
                 s_suffix = set_ids[pos:stop]
@@ -194,8 +204,9 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
                 # covered is a guaranteed no-op for the whole scan.
                 alive = uncovered_mask[e_suffix]
                 if not np.count_nonzero(alive):
+                    applied += suffix_len
                     pos = stop
-                    window = min(window * 4, chunk_len)
+                    window = min(window * 2, _CHUNK)
                     continue
                 in_cover = cover_mask[s_suffix]
 
@@ -251,6 +262,7 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
                             candidate_sets[promoted].tolist(),
                             new_degrees[promoted].tolist(),
                         ):
+                            promotions += 1
                             level = degree // level_width
                             if level > max_level_reached:
                                 max_level_reached = level
@@ -313,9 +325,13 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
                         tracer.count(obs_events.ELEMENT_COVERED)
                     # The inclusion invalidates the window-start masks for
                     # everything after it; rescan just past the inclusion
-                    # edge with a small window that regrows geometrically.
+                    # edge with a window of about the expected gap to the
+                    # next inclusion.
                     pos += inclusion_pos + 1
-                    window = _RESCAN_WINDOW
+                    applied += inclusion_pos + 1
+                    gap = 1.5 * applied / (inclusion_probability * promotions)
+                    window = int(min(max(gap, _MIN_WINDOW), _CHUNK))
+                    promotions = applied = 0
                 else:
                     if counts is not None:
                         degrees += counts
@@ -330,8 +346,9 @@ class KKAlgorithm(StreamingSetCoverAlgorithm):
                             certificate,
                             tracer,
                         )
+                    applied += suffix_len
                     pos = stop
-                    window = min(window * 4, chunk_len)
+                    window = min(window * 2, _CHUNK)
 
             # Per-chunk meter reconciliation.  All components grow
             # monotonically, so charging the same final counts the scalar

@@ -136,25 +136,12 @@ class Scaling:
         the paper's asymptotic constants produce at galactic sizes — and
         the number of inner algorithms ``K`` is derived from the stream
         budget instead of the paper's ``½log n − 3·log log m − 2``
-        (which is negative for every laptop-scale ``n``).
+        (which is negative for every laptop-scale ``n``).  Every call
+        returns the same frozen object, built and checked once: kk,
+        Algorithm 1 and the length-oblivious wrapper read it on every
+        construction.
         """
-        return cls(
-            name="practical",
-            sample_constant=1.0,
-            special_threshold_log_exp=0.0,
-            special_threshold_factor=2.0,
-            detect_log_exp=1.0,
-            subepoch_log_exp=0.0,
-            subepoch_factor=2.0,
-            sample_log_exp=1.0,
-            min_tracking_mark=3.0,
-            min_algorithms=1,
-            min_epochs=2,
-            min_subepochs=1,
-            max_epochs=4,
-            budget_derived_algorithms=True,
-            phase_budget_fraction=0.5,
-        )
+        return _PRACTICAL
 
     def with_overrides(self, **kwargs) -> "Scaling":
         """A copy with the given fields replaced (keyword arguments only)."""
@@ -272,3 +259,23 @@ class Scaling:
         """KK inclusion rule ``2ⁱ·√n/m`` at level ``i``, capped at 1."""
         p = self.sample_constant * (2.0**level) * math.sqrt(n) / m
         return min(1.0, p)
+
+
+#: The :meth:`Scaling.practical` preset.
+_PRACTICAL = Scaling(
+    name="practical",
+    sample_constant=1.0,
+    special_threshold_log_exp=0.0,
+    special_threshold_factor=2.0,
+    detect_log_exp=1.0,
+    subepoch_log_exp=0.0,
+    subepoch_factor=2.0,
+    sample_log_exp=1.0,
+    min_tracking_mark=3.0,
+    min_algorithms=1,
+    min_epochs=2,
+    min_subepochs=1,
+    max_epochs=4,
+    budget_derived_algorithms=True,
+    phase_budget_fraction=0.5,
+)

@@ -25,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generic, List, Optional, Sequence, Tuple, TypeVar
 
+import numpy as np
+
 from repro.core.base import StreamingSetCoverAlgorithm
 from repro.core.solution import StreamingResult
 from repro.errors import ProtocolError
 from repro.streaming.instance import SetCoverInstance
-from repro.streaming.stream import EdgeStream
-from repro.types import Edge
+from repro.streaming.stream import EdgeStream, EdgesLike, FrozenEdges
 
 PayloadT = TypeVar("PayloadT")
 
@@ -124,7 +125,7 @@ class _BoundaryProbingStream(EdgeStream):
     def __init__(
         self,
         instance: SetCoverInstance,
-        edges: Sequence[Edge],
+        edges: EdgesLike,
         boundaries: Sequence[int],
         meter_reader: Callable[[], int],
         order_name: str = "partitioned",
@@ -143,7 +144,7 @@ class _BoundaryProbingStream(EdgeStream):
 def run_partitioned_stream(
     algorithm: StreamingSetCoverAlgorithm,
     instance: SetCoverInstance,
-    party_edges: Sequence[Sequence[Edge]],
+    party_edges: Sequence[EdgesLike],
 ) -> Tuple[StreamingResult, List[int]]:
     """Run ``algorithm`` over party-partitioned edges, measuring messages.
 
@@ -151,20 +152,21 @@ def run_partitioned_stream(
     the adversarial stream of the reduction) and the algorithm's live
     state size is recorded at each of the ``len(party_edges) - 1``
     hand-off points.  Returns the run result and those message sizes in
-    words.
+    words.  A party is a :class:`~repro.streaming.stream.FrozenEdges`
+    (its columns are concatenated as they are) or a sequence of
+    ``(set, element)`` records, which reach the same columns through
+    ``FrozenEdges``.
     """
     if len(party_edges) < 2:
         raise ProtocolError("need at least two parties worth of edges")
-    flat: List[Edge] = []
-    boundaries: List[int] = []
-    for edges in party_edges[:-1]:
-        flat.extend(edges)
-        boundaries.append(len(flat))
-    flat.extend(party_edges[-1])
-
+    columns = [FrozenEdges(edges).columns() for edges in party_edges]
+    boundaries = np.cumsum([len(set_ids) for set_ids, _ in columns[:-1]]).tolist()
     stream = _BoundaryProbingStream(
         instance,
-        flat,
+        FrozenEdges.from_columns(
+            np.concatenate([set_ids for set_ids, _ in columns]),
+            np.concatenate([elements for _, elements in columns]),
+        ),
         boundaries,
         meter_reader=lambda: algorithm._meter.current_words,
     )

@@ -260,8 +260,9 @@ def randomized_rounding(
         chosen.add(sets[lo])
 
     uncovered = instance.uncovered_by(chosen)
+    covering_sets = instance.covering_sets_by_element() if uncovered else []
     for u in sorted(uncovered):
-        covering = instance.covering_sets(u)
+        covering = covering_sets[u]
         if not covering:
             raise InvalidCoverError(f"element {u} is in no set")
         in_support = sorted(covering & set(sets))

@@ -226,6 +226,21 @@ class SetCoverInstance:
         """Ids of the sets containing ``element`` (computed on demand)."""
         return frozenset(self._set_ids[self._holds(element)].tolist())
 
+    def covering_sets_by_element(self) -> List[FrozenSet[SetId]]:
+        """:meth:`covering_sets` of every element, indexed by element id.
+
+        One ``np.sort`` of the ``element * m + set`` keys groups the
+        edges element-major; :meth:`covering_sets` scans every edge per
+        call.
+        """
+        n, m = self._n, self.m
+        keys = np.sort(self._members * m + self._set_ids)
+        sets = (keys % m).tolist()
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._members, minlength=n), out=bounds[1:])
+        bounds = bounds.tolist()
+        return [frozenset(sets[bounds[u] : bounds[u + 1]]) for u in range(n)]
+
     # -- feasibility and cover checking -----------------------------------
 
     def validate(self) -> None:

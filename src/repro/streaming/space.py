@@ -6,7 +6,7 @@ Table-1 space rows empirically we charge every piece of live algorithm
 state to a :class:`SpaceMeter` and report the *peak* word count reached
 during the pass.
 
-Three usage styles are supported:
+Four usage styles are supported:
 
 1. **Charged containers** (preferred on hot paths):
    :class:`ChargedDict` / :class:`ChargedSet` behave exactly like
@@ -18,6 +18,9 @@ Three usage styles are supported:
    peak of the sum.
 3. **Delta style**: :meth:`SpaceMeter.charge` / :meth:`SpaceMeter.release`
    adjust an anonymous component directly.
+4. **Deferred style** (per-event hot loops): plain containers whose
+   growth the kernel counts itself and charges in batches with
+   :func:`settle_charges`, exactly as style 1 would; see its rules.
 
 Every meter update is O(1) amortized: the running total is maintained
 incrementally, and the per-component breakdown at the peak is recorded
@@ -43,6 +46,7 @@ hypothesis property in ``tests/test_meter_contract.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -216,6 +220,12 @@ class SpaceMeter:
     def current_words(self) -> int:
         """Total words currently charged across all components."""
         return self._current
+
+    @property
+    def headroom(self) -> float:
+        """Words the meter can still take within its budget (``inf`` without one)."""
+        budget = self.budget
+        return math.inf if budget is None else budget.words - self._current
 
     @property
     def peak_words(self) -> int:
@@ -489,6 +499,42 @@ def _update_pairs(args: tuple, kwargs: dict) -> List[Tuple]:
             pairs = [(key, value) for key, value in other]
     pairs.extend(kwargs.items())
     return pairs
+
+
+def settle_charges(meter: SpaceMeter, sizes: Iterable[Tuple[str, int]]) -> None:
+    """Charge deferred container growth exactly as per-item charges would.
+
+    A kernel may keep containers that grow one item at a time as plain
+    ``set``/``dict`` objects instead of :class:`ChargedSet`/
+    :class:`ChargedDict`, keep the words they grew since the last
+    settle as an int, and call this with each container's component and
+    current words, in the order one item's charges run.  Each component
+    whose words changed is set, in that order; an unchanged one is
+    skipped, so none is created empty and a tripped meter is not
+    charged twice.  The meter then matches the per-item loop's, if the
+    kernel keeps three rules:
+
+    * between settles the deferred containers only grow, so every
+      intermediate total is at most the final one and the peak, the
+      breakdown at the peak and the component peaks agree;
+    * it settles before every other read or write of ``meter``
+      (:class:`~repro.core.base.FirstSetStore` and trace samples
+      included), so other components see the per-item totals;
+    * an item whose words would take the meter past its budget
+      (:attr:`SpaceMeter.headroom`) is charged on its own: settle,
+      apply the item, settle.  The second settle charges that item's
+      components in the item's order, the crossing one after those
+      before it, so the meter raises at the same item with the same
+      ``used`` and the containers hold what they held then.
+
+    A settle creates components in the order it lists them; a kernel
+    whose deferred components can start in either order also charges
+    each one's first item on its own, so they enter the breakdown in
+    stream order.
+    """
+    for name, words in sizes:
+        if words != meter.component(name):
+            meter.set_component(name, words)
 
 
 def words_for_mapping(entries: int, words_per_entry: int = 2) -> int:

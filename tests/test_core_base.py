@@ -328,6 +328,93 @@ class TestCoinTape:
         assert rng.getstate() == state
 
 
+#: Peek/advance/commit programs long enough to cross many small refills.
+MIRROR_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["peek", "advance"]), st.integers(0, 300)),
+        st.tuples(st.just("commit"), st.just(0)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestMirroredCoinTape:
+    """Refills after the first come from the numpy mirror, exactly."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        advances=ADVANCES,
+        gauss=st.booleans(),
+        ops=MIRROR_OPS,
+        block=st.sampled_from([16, 64, 512]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_draws_and_final_state_equal_random(
+        self, seed, advances, gauss, ops, block
+    ):
+        def fresh():
+            rng = _seeded(seed, advances)
+            if gauss:
+                rng.gauss(0.0, 1.0)  # leaves a cached gauss_next in the state
+            return rng
+
+        oracle = fresh()
+        values = [oracle.random() for _ in range(sum(k for _, k in ops) + 1)]
+        states = {}
+
+        def after(count):
+            if count not in states:
+                expected = fresh()
+                for _ in range(count):
+                    expected.random()
+                states[count] = expected.getstate()
+            return states[count]
+
+        rng = fresh()
+        tape = CoinTape(rng)
+        tape.BLOCK = block
+        consumed = 0
+        for op, k in ops:
+            if op == "peek":
+                assert tape.peek(k).tolist() == values[consumed : consumed + k]
+            elif op == "advance":
+                tape.advance(k)
+                consumed += k
+            else:
+                tape.commit()
+                assert rng.getstate() == after(consumed)
+        tape.commit()
+        assert rng.getstate() == after(consumed)
+
+    def test_rng_waits_while_the_mirror_draws(self):
+        rng = random.Random(3)
+        oracle = random.Random(3)
+        tape = CoinTape(rng)
+        tape.BLOCK = 100
+        first = tape.peek(100).tolist()
+        after_first_refill = rng.getstate()
+        tape.advance(60)
+        later = tape.peek(500).tolist()  # a mirrored refill
+        assert rng.getstate() == after_first_refill
+        assert first + later[40:] == [oracle.random() for _ in range(560)]
+        tape.advance(500)
+        tape.commit()
+        assert rng.getstate() == oracle.getstate()
+
+    def test_commit_inside_the_first_refill_after_mirroring(self):
+        rng = random.Random(4)
+        tape = CoinTape(rng)
+        tape.BLOCK = 50
+        tape.advance(10)
+        tape.peek(400)  # refills from the mirror; the cursor stays at 10
+        tape.commit()
+        oracle = random.Random(4)
+        for _ in range(10):
+            oracle.random()
+        assert rng.getstate() == oracle.getstate()
+
+
 class _OverriddenRandom(random.Random):
     def random(self):
         return 0.5

@@ -17,6 +17,26 @@ class TestPresets:
     def test_practical_preset_name(self):
         assert Scaling.practical().name == "practical"
 
+    def test_practical_preset_is_one_shared_object(self):
+        assert Scaling.practical() is Scaling.practical()
+        assert Scaling.practical() == Scaling(
+            name="practical",
+            sample_constant=1.0,
+            special_threshold_log_exp=0.0,
+            special_threshold_factor=2.0,
+            detect_log_exp=1.0,
+            subepoch_log_exp=0.0,
+            subepoch_factor=2.0,
+            sample_log_exp=1.0,
+            min_tracking_mark=3.0,
+            min_algorithms=1,
+            min_epochs=2,
+            min_subepochs=1,
+            max_epochs=4,
+            budget_derived_algorithms=True,
+            phase_budget_fraction=0.5,
+        )
+
     def test_presets_frozen(self):
         with pytest.raises(Exception):
             Scaling.paper().name = "x"

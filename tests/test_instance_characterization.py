@@ -318,6 +318,14 @@ def test_generator_columns_pinned(family, seed):
     assert record == GENERATOR_PINS[family, seed]
 
 
+@pytest.mark.parametrize("family, seed", [(f, s) for f in GENERATORS for s in SEEDS])
+def test_covering_sets_by_element_matches_covering_sets(family, seed):
+    instance = GENERATORS[family](seed)
+    assert instance.covering_sets_by_element() == [
+        instance.covering_sets(u) for u in range(instance.n)
+    ]
+
+
 def _build(cell):
     """The cell's instance as ``(n, m, set_ids, elements)`` lists, or its error type."""
     try:

@@ -12,6 +12,7 @@ from repro.lowerbound.protocol import (
     run_partitioned_stream,
 )
 from repro.streaming.instance import SetCoverInstance
+from repro.streaming.stream import FrozenEdges
 from repro.types import Edge
 
 
@@ -111,6 +112,21 @@ class TestRunPartitionedStream:
         )
         assert len(messages) == 2
         assert messages[0] == messages[1]  # no edges between boundaries
+
+    @pytest.mark.parametrize("cuts", [(3, 6), (4, 4), (0, 8)])
+    def test_column_parties_equal_record_parties(self, instance, cuts):
+        # FrozenEdges parties are concatenated as columns; Edge lists
+        # reach the same columns.  (4, 4) leaves the middle party empty.
+        edges = list(instance.edges())
+        first, second = cuts
+        records = [edges[:first], edges[first:second], edges[second:]]
+        columns = [FrozenEdges(part) for part in records]
+        by_records = run_partitioned_stream(KKAlgorithm(seed=7), instance, records)
+        by_columns = run_partitioned_stream(KKAlgorithm(seed=7), instance, columns)
+        mixed = run_partitioned_stream(
+            KKAlgorithm(seed=7), instance, [columns[0], records[1], columns[2]]
+        )
+        assert by_records == by_columns == mixed
 
     def test_rejects_single_party(self, instance):
         with pytest.raises(ProtocolError):

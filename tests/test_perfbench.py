@@ -51,6 +51,7 @@ def tiny_tiers(monkeypatch):
         monkeypatch.setitem(perfbench.TIERS, tier, [("tiny", 40, 80, 5)])
         monkeypatch.setitem(perfbench.ORDER_SIZES, tier, [("tiny", 300)])
         monkeypatch.setitem(perfbench.INSTANCE_SHAPES, tier, [("tiny", 40, 80, 5)])
+        monkeypatch.setitem(perfbench.COIN_SIZES, tier, [("tiny", 300)])
 
 
 def _load_cli():
@@ -153,6 +154,25 @@ class TestSectionRows:
         monkeypatch.setattr(perfbench, "instance_from_edges", dropping)
         with pytest.raises(AssertionError, match="rebuilt instances diverged"):
             run_section("instance", "smoke")
+
+    def test_coins_section_raises_on_a_diverging_tape(self, tiny_tiers, monkeypatch):
+        # A small block makes the 300 draws cross mirrored refills.
+        monkeypatch.setattr(perfbench.CoinTape, "BLOCK", 16)
+        rows = run_section("coins", "smoke")
+        assert [row["draws"] for row in rows] == [300]
+        assert rows[0]["repeats"] == perfbench.COIN_REPEATS
+        assert rows[0]["draws_identical"] is True
+
+        real = perfbench._coins_from_tape
+
+        def skewed(rng, draws):
+            values = real(rng, draws)
+            values[-1] = 0.5
+            return values
+
+        monkeypatch.setattr(perfbench, "_coins_from_tape", skewed)
+        with pytest.raises(AssertionError, match="CoinTape diverged"):
+            run_section("coins", "smoke")
 
     def test_ladder_sections_pin_their_tier(self, tiny_tiers, monkeypatch):
         monkeypatch.setitem(perfbench.TIERS, "full", [("other", 40, 80, 5)])
