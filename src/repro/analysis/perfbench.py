@@ -449,9 +449,10 @@ def bench_orders(tier: str, seed: int = 0) -> Iterator[dict]:
         }
 
 
-#: Draw counts the ``coins`` section takes, per tier: one refill, which
-#: stays on ``uniforms``, and about the ~1.5e5 ``Coin(1/α)`` draws of
-#: Algorithm 2's pass over the ``solve`` stream.
+#: Draw counts the ``coins`` section takes, per tier: one refill, where
+#: the tape's fixed cost (loading and checking its mirror) shows most,
+#: and about the ~1.5e5 ``Coin(1/α)`` draws of Algorithm 2's pass over
+#: the ``solve`` stream.
 COIN_SIZES: Dict[str, List[Tuple[str, int]]] = {
     "smoke": [("4096", 4096), ("1.5e5", 150_000)],
     "full": [("4096", 4096), ("1.5e5", 150_000)],
@@ -487,9 +488,9 @@ def bench_coins(tier: str, seed: int = 0) -> Iterator[dict]:
 
     Each cell takes ``draws`` doubles in :attr:`CoinTape.BLOCK` refills
     from a ``random.Random(seed)``, once through :func:`uniforms` for
-    every refill (the tape before its mirror) and once through a
-    :class:`CoinTape`, whose refills after the first come from its
-    numpy mirror, alternating the two :data:`COIN_REPEATS` times.  Any
+    every refill and once through a :class:`CoinTape`, whose refills
+    come from its numpy mirror, alternating the two
+    :data:`COIN_REPEATS` times.  Any
     difference in the doubles or in the final ``getstate()`` raises.
     The row records the fastest run of each side.
     """

@@ -49,8 +49,8 @@ from repro.core.solution import StreamingResult
 from repro.obs import events as obs_events
 from repro.streaming.space import (
     ChargedSet,
+    DeferredCharges,
     SpaceBudget,
-    settle_charges,
     words_for_set,
 )
 from repro.streaming.stream import EdgeStream
@@ -116,20 +116,13 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
         )
 
         # ``levels`` (two words a set) and ``covered`` (one an element)
-        # grow one item at a time; their charges are deferred and
-        # settled exactly (``settle_charges``) before every other meter
-        # access, with ``pending`` words grown since the last settle.
+        # grow one item at a time; their charges are deferred, and
+        # settled before every other meter access.
         levels: Dict[SetId, int] = {}
         covered: Set[ElementId] = set()
-        budgeted = meter.budget is not None
-        pending = 0
-
-        def settle() -> None:
-            nonlocal pending
-            settle_charges(
-                meter, (("levels", 2 * len(levels)), ("covered", len(covered)))
-            )
-            pending = 0
+        charges = DeferredCharges(meter, ("levels", "covered"))
+        settle = charges.settle
+        grow = charges.grow
         certificate: Dict[ElementId, SetId] = {}
         first_sets = FirstSetStore(meter, universe_size=n)
         self._register_salvage(cover=partial_cover, certificate=certificate)
@@ -258,17 +251,9 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
                         flips = j + 1 + inclusion_coins
                         if j == promoted_at:
                             level = levels.get(set_id, 0) + 1
-                            if level > 1:
-                                levels[set_id] = level
-                            elif not levels or (
-                                budgeted and pending + 2 > meter.headroom
-                            ):
-                                settle()
-                                levels[set_id] = level
-                                settle()
-                            else:
-                                levels[set_id] = level
-                                pending += 2
+                            levels[set_id] = level
+                            if level == 1:
+                                grow(0, 2)
                             promotions += 1
                             if level > max_level:
                                 max_level = level
@@ -310,15 +295,9 @@ class LowSpaceAdversarialAlgorithm(StreamingSetCoverAlgorithm):
                                     level=level,
                                 )
                         if is_hit or admitted:
-                            if not covered or (
-                                budgeted and pending + 1 > meter.headroom
-                            ):
-                                settle()
-                                covered.add(element)
-                                settle()
-                            else:
-                                covered.add(element)
-                                pending += 1
+                            # Alive, so not yet covered.
+                            covered.add(element)
+                            grow(1, 1)
                             covered_mask[element] = True
                             certificate[element] = set_id
                             if tracing:

@@ -233,7 +233,9 @@ class _MirrorMT:
     written through a ``uint32`` view of the bit generator's C state
     (``uint32 key[624]`` then ``int pos``, at the address numpy's
     ``ctypes`` interface publishes): a snapshot is one 2.5 kB copy,
-    where ``get_state`` builds a dict of arrays.
+    where ``get_state`` builds a dict of arrays.  numpy does not
+    document that layout, so each mirror checks it once, through the
+    public ``state`` property, before it draws.
     """
 
     def __init__(self, rng: random.Random) -> None:
@@ -247,6 +249,14 @@ class _MirrorMT:
         )
         self._state[:] = internal
         self._version = version
+        public = self._bitgen.state["state"]
+        if public["pos"] != internal[-1] or public["key"].tolist() != list(
+            internal[:-1]
+        ):
+            raise RuntimeError(
+                "numpy's MT19937 state layout is not uint32 key[624] then "
+                "int pos; the coin tape cannot mirror random.Random"
+            )
 
     def random(self, k: int) -> np.ndarray:
         """The next ``k`` draws, as ``k`` calls to ``random()`` would give."""
@@ -273,18 +283,16 @@ class CoinTape:
     :meth:`peek` shows the next draws past the cursor without consuming
     them, :meth:`advance` consumes them, and :meth:`commit` leaves
     ``rng`` exactly where that many ``rng.random()`` calls would.
-    Draws come in refills of at least :attr:`BLOCK`; consumed draws are
-    dropped at the next refill, so the buffer stays near one window of
-    draws.  The first refill draws from ``rng`` with :func:`uniforms`.
-    Later refills draw from a :class:`_MirrorMT` loaded at the second
-    refill with ``rng``'s state (about six times faster per draw); ``rng``
-    then waits, untouched, until :meth:`commit`.  Each refill first
-    records the state it starts from, and :meth:`commit` rewinds to the
-    last record at or before the cursor and replays the rest: at most a
-    refill's worth, nothing when every draw was consumed.  A mirrored
-    tape's commit then writes the mirror's state back into ``rng``.  No
-    other draw may touch ``rng`` between the first :meth:`peek` and
-    :meth:`commit`.  Callers commit in a ``finally`` block and keep the
+    Draws come in refills of at least :attr:`BLOCK` from a
+    :class:`_MirrorMT` loaded at the first refill with ``rng``'s state
+    (about six times faster per draw than :func:`uniforms`); consumed
+    draws are dropped at the next refill, so the buffer stays near one
+    window of draws.  ``rng`` waits, untouched, until :meth:`commit`.
+    Each refill first snapshots the mirror, and :meth:`commit` rewinds
+    to the last snapshot at or before the cursor, replays the rest (at
+    most a refill's worth, nothing when every draw was consumed) and
+    writes the mirror's state back into ``rng``.  No other draw may
+    touch ``rng`` between the first :meth:`peek` and :meth:`commit`.  Callers commit in a ``finally`` block and keep the
     cursor current before any step that may raise, so a failed run
     leaves the RNG where a draw-by-draw loop would have stopped.
     """
@@ -297,10 +305,8 @@ class CoinTape:
         self._buffer = np.empty(0, dtype=np.float64)
         self._base = 0  # draw index of buffer[0]
         self._cursor = 0  # draw index of the next unconsumed draw
-        # (draw index, state before that draw), one per refill: the
-        # first refill's is ``rng.getstate()``, later ones mirror
-        # snapshots.
-        self._marks: List[Tuple[int, object]] = []
+        # (draw index, mirror snapshot before that draw), one per refill.
+        self._marks: List[Tuple[int, np.ndarray]] = []
         self._mirror: Optional[_MirrorMT] = None
 
     def peek(self, k: int) -> np.ndarray:
@@ -309,17 +315,13 @@ class CoinTape:
         if start + k > len(self._buffer):
             held = self._buffer[start:]
             self._base = self._cursor
-            position = self._cursor + len(held)
-            count = max(k - len(held), self.BLOCK)
-            if self._marks:
-                self._marks = self._marks[self._last_mark() :]
-                if self._mirror is None:
-                    self._mirror = _MirrorMT(self._rng)
-                self._marks.append((position, self._mirror.snapshot()))
-                more = self._mirror.random(count)
-            else:
-                self._marks.append((position, self._rng.getstate()))
-                more = uniforms(self._rng, count)
+            if self._mirror is None:
+                self._mirror = _MirrorMT(self._rng)
+            self._marks = self._marks[self._last_mark() :]
+            self._marks.append(
+                (self._cursor + len(held), self._mirror.snapshot())
+            )
+            more = self._mirror.random(max(k - len(held), self.BLOCK))
             self._buffer = np.concatenate((held, more))
             start = 0
         return self._buffer[start : start + k]
@@ -332,18 +334,11 @@ class CoinTape:
     def commit(self) -> None:
         """Leave ``rng`` after the consumed draws; start a fresh tape."""
         mirror = self._mirror
-        if self._cursor < self._base + len(self._buffer):
-            position, state = self._marks[self._last_mark()]
-            replay = self._cursor - position
-            if isinstance(state, tuple):
-                self._rng.setstate(state)
-                if replay:
-                    self._rng.getrandbits(64 * replay)
-                mirror = None
-            else:
-                mirror.restore(state)
-                mirror.random(replay)
         if mirror is not None:
+            if self._cursor < self._base + len(self._buffer):
+                position, snapshot = self._marks[self._last_mark()]
+                mirror.restore(snapshot)
+                mirror.random(self._cursor - position)
             mirror.write_back(self._rng)
         self._buffer = np.empty(0, dtype=np.float64)
         self._base = self._cursor = 0

@@ -46,12 +46,7 @@ from repro.core.base import FirstSetStore, StreamingSetCoverAlgorithm, uniforms
 from repro.core.scaling import Scaling
 from repro.core.solution import StreamingResult
 from repro.obs import events as obs_events
-from repro.streaming.space import (
-    SpaceBudget,
-    settle_charges,
-    words_for_mapping,
-    words_for_set,
-)
+from repro.streaming.space import SpaceBudget, words_for_mapping, words_for_set
 from repro.streaming.stream import EdgeStream
 from repro.types import ElementId, SeedLike, SetId, first_occurrences
 
@@ -178,42 +173,12 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
         in_sol = np.zeros(m, dtype=bool)
         in_tracked = np.zeros(m, dtype=bool)
 
-        # ``marked`` and ``certificate`` grow one witness at a time;
-        # their charges are deferred and settled exactly
-        # (``settle_charges``) before every other meter access, with
-        # ``pending`` words grown since the last settle.  ``charge`` is
-        # every other meter write.
-        budgeted = meter.budget is not None
-        pending = 0
-
-        def settle() -> None:
-            nonlocal pending
-            settle_charges(
-                meter,
-                (
-                    ("marked", words_for_set(len(marked))),
-                    ("certificate", words_for_mapping(len(certificate))),
-                ),
-            )
-            pending = 0
-
-        def charge(name: str, words: int) -> None:
-            settle()
-            meter.set_component(name, words)
-
         def witness(u: ElementId, s: SetId) -> None:
-            nonlocal pending
-            words = (u not in marked) + 2 * (u not in certificate)
-            if budgeted and pending + words > meter.headroom:
-                # This witness crosses the budget: charge it on its own.
-                settle()
-                marked.add(u)
-                certificate.setdefault(u, s)
-                settle()
-            else:
-                marked.add(u)
-                certificate.setdefault(u, s)
-                pending += words
+            marked.add(u)
+            if u not in certificate:
+                certificate[u] = s
+            meter.set_component("marked", words_for_set(len(marked)))
+            meter.set_component("certificate", words_for_mapping(len(certificate)))
             self._trace_count(obs_events.ELEMENT_COVERED)
 
         tracer = self._tracer
@@ -239,7 +204,7 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                         phase="epoch0",
                         probability=p0,
                     )
-            charge("sol", words_for_set(len(sol)))
+            meter.set_component("sol", words_for_set(len(sol)))
 
             # Degree detection by bincount; the per-element counts (and the
             # peak "epoch0-counts" charge of two words per distinct element)
@@ -251,10 +216,9 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
             while position < window and reader.remaining:
                 set_ids, elements = reader.take_columns(window - position)
                 position += len(set_ids)
-                settle()
                 first_sets.observe_columns(set_ids, elements)
                 occurrence += np.bincount(elements, minlength=n)
-                charge(
+                meter.set_component(
                     "epoch0-counts",
                     words_for_mapping(int(np.count_nonzero(occurrence))),
                 )
@@ -269,14 +233,13 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                     ):
                         if u not in marked:
                             witness(u, int(set_ids[hit]))
-            settle()
             for u in np.nonzero(occurrence >= mark_count)[0].tolist():
                 if u not in marked:
                     marked.add(u)
                     probe.epoch0_marked += 1
                     self._trace_count(obs_events.ELEMENT_MARKED)
-            charge("marked", words_for_set(len(marked)))
-            charge("epoch0-counts", 0)
+            meter.set_component("marked", words_for_set(len(marked)))
+            meter.set_component("epoch0-counts", 0)
             probe.sol_after_algorithm.append(len(sol))
             if tracer.enabled:
                 tracer.event(
@@ -316,7 +279,7 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                 tracked: Set[SetId] = set(
                     np.flatnonzero(uniforms(self._rng, m) < q0).tolist()
                 )
-                charge("tracked-sets", words_for_set(len(tracked)))
+                meter.set_component("tracked-sets", words_for_set(len(tracked)))
                 in_tracked.fill(False)
                 for s in tracked:
                     in_tracked[s] = True
@@ -342,7 +305,7 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                         for batch_index, batch in enumerate(batches):
                             batch_start, batch_stop = batch.start, batch.stop
                             counters: Dict[SetId, int] = {}
-                            charge(
+                            meter.set_component(
                                 "batch-counters", words_for_mapping(len(batch))
                             )
                             need = subepoch_len
@@ -362,7 +325,6 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                                     subepoch_base = position
                                     position += got
                                     need -= got
-                                    settle()
                                     first_sets.observe_columns(set_ids, elements)
                                     keep = np.nonzero(
                                         in_sol[set_ids]
@@ -388,7 +350,7 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                                                 tracked_edges.get(u, 0) + 1
                                             )
                                             stats.tracked_edges += 1
-                                            charge(
+                                            meter.set_component(
                                                 "tracked-edges",
                                                 words_for_mapping(len(tracked_edges)),
                                             )
@@ -414,7 +376,7 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                                                         subepoch_base + idx + 1,
                                                     )
                                                     stats.added_to_sol += 1
-                                                    charge(
+                                                    meter.set_component(
                                                         "sol", words_for_set(len(sol))
                                                     )
                                                     self._trace(
@@ -429,7 +391,7 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                                                 if self._coin(q_j):
                                                     next_tracked.add(set_id)
                                                     stats.added_to_tracking += 1
-                                                    charge(
+                                                    meter.set_component(
                                                         "next-tracked",
                                                         words_for_set(
                                                             len(next_tracked)
@@ -446,24 +408,23 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                         # Line 31: optimistic marking from the tracked signal.
                         if scaling.enable_tracking:
                             mark_threshold = scaling.tracking_mark_threshold(i, n, m)
-                            settle()
                             for u, count in tracked_edges.items():
                                 if count >= mark_threshold and u not in marked:
                                     marked.add(u)
                                     stats.marked_by_tracking += 1
                                     self._trace_count(obs_events.ELEMENT_MARKED)
-                            charge("marked", words_for_set(len(marked)))
+                            meter.set_component("marked", words_for_set(len(marked)))
 
                         tracked = next_tracked  # line 32
                         in_tracked.fill(False)
                         for s in tracked:
                             in_tracked[s] = True
-                        charge(
+                        meter.set_component(
                             "tracked-sets", words_for_set(len(tracked))
                         )
-                        charge("next-tracked", 0)
-                        charge("tracked-edges", 0)
-                        charge("batch-counters", 0)
+                        meter.set_component("next-tracked", 0)
+                        meter.set_component("tracked-edges", 0)
+                        meter.set_component("batch-counters", 0)
                     if exhausted:
                         break
                 probe.sol_after_algorithm.append(len(sol))
@@ -481,7 +442,6 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
         with tracer.span(obs_events.SPAN_REMAINDER, start_position=position):
             while reader.remaining:
                 set_ids, elements = reader.take_rest_columns()
-                settle()
                 first_sets.observe_columns(set_ids, elements)
                 sol_hits = np.nonzero(in_sol[set_ids])[0]
                 if len(sol_hits):
@@ -495,7 +455,6 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                             witness(u, int(set_ids[hit]))
 
         # ---------------- patching (lines 37–38) ----------------
-        settle()
         probe.marked_uncovered_at_end = sum(
             1 for u in marked if u not in certificate
         )
@@ -511,8 +470,6 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
         # cover.  (The paper notes |Sol| ≤ n can always be enforced; this
         # is the natural way and guarantees cover_size ≤ n.)
         cover = set(certificate.values())
-        # Direct, not ``charge``: the patch grew the certificate
-        # uncharged, as the per-witness loop leaves it.
         meter.set_component("sol", words_for_set(len(cover)))
 
         return StreamingResult(

@@ -19,8 +19,8 @@ Four usage styles are supported:
 3. **Delta style**: :meth:`SpaceMeter.charge` / :meth:`SpaceMeter.release`
    adjust an anonymous component directly.
 4. **Deferred style** (per-event hot loops): plain containers whose
-   growth the kernel counts itself and charges in batches with
-   :func:`settle_charges`, exactly as style 1 would; see its rules.
+   growth the kernel reports to a :class:`DeferredCharges`, which
+   charges it in batches exactly as style 1 would; see its contract.
 
 Every meter update is O(1) amortized: the running total is maintained
 incrementally, and the per-component breakdown at the peak is recorded
@@ -501,40 +501,65 @@ def _update_pairs(args: tuple, kwargs: dict) -> List[Tuple]:
     return pairs
 
 
-def settle_charges(meter: SpaceMeter, sizes: Iterable[Tuple[str, int]]) -> None:
-    """Charge deferred container growth exactly as per-item charges would.
+class DeferredCharges:
+    """Deferred, exact charges for components that grow one item at a time.
 
-    A kernel may keep containers that grow one item at a time as plain
-    ``set``/``dict`` objects instead of :class:`ChargedSet`/
-    :class:`ChargedDict`, keep the words they grew since the last
-    settle as an int, and call this with each container's component and
-    current words, in the order one item's charges run.  Each component
-    whose words changed is set, in that order; an unchanged one is
-    skipped, so none is created empty and a tripped meter is not
-    charged twice.  The meter then matches the per-item loop's, if the
-    kernel keeps three rules:
+    A per-event hot loop keeps such containers as plain ``set``/``dict``
+    objects instead of :class:`ChargedSet`/:class:`ChargedDict` and,
+    after applying each item, reports the words it added with
+    :meth:`grow`, one call per charge the per-item loop would make, in
+    that loop's order.  Growth is charged in batches by :meth:`settle`,
+    and the meter then matches the per-item loop's exactly:
 
-    * between settles the deferred containers only grow, so every
-      intermediate total is at most the final one and the peak, the
-      breakdown at the peak and the component peaks agree;
-    * it settles before every other read or write of ``meter``
-      (:class:`~repro.core.base.FirstSetStore` and trace samples
-      included), so other components see the per-item totals;
-    * an item whose words would take the meter past its budget
-      (:attr:`SpaceMeter.headroom`) is charged on its own: settle,
-      apply the item, settle.  The second settle charges that item's
-      components in the item's order, the crossing one after those
-      before it, so the meter raises at the same item with the same
-      ``used`` and the containers hold what they held then.
+    * between settles the components only grow, so every intermediate
+      total is at most the settled one, and the peak, the breakdown at
+      the peak and the component peaks agree;
+    * a grow that would take the meter past its budget
+      (:attr:`SpaceMeter.headroom`) settles what is pending and then
+      charges its own component, so the meter raises at the same item
+      with the same ``used`` and the containers hold what they held
+      then;
+    * a component's first grow is charged the same way, so components
+      enter the breakdown in stream order.
 
-    A settle creates components in the order it lists them; a kernel
-    whose deferred components can start in either order also charges
-    each one's first item on its own, so they enter the breakdown in
-    stream order.
+    The one rule left to the caller: call :meth:`settle` before every
+    other read or write of the meter (other components,
+    :class:`~repro.core.base.FirstSetStore`, stream checkpoints and
+    trace samples included), so they see the per-item totals.
     """
-    for name, words in sizes:
-        if words != meter.component(name):
-            meter.set_component(name, words)
+
+    __slots__ = ("_meter", "_names", "_words", "_pending", "_budgeted")
+
+    def __init__(self, meter: SpaceMeter, components: Iterable[str]) -> None:
+        self._meter = meter
+        self._names = tuple(components)
+        self._words = [meter.component(name) for name in self._names]
+        self._pending = 0  # words grown but not yet charged
+        self._budgeted = meter.budget is not None
+
+    def grow(self, index: int, words: int) -> None:
+        """Component ``index`` (in constructor order) grew by ``words``."""
+        if not words:
+            return
+        before = self._words[index]
+        if before and not (
+            self._budgeted and self._pending + words > self._meter.headroom
+        ):
+            self._words[index] = before + words
+            self._pending += words
+            return
+        self.settle()
+        self._words[index] = before + words
+        self._meter.set_component(self._names[index], before + words)
+
+    def settle(self) -> None:
+        """Charge every component's pending growth, in constructor order."""
+        if self._pending:
+            meter = self._meter
+            for name, words in zip(self._names, self._words):
+                if words != meter.component(name):
+                    meter.set_component(name, words)
+            self._pending = 0
 
 
 def words_for_mapping(entries: int, words_per_entry: int = 2) -> int:

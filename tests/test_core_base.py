@@ -340,7 +340,7 @@ MIRROR_OPS = st.lists(
 
 
 class TestMirroredCoinTape:
-    """Refills after the first come from the numpy mirror, exactly."""
+    """Every refill comes from the numpy mirror, exactly."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**64),
@@ -390,29 +390,39 @@ class TestMirroredCoinTape:
     def test_rng_waits_while_the_mirror_draws(self):
         rng = random.Random(3)
         oracle = random.Random(3)
+        before = rng.getstate()
         tape = CoinTape(rng)
         tape.BLOCK = 100
         first = tape.peek(100).tolist()
-        after_first_refill = rng.getstate()
         tape.advance(60)
-        later = tape.peek(500).tolist()  # a mirrored refill
-        assert rng.getstate() == after_first_refill
+        later = tape.peek(500).tolist()  # a second refill
+        assert rng.getstate() == before
         assert first + later[40:] == [oracle.random() for _ in range(560)]
         tape.advance(500)
         tape.commit()
         assert rng.getstate() == oracle.getstate()
 
-    def test_commit_inside_the_first_refill_after_mirroring(self):
+    def test_commit_inside_an_earlier_refill(self):
         rng = random.Random(4)
         tape = CoinTape(rng)
         tape.BLOCK = 50
         tape.advance(10)
-        tape.peek(400)  # refills from the mirror; the cursor stays at 10
+        tape.peek(400)  # a second refill; the cursor stays at 10
         tape.commit()
         oracle = random.Random(4)
         for _ in range(10):
             oracle.random()
         assert rng.getstate() == oracle.getstate()
+
+    def test_mirror_refuses_a_state_it_cannot_reach(self, monkeypatch):
+        # A view that misses the generator's C state stands for a numpy
+        # whose MT19937 layout has changed: the mirror must not draw.
+        monkeypatch.setattr(
+            np.ctypeslib, "as_array", lambda buffer: np.zeros(625, np.uint32)
+        )
+        tape = CoinTape(random.Random(5))
+        with pytest.raises(RuntimeError, match="layout"):
+            tape.peek(1)
 
 
 class _OverriddenRandom(random.Random):

@@ -128,6 +128,30 @@ class TestRunPartitionedStream:
         )
         assert by_records == by_columns == mixed
 
+    def test_random_order_messages_hold_every_witness(self):
+        # Algorithm 1 on a 1,920-edge random-order stream: epoch 0's
+        # detection window is its first 489 edges and the subepochs that
+        # follow are 34 edges each.  Cuts at 120 and 300 fall inside
+        # epoch 0 and the cut at 540 inside the second subepoch; each
+        # message counts every witness written before its boundary.
+        from repro.core.random_order import RandomOrderAlgorithm
+        from repro.generators.random_instances import fixed_size_instance
+        from repro.streaming.orders import RandomOrder
+        from repro.streaming.stream import EdgeStream
+
+        instance = fixed_size_instance(60, 240, 8, seed=3)
+        edges = RandomOrder(seed=11).apply(list(instance.edges()))
+        scaling = RandomOrderAlgorithm(seed=5).scaling
+        assert scaling.detection_window(instance.n, instance.m, len(edges)) == 489
+        cuts = [0, 120, 300, 540, len(edges)]
+        parties = [edges[a:b] for a, b in zip(cuts, cuts[1:])]
+        result, messages = run_partitioned_stream(
+            RandomOrderAlgorithm(seed=5), instance, parties
+        )
+        assert messages == [340, 440, 419]
+        plain = RandomOrderAlgorithm(seed=5).run(EdgeStream(instance, edges))
+        assert result.cover == plain.cover
+
     def test_rejects_single_party(self, instance):
         with pytest.raises(ProtocolError):
             run_partitioned_stream(

@@ -1,18 +1,18 @@
-"""Deferred space charges (``settle_charges``) against per-item charging.
+"""Deferred space charges (``DeferredCharges``) against per-item charging.
 
-Algorithms 1 and 2 keep containers that grow one item at a time as plain
-``set``/``dict`` objects and settle their charges in batches.  The
-property here drives both disciplines through the same event programs,
-under arbitrary budgets, inside a real :class:`StreamingSetCoverAlgorithm`
-run: the per-item side charges through :class:`ChargedDict`,
-:class:`ChargedSet` and ``set_component`` exactly as the kernels did
-before, the deferred side follows the rules ``settle_charges`` states.
-The events cover both kernels' shapes: one-component items whose
+Algorithm 2 keeps containers that grow one item at a time as plain
+``set``/``dict`` objects and lets a :class:`DeferredCharges` settle their
+charges in batches.  The property here drives both disciplines through
+the same event programs, under arbitrary budgets, inside a real
+:class:`StreamingSetCoverAlgorithm` run: the per-item side charges
+through :class:`ChargedDict`, :class:`ChargedSet` and ``set_component``,
+the deferred side reports each charge's words to one
+:class:`DeferredCharges`.  The events cover one-component items whose
 components can start in either order (Algorithm 2's ``levels`` and
-``covered``), a two-component item (Algorithm 1's witness, ``marked``
-then ``certificate``) and writes to another component, which settle
-first.  Each event draws one coin before its charge, so the final RNG
-state shows where a run stopped.
+``covered``), an item with two charges (``marked`` then
+``certificate``) and writes to another component, which settle first.
+Each event draws one coin before its charge, so the final RNG state
+shows where a run stopped.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from repro.streaming.orders import RandomOrder
 from repro.streaming.space import (
     ChargedDict,
     ChargedSet,
+    DeferredCharges,
     SpaceBudget,
     SpaceMeter,
-    settle_charges,
 )
 from repro.streaming.stream import EdgeStream, ReplayableStream
 
@@ -96,52 +96,31 @@ class _Deferred(_EventAlgorithm):
         meter = self._meter
         levels, covered, marked, certificate = {}, set(), set(), {}
         self._register_salvage(cover=covered, certificate=certificate)
-        budgeted = meter.budget is not None
-        pending = 0
-
-        def settle() -> None:
-            nonlocal pending
-            settle_charges(
-                meter,
-                (
-                    ("levels", 2 * len(levels)),
-                    ("covered", len(covered)),
-                    ("marked", len(marked)),
-                    ("certificate", 2 * len(certificate)),
-                ),
-            )
-            pending = 0
-
-        def apply(kind, key) -> None:
-            if kind == "level":
-                levels[key] = levels.get(key, 0) + 1
-            elif kind == "cover":
-                covered.add(key)
-            else:
-                marked.add(key)
-                certificate.setdefault(key, key % 3)
-
+        charges = DeferredCharges(
+            meter, ("levels", "covered", "marked", "certificate")
+        )
         for kind, key in self.events:
             self._rng.random()
-            if kind == "other":
-                settle()
-                meter.add_to_component("other", key)
-                continue
             if kind == "level":
-                words, first = 2 * (key not in levels), not levels
+                grew = key not in levels
+                levels[key] = levels.get(key, 0) + 1
+                charges.grow(0, 2 * grew)
             elif kind == "cover":
-                words, first = int(key not in covered), not covered
+                grew = key not in covered
+                covered.add(key)
+                charges.grow(1, int(grew))
+            elif kind == "witness":
+                # Both containers change before either is charged, as
+                # in the per-item loop.
+                new_mark, new_witness = key not in marked, key not in certificate
+                marked.add(key)
+                certificate.setdefault(key, key % 3)
+                charges.grow(2, int(new_mark))
+                charges.grow(3, 2 * new_witness)
             else:
-                words = (key not in marked) + 2 * (key not in certificate)
-                first = not marked
-            if first or (budgeted and pending + words > meter.headroom):
-                settle()
-                apply(kind, key)
-                settle()
-            else:
-                apply(kind, key)
-                pending += words
-        settle()
+                charges.settle()
+                meter.add_to_component("other", key)
+        charges.settle()
         return self._result(certificate)
 
 
@@ -190,17 +169,35 @@ class TestDeferredCharges:
             _PerItem, events, budget, seed
         )
 
-    def test_settle_skips_unchanged_components(self):
+    def test_settle_charges_only_changed_components(self):
         meter = SpaceMeter(budget=SpaceBudget(3))
-        settle_charges(meter, (("a", 0), ("b", 2)))
+        charges = DeferredCharges(meter, ("a", "b"))
+        charges.grow(1, 2)  # a first grow is charged at once
+        charges.grow(0, 0)  # no words: no empty component
+        charges.settle()
         assert meter.report().components_at_peak == {"b": 2}
+        charges.grow(1, 1)
+        assert meter.current_words == 2  # pending until settled
+        charges.settle()
+        assert meter.current_words == 3
         with pytest.raises(SpaceBudgetExceededError) as raised:
-            settle_charges(meter, (("a", 2),))
-        assert raised.value.used == 4
-        # A tripped meter is not charged again by a settle that changes
-        # nothing.
-        settle_charges(meter, (("a", 2), ("b", 2)))
-        assert meter.current_words == 4
+            charges.grow(0, 2)  # crosses the budget: charged at once
+        assert raised.value.used == 5
+        # A tripped meter is not charged again by a settle with nothing
+        # pending.
+        charges.settle()
+        assert meter.current_words == 5
+
+    def test_crossing_grow_is_charged_after_the_pending_ones(self):
+        meter = SpaceMeter(budget=SpaceBudget(6))
+        charges = DeferredCharges(meter, ("a", "b"))
+        charges.grow(0, 1)
+        charges.grow(1, 1)
+        charges.grow(1, 2)
+        with pytest.raises(SpaceBudgetExceededError) as raised:
+            charges.grow(0, 3)
+        assert raised.value.used == 7
+        assert (meter.component("a"), meter.component("b")) == (4, 3)
 
     def test_headroom(self):
         assert SpaceMeter().headroom == float("inf")
