@@ -60,8 +60,8 @@ OPTIONS = {
     "--smoke": "run only the small smoke tier",
     "--check": "compare against committed BENCH_perf.json; exit 1 on >FACTOR "
     "regression (implies --no-write)",
-    "--check-floor": "run the full tier's small kk and adversarial cells and exit 1 "
-    "if either's throughput falls below its fastest committed scalar seed-baseline "
+    "--check-floor": "run the full tier's small kk, random-order and adversarial "
+    "cells and exit 1 if any one's throughput falls below its fastest committed scalar seed-baseline "
     "cell, measured on that same config (CI gate for the batched kernels; implies "
     "--no-write)",
     "--record-seed-baseline": "store this run's full-tier numbers as the "
@@ -172,7 +172,10 @@ def main(argv=None) -> int:
     if args.check:
         print(f"ok: no >{args.factor}x regression against committed smoke numbers")
     if args.check_floor:
-        print("ok: kk and adversarial throughput clear their scalar seed-baseline floors")
+        print(
+            "ok: kk, random-order and adversarial throughput clear their "
+            "scalar seed-baseline floors"
+        )
     return 0
 
 

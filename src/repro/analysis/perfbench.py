@@ -76,6 +76,7 @@ TIERS: Dict[str, List[Tuple[str, int, int, int]]] = {
         ("small", 300, 3000, 30),  # 9.0e4 edges
         ("medium", 600, 8000, 40),  # 3.2e5 edges
         ("large", 1000, 20000, 50),  # 1.0e6 edges
+        ("solve", 1000, 12000, 50),  # 6.0e5 edges: layerbench's solve stream shape
     ],
 }
 
@@ -741,11 +742,11 @@ def check_regression(
 
 
 #: Algorithms whose batched kernels must beat their scalar seed baseline.
-FLOOR_ALGORITHMS = ("kk", "adversarial")
+FLOOR_ALGORITHMS = ("kk", "random-order", "adversarial")
 
 #: The ``full``-tier config the floor gate measures: the seed baseline's
-#: fastest kk and adversarial cells are both this 9e4-edge config, so
-#: the gate compares like with like.
+#: fastest kk, random-order and adversarial cells are all this 9e4-edge
+#: config, so the gate compares like with like.
 FLOOR_CONFIG = "small"
 
 

@@ -222,6 +222,24 @@ def uniforms(rng: random.Random, k: int) -> np.ndarray:
     return (high * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
+class _ZeroSeed(np.random.bit_generator.ISeedSequence):
+    """An all-zero seed, so a bit generator skips ``SeedSequence`` hashing.
+
+    ``MT19937`` copies the seed words into its key one by one; a list
+    makes that copy cheap, where an ``ndarray`` costs a numpy scalar per
+    word.  The key is overwritten at once in any case.
+    """
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> List[int]:
+        return [0] * n_words
+
+
+_ZERO_SEED = _ZeroSeed()
+
+#: Whether this process has checked numpy's MT19937 state layout.
+_layout_checked = False
+
+
 class _MirrorMT:
     """A numpy ``RandomState`` over a copy of a ``random.Random``'s state.
 
@@ -234,13 +252,14 @@ class _MirrorMT:
     (``uint32 key[624]`` then ``int pos``, at the address numpy's
     ``ctypes`` interface publishes): a snapshot is one 2.5 kB copy,
     where ``get_state`` builds a dict of arrays.  numpy does not
-    document that layout, so each mirror checks it once, through the
-    public ``state`` property, before it draws.
+    document that layout, so the first mirror of a process checks it,
+    through the public ``state`` property, before it draws.
     """
 
     def __init__(self, rng: random.Random) -> None:
+        global _layout_checked
         version, internal, self._gauss_next = rng.getstate()
-        self._bitgen = np.random.MT19937(0)
+        self._bitgen = np.random.MT19937(_ZERO_SEED)
         self._draws = np.random.RandomState(self._bitgen)
         self._state = np.ctypeslib.as_array(
             (ctypes.c_uint32 * 625).from_address(
@@ -249,14 +268,16 @@ class _MirrorMT:
         )
         self._state[:] = internal
         self._version = version
-        public = self._bitgen.state["state"]
-        if public["pos"] != internal[-1] or public["key"].tolist() != list(
-            internal[:-1]
-        ):
-            raise RuntimeError(
-                "numpy's MT19937 state layout is not uint32 key[624] then "
-                "int pos; the coin tape cannot mirror random.Random"
-            )
+        if not _layout_checked:
+            public = self._bitgen.state["state"]
+            if public["pos"] != internal[-1] or public["key"].tolist() != list(
+                internal[:-1]
+            ):
+                raise RuntimeError(
+                    "numpy's MT19937 state layout is not uint32 key[624] then "
+                    "int pos; the coin tape cannot mirror random.Random"
+                )
+            _layout_checked = True
 
     def random(self, k: int) -> np.ndarray:
         """The next ``k`` draws, as ``k`` calls to ``random()`` would give."""
@@ -322,7 +343,7 @@ class CoinTape:
                 (self._cursor + len(held), self._mirror.snapshot())
             )
             more = self._mirror.random(max(k - len(held), self.BLOCK))
-            self._buffer = np.concatenate((held, more))
+            self._buffer = np.concatenate((held, more)) if len(held) else more
             start = 0
         return self._buffer[start : start + k]
 

@@ -32,21 +32,45 @@ Space: the batch counters (m/√n), tracked samples (Õ(m/n)) and tracked
 edges (Õ(m/√n)) dominate; with m = Ω̃(n²) the Õ(n) element-side state is
 lower order.  The run attaches a :class:`RandomOrderProbe` with the
 per-phase statistics the invariants (I1)–(I3) speak about.
+
+The pass is written in columns.  Epoch 0 and the remainder write each
+take's witnesses (one per uncertified element at its first Sol edge) as
+one batch.  An A(i) epoch peeks its edges once and finds with column
+masks the only edges that change state: each uncertified element's
+first Sol edge, the tracked-sample and batch-set counting edges of
+elements still unmarked at that edge, and the counting sets' threshold
+crossings.  Each take applies its own events at their place; only the
+crossings are walked in Python, with the p_j/q_j coins drawn in stream
+order, and a crossing whose set joins Sol restarts the scan just past
+it.  Element-side state is a pair of masks and the certificate dict;
+every witness and tracked-edge charge goes through one
+:class:`~repro.streaming.space.DeferredCharges` per phase, in stream
+order, settled before each take, so the meter (peak, breakdown,
+budget crossing, checkpoint readings) is that of per-witness charging.
+The per-edge loop this replaces is the test oracle
+``tests/random_order_reference.py``; ``tests/test_random_order_equivalence.py``
+proves the two show identical runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.base import FirstSetStore, StreamingSetCoverAlgorithm, uniforms
+from repro.core.kk import _occurrence_ranks
 from repro.core.scaling import Scaling
 from repro.core.solution import StreamingResult
 from repro.obs import events as obs_events
-from repro.streaming.space import SpaceBudget, words_for_mapping, words_for_set
+from repro.streaming.space import (
+    DeferredCharges,
+    SpaceBudget,
+    words_for_mapping,
+    words_for_set,
+)
 from repro.streaming.stream import EdgeStream
 from repro.types import ElementId, SeedLike, SetId, first_occurrences
 
@@ -153,34 +177,15 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
         probe = RandomOrderProbe()
         self.last_probe = probe
 
-        marked: Set[ElementId] = set()
-        sol: Set[SetId] = set()
-        certificate: Dict[ElementId, SetId] = {}
+        state = _PassState(n, m, probe.inclusion_positions)
+        sol, in_sol, in_tracked = state.sol, state.in_sol, state.in_tracked
+        certificate = state.certificate
         first_sets = FirstSetStore(meter, universe_size=n)
         self._register_salvage(cover=sol, certificate=certificate)
         reader = stream.reader()
         position = 0  # edges consumed so far
 
         batches = self._make_batches(m, scaling.num_batches(n))
-
-        # Boolean mirrors of Sol / the tracked sample for the vectorized
-        # per-chunk pre-filter.  Every state change an edge can trigger
-        # requires its set to be in Sol, in the current batch, or in the
-        # tracked sample at subepoch start (mid-subepoch Sol additions
-        # come only from batch sets, which the batch-range test keeps),
-        # so all other edges are consumed in bulk: they contribute
-        # first-set observations and nothing else.
-        in_sol = np.zeros(m, dtype=bool)
-        in_tracked = np.zeros(m, dtype=bool)
-
-        def witness(u: ElementId, s: SetId) -> None:
-            marked.add(u)
-            if u not in certificate:
-                certificate[u] = s
-            meter.set_component("marked", words_for_set(len(marked)))
-            meter.set_component("certificate", words_for_mapping(len(certificate)))
-            self._trace_count(obs_events.ELEMENT_COVERED)
-
         tracer = self._tracer
 
         # ---------------- epoch 0 (lines 5–7) ----------------
@@ -193,11 +198,13 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
             window=window,
             mark_count=mark_count,
         ):
-            for set_id in np.flatnonzero(uniforms(self._rng, m) < p0).tolist():
-                sol.add(set_id)
-                in_sol[set_id] = True
-                probe.inclusion_positions[set_id] = 0
-                if tracer.enabled:
+            sampled = np.flatnonzero(uniforms(self._rng, m) < p0)
+            in_sol[sampled] = True
+            sampled_ids = sampled.tolist()
+            sol.update(sampled_ids)
+            probe.inclusion_positions.update(dict.fromkeys(sampled_ids, 0))
+            if tracer.enabled:
+                for set_id in sampled_ids:
                     tracer.event(
                         obs_events.SET_ADMITTED,
                         set_id=set_id,
@@ -212,6 +219,7 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
             # grows, so batching the charges preserves the peak breakdown.
             # Takes may come back short of the quota at a stream checkpoint,
             # hence the loop.
+            charges = DeferredCharges(meter, _EPOCH_COMPONENTS[:2])
             occurrence = np.zeros(n, dtype=np.int64)
             while position < window and reader.remaining:
                 set_ids, elements = reader.take_columns(window - position)
@@ -222,23 +230,12 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                     "epoch0-counts",
                     words_for_mapping(int(np.count_nonzero(occurrence))),
                 )
-                # Witnesses: the first Sol-edge of each element marks it.
-                sol_hits = np.nonzero(in_sol[set_ids])[0]
-                if len(sol_hits):
-                    uniques, first_within = first_occurrences(
-                        elements[sol_hits], n
-                    )
-                    for u, hit in zip(
-                        uniques.tolist(), sol_hits[first_within].tolist()
-                    ):
-                        if u not in marked:
-                            witness(u, int(set_ids[hit]))
-            for u in np.nonzero(occurrence >= mark_count)[0].tolist():
-                if u not in marked:
-                    marked.add(u)
-                    probe.epoch0_marked += 1
-                    self._trace_count(obs_events.ELEMENT_MARKED)
-            meter.set_component("marked", words_for_set(len(marked)))
+                self._write_first_witnesses(state, charges, set_ids, elements)
+            marked_now = state.mark(occurrence >= mark_count)
+            probe.epoch0_marked += marked_now
+            if marked_now:
+                self._trace_count(obs_events.ELEMENT_MARKED, marked_now)
+            meter.set_component("marked", words_for_set(state.marked_count))
             meter.set_component("epoch0-counts", 0)
             probe.sol_after_algorithm.append(len(sol))
             if tracer.enabled:
@@ -276,19 +273,14 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
             ):
                 # Line 10: fresh tracked sample at rate q0 = 1/n.
                 q0 = min(1.0, 1.0 / n)
-                tracked: Set[SetId] = set(
-                    np.flatnonzero(uniforms(self._rng, m) < q0).tolist()
-                )
+                tracked = np.flatnonzero(uniforms(self._rng, m) < q0)
                 meter.set_component("tracked-sets", words_for_set(len(tracked)))
                 in_tracked.fill(False)
-                for s in tracked:
-                    in_tracked[s] = True
+                in_tracked[tracked] = True
 
                 for j in range(1, num_epochs + 1):
                     stats = EpochStats(algorithm_index=i, epoch_index=j)
                     probe.epoch_stats.append(stats)
-                    tracked_edges: Dict[ElementId, int] = {}
-                    next_tracked: Set[SetId] = set()
                     threshold = math.ceil(scaling.special_threshold(j, m))
                     p_j = scaling.special_sample_probability(j, n, m)
                     q_j = scaling.tracking_sample_probability(j, n)
@@ -302,9 +294,19 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                         sol_probability=p_j,
                         tracking_probability=q_j,
                     ):
+                        epoch = _Epoch(
+                            self,
+                            state,
+                            stats,
+                            reader.peek_columns(len(batches) * subepoch_len),
+                            position,
+                            subepoch_len,
+                            len(batches[0]),
+                            threshold,
+                            p_j,
+                            q_j,
+                        )
                         for batch_index, batch in enumerate(batches):
-                            batch_start, batch_stop = batch.start, batch.stop
-                            counters: Dict[SetId, int] = {}
                             meter.set_component(
                                 "batch-counters", words_for_mapping(len(batch))
                             )
@@ -312,8 +314,8 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                             with tracer.span(
                                 obs_events.SPAN_SUBEPOCH,
                                 batch_index=batch_index,
-                                batch_start=batch_start,
-                                batch_stop=batch_stop,
+                                batch_start=batch.start,
+                                batch_stop=batch.stop,
                                 quota=subepoch_len,
                             ):
                                 while need:
@@ -322,105 +324,34 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
                                     if not got:
                                         exhausted = True
                                         break
-                                    subepoch_base = position
                                     position += got
                                     need -= got
                                     first_sets.observe_columns(set_ids, elements)
-                                    keep = np.nonzero(
-                                        in_sol[set_ids]
-                                        | in_tracked[set_ids]
-                                        | (
-                                            (set_ids >= batch_start)
-                                            & (set_ids < batch_stop)
-                                        )
-                                    )[0]
-                                    for idx, set_id, u in zip(
-                                        keep.tolist(),
-                                        set_ids[keep].tolist(),
-                                        elements[keep].tolist(),
-                                    ):
-                                        if set_id in sol:  # lines 20–21
-                                            if u not in marked or u not in certificate:
-                                                witness(u, set_id)
-                                            continue
-                                        if u in marked:  # line 22
-                                            continue
-                                        if set_id in tracked:  # lines 24–25
-                                            tracked_edges[u] = (
-                                                tracked_edges.get(u, 0) + 1
-                                            )
-                                            stats.tracked_edges += 1
-                                            meter.set_component(
-                                                "tracked-edges",
-                                                words_for_mapping(len(tracked_edges)),
-                                            )
-                                        if batch_start <= set_id < batch_stop:
-                                            # lines 26–30
-                                            count = counters.get(set_id, 0) + 1
-                                            counters[set_id] = count
-                                            if count == threshold:
-                                                stats.special_sets += 1
-                                                self._trace(
-                                                    obs_events.SET_SPECIAL,
-                                                    set_id=set_id,
-                                                    epoch_index=j,
-                                                )
-                                                if self._coin(p_j):
-                                                    sol.add(set_id)
-                                                    in_sol[set_id] = True
-                                                    positions = (
-                                                        probe.inclusion_positions
-                                                    )
-                                                    positions.setdefault(
-                                                        set_id,
-                                                        subepoch_base + idx + 1,
-                                                    )
-                                                    stats.added_to_sol += 1
-                                                    meter.set_component(
-                                                        "sol", words_for_set(len(sol))
-                                                    )
-                                                    self._trace(
-                                                        obs_events.SET_ADMITTED,
-                                                        set_id=set_id,
-                                                        phase="special",
-                                                        position=subepoch_base
-                                                        + idx
-                                                        + 1,
-                                                        probability=p_j,
-                                                    )
-                                                if self._coin(q_j):
-                                                    next_tracked.add(set_id)
-                                                    stats.added_to_tracking += 1
-                                                    meter.set_component(
-                                                        "next-tracked",
-                                                        words_for_set(
-                                                            len(next_tracked)
-                                                        ),
-                                                    )
-                                                    self._trace(
-                                                        obs_events.SET_TRACKED,
-                                                        set_id=set_id,
-                                                        epoch_index=j,
-                                                    )
+                                    epoch.advance(position)
                             if exhausted:
                                 break
 
                         # Line 31: optimistic marking from the tracked signal.
                         if scaling.enable_tracking:
                             mark_threshold = scaling.tracking_mark_threshold(i, n, m)
-                            for u, count in tracked_edges.items():
-                                if count >= mark_threshold and u not in marked:
-                                    marked.add(u)
-                                    stats.marked_by_tracking += 1
-                                    self._trace_count(obs_events.ELEMENT_MARKED)
-                            meter.set_component("marked", words_for_set(len(marked)))
+                            counts = epoch.tracked_counts
+                            marked_now = state.mark(
+                                (counts > 0) & (counts >= mark_threshold)
+                            )
+                            stats.marked_by_tracking += marked_now
+                            if marked_now:
+                                self._trace_count(
+                                    obs_events.ELEMENT_MARKED, marked_now
+                                )
+                            meter.set_component(
+                                "marked", words_for_set(state.marked_count)
+                            )
 
-                        tracked = next_tracked  # line 32
+                        # Line 32: the specials' tracked sample is the next one.
                         in_tracked.fill(False)
-                        for s in tracked:
-                            in_tracked[s] = True
+                        in_tracked[list(epoch.next_tracked)] = True
                         meter.set_component(
-                            "tracked-sets", words_for_set(len(tracked))
+                            "tracked-sets", words_for_set(len(epoch.next_tracked))
                         )
                         meter.set_component("next-tracked", 0)
                         meter.set_component("tracked-edges", 0)
@@ -434,29 +365,21 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
         probe.stream_positions_consumed_by_phases = position
 
         # ---------------- remainder (lines 33–36) ----------------
-        # Sol is frozen here, so the remainder reduces to two vectorized
-        # scans: batch first-set observation, then one witness per still
-        # uncertified element at its first Sol-edge (stream order — the
-        # first_occurrences index is the first one; the loop only repeats
-        # when a take stops short at a stream checkpoint).
+        # Sol is frozen here, so each take is two vectorized scans: batch
+        # first-set observation, then one witness per still uncertified
+        # element at its first Sol-edge (the loop only repeats when a take
+        # stops short at a stream checkpoint).
         with tracer.span(obs_events.SPAN_REMAINDER, start_position=position):
+            charges = DeferredCharges(meter, _EPOCH_COMPONENTS[:2])
             while reader.remaining:
                 set_ids, elements = reader.take_rest_columns()
                 first_sets.observe_columns(set_ids, elements)
-                sol_hits = np.nonzero(in_sol[set_ids])[0]
-                if len(sol_hits):
-                    uniques, first_within = first_occurrences(
-                        elements[sol_hits], n
-                    )
-                    for u, hit in zip(
-                        uniques.tolist(), sol_hits[first_within].tolist()
-                    ):
-                        if u not in certificate:
-                            witness(u, int(set_ids[hit]))
+                if len(certificate) < n:
+                    self._write_first_witnesses(state, charges, set_ids, elements)
 
         # ---------------- patching (lines 37–38) ----------------
-        probe.marked_uncovered_at_end = sum(
-            1 for u in marked if u not in certificate
+        probe.marked_uncovered_at_end = int(
+            np.count_nonzero(state.marked & ~state.certified)
         )
         cover = set(sol)
         probe.patched_elements = first_sets.patch(certificate, cover, n)
@@ -492,6 +415,41 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
             },
         )
 
+    def _write_first_witnesses(
+        self,
+        state: "_PassState",
+        charges: DeferredCharges,
+        set_ids: np.ndarray,
+        elements: np.ndarray,
+    ) -> None:
+        """Witness each uncertified element at its first Sol edge of a take.
+
+        Sol does not change during the take (epoch 0 and the remainder),
+        so the witnesses are one batch, written and charged in ascending
+        element order, as the per-witness loop did; then the charges
+        settle.  If the budget breaks inside the batch, the containers
+        hold the witness whose charge crossed it and the ones before it,
+        and the trace counts only those before it.
+        """
+        sol_hits = np.flatnonzero(state.in_sol[set_ids])
+        if len(sol_hits):
+            uniques, first_within = first_occurrences(
+                elements[sol_hits], len(state.marked)
+            )
+            fresh = ~state.certified[uniques]
+            witnessed = uniques[fresh]
+            components, words = state.witness_items(witnessed)
+            stop = charges.grow_columns(components, words)
+            written = min(len(witnessed), stop // 2 + 1)
+            state.write(
+                witnessed[:written], set_ids[sol_hits[first_within[fresh]][:written]]
+            )
+            if stop > 1:
+                self._trace_count(obs_events.ELEMENT_COVERED, stop // 2)
+            if stop < len(words):
+                charges.grow(int(components[stop]), int(words[stop]))  # raises
+        charges.settle()
+
     # -- internals -----------------------------------------------------------
 
     @staticmethod
@@ -499,15 +457,309 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
         """Partition set ids into ``num_batches`` contiguous batches.
 
         Any partition works (the paper says "arbitrarily partitioned");
-        contiguous ``range`` slices reduce batch membership to two
-        integer comparisons against the range bounds — no hashing on the
-        per-edge hot path.
+        with contiguous ``range`` slices a set's batch is its id divided
+        by the first batch's size, one integer division per edge in the
+        epoch masks.
         """
         num_batches = max(1, min(num_batches, m))
         size = math.ceil(m / num_batches)
         return [
             range(start, min(start + size, m)) for start in range(0, m, size)
         ]
+
+
+#: The components an A(i) epoch charges through its
+#: :class:`DeferredCharges`, by index; epoch 0 and the remainder charge
+#: only the first two.
+_EPOCH_COMPONENTS = ("marked", "certificate", "tracked-edges", "sol", "next-tracked")
+_MARKED, _CERTIFICATE, _TRACKED_EDGES, _SOL, _NEXT_TRACKED = range(5)
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+class _PassState:
+    """What the phases of one Algorithm 1 pass share.
+
+    Sol, as a set and as a mask over the set ids, with each member's
+    inclusion position; the tracked sample's mask; and the marks and
+    witnesses: ``marked`` and ``certified`` are masks over the universe
+    (an element is certified once ``certificate`` names its witness,
+    which also marks it), and ``certificate`` keeps the witnesses in
+    writing order.
+    """
+
+    __slots__ = (
+        "sol",
+        "in_sol",
+        "inclusion_positions",
+        "in_tracked",
+        "marked",
+        "certified",
+        "certificate",
+        "marked_count",
+    )
+
+    def __init__(
+        self, n: int, m: int, inclusion_positions: Dict[SetId, int]
+    ) -> None:
+        self.sol: Set[SetId] = set()
+        self.in_sol = np.zeros(m, dtype=bool)
+        self.inclusion_positions = inclusion_positions
+        self.in_tracked = np.zeros(m, dtype=bool)
+        self.marked = np.zeros(n, dtype=bool)
+        self.certified = np.zeros(n, dtype=bool)
+        self.certificate: Dict[ElementId, SetId] = {}
+        self.marked_count = 0
+
+    def witness_items(self, elements: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The meter items of witnessing ``elements``, in order.
+
+        Two per witness, as its charges come: a ``"marked"`` word (none
+        for an element already marked), then two ``"certificate"`` words.
+        """
+        components = np.empty(2 * len(elements), dtype=np.int64)
+        components[0::2] = _MARKED
+        components[1::2] = _CERTIFICATE
+        words = np.full(2 * len(elements), 2, dtype=np.int64)
+        words[0::2] = ~self.marked[elements]
+        return components, words
+
+    def write(self, elements: np.ndarray, sets: np.ndarray) -> None:
+        """Record ``sets`` as the witnesses of distinct uncertified ``elements``."""
+        marked = self.marked
+        self.marked_count += len(elements) - int(np.count_nonzero(marked[elements]))
+        marked[elements] = True
+        self.certified[elements] = True
+        self.certificate.update(zip(elements.tolist(), sets.tolist()))
+
+    def mark(self, mask: np.ndarray) -> int:
+        """Mark the elements of ``mask`` not marked yet; returns how many."""
+        fresh = mask & ~self.marked
+        count = int(np.count_nonzero(fresh))
+        self.marked |= fresh
+        self.marked_count += count
+        return count
+
+
+class _Epoch:
+    """One epoch of A(i) (lines 13–32) as column passes over its edges.
+
+    The epoch's edges are peeked once, before its first take, and
+    :meth:`_scan` finds with column masks, from a position to the end of
+    the epoch, the only edges that change state:
+
+    * each uncertified element's first Sol edge, its witness
+      (lines 20–21);
+    * tracked-sample edges to elements still unmarked at that edge
+      (lines 24–25);
+    * counting edges of the subepoch's batch sets to elements still
+      unmarked (lines 26–27), and among them each set's threshold
+      crossing (its counter reaching the threshold).
+
+    :meth:`advance` applies the events of each take at its place: it
+    charges their words in stream order through the epoch's
+    :class:`DeferredCharges` and walks the crossings in Python, drawing
+    the p_j/q_j coins in stream order.  A crossing whose set joins Sol
+    turns that set's later edges into witness edges, so the scan
+    restarts just past it.  Positions in the event columns count from
+    the epoch's first edge.
+    """
+
+    def __init__(
+        self,
+        kernel: "RandomOrderAlgorithm",
+        state: _PassState,
+        stats: EpochStats,
+        columns: Tuple[np.ndarray, np.ndarray],
+        base: int,
+        subepoch_len: int,
+        batch_size: int,
+        threshold: int,
+        p_j: float,
+        q_j: float,
+    ) -> None:
+        self.kernel = kernel
+        self.state = state
+        self.stats = stats
+        self.set_ids, self.elements = columns
+        self.base = base
+        self.subepoch_len = subepoch_len
+        self.batch_size = batch_size
+        self.threshold = threshold
+        self.p_j = p_j
+        self.q_j = q_j
+        self.charges = DeferredCharges(kernel._meter, _EPOCH_COMPONENTS)
+        self.tracked_counts = np.zeros(len(state.marked), dtype=np.int64)
+        self.counters = np.zeros(len(state.in_sol), dtype=np.int64)
+        self.next_tracked: Set[SetId] = set()
+        self._scan(0)
+
+    def _scan(self, offset: int) -> None:
+        """Find the events from epoch position ``offset`` on; reset the cursors."""
+        state = self.state
+        n = len(state.marked)
+        set_ids = self.set_ids[offset:]
+        elements = self.elements[offset:]
+        live = (
+            np.flatnonzero(~state.certified[elements])
+            if len(state.certificate) < n
+            else _EMPTY
+        )
+        sets, members = set_ids[live], elements[live]
+        on_sol = state.in_sol[sets]
+        hits = np.flatnonzero(on_sol)
+        witnesses = _EMPTY
+        if len(hits):
+            _, first = first_occurrences(members[hits], n)
+            witnesses = np.sort(live[hits[first]])
+        witness_elements = elements[witnesses]
+        # Non-Sol edges of elements unmarked at the edge: unmarked now and
+        # not witnessed before it.
+        counted = np.flatnonzero(~on_sol & ~state.marked[members])
+        if len(counted) and len(witnesses):
+            witnessed_at = np.full(n, len(elements), dtype=np.int64)
+            witnessed_at[witness_elements] = witnesses
+            counted = counted[live[counted] < witnessed_at[members[counted]]]
+        counted_at, counted_sets = live[counted], sets[counted]
+        tracked = np.flatnonzero(state.in_tracked[counted_sets])
+        tracked_at, tracked_elements = counted_at[tracked], members[counted[tracked]]
+        in_batch = np.flatnonzero(
+            counted_sets // self.batch_size
+            == (offset + counted_at) // self.subepoch_len
+        )
+        self._counting_sets = counted_sets[in_batch]
+        self._crossings = np.flatnonzero(
+            self.counters[self._counting_sets]
+            + _occurrence_ranks(self._counting_sets, len(state.in_sol))
+            == self.threshold
+        )
+        self._crossing_at = (offset + counted_at[in_batch][self._crossings]).tolist()
+        # The meter items in stream order: two per witness, and two words
+        # at each element's first tracked edge of the epoch.
+        firsts = _EMPTY
+        if len(tracked_elements):
+            uniques, first = first_occurrences(tracked_elements, n)
+            firsts = tracked_at[first[self.tracked_counts[uniques] == 0]]
+        components, words = state.witness_items(witness_elements)
+        at = np.concatenate((np.repeat(witnesses, 2), firsts))
+        order = np.argsort(
+            2 * at + np.concatenate((np.tile((0, 1), len(witnesses)), 0 * firsts)),
+            kind="stable",
+        )
+        self._item_at = offset + at[order]
+        self._item_components = np.concatenate(
+            (components, np.full(len(firsts), _TRACKED_EDGES))
+        )[order]
+        self._item_words = np.concatenate((words, np.full(len(firsts), 2)))[order]
+        self._witness_at = offset + witnesses
+        self._witness_elements = witness_elements
+        self._witness_sets = set_ids[witnesses]
+        self._tracked_at = offset + tracked_at
+        self._tracked_elements = tracked_elements
+        self._next_item = self._next_witness = self._next_tracked = 0
+        self._next_crossing = 0
+
+    def advance(self, stop: int) -> None:
+        """Apply every event before stream position ``stop``, then settle."""
+        if (
+            self._next_item == len(self._item_at)
+            and self._next_tracked == len(self._tracked_at)
+            and self._next_crossing == len(self._crossing_at)
+        ):
+            return  # the rest of the epoch changes no state
+        stop -= self.base
+        while self._next_crossing < len(self._crossing_at):
+            at = self._crossing_at[self._next_crossing]
+            if at >= stop:
+                break
+            self._apply(at + 1)
+            if self._special(at):
+                # Carry the counting edges applied so far into the
+                # counters, then rescan with the new Sol.
+                applied = int(self._crossings[self._next_crossing]) + 1
+                np.add.at(self.counters, self._counting_sets[:applied], 1)
+                self._scan(at + 1)
+            else:
+                self._next_crossing += 1
+        self._apply(stop)
+        self.charges.settle()
+
+    def _apply(self, stop: int) -> None:
+        """Write and charge the witnesses and tracked edges before ``stop``.
+
+        If the budget breaks, the containers hold what the per-edge loop
+        held at the edge whose charge crossed it: that edge's own witness
+        or tracked edge too, but not its trace count.
+        """
+        first = self._next_item
+        last = int(self._item_at.searchsorted(stop))
+        components = self._item_components[first:last]
+        words = self._item_words[first:last]
+        crossed = self.charges.grow_columns(components, words)
+        self._next_item = last
+        if crossed < len(words):
+            stop = int(self._item_at[first + crossed])
+            self._write(stop, stop + 1)
+            self.charges.grow(int(components[crossed]), int(words[crossed]))  # raises
+        self._write(stop, stop)
+
+    def _write(self, counted_stop: int, stop: int) -> None:
+        """Apply the witnesses and tracked edges before ``stop``.
+
+        Witnesses before ``counted_stop`` are counted in the trace.
+        """
+        first = self._next_witness
+        last = int(self._witness_at.searchsorted(stop))
+        if last > first:
+            self.state.write(
+                self._witness_elements[first:last], self._witness_sets[first:last]
+            )
+            counted = int(self._witness_at.searchsorted(counted_stop)) - first
+            if counted:
+                self.kernel._trace_count(obs_events.ELEMENT_COVERED, counted)
+            self._next_witness = last
+        first = self._next_tracked
+        last = int(self._tracked_at.searchsorted(stop))
+        if last > first:
+            np.add.at(self.tracked_counts, self._tracked_elements[first:last], 1)
+            self.stats.tracked_edges += last - first
+            self._next_tracked = last
+
+    def _special(self, at: int) -> bool:
+        """Lines 28–30 for the set crossing the threshold at ``at``.
+
+        Returns whether the set joined Sol.
+        """
+        kernel, state, stats = self.kernel, self.state, self.stats
+        index = int(self._crossings[self._next_crossing])
+        set_id = int(self._counting_sets[index])
+        position = self.base + at + 1
+        stats.special_sets += 1
+        kernel._trace(
+            obs_events.SET_SPECIAL, set_id=set_id, epoch_index=stats.epoch_index
+        )
+        joined = kernel._coin(self.p_j)
+        if joined:
+            state.sol.add(set_id)
+            state.in_sol[set_id] = True
+            state.inclusion_positions.setdefault(set_id, position)
+            stats.added_to_sol += 1
+            self.charges.grow(_SOL, 1)
+            kernel._trace(
+                obs_events.SET_ADMITTED,
+                set_id=set_id,
+                phase="special",
+                position=position,
+                probability=self.p_j,
+            )
+        if kernel._coin(self.q_j):
+            self.next_tracked.add(set_id)
+            stats.added_to_tracking += 1
+            self.charges.grow(_NEXT_TRACKED, 1)
+            kernel._trace(
+                obs_events.SET_TRACKED, set_id=set_id, epoch_index=stats.epoch_index
+            )
+        return joined
 
 
 class StreamLengthOblivious(StreamingSetCoverAlgorithm):

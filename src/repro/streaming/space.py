@@ -50,6 +50,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.errors import SpaceBudgetExceededError
 
 
@@ -551,6 +553,56 @@ class DeferredCharges:
         self.settle()
         self._words[index] = before + words
         self._meter.set_component(self._names[index], before + words)
+
+    def grow_columns(self, indices: np.ndarray, words: np.ndarray) -> int:
+        """Column form of :meth:`grow`: item ``t`` grew ``indices[t]`` by ``words[t]``.
+
+        Charges the items as one :meth:`grow` call per item, in order,
+        would, from one cumulative sum, up to the first item that would
+        take the meter past its budget, and returns that item's index
+        (``len(words)`` when every item fits).  The crossing item is not
+        charged: the caller brings its containers to what the per-item
+        loop held at that item, then charges it with :meth:`grow`,
+        which raises.  A component's first grow is charged at its place,
+        after the items before it.
+        """
+        stop = len(words)
+        if self._budgeted and stop:
+            over = np.flatnonzero(
+                np.cumsum(words) > self._meter.headroom - self._pending
+            )
+            if len(over):
+                stop = int(over[0])
+        start = 0
+        while start < stop:
+            grown = self._grown(indices[start:stop], words[start:stop])
+            fresh = [
+                index
+                for index, total in enumerate(grown)
+                if total and not self._words[index]
+            ]
+            first = stop
+            if fresh:
+                first = start + int(
+                    np.flatnonzero(
+                        np.isin(indices[start:stop], fresh) & (words[start:stop] > 0)
+                    )[0]
+                )
+                grown = self._grown(indices[start:first], words[start:first])
+            for index, total in enumerate(grown):
+                if total:
+                    self._words[index] += total
+                    self._pending += total
+            if first == stop:
+                break
+            self.grow(int(indices[first]), int(words[first]))
+            start = first + 1
+        return stop
+
+    def _grown(self, indices: np.ndarray, words: np.ndarray) -> List[int]:
+        """Words grown per component (constructor order) by the given items."""
+        totals = np.bincount(indices, weights=words, minlength=len(self._names))
+        return [int(total) for total in totals.tolist()]
 
     def settle(self) -> None:
         """Charge every component's pending growth, in constructor order."""

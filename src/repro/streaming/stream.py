@@ -242,6 +242,20 @@ class StreamReader:
         stream._position = stop
         return set_ids[start:stop], elements[start:stop]
 
+    def peek_columns(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The next up to ``k`` edges as numpy column views, not consumed.
+
+        For a kernel that finds the events of a phase it is about to
+        take with one pass of column masks: a peek moves nothing and
+        fires no checkpoint, so the kernel must still take every edge
+        before its state reflects it.
+        """
+        if k < 0:
+            raise ValueError(f"cannot peek {k} edges")
+        set_ids, elements = self._frozen.columns()
+        start = self._stream._position
+        return set_ids[start : start + k], elements[start : start + k]
+
     def take_rest_columns(self) -> Tuple[np.ndarray, np.ndarray]:
         """Consume every remaining edge as numpy column views."""
         return self.take_columns(len(self._frozen) - self._stream._position)

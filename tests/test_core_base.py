@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import make_algorithm, registered_algorithms
+from repro.core import base
 from repro.core.adversarial import LowSpaceAdversarialAlgorithm
 from repro.core.base import (
     CoinTape,
@@ -416,13 +417,23 @@ class TestMirroredCoinTape:
 
     def test_mirror_refuses_a_state_it_cannot_reach(self, monkeypatch):
         # A view that misses the generator's C state stands for a numpy
-        # whose MT19937 layout has changed: the mirror must not draw.
+        # whose MT19937 layout has changed: the first mirror of a
+        # process must not draw.
+        monkeypatch.setattr(base, "_layout_checked", False)
         monkeypatch.setattr(
             np.ctypeslib, "as_array", lambda buffer: np.zeros(625, np.uint32)
         )
         tape = CoinTape(random.Random(5))
         with pytest.raises(RuntimeError, match="layout"):
             tape.peek(1)
+        assert not base._layout_checked
+
+    def test_mirror_checks_the_layout_once_per_process(self, monkeypatch):
+        monkeypatch.setattr(base, "_layout_checked", False)
+        oracle = random.Random(6)
+        draws = CoinTape(random.Random(6)).peek(3).tolist()
+        assert draws == [oracle.random() for _ in range(3)]
+        assert base._layout_checked
 
 
 class _OverriddenRandom(random.Random):

@@ -11,9 +11,10 @@ draws its inclusion coins one promotion at a time in stream order from
 the same seeded RNG precisely so this holds.
 
 The grids deliberately cross the kernel's internal boundaries: streams
-longer than one ``_CHUNK``, inclusion-dense instances that keep the
-post-inclusion rescan window (``_RESCAN_WINDOW``) small, sparse ones
-where the window regrows to full chunks, and level widths of 1–3 where
+longer than one ``_CHUNK``, inclusion-dense instances whose
+post-inclusion rescan windows (sized to the expected gap to the next
+inclusion, floored at ``_MIN_WINDOW``) stay small, sparse ones where
+the window regrows to full chunks, and level widths of 1–3 where
 a set crosses several levels in one window (the kernel ranks only the
 edges of sets that can promote).
 """

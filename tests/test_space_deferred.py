@@ -12,7 +12,9 @@ components can start in either order (Algorithm 2's ``levels`` and
 ``covered``), an item with two charges (``marked`` then
 ``certificate``) and writes to another component, which settle first.
 Each event draws one coin before its charge, so the final RNG state
-shows where a run stopped.
+shows where a run stopped.  A second property drives the column form,
+:meth:`DeferredCharges.grow_columns`, against one ``set_component``
+call per item.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from adversarial_reference import ScalarAdversarialAlgorithm
 from hypothesis import given, settings
@@ -204,6 +207,136 @@ class TestDeferredCharges:
         meter = SpaceMeter(budget=SpaceBudget(10))
         meter.set_component("a", 4)
         assert meter.headroom == 6
+
+
+NAMES = ("a", "b", "c", "d")
+
+#: Meter states a run can start from: components absent, present at
+#: zero, or already grown.
+STARTS = st.fixed_dictionaries(
+    {name: st.one_of(st.none(), st.integers(0, 6)) for name in NAMES}
+)
+
+#: Batches of ``(component, words)`` items; the deferred side charges
+#: each batch with one ``grow_columns`` call and settles after it, and
+#: an ``("other", words)`` write between batches settles first.
+BATCHES = st.lists(
+    st.one_of(
+        st.lists(
+            st.tuples(st.integers(0, len(NAMES) - 1), st.integers(0, 5)),
+            max_size=25,
+        ),
+        st.integers(0, 6).map(lambda words: ("other", words)),
+    ),
+    max_size=8,
+)
+
+
+def _started_meter(start, budget):
+    meter = SpaceMeter()
+    for name in NAMES:
+        if start[name] is not None:
+            meter.set_component(name, start[name])
+    meter.budget = None if budget is None else SpaceBudget(budget)
+    return meter
+
+
+def _meter_outcome(meter, raised):
+    space = meter.report()
+    return (
+        raised,
+        space,
+        list(space.components_at_peak.items()),
+        list(space.component_peaks.items()),
+        meter.current_words,
+    )
+
+
+def _per_item(start, batches, budget):
+    meter = _started_meter(start, budget)
+    item = 0
+    try:
+        for batch in batches:
+            if isinstance(batch, tuple):
+                meter.add_to_component("other", batch[1])
+                continue
+            for index, words in batch:
+                if words:
+                    name = NAMES[index]
+                    meter.set_component(name, meter.component(name) + words)
+                item += 1
+    except SpaceBudgetExceededError as error:
+        return _meter_outcome(meter, (item, error.used, error.budget))
+    return _meter_outcome(meter, None)
+
+
+def _columns(start, batches, budget):
+    meter = _started_meter(start, budget)
+    if budget is not None and meter.current_words > budget:
+        # The per-item side raises at its first positive charge; the
+        # column side's budget test is its cumulative sum from here.
+        return None
+    charges = DeferredCharges(meter, NAMES)
+    item = 0
+    try:
+        for batch in batches:
+            if isinstance(batch, tuple):
+                charges.settle()
+                meter.add_to_component("other", batch[1])
+                continue
+            indices = np.array([index for index, _ in batch], dtype=np.int64)
+            words = np.array([words for _, words in batch], dtype=np.int64)
+            stop = charges.grow_columns(indices, words)
+            item += stop
+            if stop < len(batch):
+                charges.grow(int(indices[stop]), int(words[stop]))
+                raise AssertionError("the crossing item did not raise")
+            charges.settle()
+    except SpaceBudgetExceededError as error:
+        return _meter_outcome(meter, (item, error.used, error.budget))
+    return _meter_outcome(meter, None)
+
+
+class TestGrowColumns:
+    @given(
+        start=STARTS,
+        batches=BATCHES,
+        budget=st.one_of(st.none(), st.integers(min_value=1, max_value=120)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equal_to_per_item_set_component(self, start, batches, budget):
+        columns = _columns(start, batches, budget)
+        if columns is not None:
+            assert columns == _per_item(start, batches, budget)
+
+    def test_first_grows_enter_the_breakdown_in_item_order(self):
+        meter = SpaceMeter()
+        meter.set_component("a", 1)
+        charges = DeferredCharges(meter, NAMES)
+        stop = charges.grow_columns(
+            np.array([0, 3, 1, 0], dtype=np.int64),
+            np.array([1, 0, 4, 2], dtype=np.int64),
+        )
+        assert stop == 4
+        # "b"'s first grow charged the pending word of "a", then itself;
+        # a zero-word item creates nothing, and the last item pends.
+        assert list(meter.report().components_at_peak) == ["a", "b"]
+        assert meter.current_words == 6
+        charges.settle()
+        assert meter.current_words == 8
+
+    def test_stops_before_the_crossing_item(self):
+        meter = SpaceMeter(budget=SpaceBudget(10))
+        meter.set_component("a", 4)
+        charges = DeferredCharges(meter, NAMES)
+        indices = np.array([0, 0, 0, 0], dtype=np.int64)
+        words = np.array([2, 0, 4, 1], dtype=np.int64)
+        assert charges.grow_columns(indices, words) == 3
+        assert meter.current_words == 4  # the fitting items pend
+        with pytest.raises(SpaceBudgetExceededError) as raised:
+            charges.grow(0, 1)
+        assert raised.value.used == 11
+        assert meter.component("a") == 11
 
 
 class TestAdversarialBreakdownOrder:
