@@ -12,6 +12,7 @@ paper relies on it to guarantee feasibility.
 
 from __future__ import annotations
 
+import array
 import ctypes
 import math
 import numbers
@@ -266,7 +267,9 @@ class _MirrorMT:
                 self._bitgen.ctypes.state_address
             )
         )
-        self._state[:] = internal
+        # ``array`` packs the 625 ints in C; assigning the tuple itself
+        # makes numpy convert them one object at a time, twice as slow.
+        self._state[:] = array.array("I", internal)
         self._version = version
         if not _layout_checked:
             public = self._bitgen.state["state"]

@@ -236,15 +236,28 @@ class TestGates:
             _row(1000.0),
             _row(2000.0, config="large"),
             _row(5000.0, "adversarial"),
-            _row(9e9, "random-order"),
+            _row(3000.0, "random-order"),
+            _row(9e9, "first-fit"),  # not a floor algorithm: never gated
         ]
         failures = check_floor(
-            [_row(1500.0), _row(4000.0, "adversarial"), _row(1.0, "random-order")],
+            [
+                _row(1500.0),
+                _row(4000.0, "adversarial"),
+                _row(2500.0, "random-order"),
+                _row(1.0, "first-fit"),
+            ],
             baseline,
         )
-        assert len(failures) == 2
+        assert len(failures) == 3
         assert "small/kk" in failures[0] and "small/adversarial" in failures[1]
-        assert check_floor([_row(2500.0), _row(6000.0, "adversarial")], baseline) == []
+        assert "small/random-order" in failures[2]
+        assert (
+            check_floor(
+                [_row(2500.0), _row(6000.0, "adversarial"), _row(3500.0, "random-order")],
+                baseline,
+            )
+            == []
+        )
         assert check_floor([_row(1.0), _row(1.0, "adversarial")], []) == []
 
     def test_speedup_table(self):
