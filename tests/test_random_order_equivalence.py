@@ -281,7 +281,7 @@ class TestBudgets:
             sample_constant=1.0, phase_budget_fraction=0.05
         )
         edges = ordered_edges(instance, 2)
-        window, phases_end = _phase_ends(instance, edges, scaling)
+        _, phases_end = _phase_ends(instance, edges, scaling)
         reference = RandomOrderReferenceAlgorithm(scaling=scaling, seed=2)
         full = reference.run(EdgeStream(instance, edges))
         witnessed = instance.n - full.diagnostics["patched_elements"]
