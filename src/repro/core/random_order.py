@@ -273,10 +273,10 @@ class RandomOrderAlgorithm(StreamingSetCoverAlgorithm):
             ):
                 # Line 10: fresh tracked sample at rate q0 = 1/n.
                 q0 = min(1.0, 1.0 / n)
-                tracked = np.flatnonzero(uniforms(self._rng, m) < q0)
-                meter.set_component("tracked-sets", words_for_set(len(tracked)))
-                in_tracked.fill(False)
-                in_tracked[tracked] = True
+                in_tracked[:] = uniforms(self._rng, m) < q0
+                meter.set_component(
+                    "tracked-sets", words_for_set(int(np.count_nonzero(in_tracked)))
+                )
 
                 for j in range(1, num_epochs + 1):
                     stats = EpochStats(algorithm_index=i, epoch_index=j)
