@@ -1,7 +1,6 @@
 """Experiment harness: runners, metrics, sweeps, tables, exact OPT."""
 
 from repro.analysis.chaos import ChaosCell, ChaosReport, run_chaos, run_chaos_cell
-from repro.analysis.journal import SweepJournal, spec_fingerprint
 from repro.analysis.metrics import (
     Aggregate,
     RunMetrics,
@@ -11,7 +10,7 @@ from repro.analysis.metrics import (
     metrics_from_result,
 )
 from repro.analysis.opt import exact_opt, opt_lower_bound, opt_or_bound
-from repro.analysis.runner import ExperimentRunner, RunSpec, derive_retry_seed
+from repro.analysis.runner import ExperimentRunner
 from repro.analysis.stats import DistributionSummary, InstanceStats, describe_instance
 from repro.analysis.sweep import Sweep, SweepPoint, SweepResult
 from repro.analysis.tables import format_cell, render_kv, render_table
@@ -21,9 +20,6 @@ __all__ = [
     "ChaosReport",
     "run_chaos",
     "run_chaos_cell",
-    "SweepJournal",
-    "spec_fingerprint",
-    "derive_retry_seed",
     "RunMetrics",
     "metrics_from_result",
     "Aggregate",
@@ -34,7 +30,6 @@ __all__ = [
     "opt_lower_bound",
     "opt_or_bound",
     "ExperimentRunner",
-    "RunSpec",
     "Sweep",
     "SweepPoint",
     "SweepResult",

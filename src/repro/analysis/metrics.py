@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.solution import StreamingResult
@@ -49,23 +49,6 @@ class RunMetrics:
     def words_per_set(self) -> float:
         """Peak words divided by m — flat iff space is Θ̃(m)."""
         return self.peak_words / max(1, self.m)
-
-    def to_json_dict(self) -> Dict[str, object]:
-        """A JSON-safe dict that round-trips exactly.
-
-        All fields are ints, strings, bools, or floats; Python's JSON
-        encoder serialises floats via ``repr``, which round-trips
-        bit-exactly, so a journaled row reloads equal to the original —
-        the property the sweep checkpoint/resume machinery relies on.
-        """
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "RunMetrics":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = dict(data)
-        payload["diagnostics"] = dict(payload.get("diagnostics") or {})
-        return cls(**payload)
 
 
 def metrics_from_result(

@@ -7,8 +7,8 @@ plus the sharded executor, the wire transports, the merge critical
 path, the random arrival order's shuffle, instance construction and
 the coin tape's draws.  Results are written to ``BENCH_perf.json`` at
 the repository root so every future PR has a trajectory to regress
-against; CI runs the ``smoke`` tier and fails on a >2x edges/sec
-regression.
+against; CI runs the ``smoke`` tier and fails on a >2x regression of
+a cell's median edges/sec.
 
 Two tiers:
 
@@ -37,6 +37,7 @@ import math
 import platform
 import random
 import resource
+import statistics
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -128,6 +129,10 @@ def _same_run(a, b) -> bool:
 # -- sections -----------------------------------------------------------------
 
 
+#: Timed runs per throughput cell; the row records their median.
+THROUGHPUT_REPEATS = 3
+
+
 def bench_throughput(
     tier: str,
     seed: int = 0,
@@ -136,6 +141,9 @@ def bench_throughput(
 ) -> Iterator[dict]:
     """The throughput ladder: edges/sec of each core algorithm per config.
 
+    Each cell runs :data:`THROUGHPUT_REPEATS` times, each on a fresh
+    view of the same frozen stream, asserts the repeats agree, and
+    records the median time with the fastest and slowest beside it.
     ``algorithms`` optionally restricts the cell to a subset of
     ``{"kk", "random-order", "adversarial"}``, and ``configs`` the
     ladder to the named configs of ``tier``.
@@ -145,14 +153,27 @@ def bench_throughput(
         for name, factory in _algorithms(n, seed).items():
             if algorithms is not None and name not in algorithms:
                 continue
-            result, seconds = timed(factory().run, replayable.fresh())
+            runs = [
+                timed(factory().run, replayable.fresh())
+                for _ in range(THROUGHPUT_REPEATS)
+            ]
+            result = runs[0][0]
+            assert all(_same_run(result, repeat) for repeat, _ in runs[1:]), (
+                f"repeated {name} runs diverged at {config}: covers/"
+                "certificates/space must be identical on the same stream"
+            )
+            times = [seconds for _, seconds in runs]
+            seconds = statistics.median(times)
             yield {
                 "config": config,
                 "algorithm": name,
                 "n": n,
                 "m": m,
                 "stream_length": replayable.length,
+                "repeats": THROUGHPUT_REPEATS,
                 "seconds": round(seconds, 4),
+                "seconds_min": round(min(times), 4),
+                "seconds_max": round(max(times), 4),
                 "edges_per_sec": _rate(replayable.length, seconds),
                 "peak_words": result.space.peak_words,
                 "cover_size": result.cover_size,
@@ -665,7 +686,9 @@ def write_bench_file(
         "description": (
             "Hot-path throughput benchmark; see scripts/run_perf_bench.py. "
             "'seed_baseline' is the pre-optimization measurement, "
-            "'full'/'smoke' are the current code, 'distributed' the "
+            "'full'/'smoke' are the current code (the median of "
+            "'repeats' identical runs per cell, with the fastest and "
+            "slowest as seconds_min/seconds_max), 'distributed' the "
             "backend x W scaling surface of the sharded executor "
             "(the fastest of 'repeats' identical runs per cell; "
             "speedup_vs_serial compares each backend against the serial "
@@ -725,8 +748,9 @@ def check_regression(
     """Compare throughput rows against committed ones.
 
     Returns one human-readable failure string per (config, algorithm)
-    cell whose edges/sec dropped by more than ``factor`` versus the
-    committed row; an empty list means no regression.
+    cell whose edges/sec (the median of its repeats) dropped by more
+    than ``factor`` versus the committed row's median; an empty list
+    means no regression.
     """
     baseline = _by_cell(committed)
     failures: List[str] = []

@@ -801,7 +801,9 @@ class StreamLengthOblivious(StreamingSetCoverAlgorithm):
             guess *= 2
         guesses.append(m * n)
 
-        best_guess = min(guesses, key=lambda g: abs(math.log(g) - math.log(true_n)))
+        # An empty (or zero-declared) stream is closest to the lowest guess.
+        log_n = math.log(max(1, true_n))
+        best_guess = min(guesses, key=lambda g: abs(math.log(g) - log_n))
         # Walk the outer stream's one pass (a take stops at each
         # checkpoint, so every one fires), then hand the frozen edge
         # buffer (shared, never copied) to the chosen copy; it runs with

@@ -211,10 +211,13 @@ class Scaling:
         ``cutoff · window / N`` times in the window; we mark at
         ``mark_count_factor / high_degree_factor`` of that expectation
         (paper: 1.085·C·log m against a 1.1-cutoff expectation of
-        1.1·C·log m), never below 1.
+        1.1·C·log m), never below 1.  An empty stream (``N = 0``) reads
+        as ``N = 1``, so the count stays defined.
         """
         window = self.detection_window(n, m, stream_length)
-        expected_at_cutoff = self.high_degree_cutoff(n, m) * window / stream_length
+        expected_at_cutoff = (
+            self.high_degree_cutoff(n, m) * window / max(1, stream_length)
+        )
         return max(
             1.0,
             expected_at_cutoff * self.mark_count_factor / self.high_degree_factor,

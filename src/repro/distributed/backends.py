@@ -293,6 +293,28 @@ class ShardOutcome:
         raise ValueError(f"shard[{self.index}] was not abandoned")
 
 
+#: Odd 63-bit multiplier (splitmix64's constant) for retry-seed derivation.
+_SEED_MIX = 0x9E3779B97F4A7C15
+
+
+def derive_retry_seed(seed: int, attempt: int) -> int:
+    """Seed for retry ``attempt`` of a shard whose task seed is ``seed``.
+
+    Attempts 0 and 1 return ``seed`` unchanged — a transient failure
+    retried once reproduces the uninterrupted run exactly.  From the
+    second retry on, the seed is remixed deterministically: the original
+    seed has now failed twice, so it is presumed deterministically bad.
+    The remix is guaranteed to differ from ``seed`` — a fixed point
+    would silently replay the failing seed forever.
+    """
+    if attempt <= 1:
+        return seed
+    derived = ((seed ^ (attempt * _SEED_MIX)) * _SEED_MIX + attempt) % (2**63)
+    while derived == seed:
+        derived = (derived * _SEED_MIX + 1) % (2**63)
+    return derived
+
+
 def run_tasks_with_recovery(
     backend: Backend,
     tasks: Sequence[ShardTask],
@@ -312,11 +334,10 @@ def run_tasks_with_recovery(
     deadline misses — plays out on a logical clock, and only the tasks
     whose surviving attempt succeeds are executed, in **one**
     ``backend.run_tasks`` call so real parallelism is preserved.  A
-    retried shard re-executes with
-    :func:`~repro.analysis.runner.derive_retry_seed` applied to its
-    pre-drawn seed (attempt 1 keeps the seed unchanged, so a fault-free
-    plan reproduces the plain path bit-for-bit); an abandoned shard's
-    slot holds ``None``.
+    retried shard re-executes with :func:`derive_retry_seed` applied to
+    its pre-drawn seed (attempt 1 keeps the seed unchanged, so a
+    fault-free plan reproduces the plain path bit-for-bit); an abandoned
+    shard's slot holds ``None``.
 
     Returns ``(envelopes, outcomes)``: ``envelopes[i]`` corresponds to
     ``tasks[i]`` (``None`` when abandoned) and ``outcomes`` carries one
@@ -324,11 +345,6 @@ def run_tasks_with_recovery(
     ``backoff_steps`` are validated by the executor entry points, before
     any routing.
     """
-    # Imported here, not at module scope: repro.analysis re-exports the
-    # chaos harness, which imports this package — a module-level import
-    # would be circular.
-    from repro.analysis.runner import derive_retry_seed
-
     tracer = tracer if tracer is not None else NULL_TRACER
     if attempt_steps < 1:
         raise InvalidParameterError(

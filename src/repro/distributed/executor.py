@@ -336,7 +336,7 @@ class DistributedConfig:
     #: later times out and is retried, then abandoned.
     deadline_steps: Optional[int] = None
     #: Attempts per shard before abandoning it (retries re-seed via
-    #: :func:`~repro.analysis.runner.derive_retry_seed`).
+    #: :func:`~repro.distributed.backends.derive_retry_seed`).
     max_attempts: int = 3
     #: Logical steps between a failed attempt and the next.
     backoff_steps: int = 1

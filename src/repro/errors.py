@@ -336,33 +336,13 @@ class ShardTimeoutError(ReproError):
         )
 
 
-class RunTimeoutError(ReproError):
-    """A single experiment run exceeded its wall-clock allowance.
-
-    Raised by :class:`repro.analysis.runner.ExperimentRunner` when a
-    per-run ``timeout`` is configured.  Detection is cooperative: the
-    run is allowed to finish its pass and is flagged afterwards (Python
-    threads cannot be pre-empted), so this bounds sweep time against
-    runs that are slow but terminating.
-    """
-
-    def __init__(self, context: str, elapsed: float, timeout: float) -> None:
-        self.context = context
-        self.elapsed = elapsed
-        self.timeout = timeout
-        super().__init__(
-            f"run exceeded timeout: {elapsed:.3f}s > {timeout:.3f}s ({context})"
-        )
-
-
 class ExperimentExecutionError(ReproError):
-    """A worker run inside an experiment sweep failed.
+    """A run inside an experiment sweep failed.
 
     Wraps the underlying exception (available as ``__cause__``) with
     the failing cell's full context — algorithm, arrival order,
-    instance, seed, spec index, and how many retry attempts were spent —
-    so a failure deep inside a thread pool is attributable without
-    digging through a bare pool traceback.
+    instance, seed and spec index — so a failure deep inside a sweep
+    names the cell that raised it.
     """
 
     def __init__(
@@ -372,7 +352,6 @@ class ExperimentExecutionError(ReproError):
         instance: str,
         seed: int,
         spec_index: int,
-        attempts: int,
         cause: BaseException,
     ) -> None:
         self.algorithm = algorithm
@@ -380,10 +359,9 @@ class ExperimentExecutionError(ReproError):
         self.instance = instance
         self.seed = seed
         self.spec_index = spec_index
-        self.attempts = attempts
         super().__init__(
-            f"experiment run failed after {attempts} attempt(s): "
-            f"algorithm={algorithm!r} order={order!r} seed={seed} "
+            f"experiment run failed: algorithm={algorithm!r} "
+            f"order={order!r} seed={seed} "
             f"spec_index={spec_index} instance={instance}: "
             f"{type(cause).__name__}: {cause}"
         )

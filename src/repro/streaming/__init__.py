@@ -35,7 +35,6 @@ from repro.streaming.stream import (
     EdgeStream,
     FrozenEdges,
     ReplayableStream,
-    StreamCheckpoint,
     StreamReader,
     concat_streams,
     stream_of,
@@ -62,7 +61,6 @@ __all__ = [
     "words_for_set",
     "EdgeStream",
     "FrozenEdges",
-    "StreamCheckpoint",
     "StreamReader",
     "ReplayableStream",
     "stream_of",

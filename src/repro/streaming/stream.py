@@ -20,7 +20,6 @@ ordered stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -150,48 +149,6 @@ class FrozenEdges:
         )
 
 
-@dataclass(frozen=True)
-class StreamCheckpoint:
-    """A verifiable position in a one-pass stream.
-
-    Captures both the reader position and the shape of the underlying
-    buffer at checkpoint time, so restoring onto a *different* buffer —
-    truncated, extended, or one whose declared length disagrees with the
-    edges it actually holds — is detected and rejected instead of
-    silently misaligning the cursor.
-    """
-
-    position: int
-    buffer_length: int
-    declared_length: int
-
-    def validate_against(self, stream: "EdgeStream") -> None:
-        """Raise :class:`InvalidStreamError` unless ``stream`` matches."""
-        actual = stream.actual_length
-        if self.buffer_length != actual:
-            raise InvalidStreamError(
-                f"checkpoint taken on a buffer of {self.buffer_length} edges "
-                f"cannot be restored onto one holding {actual} (truncated or "
-                "extended stream)"
-            )
-        if stream.length != actual:
-            raise InvalidStreamError(
-                f"stream declares N={stream.length} but its buffer holds "
-                f"{actual} edges; refusing to restore onto a length-lying "
-                "stream"
-            )
-        if self.declared_length != stream.length:
-            raise InvalidStreamError(
-                f"checkpoint recorded declared length {self.declared_length} "
-                f"but stream declares {stream.length}"
-            )
-        if not 0 <= self.position <= actual:
-            raise InvalidStreamError(
-                f"checkpoint position {self.position} outside the buffer's "
-                f"range(0, {actual + 1})"
-            )
-
-
 class StreamReader:
     """Sequential batched cursor over a one-pass :class:`EdgeStream`.
 
@@ -216,15 +173,6 @@ class StreamReader:
     def remaining(self) -> int:
         """Number of edges not yet consumed."""
         return len(self._frozen) - self._stream._position
-
-    def checkpoint(self) -> StreamCheckpoint:
-        """Snapshot the current position for a later verified restore."""
-        stream = self._stream
-        return StreamCheckpoint(
-            position=stream._position,
-            buffer_length=len(self._frozen),
-            declared_length=stream.length,
-        )
 
     def take_columns(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Consume up to ``k`` edges, returned as numpy column views.
@@ -395,23 +343,9 @@ class EdgeStream:
                 stop = checkpoints[0]
         return start, stop
 
-    def reader(
-        self, resume_from: Optional[StreamCheckpoint] = None
-    ) -> StreamReader:
-        """A batched one-pass cursor over this stream (marks it consumed).
-
-        With ``resume_from``, the cursor restarts at a previously taken
-        :class:`StreamCheckpoint` — after verifying the checkpoint was
-        taken on *this* buffer shape.  Restoring onto a truncated,
-        extended, or length-lying buffer raises
-        :class:`~repro.errors.InvalidStreamError` rather than silently
-        misaligning the cursor.
-        """
-        if resume_from is not None:
-            resume_from.validate_against(self)
+    def reader(self) -> StreamReader:
+        """A batched one-pass cursor over this stream (marks it consumed)."""
         self._start_pass()
-        if resume_from is not None:
-            self._position = resume_from.position
         return StreamReader(self)
 
     def peek_all(self) -> FrozenEdges:

@@ -74,50 +74,6 @@ class TestExperimentRunner:
             ExperimentRunner(algorithms={})
 
 
-def _make_runner():
-    return ExperimentRunner(
-        algorithms={
-            "kk": lambda seed: KKAlgorithm(seed=seed),
-            "first-fit": lambda seed: FirstFitAlgorithm(seed=seed),
-        },
-        seed=42,
-    )
-
-
-class TestParallelRunner:
-    """The thread-pool path must be bit-identical to the serial one."""
-
-    def test_compare_parallel_matches_serial(self):
-        planted = planted_partition_instance(30, 60, opt_size=3, seed=6)
-        serial = _make_runner().compare(
-            planted.instance, "random", opt_handle=3, replications=3,
-            max_workers=1,
-        )
-        parallel = _make_runner().compare(
-            planted.instance, "random", opt_handle=3, replications=3,
-            max_workers=4,
-        )
-        assert parallel == serial  # RunMetrics is a dataclass: full equality
-
-    def test_sweep_parallel_matches_serial(self):
-        pairs = [
-            (planted_partition_instance(20, 40, opt_size=2, seed=s).instance, 2)
-            for s in range(3)
-        ]
-        serial = _make_runner().sweep_instances(
-            pairs, "random", replications=2, max_workers=1
-        )
-        parallel = _make_runner().sweep_instances(
-            pairs, "random", replications=2, max_workers=4
-        )
-        assert parallel == serial
-
-    def test_rejects_nonpositive_workers(self):
-        planted = planted_partition_instance(20, 40, opt_size=2, seed=7)
-        with pytest.raises(ValueError):
-            _make_runner().compare(planted.instance, "random", max_workers=0)
-
-
 class TestSweep:
     def test_runs_grid(self):
         calls = []

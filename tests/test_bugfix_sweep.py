@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.runner import derive_retry_seed
+from repro.distributed.backends import derive_retry_seed
 from repro.core.kk import KKAlgorithm
 from repro.streaming.orders import LocallyShuffledOrder, check_permutation
 from repro.streaming.space import SpaceReport

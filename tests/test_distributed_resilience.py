@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.analysis.chaos import run_shard_chaos, run_shard_chaos_cell
-from repro.analysis.runner import derive_retry_seed
+from repro.distributed.backends import derive_retry_seed
 from repro.distributed import (
     SerialBackend,
     backends,

@@ -61,9 +61,8 @@ SAMPLES = {
     "ShardTimeoutError": lambda: errors.ShardTimeoutError(
         2, 3, completion_step=17, deadline_steps=10, context="quorum"
     ),
-    "RunTimeoutError": lambda: errors.RunTimeoutError("kk/random", 2.5, 1.0),
     "ExperimentExecutionError": lambda: errors.ExperimentExecutionError(
-        "kk", "random", "zipf(n=30)", 7, 4, 2, ValueError("boom")
+        "kk", "random", "zipf(n=30)", 7, 4, ValueError("boom")
     ),
 }
 

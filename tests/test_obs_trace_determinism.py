@@ -3,8 +3,8 @@
 Two promises, both load-bearing for reproducibility claims:
 
 1. **Traces are seed-deterministic** — the same seed and instance emit
-   byte-identical JSONL, run to run and whatever the runner's worker
-   count is (the collector merges cells sorted by label).
+   byte-identical JSONL, run to run (the collector merges cells sorted
+   by label).
 2. **Tracing never perturbs results** — attaching a recording tracer
    leaves covers, certificates, RNG draws and space reports
    bit-identical to the untraced run.
@@ -70,9 +70,9 @@ class TestByteIdenticalTraces:
         assert first.to_jsonl() == second.to_jsonl()
         assert first.open_spans == 0
 
-    def test_runner_jsonl_identical_across_worker_counts(self, planted):
+    def test_runner_jsonl_identical_run_to_run(self, planted):
         outputs = []
-        for max_workers in (1, 4):
+        for _ in range(2):
             collector = TraceCollector()
             runner = ExperimentRunner(
                 {
@@ -84,13 +84,11 @@ class TestByteIdenticalTraces:
                 seed=42,
                 collector=collector,
             )
-            rows = runner.compare(
-                planted, "random", replications=2, max_workers=max_workers
-            )
+            rows = runner.compare(planted, "random", replications=2)
             outputs.append((collector.to_jsonl(), rows))
-        (jsonl_serial, rows_serial), (jsonl_parallel, rows_parallel) = outputs
-        assert jsonl_serial == jsonl_parallel
-        assert rows_serial == rows_parallel
+        (jsonl_first, rows_first), (jsonl_second, rows_second) = outputs
+        assert jsonl_first == jsonl_second
+        assert rows_first == rows_second
 
 
 class TestTracingDoesNotPerturb:

@@ -89,6 +89,42 @@ class TestSectionRows:
         with pytest.raises(ValueError, match="unknown tier"):
             run_section("trace_overhead", "huge")
 
+    def test_throughput_cell_records_median_of_its_repeats(
+        self, tiny_tiers, monkeypatch
+    ):
+        # The cell's three runs take 1, 5 and 2 s.
+        durations = iter([1.0, 5.0, 2.0])
+
+        def fake_timed(fn, *args, **kwargs):
+            return fn(*args, **kwargs), next(durations)
+
+        monkeypatch.setattr(perfbench, "timed", fake_timed)
+        (row,) = run_section("smoke", "smoke", algorithms=["kk"])
+        assert row["repeats"] == perfbench.THROUGHPUT_REPEATS == 3
+        assert (row["seconds"], row["seconds_min"], row["seconds_max"]) == (
+            2.0,
+            1.0,
+            5.0,
+        )
+        assert row["edges_per_sec"] == round(row["stream_length"] / 2.0, 1)
+
+    def test_throughput_repeats_must_agree(self, tiny_tiers, monkeypatch):
+        import dataclasses
+
+        real = perfbench.KKAlgorithm.run
+        calls = []
+
+        def drifting(self, stream):
+            result = real(self, stream)
+            calls.append(None)
+            if len(calls) == 2:
+                result = dataclasses.replace(result, cover=frozenset())
+            return result
+
+        monkeypatch.setattr(perfbench.KKAlgorithm, "run", drifting)
+        with pytest.raises(AssertionError, match="repeated kk runs diverged"):
+            run_section("smoke", "smoke", algorithms=["kk"])
+
     def test_distributed_cell_keeps_fastest_of_identical_repeats(
         self, tiny_tiers, monkeypatch
     ):
